@@ -1,26 +1,28 @@
 """Command-line interface.
 
 Exit codes: 0 the system was proved terminating, 1 a loop disproved
-termination, 2 no conclusion, 3 the input failed to parse or load.
+termination, 2 no conclusion, 3 the input failed to load (unreadable, not
+UTF-8, nested too deeply, or not a valid system), 4 an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .criteria import AnalysisConfig
 from .hrs import HrsError, load
-from .pfp import is_pfp, safe_subterms
+from .pfp import is_pfp
 from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProverConfig, emit,
-                    emit_dot, prove)
+                    emit_dot, emit_pfp, emit_sdps, prove)
 from .sdp import extract_sdps
-from .terms import print_term
 
 EXIT_TERMINATING = 0
 EXIT_NONTERMINATING = 1
 EXIT_MAYBE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 _VERDICT_EXIT = {
     TERMINATING: EXIT_TERMINATING,
@@ -38,6 +40,13 @@ def _parse_techniques(text: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError("technique list is empty")
     return names
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _parse_precedence(text: str) -> tuple[str, ...]:
@@ -64,11 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the dependency graph in DOT format")
     p.add_argument("--json", action="store_true",
                    help="emit the proof as JSON instead of text")
-    p.add_argument("--disprove", nargs="?", type=int, const=100,
+    p.add_argument("--disprove", nargs="?", type=_positive_int, const=100,
                    default=None, metavar="STEPS",
                    help="on failure, search for a loop of at most STEPS "
                         "rewrite steps (default 100)")
-    p.add_argument("--max-pi-depth", type=int, default=3, metavar="N",
+    p.add_argument("--max-pi-depth", type=_positive_int, default=3,
+                   metavar="N",
                    help="maximum projection depth for the subterm criterion "
                         "(default 3)")
     p.add_argument("--techniques", type=_parse_techniques,
@@ -82,40 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_pfp_stage(path: str) -> int:
-    h = load(path)
-    report = is_pfp(h)
-    if report.is_pfp:
-        print("plain function-passing: yes")
-    else:
-        print("plain function-passing: no")
-        for v in report.violations:
-            print(f"  rule {v.rule}: subterm {print_term(v.subterm)}: "
-                  f"{v.reason}")
-    for rule in h.rules:
-        shown = ", ".join(print_term(u) for u in safe_subterms(rule).safe)
-        print(f"  safe({rule.name}) = {{{shown}}}")
-    return EXIT_TERMINATING if report.is_pfp else EXIT_MAYBE
-
-
-def _run_sdp_stage(path: str) -> int:
-    h = load(path)
-    pairs = extract_sdps(h)
-    print(f"static dependency pairs ({len(pairs)}):")
-    for i, pair in enumerate(pairs, start=1):
-        extras = (f"   [extra variables: {', '.join(pair.extra_vars)}]"
-                  if pair.extra_vars else "")
-        print(f"  {i}. {pair}   [from {pair.origin_rule}]{extras}")
-    return EXIT_TERMINATING
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.pfp:
-            return _run_pfp_stage(args.file)
+            h = load(args.file)
+            report = is_pfp(h)
+            sys.stdout.write(emit_pfp(h, report))
+            return EXIT_TERMINATING if report.is_pfp else EXIT_MAYBE
         if args.sdp:
-            return _run_sdp_stage(args.file)
+            sys.stdout.write(emit_sdps(extract_sdps(load(args.file))))
+            return EXIT_TERMINATING
         config = ProverConfig(
             analysis=AnalysisConfig(techniques=args.techniques,
                                     max_pi_depth=args.max_pi_depth,
@@ -130,6 +117,13 @@ def main(argv: list[str] | None = None) -> int:
     except (HrsError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def entry() -> None:

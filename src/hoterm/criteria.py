@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .graph import RecursionComponent, build_graph, recursion_components
 from .hrs import Hrs
@@ -171,12 +171,6 @@ class Comparison(Enum):
     UNKNOWN = "unknown"
 
 
-class ReductionPairOracle(Protocol):
-    def compare(self, s: Term, t: Term) -> Comparison: ...
-
-    def describe(self) -> str: ...
-
-
 def _first_order(t: Term) -> bool:
     """Binder-free with every free variable of basic type."""
     if isinstance(t, Abs):
@@ -268,7 +262,7 @@ class OrientationFailure:
 
 
 def check_reduction_pair(h: Hrs, component: RecursionComponent,
-                         oracle: ReductionPairOracle
+                         oracle: LexPathOrder
                          ) -> OrientationVerdict | OrientationFailure:
     """Orient all rules weakly and the component's pairs at least weakly,
     at least one strictly."""
@@ -301,19 +295,16 @@ def check_reduction_pair(h: Hrs, component: RecursionComponent,
 MAX_PRECEDENCE_SYMBOLS = 8
 
 
+def _symbols(t: Term) -> set[str]:
+    """Unmarked names of the function symbols heading subterms of ``t``."""
+    return {unmark_name(u.head.name) for u in subterms(t)
+            if not isinstance(u, Abs) and isinstance(u.head, Const)}
+
+
 def _relevant_symbols(h: Hrs, component: RecursionComponent) -> list[str]:
-    names: set[str] = set()
-    for rule in h.rules:
-        for side in (rule.lhs, rule.rhs):
-            for u in subterms(side):
-                if isinstance(u.head, Const):
-                    names.add(unmark_name(u.head.name))
-    for pair in component.pairs:
-        for side in (pair.lhs, pair.rhs):
-            for u in subterms(side):
-                if isinstance(u.head, Const):
-                    names.add(unmark_name(u.head.name))
-    return sorted(names)
+    sides = [s for r in h.rules for s in (r.lhs, r.rhs)]
+    sides += [s for p in component.pairs for s in (p.lhs, p.rhs)]
+    return sorted(set().union(*(_symbols(s) for s in sides)))
 
 
 def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
@@ -324,12 +315,9 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
         caller = unmark_name(top(rule.lhs).name)
         if caller not in mentions:
             continue
-        for u in subterms(rule.rhs):
-            head = u.head
-            if isinstance(head, Const):
-                callee = unmark_name(head.name)
-                if callee in mentions and callee != caller:
-                    mentions[caller].add(callee)
+        for callee in _symbols(rule.rhs):
+            if callee in mentions and callee != caller:
+                mentions[caller].add(callee)
 
     depth: dict[str, int] = {}
 
@@ -350,7 +338,11 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
 def search_precedence(h: Hrs, component: RecursionComponent
                       ) -> OrientationVerdict | None:
     """Try the call-graph precedence first, then all permutations when few
-    enough symbols are involved; first success wins."""
+    enough symbols are involved; first success wins.  A rule side that is
+    not first-order is unknown to every path order, so nothing is tried."""
+    if not all(_first_order(side) for rule in h.rules
+               for side in (rule.lhs, rule.rhs)):
+        return None
     symbols = _relevant_symbols(h, component)
     guess = _call_graph_precedence(h, symbols)
     verdict = check_reduction_pair(h, component, LexPathOrder(guess))

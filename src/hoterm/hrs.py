@@ -22,8 +22,8 @@ from typing import Union
 
 from .normalize import PAtom, PLam, Preterm, normalize, papp
 from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, SimpleType,
-                    Term, TermTypeError, arity, eta_expand, free_names,
-                    free_vars, print_term, strip_binders, top)
+                    Term, TermTypeError, eta_expand, free_names,
+                    liberation_name, print_term, strip_binders, top)
 
 
 class HrsError(ValueError):
@@ -295,9 +295,7 @@ def uniquify_hints(t: Term, avoid: frozenset[str]) -> Term:
 
     def go(u: Term) -> Term:
         if isinstance(u, Abs):
-            want = u.hint or "x"
-            while want in used:
-                want += "'"
+            want = liberation_name(u.hint, used)
             used.add(want)
             return Abs(want, u.param_type, go(u.body))
         return App(u.head, tuple(go(a) for a in u.args))
@@ -436,8 +434,18 @@ def parse(text: str, require_patterns: bool = False) -> Hrs:
     return Hrs(tuple(basics), signature, variables, tuple(rules))
 
 
+def read_source(path: str | Path) -> str:
+    """The text of a .hrs file, which must be UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HrsError(f"{path}: not UTF-8 text: byte {exc.start} cannot "
+                       "be decoded") from None
+
+
 def load(path: str | Path, require_patterns: bool = False) -> Hrs:
-    return parse(Path(path).read_text(), require_patterns=require_patterns)
+    return parse(read_source(path), require_patterns=require_patterns)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
-                    SimpleType, Term, TermTypeError, domains, eta_hint,
-                    free_vars)
+from .terms import (Abs, App, Arrow, Atom, Bound, Free, SimpleType, Term,
+                    TermTypeError, domains, eta_hint, free_vars)
 
 # ---------------------------------------------------------------------------
 # preterms

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .hrs import Hrs, Rule
 from .normalize import PApp, PAtom, Preterm, normalize
-from .terms import (App, Free, Term, args, free_names, print_term,
+from .terms import (App, Atom, Free, Term, args, free_names, print_term,
                     strip_binders, subterms)
 
 
@@ -69,7 +69,7 @@ def safe_subterms(rule: Rule) -> SafeSet:
     return SafeSet(rule, tuple(out))
 
 
-def applied_prefixes(head: Free, arguments: tuple[Term, ...]) -> list[Term]:
+def applied_prefixes(head: Atom, arguments: tuple[Term, ...]) -> list[Term]:
     """Normal forms of head(a1..ak) for every k, shortest first; dropping
     trailing arguments leaves an under-applied head that eta-expands."""
     out = []

@@ -17,11 +17,11 @@ from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
                        analyze_component)
 from .graph import (DependencyGraph, RecursionComponent, build_graph,
                     recursion_components, to_dot)
-from .hrs import Hrs, load, parse
+from .hrs import Hrs, Rule, parse, read_source
 from .pfp import PfpReport, is_pfp, safe_subterms
 from .rewriting import LoopFound, find_loop
 from .sdp import DependencyPair, extract_sdps
-from .terms import format_position, print_term, top
+from .terms import format_position, print_term
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +32,7 @@ MAYBE = "MAYBE"
 FINITENESS_NOTE = ("the system is finite, so its dependency graph is finite "
                    "and every infinite chain eventually stays inside one "
                    "recursion component")
+NOT_ANALYZED = "not analyzed: the function-passing gate failed"
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,14 @@ class ProofObject:
     verdict: Verdict
 
 
+def prove(path: str, config: ProverConfig = ProverConfig()) -> ProofObject:
+    return prove_text(read_source(path), config, str(path))
+
+
 def prove_text(text: str, config: ProverConfig = ProverConfig(),
                source_name: str = "<string>") -> ProofObject:
     digest = hashlib.sha256(text.encode()).hexdigest()
     h = parse(text)
-    return _prove(h, digest, config, source_name)
-
-
-def prove(path: str, config: ProverConfig = ProverConfig()) -> ProofObject:
-    with open(path, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
-    return _prove(load(path), digest, config, str(path))
-
-
-def _prove(h: Hrs, digest: str, config: ProverConfig,
-           source_name: str) -> ProofObject:
     pfp = is_pfp(h)
     sdps = extract_sdps(h)
     graph = build_graph(sdps)
@@ -102,7 +96,8 @@ def _conclude(h: Hrs, pfp: PfpReport,
                    if isinstance(p, ComponentFailure)]
         if not blocked:
             return Verdict(TERMINATING)
-        labels = ", ".join(_component_label(c) for c in blocked)
+        labels = ", ".join(_label([i + 1 for i in c.indices])
+                           for c in blocked)
         reason = f"undischarged recursion component(s): {labels}"
     if config.disprove_steps is not None:
         found = find_loop(h, max_steps=config.disprove_steps)
@@ -112,157 +107,172 @@ def _conclude(h: Hrs, pfp: PfpReport,
     return Verdict(MAYBE, reason)
 
 
-def _component_label(c: RecursionComponent) -> str:
-    return "{" + ", ".join(str(i + 1) for i in c.indices) + "}"
-
-
 # ---------------------------------------------------------------------------
 # emission
+#
+# ``_document`` walks the proof once; the JSON is that document, and the
+# text renders from it plus what only the text shows: the system summary
+# and the safe sets.
 
 
-def emit_text(proof: ProofObject) -> str:
-    h = proof.hrs
-    out: list[str] = []
-    out.append(f"input: {proof.source_name}")
-    out.append(f"sha256: {proof.input_digest}")
-    out.append("")
-    out.append(f"system: {len(h.rules)} rule(s); "
-               f"defined = {{{', '.join(sorted(h.defined))}}}; "
-               f"constructors = {{{', '.join(sorted(h.constructors))}}}")
-    out.append("")
-    if proof.pfp.is_pfp:
-        out.append("plain function-passing: yes")
-        for rule in h.rules:
-            safe = safe_subterms(rule)
-            shown = ", ".join(print_term(u) for u in safe.safe)
-            out.append(f"  safe({rule.name}) = {{{shown}}}")
-    else:
-        out.append("plain function-passing: no")
-        for v in proof.pfp.violations:
-            out.append(f"  rule {v.rule}: subterm "
-                       f"{print_term(v.subterm)}: {v.reason}")
-    out.append("")
-    out.append(f"static dependency pairs ({len(proof.sdps)}):")
-    for i, p in enumerate(proof.sdps, start=1):
-        extras = (f"   [extra variables: {', '.join(p.extra_vars)}]"
-                  if p.extra_vars else "")
-        out.append(f"  {i}. {p}   [from {p.origin_rule}]{extras}")
-    out.append("")
-    arcs = sorted(proof.graph.arcs)
-    shown = ", ".join(f"{a + 1}->{b + 1}" for a, b in arcs)
-    out.append(f"static dependency graph: {len(arcs)} arc(s): {shown}")
-    out.append("")
-    out.append(f"recursion components ({len(proof.components)}):")
-    for c in proof.components:
-        out.append(f"  {_component_label(c)}")
-    for c in proof.components:
-        out.append("")
-        result = proof.component_proofs.get(c)
-        out.append(f"component {_component_label(c)}:")
-        if result is None:
-            out.append("  not analyzed: the function-passing gate failed")
-        elif isinstance(result, ComponentProof):
-            for step in result.steps:
-                strict = ", ".join(str(p) for p in step.removed)
-                out.append(f"  {step.technique}: {step.witness}")
-                out.append(f"    strict: {strict}")
-                if step.remaining:
-                    out.append(f"    remaining pairs: {len(step.remaining)}")
-                else:
-                    out.append("    remaining pairs: none")
-            out.append("  discharged")
-        else:
-            for reason in result.reasons:
-                out.append(f"  {reason}")
-            out.append("  NOT discharged")
-    out.append("")
-    out.append(f"note: {proof.finiteness}")
-    out.append("")
-    if proof.verdict.kind == NONTERMINATING and proof.verdict.loop:
-        loop = proof.verdict.loop
-        out.append(f"loop of length {len(loop.trace)} from "
-                   f"{print_term(loop.start)}:")
-        for step in loop.trace:
-            out.append(f"  -> {print_term(step.result)}   "
-                       f"[{step.rule}, position {format_position(step.position)}]")
-        out.append("")
-    if proof.verdict.reason:
-        out.append(f"verdict: {proof.verdict.kind} ({proof.verdict.reason})")
-    else:
-        out.append(f"verdict: {proof.verdict.kind}")
-    out.append("")
-    return "\n".join(out)
+def _pfp_json(report: PfpReport) -> dict:
+    return {
+        "is_pfp": report.is_pfp,
+        "violations": [{
+            "rule": v.rule,
+            "subterm": print_term(v.subterm),
+            "reason": v.reason,
+        } for v in report.violations],
+    }
 
 
-def emit_json(proof: ProofObject) -> str:
-    pairs = [{
+def _pairs_json(sdps: tuple[DependencyPair, ...]) -> list[dict]:
+    return [{
         "index": i + 1,
         "lhs": print_term(p.lhs),
         "rhs": print_term(p.rhs),
         "origin_rule": p.origin_rule,
         "extra_vars": list(p.extra_vars),
-    } for i, p in enumerate(proof.sdps)]
-    comps = [{
-        "pairs": [i + 1 for i in c.indices],
-    } for c in proof.components]
-    comp_proofs = []
-    for c in proof.components:
-        result = proof.component_proofs.get(c)
-        entry: dict = {"component": [i + 1 for i in c.indices]}
-        if result is None:
-            entry["discharged"] = False
-            entry["reasons"] = ["not analyzed: the function-passing gate "
-                                "failed"]
-        elif isinstance(result, ComponentProof):
-            entry["discharged"] = True
-            entry["steps"] = [{
-                "technique": s.technique,
-                "witness": s.witness,
-                "strict": [str(p) for p in s.removed],
-                "remaining": [str(p) for p in s.remaining],
-            } for s in result.steps]
-        else:
-            entry["discharged"] = False
-            entry["reasons"] = list(result.reasons)
-        comp_proofs.append(entry)
-    doc = {
+    } for i, p in enumerate(sdps)]
+
+
+def _component_json(c: RecursionComponent,
+                    result: ComponentProof | ComponentFailure | None) -> dict:
+    entry: dict = {"component": [i + 1 for i in c.indices],
+                   "discharged": isinstance(result, ComponentProof)}
+    if isinstance(result, ComponentProof):
+        entry["steps"] = [{
+            "technique": s.technique,
+            "witness": s.witness,
+            "strict": [str(p) for p in s.removed],
+            "remaining": [str(p) for p in s.remaining],
+        } for s in result.steps]
+    else:
+        entry["reasons"] = (list(result.reasons) if result is not None
+                            else [NOT_ANALYZED])
+    return entry
+
+
+def _document(proof: ProofObject) -> dict:
+    loop = proof.verdict.loop
+    return {
         "schema_version": SCHEMA_VERSION,
         "input": {"source": proof.source_name,
                   "sha256": proof.input_digest},
-        "pfp": {
-            "is_pfp": proof.pfp.is_pfp,
-            "violations": [{
-                "rule": v.rule,
-                "subterm": print_term(v.subterm),
-                "reason": v.reason,
-            } for v in proof.pfp.violations],
-        },
+        "pfp": _pfp_json(proof.pfp),
         "sdp_count": len(proof.sdps),
-        "sdps": pairs,
+        "sdps": _pairs_json(proof.sdps),
         "graph": {"arcs": [[a + 1, b + 1]
                            for a, b in sorted(proof.graph.arcs)]},
         "component_count": len(proof.components),
-        "components": comps,
-        "component_proofs": comp_proofs,
+        "components": [{"pairs": [i + 1 for i in c.indices]}
+                       for c in proof.components],
+        "component_proofs": [
+            _component_json(c, proof.component_proofs.get(c))
+            for c in proof.components],
         "finiteness": proof.finiteness,
         "verdict": proof.verdict.kind,
         "reason": proof.verdict.reason,
-        "loop": _loop_json(proof.verdict.loop),
+        "loop": None if loop is None else {
+            "start": print_term(loop.start),
+            "steps": [{
+                "rule": s.rule,
+                "position": list(s.position),
+                "result": print_term(s.result),
+            } for s in loop.trace],
+        },
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def _loop_json(loop: LoopFound | None) -> dict | None:
-    if loop is None:
-        return None
-    return {
-        "start": print_term(loop.start),
-        "steps": [{
-            "rule": s.rule,
-            "position": list(s.position),
-            "result": print_term(s.result),
-        } for s in loop.trace],
-    }
+def _pfp_section(pfp: dict, safe_rules: tuple[Rule, ...]) -> list[str]:
+    out = ["plain function-passing: " + ("yes" if pfp["is_pfp"] else "no")]
+    out.extend(f"  rule {v['rule']}: subterm {v['subterm']}: {v['reason']}"
+               for v in pfp["violations"])
+    for rule in safe_rules:
+        shown = ", ".join(print_term(u) for u in safe_subterms(rule).safe)
+        out.append(f"  safe({rule.name}) = {{{shown}}}")
+    return out
+
+
+def _pairs_section(pairs: list[dict]) -> list[str]:
+    out = [f"static dependency pairs ({len(pairs)}):"]
+    for p in pairs:
+        extras = (f"   [extra variables: {', '.join(p['extra_vars'])}]"
+                  if p["extra_vars"] else "")
+        out.append(f"  {p['index']}. {p['lhs']} -> {p['rhs']}   "
+                   f"[from {p['origin_rule']}]{extras}")
+    return out
+
+
+def _label(indices: list[int]) -> str:
+    return "{" + ", ".join(map(str, indices)) + "}"
+
+
+def _lines(out: list[str]) -> str:
+    return "\n".join(out) + "\n"
+
+
+def emit_pfp(h: Hrs, report: PfpReport) -> str:
+    """The function-passing section with the safe sets of every rule, as
+    printed by ``hoterm prove --pfp`` whatever the outcome of the check."""
+    return _lines(_pfp_section(_pfp_json(report), h.rules))
+
+
+def emit_sdps(sdps: tuple[DependencyPair, ...]) -> str:
+    """The dependency pair section, as printed by ``hoterm prove --sdp``."""
+    return _lines(_pairs_section(_pairs_json(sdps)))
+
+
+def emit_text(proof: ProofObject) -> str:
+    h = proof.hrs
+    doc = _document(proof)
+    pfp = doc["pfp"]
+    arcs = doc["graph"]["arcs"]
+    out = [f"input: {doc['input']['source']}",
+           f"sha256: {doc['input']['sha256']}",
+           "",
+           f"system: {len(h.rules)} rule(s); "
+           f"defined = {{{', '.join(sorted(h.defined))}}}; "
+           f"constructors = {{{', '.join(sorted(h.constructors))}}}",
+           "",
+           *_pfp_section(pfp, h.rules if pfp["is_pfp"] else ()),
+           "",
+           *_pairs_section(doc["sdps"]),
+           "",
+           f"static dependency graph: {len(arcs)} arc(s): "
+           + ", ".join(f"{a}->{b}" for a, b in arcs),
+           "",
+           f"recursion components ({doc['component_count']}):"]
+    out.extend(f"  {_label(c['pairs'])}" for c in doc["components"])
+    for entry in doc["component_proofs"]:
+        out += ["", f"component {_label(entry['component'])}:"]
+        if entry["discharged"]:
+            for step in entry["steps"]:
+                out += [f"  {step['technique']}: {step['witness']}",
+                        f"    strict: {', '.join(step['strict'])}",
+                        f"    remaining pairs: "
+                        f"{len(step['remaining']) or 'none'}"]
+            out.append("  discharged")
+        else:
+            out.extend(f"  {reason}" for reason in entry["reasons"])
+            if pfp["is_pfp"]:
+                out.append("  NOT discharged")
+    out += ["", f"note: {doc['finiteness']}", ""]
+    loop = doc["loop"]
+    if loop is not None:
+        out.append(f"loop of length {len(loop['steps'])} from "
+                   f"{loop['start']}:")
+        out.extend(f"  -> {s['result']}   [{s['rule']}, position "
+                   f"{format_position(s['position'])}]"
+                   for s in loop["steps"])
+        out.append("")
+    reason = f" ({doc['reason']})" if doc["reason"] else ""
+    out.append(f"verdict: {doc['verdict']}{reason}")
+    return _lines(out)
+
+
+def emit_json(proof: ProofObject) -> str:
+    return json.dumps(_document(proof), indent=2) + "\n"
 
 
 def emit_dot(proof: ProofObject) -> str:

@@ -13,12 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .hrs import Hrs, Rule
+from .hrs import Hrs
 from .normalize import Subst, apply_subst
 from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, Position,
-                    SimpleType, Term, domains, eta_expand, eta_hint,
-                    free_names, open_abs, open_with, positions, replace_at,
-                    result_type)
+                    SimpleType, Term, close_over, domains, eta_expand,
+                    eta_hint, free_names, free_vars, open_abs, open_with,
+                    replace_at, result_type)
 
 
 class NonPatternError(ValueError):
@@ -54,17 +54,6 @@ def match(pattern: Term, subject: Term,
     theta: dict[str, Term] = {}
     hints: dict[str, str] = {}  # marker name -> pattern binder hint
 
-    def close_as(t: Term, atom: Free, hint: str) -> Term:
-        def close(u: Term, d: int) -> Term:
-            if isinstance(u, Abs):
-                return Abs(u.hint, u.param_type, close(u.body, d + 1))
-            head = u.head
-            if head == atom:
-                head = Bound(d, atom.ty)
-            return App(head, tuple(close(a, d) for a in u.args))
-
-        return Abs(hint, atom.ty, close(t, 0))
-
     def go(p: Term, s: Term, depth: int) -> bool:
         if isinstance(p, Abs):
             if not isinstance(s, Abs) or p.param_type != s.param_type:
@@ -87,7 +76,8 @@ def match(pattern: Term, subject: Term,
                 markers.append(atom)
             candidate: Term = s
             for atom in reversed(markers):
-                candidate = close_as(candidate, atom, hints.get(atom.name, "x"))
+                candidate = Abs(hints.get(atom.name, "x"), atom.ty,
+                                close_over(candidate, atom.name))
             if any(n.startswith(_MARKER) for n in free_names(candidate)):
                 return False
             previous = theta.get(ph.name)
@@ -287,8 +277,7 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
     emitted = 0
     for rule in h.rules:
         fvars = sorted(free_names(rule.lhs))
-        var_types = {name: atom.ty
-                     for atom in _rule_free_atoms(rule) for name in [atom.name]}
+        var_types = {atom.name: atom.ty for atom in free_vars(rule.lhs)}
         pools = []
         for name in fvars:
             pool = list(itertools.islice(
@@ -304,11 +293,6 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
             emitted += 1
             if emitted >= cap:
                 return
-
-
-def _rule_free_atoms(rule: Rule) -> list[Free]:
-    from .terms import free_vars
-    return sorted(free_vars(rule.lhs), key=lambda a: a.name)
 
 
 def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,

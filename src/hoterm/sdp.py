@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hrs import Hrs, Rule
-from .normalize import PApp, PAtom, Preterm, apply_subst, normalize
-from .pfp import safe_subterms
+from .normalize import apply_subst
+from .pfp import applied_prefixes, safe_subterms
 from .terms import (Abs, App, Const, Free, Term, eta_expand, free_names,
-                    lam, print_term, strip_binders, top)
+                    free_vars, lam, print_term, strip_binders)
 
 MARK = "#"
 
@@ -66,22 +66,10 @@ def candidates(t: Term) -> tuple[Term, ...]:
 
 
 def _canonical_extras(rhs: Term, extras: tuple[str, ...]) -> Term:
-    theta = {name: eta_expand(Free(f"${i}", atom.ty))
-             for i, name in enumerate(extras)
-             for atom in [_free_atom(rhs, name)]}
+    types = {atom.name: atom.ty for atom in free_vars(rhs)}
+    theta = {name: eta_expand(Free(f"${i}", types[name]))
+             for i, name in enumerate(extras)}
     return apply_subst(rhs, theta)
-
-
-def _free_atom(t: Term, name: str) -> Free:
-    for atom in sorted(free_names_atoms(t), key=lambda a: a.name):
-        if atom.name == name:
-            return atom
-    raise KeyError(name)
-
-
-def free_names_atoms(t: Term):
-    from .terms import free_vars
-    return free_vars(t)
 
 
 def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
@@ -98,7 +86,7 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
                 continue
-            if any(p in safe for p in _prefix_normal_forms(head, body.args)):
+            if any(p in safe for p in applied_prefixes(head, body.args)):
                 continue
             rhs_marked = App(Const(head.name + MARK, head.ty), body.args)
             extras = _occurring_extras(rhs_marked, lhs_names)
@@ -109,16 +97,6 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
             pairs.append(DependencyPair(lhs_marked, rhs_marked,
                                         rule.name, extras))
     return tuple(pairs)
-
-
-def _prefix_normal_forms(head: Const, arguments: tuple[Term, ...]) -> list[Term]:
-    out = []
-    for k in range(len(arguments) + 1):
-        pre: Preterm = PAtom(head)
-        for a in arguments[:k]:
-            pre = PApp(pre, a)
-        out.append(normalize(pre))
-    return out
 
 
 def _occurring_extras(rhs_marked: Term, lhs_names: frozenset[str]

@@ -66,10 +66,6 @@ def result_type(ty: SimpleType) -> Base:
     return ty
 
 
-def arity(ty: SimpleType) -> int:
-    return len(domains(ty))
-
-
 # ---------------------------------------------------------------------------
 # atoms: the possible heads of an application
 
@@ -127,7 +123,12 @@ class Term:
 
     __slots__ = ()
 
-    ty: SimpleType
+    @property
+    def ty(self) -> SimpleType:
+        return self._ty
+
+    def __repr__(self) -> str:
+        return print_term(self)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -141,10 +142,6 @@ class Abs(Term):
         object.__setattr__(self, "_hash",
                            hash(("abs", self.param_type, self.body)))
 
-    @property
-    def ty(self) -> SimpleType:
-        return self._ty
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -156,9 +153,6 @@ class Abs(Term):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return print_term(self)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -188,10 +182,6 @@ class App(Term):
         object.__setattr__(self, "_ty", ty)
         object.__setattr__(self, "_hash", hash(("app", self.head, self.args)))
 
-    @property
-    def ty(self) -> SimpleType:
-        return self._ty
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -204,19 +194,11 @@ class App(Term):
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return print_term(self)
-
 
 def atom_name(atom: Atom) -> str:
     if isinstance(atom, Bound):
         return f"<bound {atom.index}>"
     return atom.name
-
-
-def alpha_eq(s: Term, t: Term) -> bool:
-    """Alpha-equality; identical to ``==`` in this representation."""
-    return s == t
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +233,6 @@ def eta_expand(atom: Atom) -> Term:
 
 def const(name: str, ty: SimpleType) -> Term:
     return eta_expand(Const(name, ty))
-
-
-def var(name: str, ty: SimpleType) -> Term:
-    return eta_expand(Free(name, ty))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +432,6 @@ def subterms(t: Term) -> tuple[Term, ...]:
 
     walk(t, set(free_names(t)))
     return tuple(out)
-
-
-def is_subterm(s: Term, t: Term) -> bool:
-    """True when ``s`` occurs in ``t`` (reflexively)."""
-    return s in subterms(t)
 
 
 # ---------------------------------------------------------------------------

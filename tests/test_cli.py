@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hoterm.cli import (EXIT_INPUT_ERROR, EXIT_MAYBE, EXIT_NONTERMINATING,
-                        EXIT_TERMINATING, build_parser, main)
+import hoterm.cli
+import hoterm.criteria
+from hoterm.cli import (EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_MAYBE,
+                        EXIT_NONTERMINATING, EXIT_TERMINATING, build_parser,
+                        main)
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -45,6 +49,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "prove", bad)
         assert code == 3
         assert "unknown directive" in err
+
+    def test_undecodable_file_is_three(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.hrs"
+        bad.write_bytes(b"basic a\n# caf\xe9\n")
+        code, out, err = run(capsys, "prove", bad)
+        assert code == EXIT_INPUT_ERROR
+        assert "not UTF-8" in err
+        assert out == ""
+
+    def test_deeply_nested_input_is_three(self, tmp_path, capsys):
+        deep = tmp_path / "deep.hrs"
+        term = "s(" * 2000 + "z" + ")" * 2000
+        deep.write_text("basic a\nsig s : a -> a\nsig z : a\nsig f : a\n"
+                        f"rule r: f -> {term}\n")
+        code, out, err = run(capsys, "prove", deep)
+        assert code == EXIT_INPUT_ERROR
+        assert err == "error: input nested too deeply\n"
+        assert out == ""
+
+    def test_internal_error_is_four(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(hoterm.cli, "prove", broken)
+        code, out, err = run(capsys, "prove", FIXDIR / "sqsum.hrs")
+        assert code == EXIT_INTERNAL_ERROR == 4
+        assert err.endswith("error: internal error\n")
+        assert out == ""
 
 
 class TestStageFlags:
@@ -135,6 +167,23 @@ class TestAnalysisFlags:
         assert code == 2
         assert "loop search found nothing" in out
 
+    @pytest.mark.parametrize("name", ["foldl", "sqsum"])
+    def test_redpair_gives_up_on_higher_order_rules(self, name, monkeypatch,
+                                                    capsys):
+        calls = []
+        original = hoterm.criteria.check_reduction_pair
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hoterm.criteria, "check_reduction_pair", counting)
+        code, out, _ = run(capsys, "prove", FIXDIR / f"{name}.hrs",
+                           "--techniques", "redpair")
+        assert code == EXIT_MAYBE
+        assert "verdict: MAYBE" in out
+        assert calls == []
+
 
 class TestParser:
     def test_prog_and_subcommand(self):
@@ -158,6 +207,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("flags", [["--disprove", "-5"],
+                                       ["--disprove", "0"],
+                                       ["--max-pi-depth", "0"],
+                                       ["--max-pi-depth", "-1"],
+                                       ["--max-pi-depth", "two"]])
+    def test_counts_below_one_are_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["prove", "x.hrs", *flags])
+        assert flags[1] in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_installed_console_script(self):
@@ -174,7 +233,8 @@ class TestEntryPoint:
                 [sys.executable, "-m", "hoterm.cli", "prove",
                  str(FIXDIR / "sqsum.hrs"), "--json"],
                 capture_output=True, text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
             )
             assert proc.returncode == 0
             outputs.add(proc.stdout)
