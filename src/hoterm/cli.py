@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 the system was proved terminating, 1 a loop disproved
-termination, 2 no conclusion, 3 the input failed to load (unreadable, not
-UTF-8, nested too deeply, or not a valid system), 4 an internal error.
+termination, 2 no conclusion, 3 the command line was invalid or the input
+failed to load (unreadable, not UTF-8, nested too deeply, or not a valid
+system), 4 an internal error.
 """
 
 from __future__ import annotations
@@ -57,8 +58,17 @@ def _parse_precedence(text: str) -> tuple[str, ...]:
     return names
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error, not with argparse's 2, which
+    is the MAYBE code.  Sub-command parsers are made of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hoterm",
         description="termination prover for higher-order rewrite systems")
     sub = parser.add_subparsers(dest="command", required=True)

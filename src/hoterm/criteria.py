@@ -10,17 +10,16 @@ refinement loop recomputes components of the remainder and recurses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graph import RecursionComponent, build_graph, recursion_components
-from .hrs import Hrs
+from .hrs import Hrs, Rule
 from .sdp import DependencyPair, unmark_name
-from .terms import (Abs, Base, Const, Free, Position, Term, format_position,
-                    free_names, positions, print_term, subterm_at, subterms,
-                    top)
+from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
+                    format_position, free_names, positions, print_term,
+                    subterm_at, subterms, top)
 
 # ---------------------------------------------------------------------------
 # subterm criterion
@@ -64,96 +63,159 @@ def _proper_prefixes(p: Position) -> Iterable[Position]:
         yield p[:k]
 
 
+def project_pair(pair: DependencyPair, p: Position, q: Position,
+                 defined: frozenset[str]) -> bool | CriterionFailure:
+    """Classify one pair when its left side projects to ``p`` and its right
+    side to ``q``: True if strictly smaller, False if equal, else the failure.
+
+    The pair passes when the projected left side contains the projected
+    right side as a subterm, no free variable of the left side heads a
+    subterm strictly above its projection, and below the right side's root
+    neither a free variable nor a defined symbol heads a subterm strictly
+    above its projection.
+    """
+    u, v = pair.lhs, pair.rhs
+    try:
+        left = subterm_at(u, p)
+    except PositionError:
+        return CriterionFailure(
+            pair, f"position {format_position(p)} is not valid in "
+                  f"{print_term(u)}")
+    try:
+        right = subterm_at(v, q)
+    except PositionError:
+        return CriterionFailure(
+            pair, f"position {format_position(q)} is not valid in "
+                  f"{print_term(v)}")
+    fv_u = free_names(u)
+    for pp in _proper_prefixes(p):
+        if top(subterm_at(u, pp)).name in fv_u:
+            return CriterionFailure(
+                pair, f"a free variable heads {print_term(u)} at "
+                      f"position {format_position(pp)}, above the "
+                      "projection")
+    for qq in _proper_prefixes(q):
+        if qq == ():
+            continue
+        head = top(subterm_at(v, qq))
+        if isinstance(head, Free) and head.name in free_names(v) \
+                or isinstance(head, Const) and head.name in defined:
+            return CriterionFailure(
+                pair, f"{head.name} heads {print_term(v)} at position "
+                      f"{format_position(qq)}, above the projection")
+    if left == right:
+        return False
+    if right in subterms(left):
+        return True
+    return CriterionFailure(
+        pair, f"{print_term(right)} is not a subterm of {print_term(left)}")
+
+
 def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
                             defined: frozenset[str]
                             ) -> CriterionVerdict | CriterionFailure:
-    """Classify every pair of the component under the projections.
-
-    A pair passes when the projected left side contains the projected right
-    side as a subterm, no free variable of the left side heads a subterm
-    strictly above its projection, and below the right side's root neither a
-    free variable nor a defined symbol heads a subterm strictly above its
-    projection.  The component passes when every pair does and at least one
-    projection shrinks strictly.
+    """Classify every pair of the component under the projections with
+    ``project_pair``.  The component passes when every pair does and at
+    least one projection shrinks strictly.
     """
     strict: list[DependencyPair] = []
     weak: list[DependencyPair] = []
     for pair in component.pairs:
-        u, v = pair.lhs, pair.rhs
         try:
-            p = pi.position_for(top(u).name)
-            q = pi.position_for(top(v).name)
+            p = pi.position_for(top(pair.lhs).name)
+            q = pi.position_for(top(pair.rhs).name)
         except KeyError as missing:
             return CriterionFailure(pair, f"no projection for {missing}")
-        pos_u, pos_v = set(positions(u)), set(positions(v))
-        if p not in pos_u:
-            return CriterionFailure(
-                pair, f"position {format_position(p)} is not valid in "
-                      f"{print_term(u)}")
-        if q not in pos_v:
-            return CriterionFailure(
-                pair, f"position {format_position(q)} is not valid in "
-                      f"{print_term(v)}")
-        fv_u, fv_v = free_names(u), free_names(v)
-        for pp in _proper_prefixes(p):
-            if top(subterm_at(u, pp)).name in fv_u:
-                return CriterionFailure(
-                    pair, f"a free variable heads {print_term(u)} at "
-                          f"position {format_position(pp)}, above the "
-                          "projection")
-        for qq in _proper_prefixes(q):
-            if qq == ():
-                continue
-            head = top(subterm_at(v, qq))
-            if isinstance(head, Free) and head.name in fv_v \
-                    or isinstance(head, Const) and head.name in defined:
-                return CriterionFailure(
-                    pair, f"{head.name} heads {print_term(v)} at position "
-                          f"{format_position(qq)}, above the projection")
-        left, right = subterm_at(u, p), subterm_at(v, q)
-        if left == right:
-            weak.append(pair)
-        elif right in subterms(left):
-            strict.append(pair)
-        else:
-            return CriterionFailure(
-                pair, f"{print_term(right)} is not a subterm of "
-                      f"{print_term(left)}")
+        shrinks = project_pair(pair, p, q, defined)
+        if isinstance(shrinks, CriterionFailure):
+            return shrinks
+        (strict if shrinks else weak).append(pair)
     if not strict:
         return CriterionFailure(
             None, "no pair projects to a strictly smaller subterm")
     return CriterionVerdict(tuple(strict), tuple(weak), pi)
 
 
-def _candidate_positions(component: RecursionComponent, symbol: str,
-                         max_depth: int) -> list[Position]:
-    """Positions valid in every side headed by ``symbol``, shortest first."""
-    shared: set[Position] | None = None
+def _candidate_positions(component: RecursionComponent, max_depth: int
+                         ) -> dict[str, list[Position]]:
+    """For each marked symbol, the positions valid in every side it heads,
+    shortest first."""
+    shared: dict[str, set[Position]] = {}
     for pair in component.pairs:
         for side in (pair.lhs, pair.rhs):
-            if top(side).name != symbol:
-                continue
-            here = {p for p in positions(side)
-                    if p and len(p) <= max_depth}
-            shared = here if shared is None else shared & here
-    if not shared:
-        return []
-    return sorted(shared, key=lambda p: (len(p), p))
+            here = {p for p in positions(side) if p and len(p) <= max_depth}
+            name = top(side).name
+            shared[name] = shared[name] & here if name in shared else here
+    return {name: sorted(pool, key=lambda p: (len(p), p))
+            for name, pool in shared.items()}
+
+
+def _depth_first(size: int, options: Callable[[list], Iterable],
+                 viable: Callable[[list], bool]) -> Iterator[tuple]:
+    """Yield, in the lexicographic order of ``options``, every sequence of
+    ``size`` choices all of whose non-empty prefixes are ``viable``.
+
+    ``options(prefix)`` lists the choices that may follow ``prefix``.  The
+    walk keeps its own stack, so ``size`` is not bounded by Python's
+    recursion limit.
+    """
+    prefix: list = []
+    stack = [iter(options(prefix))]
+    while stack:
+        for choice in stack[-1]:
+            prefix.append(choice)
+            if not viable(prefix):
+                prefix.pop()
+            elif len(prefix) == size:
+                yield tuple(prefix)
+                prefix.pop()
+            else:
+                stack.append(iter(options(prefix)))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def search_pi(component: RecursionComponent, max_depth: int = 3,
               defined: frozenset[str] = frozenset()
               ) -> CriterionVerdict | None:
-    """Try projection assignments in order (shorter positions first,
-    lexicographic within a length) and return the first verdict that passes.
+    """Return the first assignment, trying each symbol's positions shorter
+    first and lexicographic within a length, that passes the criterion.
+
+    Symbols are assigned in sorted order.  Once both symbols of a pair are
+    assigned, a pair that fails ``project_pair`` rules out every completion,
+    so that branch is dropped; the answer is the one full enumeration would
+    give first.
     """
-    symbols = sorted({top(side).name
-                      for pair in component.pairs
-                      for side in (pair.lhs, pair.rhs)})
-    pools = [_candidate_positions(component, s, max_depth) for s in symbols]
-    if any(not pool for pool in pools):
+    candidates = _candidate_positions(component, max_depth)
+    symbols = sorted(candidates)
+    pools = [candidates[s] for s in symbols]
+    if not symbols or any(not pool for pool in pools):
         return None
-    for choice in itertools.product(*pools):
+    index = {s: i for i, s in enumerate(symbols)}
+    # the pairs whose second symbol is assigned at each depth
+    completed: list[list[tuple[int, DependencyPair, int, int]]] = \
+        [[] for _ in symbols]
+    for n, pair in enumerate(component.pairs):
+        i, j = index[top(pair.lhs).name], index[top(pair.rhs).name]
+        completed[max(i, j)].append((n, pair, i, j))
+    passes: dict[tuple[int, Position, Position], bool] = {}
+
+    def viable(prefix: list) -> bool:
+        for n, pair, i, j in completed[len(prefix) - 1]:
+            key = (n, prefix[i], prefix[j])
+            if key not in passes:
+                passes[key] = not isinstance(
+                    project_pair(pair, prefix[i], prefix[j], defined),
+                    CriterionFailure)
+            if not passes[key]:
+                return False
+        return True
+
+    for choice in _depth_first(len(symbols),
+                               lambda prefix: pools[len(prefix)], viable):
         pi = PiAssignment(dict(zip(symbols, choice)))
         verdict = check_subterm_criterion(component, pi, defined)
         if isinstance(verdict, CriterionVerdict):
@@ -181,6 +243,33 @@ def _first_order(t: Term) -> bool:
     return all(_first_order(a) for a in t.args)
 
 
+def _comparable(s: Term, t: Term) -> bool:
+    """Path orders answer only on first-order terms of one type."""
+    return _first_order(s) and _first_order(t) and s.ty == t.ty
+
+
+def _any3(values: Iterable[bool | None]) -> bool | None:
+    """Kleene disjunction, evaluated left to right: None stands for unknown."""
+    result: bool | None = False
+    for v in values:
+        if v:
+            return True
+        if v is None:
+            result = None
+    return result
+
+
+def _all3(values: Iterable[bool | None]) -> bool | None:
+    """Kleene conjunction, evaluated left to right: None stands for unknown."""
+    result: bool | None = True
+    for v in values:
+        if v is False:
+            return False
+        if v is None:
+            result = None
+    return result
+
+
 class LexPathOrder:
     """Lexicographic path order induced by a precedence on symbol names.
 
@@ -188,6 +277,10 @@ class LexPathOrder:
     answered only on binder-free terms whose variables have basic types;
     anything else is unknown.  Symbols missing from the precedence rank below
     all listed ones, ordered by name.
+
+    ``_greater`` is three-valued (None is unknown, combined in Kleene logic)
+    so that a subclass may leave some symbol comparisons open; with a full
+    precedence, as here, it always answers True or False.
     """
 
     def __init__(self, precedence: tuple[str, ...]):
@@ -198,7 +291,7 @@ class LexPathOrder:
     def describe(self) -> str:
         return "path order with precedence " + " > ".join(self.precedence)
 
-    def _cmp_symbols(self, f: str, g: str) -> int:
+    def _cmp_symbols(self, f: str, g: str) -> int | None:
         f, g = unmark_name(f), unmark_name(g)
         rf, rg = self._rank.get(f, 0), self._rank.get(g, 0)
         if rf != rg:
@@ -216,7 +309,7 @@ class LexPathOrder:
                 and len(s.args) == len(t.args)
                 and all(self._equiv(a, b) for a, b in zip(s.args, t.args)))
 
-    def _greater(self, s: Term, t: Term) -> bool:
+    def _greater(self, s: Term, t: Term) -> bool | None:
         th = t.head
         if isinstance(th, Free):
             return s != t and any(
@@ -224,28 +317,64 @@ class LexPathOrder:
                 for u in subterms(s))
         if isinstance(s.head, Free):
             return False
-        if any(self._greater(a, t) or self._equiv(a, t) for a in s.args):
+        above = _any3(self._equiv(a, t) or self._greater(a, t)
+                      for a in s.args)
+        if above:
             return True
         by_head = self._cmp_symbols(s.head.name, th.name)
-        if by_head > 0:
-            return all(self._greater(s, b) for b in t.args)
-        if by_head < 0:
-            return False
-        for a, b in zip(s.args, t.args):
-            if self._equiv(a, b):
-                continue
-            return (self._greater(a, b)
-                    and all(self._greater(s, bb) for bb in t.args))
-        return False
+        if by_head == 0:
+            first: bool | None = False
+            for a, b in zip(s.args, t.args):
+                if not self._equiv(a, b):
+                    first = self._greater(a, b)
+                    break
+        else:
+            first = None if by_head is None else by_head > 0
+        if first is False:
+            return above
+        rest = _all3(self._greater(s, b) for b in t.args)
+        return _any3((above, _all3((first, rest))))
 
     def compare(self, s: Term, t: Term) -> Comparison:
-        if not (_first_order(s) and _first_order(t)) or s.ty != t.ty:
+        if not _comparable(s, t):
             return Comparison.UNKNOWN
         if self._greater(s, t):
             return Comparison.GREATER
         if self._equiv(s, t):
             return Comparison.GREATER_EQUAL
         return Comparison.UNKNOWN
+
+
+class _PrecedencePrefix(LexPathOrder):
+    """The path orders of every precedence that starts with ``prefix`` and
+    ranks all other symbols below it.
+
+    Two distinct symbols outside the prefix compare as unknown, so
+    ``_greater`` answers True or False only where every such precedence
+    agrees.  ``_equiv`` needs no change: distinct symbols are never
+    equivalent under any precedence.
+    """
+
+    def _cmp_symbols(self, f: str, g: str) -> int | None:
+        f, g = unmark_name(f), unmark_name(g)
+        if f != g and f not in self._rank and g not in self._rank:
+            return None
+        return super()._cmp_symbols(f, g)
+
+    def _never(self, s: Term, t: Term, strict: bool) -> bool:
+        """No completion orients ``s > t`` (``strict``) or ``s >= t``."""
+        return not _comparable(s, t) or (
+            self._greater(s, t) is False
+            and (strict or not self._equiv(s, t)))
+
+    def rules_out(self, h: Hrs, component: RecursionComponent) -> bool:
+        """No completion orients every rule and pair weakly and one pair
+        strictly, so ``check_reduction_pair`` fails on every completion."""
+        return (any(self._never(r.lhs, r.rhs, False) for r in h.rules)
+                or any(self._never(p.lhs, p.rhs, False)
+                       for p in component.pairs)
+                or all(self._never(p.lhs, p.rhs, True)
+                       for p in component.pairs))
 
 
 @dataclass(frozen=True)
@@ -309,7 +438,12 @@ def _relevant_symbols(h: Hrs, component: RecursionComponent) -> list[str]:
 
 def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
     """Rank callers above their callees: start from the rule-mention graph,
-    take the longest-path depth of each symbol, break ties by name."""
+    take the longest-path depth of each symbol, break ties by name.
+
+    On a cycle the depth is cut where the walk re-enters a symbol on its own
+    trail, so the answer depends on the visit order; the walk keeps its own
+    stack, in the order of a recursive visit, so long call chains fit.
+    """
     mentions: dict[str, set[str]] = {s: set() for s in symbols}
     for rule in h.rules:
         caller = unmark_name(top(rule.lhs).name)
@@ -320,28 +454,49 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
                 mentions[caller].add(callee)
 
     depth: dict[str, int] = {}
-
-    def visit(s: str, trail: frozenset[str]) -> int:
-        if s in depth:
-            return depth[s]
-        if s in trail:
-            return 0
-        d = 1 + max((visit(c, trail | {s}) for c in mentions[s]), default=0)
-        depth[s] = d
-        return d
-
-    for s in symbols:
-        visit(s, frozenset())
+    for root in symbols:
+        if root in depth:
+            continue
+        # one frame per symbol on the trail: [symbol, trail, callees left,
+        # deepest callee so far]
+        stack = [[root, frozenset({root}), iter(mentions[root]), 0]]
+        while stack:
+            frame = stack[-1]
+            s, trail, callees = frame[:3]
+            for c in callees:
+                if c in depth:
+                    frame[3] = max(frame[3], depth[c])
+                elif c not in trail:
+                    stack.append([c, trail | {c}, iter(mentions[c]), 0])
+                    break
+            else:
+                stack.pop()
+                depth[s] = 1 + frame[3]
+                if stack:
+                    stack[-1][3] = max(stack[-1][3], depth[s])
     return tuple(sorted(symbols, key=lambda s: (-depth[s], s)))
+
+
+def _higher_order_rule(h: Hrs) -> Rule | None:
+    """The first rule with a side that is not first-order, if any."""
+    return next((rule for rule in h.rules
+                 if not (_first_order(rule.lhs) and _first_order(rule.rhs))),
+                None)
 
 
 def search_precedence(h: Hrs, component: RecursionComponent
                       ) -> OrientationVerdict | None:
-    """Try the call-graph precedence first, then all permutations when few
-    enough symbols are involved; first success wins.  A rule side that is
-    not first-order is unknown to every path order, so nothing is tried."""
-    if not all(_first_order(side) for rule in h.rules
-               for side in (rule.lhs, rule.rhs)):
+    """Try the call-graph precedence first, then, when few enough symbols
+    are involved, every other precedence in ``permutations`` order; the
+    first that orients wins.  A rule side that is not first-order is
+    unknown to every path order, so nothing is tried.
+
+    Precedences are built greatest symbol first.  A prefix under which
+    some rule or pair, or every pair strictly, is already unorientable is
+    dropped with all its completions, so the answer is the one full
+    enumeration would give first.
+    """
+    if _higher_order_rule(h) is not None:
         return None
     symbols = _relevant_symbols(h, component)
     guess = _call_graph_precedence(h, symbols)
@@ -350,13 +505,33 @@ def search_precedence(h: Hrs, component: RecursionComponent
         return verdict
     if len(symbols) > MAX_PRECEDENCE_SYMBOLS:
         return None
-    for perm in itertools.permutations(symbols):
+
+    def viable(prefix: list) -> bool:
+        return not _PrecedencePrefix(tuple(prefix)).rules_out(h, component)
+
+    for perm in _depth_first(
+            len(symbols),
+            lambda prefix: [s for s in symbols if s not in prefix], viable):
         if perm == guess:
             continue
         verdict = check_reduction_pair(h, component, LexPathOrder(perm))
         if isinstance(verdict, OrientationVerdict):
             return verdict
     return None
+
+
+def _precedence_give_up_reason(h: Hrs, component: RecursionComponent) -> str:
+    """Why ``search_precedence`` found nothing: what it left untried."""
+    rule = _higher_order_rule(h)
+    if rule is not None:
+        return (f"rule {rule.name} is not first-order, so no path order "
+                "was tried")
+    n = len(_relevant_symbols(h, component))
+    if n > MAX_PRECEDENCE_SYMBOLS:
+        return (f"the call-graph precedence does not orient every rule and "
+                f"the component, and {n} symbols exceed the search limit of "
+                f"{MAX_PRECEDENCE_SYMBOLS}")
+    return "no precedence orients every rule and the component"
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +592,7 @@ def _discharge_once(h: Hrs, component: RecursionComponent,
             else:
                 result = search_precedence(h, component)
                 if result is None:
-                    reasons.append("no precedence orients every rule and "
-                                   "the component")
+                    reasons.append(_precedence_give_up_reason(h, component))
             if result is not None:
                 remaining = tuple(p for p in component.pairs
                                   if p not in result.strict)

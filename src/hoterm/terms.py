@@ -367,7 +367,7 @@ def positions(t: Term) -> list[Position]:
 
 def subterm_at(t: Term, p: Position) -> Term:
     """The subterm at ``p``; binders crossed on the way become free variables."""
-    avoid = set(free_names(t))
+    avoid: set[str] | None = None
     cur = t
     for step, i in enumerate(p):
         if isinstance(cur, Abs):
@@ -375,6 +375,8 @@ def subterm_at(t: Term, p: Position) -> Term:
                 raise PositionError(p, i,
                                     f"index {i} at step {step} descends into a "
                                     "binder, which has only position 1")
+            if avoid is None:
+                avoid = set(free_names(t))
             name, cur = open_abs(cur, avoid)
             avoid.add(name)
         else:

@@ -139,9 +139,10 @@ class TestAnalysisFlags:
         assert "subterm criterion" not in out
 
     def test_techniques_rejects_unknown_name(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             main(["prove", str(FIXDIR / "arith.hrs"),
                   "--techniques", "magic"])
+        assert exit_.value.code == EXIT_INPUT_ERROR
 
     def test_explicit_precedence(self, capsys):
         code, out, _ = run(capsys, "prove", FIXDIR / "arith.hrs",
@@ -190,6 +191,8 @@ class TestAnalysisFlags:
                            "--techniques", "redpair")
         assert code == EXIT_MAYBE
         assert "verdict: MAYBE" in out
+        assert "rule foldl-nil is not first-order, so no path order was " \
+               "tried" in out
         assert calls == []
 
 
@@ -212,8 +215,16 @@ class TestParser:
         assert ns.precedence == ("a", "b", "c")
 
     def test_subcommand_required(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args([])
+        assert exit_.value.code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [["--help"], ["prove", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 0
+        assert "usage: hoterm" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [["--disprove", "-5"],
                                        ["--disprove", "0"],
@@ -221,8 +232,9 @@ class TestParser:
                                        ["--max-pi-depth", "-1"],
                                        ["--max-pi-depth", "two"]])
     def test_counts_below_one_are_rejected(self, flags, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args(["prove", "x.hrs", *flags])
+        assert exit_.value.code == EXIT_INPUT_ERROR
         assert flags[1] in capsys.readouterr().err
 
 

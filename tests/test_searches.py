@@ -1,0 +1,285 @@
+"""The projection and precedence searches against brute-force enumeration.
+
+``search_pi`` and ``search_precedence`` prune branches that cannot succeed;
+the oracles below try every candidate in the same order with no pruning, so
+both must return the same first witness (or None).
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+import strategies as S
+import hoterm.criteria as C
+from hoterm.criteria import (MAX_PRECEDENCE_SYMBOLS, AnalysisConfig,
+                             CriterionVerdict, LexPathOrder,
+                             OrientationVerdict, PiAssignment,
+                             check_reduction_pair, check_subterm_criterion,
+                             search_pi, search_precedence)
+from hoterm.graph import build_graph, recursion_components
+from hoterm.hrs import Hrs, Rule, parse, print_hrs
+from hoterm.normalize import apply_subst
+from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
+from hoterm.sdp import extract_sdps
+from hoterm.terms import App, Const, free_names
+
+REDPAIR = ProverConfig(analysis=AnalysisConfig(techniques=("redpair",)))
+
+
+def oracle_pi(component, max_depth, defined):
+    candidates = C._candidate_positions(component, max_depth)
+    symbols = sorted(candidates)
+    pools = [candidates[s] for s in symbols]
+    if not symbols or any(not pool for pool in pools):
+        return None
+    for choice in itertools.product(*pools):
+        verdict = check_subterm_criterion(
+            component, PiAssignment(dict(zip(symbols, choice))), defined)
+        if isinstance(verdict, CriterionVerdict):
+            return verdict
+    return None
+
+
+def oracle_precedence(h, component):
+    if C._higher_order_rule(h) is not None:
+        return None
+    symbols = C._relevant_symbols(h, component)
+    guess = C._call_graph_precedence(h, symbols)
+    candidates = [guess]
+    if len(symbols) <= MAX_PRECEDENCE_SYMBOLS:
+        candidates += itertools.permutations(symbols)
+    for perm in candidates:
+        verdict = check_reduction_pair(h, component, LexPathOrder(perm))
+        if isinstance(verdict, OrientationVerdict):
+            return verdict
+    return None
+
+
+def components(h):
+    return recursion_components(build_graph(extract_sdps(h)))
+
+
+# ---------------------------------------------------------------------------
+# generated families over Peano numerals
+
+
+def _system(sig, variables, rules):
+    lines = ["basic nat", "sig z : nat", "sig s : nat -> nat"]
+    lines += [f"sig {name} : {ty}" for name, ty in sig]
+    lines += [f"var {v} : nat" for v in variables]
+    lines += [f"rule {name}: {lhs} -> {rhs}" for name, lhs, rhs in rules]
+    return "\n".join(lines) + "\n"
+
+
+def chain(n, lhs_args, rhs_args):
+    """f_i(lhs_args) -> f_i+1(rhs_args), closed into a cycle of n symbols."""
+    sig = [(f"f{i:04d}", "nat -> nat -> nat") for i in range(n)]
+    rules = [(f"r{i:04d}", f"f{i:04d}({lhs_args})",
+              f"f{(i + 1) % n:04d}({rhs_args})") for i in range(n)]
+    return _system(sig, ("X", "Y"), rules)
+
+
+def swapped_chain(n):
+    """Only the projection to argument 2 works, and it is tried last."""
+    return chain(n, "Y, s(X)", "s(Y), X")
+
+
+def rotating_chain(n):
+    """The projection to argument 1 works, and it is tried first."""
+    return chain(n, "s(X), Y", "X, s(Y)")
+
+
+def _g_chain(m):
+    """g_0(s(X)) -> g_1(X) -> ... -> g_m-1(s(X)) -> X."""
+    sig = [(f"g{i:04d}", "nat -> nat") for i in range(m)]
+    rules = [(f"g{i:04d}", f"g{i:04d}(s(X))",
+              f"g{i + 1:04d}(X)" if i + 1 < m else "X") for i in range(m)]
+    return sig, rules
+
+
+def precedence_deep(k):
+    """k symbols; f(b) -> f(a) needs b > a, which the call-graph guess
+    gets wrong, so the search has to run."""
+    sig, rules = _g_chain(k - 4)
+    sig += [("a", "nat"), ("b", "nat"), ("f", "nat -> nat")]
+    rules.append(("f", "f(b)", "f(a)"))
+    return _system(sig, ("X",), rules)
+
+
+def precedence_unorientable(k):
+    """k symbols; no path order orients f(X, s(Y)) -> f(s(X), Y)."""
+    sig, rules = _g_chain(k - 2)
+    sig.append(("f", "nat -> nat -> nat"))
+    rules.append(("f", "f(X, s(Y))", "f(s(X), Y)"))
+    return _system(sig, ("X", "Y"), rules)
+
+
+FAMILIES = ([swapped_chain(n) for n in range(1, 7)]
+            + [rotating_chain(n) for n in range(1, 7)]
+            + [precedence_deep(k) for k in range(4, 7)]
+            + [precedence_unorientable(k) for k in range(2, 7)])
+
+
+# ---------------------------------------------------------------------------
+# first-order systems for the precedence search
+
+
+@st.composite
+def fo_systems(draw):
+    """1..3 rules over the first-order signature; right-hand sides use only
+    variables of their left-hand side (the others are replaced by 0)."""
+    zero = App(Const("0", S.FO_NAT), ())
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(("s", "add", "mul", "pair")))
+        head = Const(name, S.FO_SIG[name])
+        arity = 1 if name == "s" else 2
+        lhs = App(head, tuple(draw(S.fo_terms(max_size=5))
+                              for _ in range(arity)))
+        rhs = draw(S.fo_terms(max_size=8))
+        rhs = apply_subst(rhs, {v: zero for v in free_names(rhs)
+                                if v not in free_names(lhs)})
+        rules.append(Rule(f"r{i}", lhs, rhs))
+    raw = Hrs(("nat",), dict(S.FO_SIG), dict(S.FO_VARS), tuple(rules))
+    return parse(print_hrs(raw))
+
+
+class TestSameFirstWitness:
+    @pytest.mark.parametrize("text", FAMILIES)
+    @pytest.mark.parametrize("max_depth", [1, 2, 3])
+    def test_search_pi_on_families(self, text, max_depth):
+        h = parse(text)
+        for comp in components(h):
+            assert search_pi(comp, max_depth, h.defined) == \
+                oracle_pi(comp, max_depth, h.defined)
+
+    @pytest.mark.parametrize("text", FAMILIES)
+    def test_search_precedence_on_families(self, text):
+        h = parse(text)
+        for comp in components(h):
+            assert search_precedence(h, comp) == oracle_precedence(h, comp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(S.systems(), st.integers(1, 3))
+    def test_search_pi_on_random_systems(self, h, max_depth):
+        for comp in components(h):
+            assert search_pi(comp, max_depth, h.defined) == \
+                oracle_pi(comp, max_depth, h.defined)
+
+    @settings(max_examples=150, deadline=None)
+    @given(S.systems())
+    def test_search_precedence_on_random_systems(self, h):
+        for comp in components(h):
+            assert search_precedence(h, comp) == oracle_precedence(h, comp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fo_systems())
+    def test_search_precedence_on_first_order_systems(self, h):
+        for comp in components(h):
+            assert search_precedence(h, comp) == oracle_precedence(h, comp)
+
+
+class TestPrecedencePrefix:
+    SYMBOLS = ("0", "add", "mul", "pair", "s")
+
+    @settings(max_examples=300, deadline=None)
+    @given(S.fo_terms(), S.fo_terms(),
+           st.permutations(SYMBOLS), st.integers(0, len(SYMBOLS)))
+    def test_definite_answers_hold_for_every_completion(self, s, t, order,
+                                                        placed):
+        prefix = tuple(order[:placed])
+        answer = C._PrecedencePrefix(prefix)._greater(s, t)
+        if placed == len(self.SYMBOLS):
+            assert answer is not None
+        if answer is None:
+            return
+        for rest in itertools.permutations(order[placed:]):
+            assert LexPathOrder(prefix + rest)._greater(s, t) is answer
+
+    @settings(max_examples=200, deadline=None)
+    @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
+    def test_full_precedence_never_answers_unknown(self, s, t, order):
+        assert LexPathOrder(tuple(order))._greater(s, t) in (True, False)
+
+
+class TestScale:
+    def test_swapped_chain_of_forty_projects_to_the_second_argument(self):
+        proof = prove_text(swapped_chain(40), ProverConfig())
+        assert proof.verdict.kind == TERMINATING
+        witness = ", ".join(f"pi(f{i:04d}) = 2" for i in range(40))
+        assert [step.witness for cp in proof.component_proofs.values()
+                for step in cp.steps] == [witness]
+
+    def test_rotating_chain_longer_than_the_recursion_limit(self):
+        proof = prove_text(rotating_chain(1100), ProverConfig())
+        assert proof.verdict.kind == TERMINATING
+
+    def test_unorientable_precedence_search_prunes(self, monkeypatch):
+        calls = []
+        real = C.check_reduction_pair
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(C, "check_reduction_pair", counting)
+        h = parse(precedence_unorientable(8))
+        (comp,) = components(h)
+        assert search_precedence(h, comp) is None
+        assert 1 <= len(calls) <= 24      # 8! = 40,320 without pruning
+
+
+class TestCallGraphPrecedence:
+    @staticmethod
+    def recursive_reference(h, symbols):
+        """The recursive walk the iterative one replaced."""
+        mentions = {s: set() for s in symbols}
+        for rule in h.rules:
+            caller = rule.lhs.head.name
+            if caller in mentions:
+                for callee in C._symbols(rule.rhs):
+                    if callee in mentions and callee != caller:
+                        mentions[caller].add(callee)
+        depth = {}
+
+        def visit(s, trail):
+            if s in depth:
+                return depth[s]
+            if s in trail:
+                return 0
+            d = 1 + max((visit(c, trail | {s}) for c in mentions[s]),
+                        default=0)
+            depth[s] = d
+            return d
+
+        for s in symbols:
+            visit(s, frozenset())
+        return tuple(sorted(symbols, key=lambda s: (-depth[s], s)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(S.digraphs(max_nodes=8))
+    def test_same_guess_as_the_recursive_walk(self, graph):
+        n, arcs = graph
+        sig = [(f"f{i}", "nat -> nat") for i in range(n)]
+        rules = [(f"r{i}-{j}", f"f{i}(X)", f"f{j}(s(X))")
+                 for i, j in sorted(arcs)]
+        h = parse(_system(sig, ("X",), rules))
+        symbols = sorted(h.signature)
+        assert C._call_graph_precedence(h, symbols) == \
+            self.recursive_reference(h, symbols)
+
+    def test_long_call_chain(self):
+        h = parse(precedence_deep(1100))
+        (comp,) = components(h)
+        symbols = C._relevant_symbols(h, comp)
+        guess = C._call_graph_precedence(h, symbols)
+        chain_ = [s for s in guess if s.startswith("g")]
+        assert chain_ == sorted(chain_)
+        proof = prove_text(precedence_deep(1100), REDPAIR)
+        assert proof.verdict.kind == MAYBE
+        (failure,) = proof.component_proofs.values()
+        assert failure.reasons == (
+            "the call-graph precedence does not orient every rule and the "
+            "component, and 1100 symbols exceed the search limit of 8",)
