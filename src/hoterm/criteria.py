@@ -441,7 +441,8 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
     take the longest-path depth of each symbol, break ties by name.
 
     On a cycle the depth is cut where the walk re-enters a symbol on its own
-    trail, so the answer depends on the visit order; the walk keeps its own
+    trail, so the answer depends on the visit order: callees are visited by
+    name, so it does not depend on set order.  The walk keeps its own
     stack, in the order of a recursive visit, so long call chains fit.
     """
     mentions: dict[str, set[str]] = {s: set() for s in symbols}
@@ -452,6 +453,7 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
         for callee in _symbols(rule.rhs):
             if callee in mentions and callee != caller:
                 mentions[caller].add(callee)
+    callees_of = {s: sorted(callees) for s, callees in mentions.items()}
 
     depth: dict[str, int] = {}
     for root in symbols:
@@ -459,7 +461,7 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
             continue
         # one frame per symbol on the trail: [symbol, trail, callees left,
         # deepest callee so far]
-        stack = [[root, frozenset({root}), iter(mentions[root]), 0]]
+        stack = [[root, frozenset({root}), iter(callees_of[root]), 0]]
         while stack:
             frame = stack[-1]
             s, trail, callees = frame[:3]
@@ -467,7 +469,7 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
                 if c in depth:
                     frame[3] = max(frame[3], depth[c])
                 elif c not in trail:
-                    stack.append([c, trail | {c}, iter(mentions[c]), 0])
+                    stack.append([c, trail | {c}, iter(callees_of[c]), 0])
                     break
             else:
                 stack.pop()
@@ -567,6 +569,13 @@ class ComponentFailure:
     reasons: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _without(component: RecursionComponent,
+             strict: tuple[DependencyPair, ...]) -> tuple[DependencyPair, ...]:
+    """The component's pairs not in ``strict``, in order."""
+    removed = set(strict)
+    return tuple(p for p in component.pairs if p not in removed)
+
+
 def _discharge_once(h: Hrs, component: RecursionComponent,
                     config: AnalysisConfig
                     ) -> RefinementStep | ComponentFailure:
@@ -575,11 +584,9 @@ def _discharge_once(h: Hrs, component: RecursionComponent,
         if technique == "subterm":
             verdict = search_pi(component, config.max_pi_depth, h.defined)
             if verdict is not None:
-                remaining = tuple(p for p in component.pairs
-                                  if p not in verdict.strict)
                 return RefinementStep(component, "subterm criterion",
-                                      str(verdict.witness),
-                                      verdict.strict, remaining)
+                                      str(verdict.witness), verdict.strict,
+                                      _without(component, verdict.strict))
             reasons.append("no projection satisfies the subterm criterion "
                            f"up to depth {config.max_pi_depth}")
         elif technique == "redpair":
@@ -594,11 +601,9 @@ def _discharge_once(h: Hrs, component: RecursionComponent,
                 if result is None:
                     reasons.append(_precedence_give_up_reason(h, component))
             if result is not None:
-                remaining = tuple(p for p in component.pairs
-                                  if p not in result.strict)
                 return RefinementStep(component, "reduction pair",
-                                      result.oracle_description,
-                                      result.strict, remaining)
+                                      result.oracle_description, result.strict,
+                                      _without(component, result.strict))
         else:
             raise ValueError(f"unknown technique {technique!r}")
     return ComponentFailure(component, component, tuple(reasons))

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 from .normalize import PAtom, PLam, Preterm, normalize, papp
-from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, SimpleType,
-                    Term, TermTypeError, eta_expand, free_names,
+from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
+                    SimpleType, Term, TermTypeError, eta_expand, free_names,
                     liberation_name, print_term, strip_binders, top)
 
 
@@ -67,6 +68,18 @@ class Hrs:
         defined = frozenset(top(r.lhs).name for r in self.rules)
         self.defined = defined
         self.constructors = frozenset(self.signature) - defined
+
+    @cached_property
+    def rules_by_head(
+            self) -> dict[Atom, tuple[tuple[Rule, frozenset[str]], ...]]:
+        """Head of a left-hand side -> (rule, the lhs's free names), rules
+        in order: what ``rewrite_step`` tries at a subterm with that head."""
+        index: dict[Atom, list[tuple[Rule, frozenset[str]]]] = {}
+        for r in self.rules:
+            if isinstance(r.lhs, App):
+                index.setdefault(r.lhs.head, []).append(
+                    (r, free_names(r.lhs)))
+        return {head: tuple(rs) for head, rs in index.items()}
 
 
 # ---------------------------------------------------------------------------

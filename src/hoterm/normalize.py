@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .terms import (Abs, App, Arrow, Atom, Bound, Free, SimpleType, Term,
-                    TermTypeError, domains, eta_hint, free_vars)
+from .terms import (Abs, App, Arrow, Atom, Base, Bound, Free, SimpleType,
+                    Term, TermTypeError, domains, eta_hint, free_vars)
 
 # ---------------------------------------------------------------------------
 # preterms
@@ -179,7 +179,9 @@ def apply_subst(t: Term, theta: Subst) -> Term:
     """Substitute free variables and renormalize.
 
     Entries of ``theta`` whose name is not free in ``t`` are ignored; the
-    substituted terms must match the variables' types.
+    substituted terms must match the variables' types.  When every
+    variable substituted is base-typed it occurs unapplied (the term is
+    eta-long), no beta step can happen, and the replacement is structural.
     """
     relevant: dict[str, Term] = {}
     for atom in free_vars(t):
@@ -192,5 +194,19 @@ def apply_subst(t: Term, theta: Subst) -> Term:
             relevant[atom.name] = replacement
     if not relevant:
         return t
+    if all(isinstance(u.ty, Base) for u in relevant.values()):
+        return _replace_frees(t, relevant)
     frees = {name: eval_term(u, (), {}) for name, u in relevant.items()}
     return reify(eval_term(t, (), frees), t.ty, 0)
+
+
+def _replace_frees(t: Term, replacement: Mapping[str, Term]) -> Term:
+    """Replace base-typed free variables; bound variables are nameless and
+    the replacements have no loose ones, so nothing is captured or
+    shifted."""
+    if isinstance(t, Abs):
+        return Abs(t.hint, t.param_type, _replace_frees(t.body, replacement))
+    head = t.head
+    if isinstance(head, Free) and head.name in replacement:
+        return replacement[head.name]
+    return App(head, tuple(_replace_frees(a, replacement) for a in t.args))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .hrs import Hrs
-from .normalize import Subst, apply_subst
-from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, Position,
+from .normalize import apply_subst
+from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
                     SimpleType, Term, close_over, domains, eta_expand,
                     eta_hint, free_names, free_vars, open_abs, open_with,
                     replace_at, result_type)
@@ -108,27 +108,29 @@ class RewriteStep:
 
 
 def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
-    """All one-step rewrites of ``t``, ordered by rule name then position."""
+    """All one-step rewrites of ``t``, ordered by rule name then position.
+
+    A rule is tried only at subterms headed by its left-hand side's head.
+    """
     for rule in h.rules:
         if not rule.is_pattern:
             raise NonPatternError(
                 f"rule {rule.name!r}: matching is undecidable for "
                 "non-pattern left-hand sides")
+    by_head = h.rules_by_head
     hits: list[tuple[str, Position, Term]] = []
 
     def walk(u: Term, pos: Position, avoid: set[str]):
-        if isinstance(u.ty, Base):
-            for rule in h.rules:
-                if rule.lhs.ty == u.ty:
-                    theta = match(rule.lhs, u, free_names(rule.lhs))
-                    if theta is not None:
-                        hits.append((rule.name, pos, apply_subst(rule.rhs, theta)))
         if isinstance(u, Abs):
             name, body = open_abs(u, avoid)
             walk(body, pos + (1,), avoid | {name})
-        else:
-            for i, a in enumerate(u.args, start=1):
-                walk(a, pos + (i,), avoid)
+            return
+        for rule, pattern_vars in by_head.get(u.head, ()):
+            theta = match(rule.lhs, u, pattern_vars)
+            if theta is not None:
+                hits.append((rule.name, pos, apply_subst(rule.rhs, theta)))
+        for i, a in enumerate(u.args, start=1):
+            walk(a, pos + (i,), avoid)
 
     walk(t, (), set(free_names(t)))
     hits.sort(key=lambda hit: (hit[0], hit[1]))
@@ -162,42 +164,109 @@ SearchOutcome = Union[LoopFound, NormalForm, DepthExhausted]
 
 
 def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
-                   max_nodes: int = 100_000) -> SearchOutcome:
-    """Breadth-first exploration of all rewrite paths from ``t``.
+                   max_nodes: int = 100_000,
+                   steps: dict[Term, tuple[RewriteStep, ...]] | None = None
+                   ) -> SearchOutcome:
+    """Breadth-first exploration of the distinct terms reachable from ``t``.
 
-    Returns LoopFound as soon as any path revisits an alpha-equal term
-    (the start term counts), NormalForm when every path ends within the
-    bound, and DepthExhausted otherwise.  ``max_nodes`` is a safety valve
-    against exponential frontiers.
+    Each term met is rewritten once; it is expanded (its results queued)
+    when its distance from ``t`` is below ``max_steps``, and at most
+    ``max_nodes`` terms are expanded.  A step back to a term on the
+    breadth-first tree path of the term being expanded (``t`` included)
+    returns LoopFound at once: the tree path plus that step.  A cycle that
+    closes through other steps is found by one depth-first walk over the
+    expanded terms when the queue runs out: the tree path to the cycle's
+    first term plus the cycle.  Either trace may be longer than
+    ``max_steps``.  Without a cycle the answer is NormalForm, the first
+    normal form met, when every reachable term was expanded, and
+    DepthExhausted when a budget cut the search short.
+
+    ``steps`` caches ``rewrite_step`` by term; pass one table to several
+    searches of the same system to share it.
     """
-    queue: deque[tuple[Term, tuple[RewriteStep, ...], frozenset[Term]]] = \
-        deque([(t, (), frozenset([t]))])
+    if steps is None:
+        steps = {}
+    parent: dict[Term, tuple[Term, RewriteStep] | None] = {t: None}
+    depth = {t: 0}
+    expanded: dict[Term, tuple[RewriteStep, ...]] = {}
+    queue = deque([t])
     first_nf: Term | None = None
     truncated = False
-    expanded = 0
     while queue:
-        current, path, ancestors = queue.popleft()
-        steps = rewrite_step(h, current)
-        if not steps:
+        current = queue.popleft()
+        out = steps.get(current)
+        if out is None:
+            out = steps[current] = rewrite_step(h, current)
+        if not out:
             if first_nf is None:
                 first_nf = current
             continue
-        if len(path) >= max_steps:
+        d = depth[current]
+        if d >= max_steps:
             truncated = True
             continue
-        expanded += 1
-        if expanded > max_nodes:
+        if len(expanded) >= max_nodes:
             truncated = True
             break
-        for step in steps:
-            if step.result in ancestors:
-                return LoopFound(t, path + (step,))
-            queue.append((step.result, path + (step,),
-                          ancestors | {step.result}))
+        expanded[current] = out
+        for step in out:
+            result = step.result
+            if result not in depth:
+                parent[result] = (current, step)
+                depth[result] = d + 1
+                queue.append(result)
+            elif depth[result] <= d:
+                ancestor = current
+                for _ in range(d - depth[result]):
+                    ancestor = parent[ancestor][0]
+                if ancestor == result:
+                    return LoopFound(t, _tree_path(parent, current) + (step,))
+    cycle = _first_cycle(t, expanded)
+    if cycle is not None:
+        entry, around = cycle
+        return LoopFound(t, _tree_path(parent, entry) + around)
     if truncated:
         return DepthExhausted(max_steps)
     assert first_nf is not None
     return NormalForm(first_nf)
+
+
+def _tree_path(parent: dict[Term, tuple[Term, RewriteStep] | None],
+               u: Term) -> tuple[RewriteStep, ...]:
+    """The steps from the root of the search tree down to ``u``."""
+    path: list[RewriteStep] = []
+    while (link := parent[u]) is not None:
+        u, step = link
+        path.append(step)
+    return tuple(reversed(path))
+
+
+def _first_cycle(root: Term, expanded: dict[Term, tuple[RewriteStep, ...]]
+                 ) -> tuple[Term, tuple[RewriteStep, ...]] | None:
+    """The first cycle a depth-first walk from ``root`` meets among the
+    expanded terms, as (its first term, its steps), or None."""
+    on_walk = {root: 0}             # term -> its index in ``stack``
+    finished: set[Term] = set()
+    stack = [(root, iter(expanded.get(root, ())))]
+    trail: list[RewriteStep] = []   # trail[i]: stack[i] -> stack[i + 1]
+    while stack:
+        term, pending = stack[-1]
+        for step in pending:
+            result = step.result
+            if result in on_walk:
+                return result, tuple(trail[on_walk[result]:]) + (step,)
+            if result in expanded and result not in finished:
+                on_walk[result] = len(stack)
+                stack.append((result, iter(expanded[result])))
+                trail.append(step)
+                break
+        else:
+            stack.pop()
+            del on_walk[term]
+            finished.add(term)
+            if trail:
+                trail.pop()
+    return None
 
 
 def reachable(h: Hrs, source: Term, target: Term, max_steps: int) -> bool:
@@ -266,8 +335,12 @@ def enumerate_closed_terms(h: Hrs, ty: SimpleType,
             for rest in gen_args(doms[1:], budget - used, env):
                 yield (first,) + rest
 
-    produced = sorted(gen(ty, max_size, ()), key=_term_size)
-    yield from produced
+    # gen with a larger budget yields a superset in the same relative
+    # order, so taking each size in turn is a stable sort by size
+    for size in range(1, max_size + 1):
+        for term in gen(ty, size, ()):
+            if _term_size(term) == size:
+                yield term
 
 
 def loop_seeds(h: Hrs, max_term_size: int = 4,
@@ -297,9 +370,16 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
 
 def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,
               cap: int = 200, max_nodes: int = 20_000) -> LoopFound | None:
-    """Search for a looping reduction from small instances of the rules."""
+    """Search for a looping reduction from small instances of the rules.
+
+    The seeds share one table of rewrite steps, emptied between seeds once
+    it holds more than ``max_nodes`` terms.
+    """
+    steps: dict[Term, tuple[RewriteStep, ...]] = {}
     for seed in loop_seeds(h, max_term_size, cap):
-        outcome = bounded_search(h, seed, max_steps, max_nodes)
+        outcome = bounded_search(h, seed, max_steps, max_nodes, steps)
         if isinstance(outcome, LoopFound):
             return outcome
+        if len(steps) > max_nodes:
+            steps.clear()
     return None

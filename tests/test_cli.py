@@ -176,6 +176,18 @@ class TestAnalysisFlags:
         assert code == 2
         assert "loop search found nothing" in out
 
+    def test_disprove_skips_non_pattern_systems(self, tmp_path, capsys):
+        # matching is undecidable here, so the loop search must not run
+        src = tmp_path / "nonpattern.hrs"
+        src.write_text("basic a\nsig f : (a -> a) -> a\nsig c : a\n"
+                       "var F : a -> a\n"
+                       "rule r: f(\\x. F(c)) -> f(\\x. F(c))\n")
+        code, out, err = run(capsys, "prove", src, "--disprove", "5")
+        assert code == EXIT_MAYBE
+        assert err == ""
+        assert "verdict: MAYBE" in out
+        assert "loop search skipped: rule r is not a pattern" in out
+
     @pytest.mark.parametrize("name", ["foldl", "sqsum"])
     def test_redpair_gives_up_on_higher_order_rules(self, name, monkeypatch,
                                                     capsys):
@@ -280,3 +292,32 @@ class TestEntryPoint:
             outputs.add(proc.stdout)
         assert len(outputs) == 1
         assert "TERMINATING" in outputs.pop()
+
+    def test_call_graph_precedence_is_hash_seed_independent(self, tmp_path):
+        # a calls b, c and d, which call each other in a cycle: the guessed
+        # precedence depends on the order the callees are visited in
+        src = tmp_path / "cycle.hrs"
+        src.write_text(
+            "basic nat\n"
+            + "".join(f"sig {f} : nat -> nat\n" for f in "abcdes")
+            + "var X : nat\n"
+            "rule ra: a(X) -> b(c(d(X)))\n"
+            "rule rb: b(c(X)) -> c(X)\n"
+            "rule rc: c(d(X)) -> d(X)\n"
+            "rule rd: d(b(X)) -> b(X)\n"
+            "rule re: e(s(X)) -> e(X)\n")
+        witnesses = set()
+        for seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hoterm.cli", "prove", str(src),
+                 "--techniques", "redpair"],
+                capture_output=True, text=True,
+                env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": src_pythonpath()},
+            )
+            assert proc.returncode == 0
+            witnesses.update(line.strip() for line in proc.stdout.splitlines()
+                             if "reduction pair:" in line)
+        assert witnesses == {
+            "reduction pair: path order with precedence "
+            "a > b > c > d > e > s"}

@@ -1,0 +1,364 @@
+"""The loop search against the path search it replaced, and its scale.
+
+``bounded_search`` expands each distinct term once.  ``path_bfs`` below is
+the breadth-first search over rewrite paths it replaced, kept here as an
+oracle: every loop the oracle finds, the new search finds too, and where
+the oracle reaches a normal form the new search reaches the same one.
+"""
+
+import itertools
+from collections import deque
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
+
+import strategies as S
+import hoterm.rewriting as R
+from hoterm.hrs import load, parse
+from hoterm.normalize import apply_subst, eval_term, reify
+from hoterm.rewriting import (DepthExhausted, LoopFound, NormalForm,
+                              bounded_search, enumerate_closed_terms,
+                              find_loop, loop_seeds, rewrite_step)
+from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, domains,
+                          eta_hint, free_vars, print_term, result_type)
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURE_SYSTEMS = sorted(p.stem for p in FIXTURES.glob("*.hrs"))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the searches as they were before terms were deduplicated
+
+
+def path_bfs(h, t, max_steps, max_nodes):
+    """Breadth-first search over rewrite paths, each with its ancestors."""
+    queue = deque([(t, (), frozenset([t]))])
+    first_nf = None
+    truncated = False
+    expanded = 0
+    while queue:
+        current, path, ancestors = queue.popleft()
+        steps = rewrite_step(h, current)
+        if not steps:
+            if first_nf is None:
+                first_nf = current
+            continue
+        if len(path) >= max_steps:
+            truncated = True
+            continue
+        expanded += 1
+        if expanded > max_nodes:
+            truncated = True
+            break
+        for step in steps:
+            if step.result in ancestors:
+                return LoopFound(t, path + (step,))
+            queue.append((step.result, path + (step,),
+                          ancestors | {step.result}))
+    if truncated:
+        return DepthExhausted(max_steps)
+    return NormalForm(first_nf)
+
+
+def _size(t):
+    if isinstance(t, Abs):
+        return 1 + _size(t.body)
+    return 1 + sum(_size(a) for a in t.args)
+
+
+def sorted_closed_terms(h, ty, max_size):
+    """Every closed term up to ``max_size``, built at once, sorted by size."""
+    sig = sorted(h.signature.items())
+
+    def gen(want, budget, env):
+        if budget <= 0:
+            return
+        if isinstance(want, Arrow):
+            for body in gen(want.cod, budget - 1, env + (want.dom,)):
+                yield Abs(eta_hint(len(env)), want.dom, body)
+            return
+        heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
+        heads.extend(Const(name, sty) for name, sty in sig)
+        for head in heads:
+            if result_type(head.ty) == want:
+                for args in gen_args(domains(head.ty), budget - 1, env):
+                    yield App(head, args)
+
+    def gen_args(doms, budget, env):
+        if not doms:
+            yield ()
+            return
+        for first in gen(doms[0], budget - (len(doms) - 1), env):
+            for rest in gen_args(doms[1:], budget - _size(first), env):
+                yield (first,) + rest
+
+    return sorted(gen(ty, max_size, ()), key=_size)
+
+
+def replays(h, found):
+    """The trace follows ``rewrite_step`` and ends on an earlier term."""
+    seen = [found.start]
+    for step in found.trace:
+        if step not in rewrite_step(h, seen[-1]):
+            return False
+        seen.append(step.result)
+    return bool(found.trace) and seen[-1] in seen[:-1]
+
+
+def assert_agrees_with_oracle(h, seed, max_steps, max_nodes):
+    old = path_bfs(h, seed, max_steps, max_nodes)
+    new = bounded_search(h, seed, max_steps, max_nodes)
+    if isinstance(new, LoopFound):
+        assert new.start == seed
+        assert replays(h, new)
+    if isinstance(new, NormalForm):
+        assert rewrite_step(h, new.term) == ()
+    if isinstance(old, LoopFound):
+        assert isinstance(new, LoopFound)
+    elif isinstance(old, NormalForm):
+        assert new == old
+    # where the oracle ran out of depth, the new search may still expand
+    # every distinct term: its paths are short even if some of old's are not
+
+
+def pattern_system(name):
+    h = load(FIXTURES / f"{name}.hrs")
+    return h if all(r.is_pattern for r in h.rules) else None
+
+
+# ---------------------------------------------------------------------------
+# generated systems
+
+
+def _system(sig, rules):
+    lines = ["basic o"] + [f"sig {f} : {ty}" for f, ty in sig]
+    lines += ["var X : o"]
+    lines += [f"rule {name}: {lhs} -> {rhs}" for name, lhs, rhs in rules]
+    return parse("\n".join(lines) + "\n")
+
+
+def loop_chain(n):
+    """g_i(X) -> g_i+1(X) and g_i(X) -> g_i+1(s(X)), closed into a cycle of
+    n symbols: only the path of n a-steps from g_0(z) returns to it, behind
+    2^(n-1) paths but about n^2/2 distinct terms."""
+    sig = [("z", "o"), ("s", "o -> o")]
+    sig += [(f"g{i:02d}", "o -> o") for i in range(n)]
+    rules = []
+    for i in range(n):
+        j = (i + 1) % n
+        rules.append((f"a{i:02d}", f"g{i:02d}(X)", f"g{j:02d}(X)"))
+        rules.append((f"b{i:02d}", f"g{i:02d}(X)", f"g{j:02d}(s(X))"))
+    return _system(sig, rules)
+
+
+def constant_graph(arcs):
+    """One constant per node and one rule per arc, named in arc order."""
+    nodes = sorted({n for arc in arcs for n in arc})
+    rules = [(f"r{k}", src, dst) for k, (src, dst) in enumerate(arcs)]
+    return _system([(n, "o") for n in nodes], rules)
+
+
+def constant(h, name):
+    return App(Const(name, h.signature[name]), ())
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestAgainstPathSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(S.systems(), st.integers(1, 4))
+    def test_generated_systems(self, h, max_steps):
+        assume(all(r.is_pattern for r in h.rules))
+        for seed in loop_seeds(h, max_term_size=3, cap=6):
+            assert_agrees_with_oracle(h, seed, max_steps, max_nodes=200)
+
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_fixture_seeds(self, name):
+        h = pattern_system(name)
+        if h is None:
+            pytest.skip("loop search needs pattern rules")
+        for seed in loop_seeds(h, max_term_size=3, cap=12):
+            assert_agrees_with_oracle(h, seed, max_steps=3, max_nodes=300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(S.digraphs(max_nodes=5), st.integers(1, 6))
+    def test_graphs_of_constants(self, graph, max_steps):
+        n, arcs = graph
+        assume(arcs)
+        arcs = [(f"c{i}", f"c{j}") for i, j in sorted(arcs)]
+        h = constant_graph(arcs)
+        for start in sorted({src for src, _ in arcs}):
+            assert_agrees_with_oracle(h, constant(h, start), max_steps,
+                                      max_nodes=50)
+
+
+class TestBoundedSearch:
+    def test_cycle_through_a_non_tree_step(self):
+        # t -> a, t -> b, a -> b, b -> a: both a and b hang off t in the
+        # search tree, so neither step between them returns to an ancestor
+        h = constant_graph([("t", "a"), ("t", "b"), ("a", "b"), ("b", "a")])
+        found = bounded_search(h, constant(h, "t"))
+        assert isinstance(found, LoopFound)
+        assert [s.rule for s in found.trace] == ["r0", "r2", "r3"]
+        assert replays(h, found)
+
+    def test_a_loop_may_be_longer_than_the_depth_budget(self):
+        # a and b are expanded at depth 1; the lasso through them has 3 steps
+        h = constant_graph([("t", "a"), ("t", "b"), ("a", "b"), ("b", "a")])
+        found = bounded_search(h, constant(h, "t"), max_steps=2)
+        assert isinstance(found, LoopFound)
+        assert len(found.trace) == 3
+        assert isinstance(path_bfs(h, constant(h, "t"), 2, 100),
+                          DepthExhausted)
+
+    def test_depth_budget_counts_distinct_terms(self):
+        h = loop_chain(6)
+        seed = App(Const("g00", h.signature["g00"]), (constant(h, "z"),))
+        assert bounded_search(h, seed, max_steps=5) == DepthExhausted(5)
+        found = bounded_search(h, seed, max_steps=6)
+        assert isinstance(found, LoopFound)
+        assert [s.rule for s in found.trace] == [f"a{i:02d}" for i in range(6)]
+
+    def test_node_budget_counts_distinct_terms(self):
+        # a diamond of n levels has 2^n paths but n + 1 distinct terms
+        h = constant_graph([(f"d{i}", f"d{i + 1}") for i in range(8)]
+                           + [(f"d{i}", f"d{i + 1}") for i in range(8)])
+        out = bounded_search(h, constant(h, "d0"), max_nodes=8)
+        assert out == NormalForm(constant(h, "d8"))
+        assert isinstance(path_bfs(h, constant(h, "d0"), 1000, 8),
+                          DepthExhausted)
+
+    def test_normal_form_when_every_distinct_term_is_expanded(self):
+        # g(g(g(c))) reaches each of its terms within one step, though some
+        # paths take three: the path search ran out of depth here
+        h = _system([("c", "o"), ("g", "o -> o")], [("r", "g(X)", "c")])
+        seed = constant(h, "c")
+        for _ in range(3):
+            seed = App(Const("g", h.signature["g"]), (seed,))
+        assert bounded_search(h, seed, max_steps=2) == \
+            NormalForm(constant(h, "c"))
+        assert path_bfs(h, seed, 2, 100) == DepthExhausted(2)
+
+    def test_shared_table_is_filled_once(self, monkeypatch):
+        calls = []
+        real = R.rewrite_step
+
+        def counting(h, t):
+            calls.append(t)
+            return real(h, t)
+
+        monkeypatch.setattr(R, "rewrite_step", counting)
+        h = load(FIXTURES / "arith.hrs")
+        steps = {}
+        seeds = list(loop_seeds(h, max_term_size=3, cap=20))
+        first = [bounded_search(h, s, 4, 1000, steps) for s in seeds]
+        assert len(calls) == len(set(calls)) == len(steps)
+        again = [bounded_search(h, s, 4, 1000, steps) for s in seeds]
+        assert again == first
+        assert len(calls) == len(steps)
+
+
+class TestFindLoop:
+    def test_loop_chain_of_sixteen(self, monkeypatch):
+        calls = []
+        real = R.rewrite_step
+
+        def counting(h, t):
+            calls.append(t)
+            return real(h, t)
+
+        monkeypatch.setattr(R, "rewrite_step", counting)
+        h = loop_chain(16)
+        found = find_loop(h, max_steps=16)
+        assert isinstance(found, LoopFound)
+        assert len(found.trace) == 16
+        assert replays(h, found)
+        assert len(calls) <= 136    # the path search expands 2^15 nodes
+
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_seeds_are_those_of_the_sorted_enumeration(self, name,
+                                                       monkeypatch):
+        h = pattern_system(name)
+        if h is None:
+            pytest.skip("loop search needs pattern rules")
+        for size in range(1, 6):
+            lazy = list(loop_seeds(h, size))
+            with monkeypatch.context() as m:
+                m.setattr(R, "enumerate_closed_terms", sorted_closed_terms)
+                assert lazy == list(loop_seeds(h, size))
+
+
+class TestEnumerateClosedTerms:
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_lazy_order_is_the_sorted_order(self, name):
+        h = load(FIXTURES / f"{name}.hrs")
+        types = {Base(b) for b in h.basics} | set(h.variables.values())
+        types |= {d for ty in h.signature.values() for d in domains(ty)}
+        for ty, size in itertools.product(sorted(types, key=str),
+                                          range(1, 6)):
+            lazy = list(enumerate_closed_terms(h, ty, size))
+            full = sorted_closed_terms(h, ty, size)
+            assert lazy == full
+            assert [print_term(t) for t in lazy] == \
+                [print_term(t) for t in full]
+
+
+# ---------------------------------------------------------------------------
+# substitution without normalization by evaluation
+
+
+def by_evaluation(t, theta):
+    """``apply_subst`` through evaluation and read-back, whatever the types."""
+    relevant = {a.name: theta[a.name] for a in free_vars(t)
+                if a.name in theta}
+    if not relevant:
+        return t
+    frees = {name: eval_term(u, (), {}) for name, u in relevant.items()}
+    return reify(eval_term(t, (), frees), t.ty, 0)
+
+
+HO_SIG = {"c": Base("a"), "d": Base("b"), "g": Arrow(Base("a"), Base("b")),
+          "h": Arrow(Arrow(Base("a"), Base("b")), Base("a")),
+          "k": Arrow(Base("b"), Arrow(Base("a"), Base("a")))}
+HO_FREES = {"X": Base("a"), "Y": Base("b"), "F": Arrow(Base("a"), Base("b"))}
+
+
+@st.composite
+def ho_substitutions(draw, kinds=("X", "Y", "F")):
+    theta = {}
+    for name in kinds:
+        if draw(st.booleans()):
+            theta[name] = draw(S.eta_long_terms(
+                HO_SIG, {"Z": Base("a")}, HO_FREES[name], fuel=3, _depth=20))
+    return theta
+
+
+class TestApplySubstFastPath:
+    def check(self, t, theta):
+        got = apply_subst(t, theta)
+        want = by_evaluation(t, theta)
+        assert got == want
+        assert print_term(got) == print_term(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(S.fo_terms(allow_vars=True), S.fo_substitutions())
+    def test_first_order(self, t, theta):
+        self.check(t, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([Base("a"), Base("b"),
+                            Arrow(Base("a"), Base("b"))]).flatmap(
+               lambda ty: S.eta_long_terms(HO_SIG, HO_FREES, ty, fuel=4)),
+           ho_substitutions(("X", "Y")))
+    def test_higher_order_terms_base_typed_variables(self, t, theta):
+        self.check(t, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([Base("a"), Base("b")]).flatmap(
+               lambda ty: S.eta_long_terms(HO_SIG, HO_FREES, ty, fuel=4)),
+           ho_substitutions())
+    def test_function_variables_take_the_evaluation_path(self, t, theta):
+        self.check(t, theta)

@@ -22,7 +22,7 @@ from hoterm.graph import build_graph, recursion_components
 from hoterm.hrs import Hrs, Rule, parse, print_hrs
 from hoterm.normalize import apply_subst
 from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
-from hoterm.sdp import extract_sdps
+from hoterm.sdp import DependencyPair, extract_sdps
 from hoterm.terms import App, Const, free_names
 
 REDPAIR = ProverConfig(analysis=AnalysisConfig(techniques=("redpair",)))
@@ -216,6 +216,20 @@ class TestScale:
         proof = prove_text(rotating_chain(1100), ProverConfig())
         assert proof.verdict.kind == TERMINATING
 
+    def test_refinement_drops_strict_pairs_in_linear_time(self, monkeypatch):
+        calls = []
+        real = DependencyPair.__eq__
+
+        def counting(self, other):
+            calls.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(DependencyPair, "__eq__", counting)
+        proof = prove_text(rotating_chain(600), ProverConfig())
+        assert proof.verdict.kind == TERMINATING
+        # one look-up per pair; a scan of the strict tuple makes 179,700
+        assert len(calls) <= 600
+
     def test_unorientable_precedence_search_prunes(self, monkeypatch):
         calls = []
         real = C.check_reduction_pair
@@ -234,7 +248,8 @@ class TestScale:
 class TestCallGraphPrecedence:
     @staticmethod
     def recursive_reference(h, symbols):
-        """The recursive walk the iterative one replaced."""
+        """The recursive walk the iterative one replaced, visiting callees
+        by name."""
         mentions = {s: set() for s in symbols}
         for rule in h.rules:
             caller = rule.lhs.head.name
@@ -249,7 +264,7 @@ class TestCallGraphPrecedence:
                 return depth[s]
             if s in trail:
                 return 0
-            d = 1 + max((visit(c, trail | {s}) for c in mentions[s]),
+            d = 1 + max((visit(c, trail | {s}) for c in sorted(mentions[s])),
                         default=0)
             depth[s] = d
             return d
