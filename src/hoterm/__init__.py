@@ -8,14 +8,14 @@ path order; a failed proof can fall back to a concrete loop search.
 """
 
 from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
-                       Comparison, CriterionFailure, CriterionVerdict,
-                       LexPathOrder, PiAssignment, analyze_component,
-                       check_reduction_pair, check_subterm_criterion,
-                       search_pi, search_precedence)
+                       Comparison, ConfigError, CriterionFailure,
+                       CriterionVerdict, LexPathOrder, PiAssignment,
+                       analyze_component, check_reduction_pair,
+                       check_subterm_criterion, search_pi, search_precedence)
 from .graph import (DependencyGraph, RecursionComponent, build_graph,
                     recursion_components, strongly_connected, to_dot)
 from .hrs import Hrs, HrsError, Rule, load, parse, print_hrs
-from .normalize import apply_subst, normalize
+from .normalize import apply_subst, eta_expand, normalize
 from .pfp import PfpReport, PfpViolation, SafeSet, is_pfp, safe_subterms
 from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProofObject,
                     ProverConfig, Verdict, emit, emit_dot, emit_json,
@@ -26,8 +26,8 @@ from .rewriting import (DepthExhausted, LoopFound, NormalForm,
 from .sdp import DependencyPair, candidates, extract_sdps, mark, unmark_name
 from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, Position,
                     PositionError, SimpleType, Term, TermTypeError, arrow,
-                    eta_expand, format_position, free_names, free_vars, lam,
-                    positions, print_term, subterm_at, subterms, top)
+                    format_position, free_names, free_vars, lam, positions,
+                    print_term, subterm_at, subterms, top)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import cache
 
-from .criteria import AnalysisConfig
+from .criteria import AnalysisConfig, ConfigError
 from .hrs import HrsError, load
 from .pfp import is_pfp
 from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProverConfig, emit,
@@ -102,8 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # building one costs about a small proof
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.pfp:
             h = load(args.file)
@@ -124,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
                 f.write(emit_dot(proof))
         sys.stdout.write(emit(proof, "json" if args.json else "text"))
         return _VERDICT_EXIT[proof.verdict.kind]
-    except (HrsError, OSError) as err:
+    except (HrsError, ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:

@@ -312,9 +312,7 @@ class LexPathOrder:
     def _greater(self, s: Term, t: Term) -> bool | None:
         th = t.head
         if isinstance(th, Free):
-            return s != t and any(
-                isinstance(u.head, Free) and u.head.name == th.name
-                for u in subterms(s))
+            return s != t and th.name in free_names(s)
         if isinstance(s.head, Free):
             return False
         above = _any3(self._equiv(a, t) or self._greater(a, t)
@@ -545,6 +543,19 @@ class AnalysisConfig:
     techniques: tuple[str, ...] = ("subterm", "redpair")
     max_pi_depth: int = 3
     precedence: tuple[str, ...] | None = None
+
+    def check(self, h: Hrs) -> None:
+        """Raise ConfigError if the precedence repeats or misnames a symbol."""
+        for i, name in enumerate(self.precedence or ()):
+            if name in self.precedence[:i]:
+                raise ConfigError(f"the precedence names {name} twice")
+            if name not in h.signature:
+                raise ConfigError(f"the precedence names {name}, which the "
+                                  "system does not declare")
+
+
+class ConfigError(ValueError):
+    """An analysis setting does not fit the system it is applied to."""
 
 
 @dataclass(frozen=True)

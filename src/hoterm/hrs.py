@@ -19,12 +19,15 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .normalize import PAtom, PLam, Preterm, normalize, papp
+from .normalize import PAtom, PLam, Preterm, eta_expand, normalize, papp
 from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
-                    SimpleType, Term, TermTypeError, eta_expand, free_names,
-                    liberation_name, print_term, strip_binders, top)
+                    SimpleType, Term, TermTypeError, free_names,
+                    liberation_name, print_term, top)
+
+if TYPE_CHECKING:
+    from .pfp import SafeSet
 
 
 class HrsError(ValueError):
@@ -70,16 +73,20 @@ class Hrs:
         self.constructors = frozenset(self.signature) - defined
 
     @cached_property
-    def rules_by_head(
-            self) -> dict[Atom, tuple[tuple[Rule, frozenset[str]], ...]]:
-        """Head of a left-hand side -> (rule, the lhs's free names), rules
-        in order: what ``rewrite_step`` tries at a subterm with that head."""
-        index: dict[Atom, list[tuple[Rule, frozenset[str]]]] = {}
+    def rules_by_head(self) -> dict[Atom, tuple[Rule, ...]]:
+        """Head of a left-hand side -> its rules, in order: what
+        ``rewrite_step`` tries at a subterm with that head."""
+        index: dict[Atom, list[Rule]] = {}
         for r in self.rules:
             if isinstance(r.lhs, App):
-                index.setdefault(r.lhs.head, []).append(
-                    (r, free_names(r.lhs)))
+                index.setdefault(r.lhs.head, []).append(r)
         return {head: tuple(rs) for head, rs in index.items()}
+
+    @cached_property
+    def safe_sets(self) -> tuple[SafeSet, ...]:
+        """``pfp.safe_subterms`` of each rule, in rule order."""
+        from .pfp import safe_subterms  # pfp builds on this module
+        return tuple(safe_subterms(r) for r in self.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +314,16 @@ def uniquify_hints(t: Term, avoid: frozenset[str]) -> Term:
     used = set(avoid)
 
     def go(u: Term) -> Term:
+        """``u`` renamed; the node itself where no hint under it changes."""
         if isinstance(u, Abs):
             want = liberation_name(u.hint, used)
             used.add(want)
-            return Abs(want, u.param_type, go(u.body))
-        return App(u.head, tuple(go(a) for a in u.args))
+            body = go(u.body)
+            same = want == u.hint and body is u.body
+            return u if same else Abs(want, u.param_type, body)
+        args = tuple(map(go, u.args))
+        same = all(a is b for a, b in zip(args, u.args))
+        return u if same else App(u.head, args)
 
     return go(t)
 
@@ -320,30 +332,25 @@ def is_miller_pattern(t: Term, pattern_vars: frozenset[str]) -> bool:
     """True when every pattern variable is applied only to sequences of
     pairwise distinct bound variables."""
 
-    def walk(u: Term, opened: frozenset[str], avoid: frozenset[str]) -> bool:
+    def walk(u: Term) -> bool:
         while isinstance(u, Abs):
-            binders, body = strip_binders(u, avoid)
-            names = frozenset(n for n, _ in binders)
-            opened |= names
-            avoid |= names
-            u = body
+            u = u.body
         head = u.head
-        if isinstance(head, Free) and head.name in pattern_vars:
-            seen: set[str] = set()
-            for a in u.args:
-                _, abody = strip_binders(a, avoid | frozenset(seen))
-                h = abody.head
-                if not isinstance(h, Free) or h.name not in opened:
-                    return False
-                if a != eta_expand(Free(h.name, a.ty)):
-                    return False
-                if h.name in seen:
-                    return False
-                seen.add(h.name)
-            return True
-        return all(walk(a, opened, avoid) for a in u.args)
+        if not isinstance(head, Free) or head.name not in pattern_vars:
+            return all(walk(a) for a in u.args)
+        seen: set[int] = set()
+        for a in u.args:
+            body, m = a, 0
+            while isinstance(body, Abs):
+                body, m = body.body, m + 1
+            h = body.head       # must be bound outside ``a``, at index i
+            i = h.index - m if isinstance(h, Bound) else -1
+            if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
+                return False
+            seen.add(i)
+        return True
 
-    return walk(t, frozenset(), free_names(t))
+    return walk(t)
 
 
 def _build_rule(name: str, lhs: Term, rhs: Term, scope_names: frozenset[str],
@@ -355,13 +362,13 @@ def _build_rule(name: str, lhs: Term, rhs: Term, scope_names: frozenset[str],
     if not isinstance(lhs.ty, Base):
         raise HrsError(f"rule {name!r} is not basic-typed: its sides have type "
                        f"{lhs.ty}", lineno)
+    lhs = uniquify_hints(lhs, scope_names)
+    rhs = uniquify_hints(rhs, scope_names)
     fresh = free_names(rhs) - free_names(lhs)
     if fresh:
         names = ", ".join(sorted(fresh))
         raise HrsError(f"right-hand side of rule {name!r} has fresh free "
                        f"variable(s) {names}", lineno)
-    lhs = uniquify_hints(lhs, scope_names)
-    rhs = uniquify_hints(rhs, scope_names)
     pattern = is_miller_pattern(lhs, free_names(lhs))
     if require_patterns and not pattern:
         raise HrsError(f"left-hand side of rule {name!r} is not a pattern: "

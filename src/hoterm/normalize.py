@@ -1,19 +1,25 @@
-"""Normalization by evaluation.
+"""Canonical forms by hereditary substitution.
 
-Preterms are raw lambda trees: they may contain beta-redexes and under-applied
-heads.  ``normalize`` evaluates a preterm into a semantic domain and reads the
-value back as an eta-long beta-normal Term.  ``apply_subst`` substitutes free
-variables of a Term and renormalizes in one pass; capture is impossible because
-bound variables are nameless.
+Preterms are raw lambda trees: they may contain under-applied heads and
+beta-redexes (the parser makes none).  ``normalize`` builds the eta-long
+beta-normal Term of a preterm in one pass: it eta-expands an under-applied
+head where it stands, and contracts a redex by substituting the argument
+into the body, hereditarily: an argument that lands in head position is
+applied in turn, by recursion on the type.  ``apply_subst`` substitutes
+free variables the same way; bound variables are nameless, so nothing is
+captured.  An abstraction keeps its binder hint, and a binder made by
+eta-expansion is hinted by its depth from the root (``eta_hint``), as
+normalization by evaluation reads them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from functools import cache
+from typing import Mapping, Union
 
-from .terms import (Abs, App, Arrow, Atom, Base, Bound, Free, SimpleType,
-                    Term, TermTypeError, domains, eta_hint, free_vars)
+from .terms import (Abs, App, Arrow, Atom, Bound, Free, SimpleType, Term,
+                    TermTypeError, domains, eta_hint, free_names, free_vars)
 
 # ---------------------------------------------------------------------------
 # preterms
@@ -73,140 +79,107 @@ def preterm_type(p: Preterm, env: tuple[SimpleType, ...] = ()) -> SimpleType:
 
 
 # ---------------------------------------------------------------------------
-# semantic domain
+# the builder
+#
+# An environment maps the de Bruijn index of a bound variable of the preterm
+# being read to an int, the level (depth from the root) of a binder of the
+# result, or to a closure (preterm, environment), the argument a redex bound
+# there: it is built where it is used, at any depth below where it was made.
 
 
-@dataclass(frozen=True)
-class Level:
-    """Placeholder for a binder introduced during readback."""
-
-    depth: int
-    ty: SimpleType
+@cache
+def _levels(depth: int) -> tuple[int, ...]:
+    """Each bound variable standing for itself; one tuple, ``is``-tested."""
+    return tuple(range(depth - 1, -1, -1))
 
 
-@dataclass
-class VLam:
-    hint: str
-    param_type: SimpleType
-    run: Callable[["Value"], "Value"]
+def _build(p: Preterm, env: tuple, depth: int, stack: list) -> Term:
+    """The canonical form, under ``depth`` binders, of ``p`` read in
+    ``env`` and applied to the closures on ``stack`` (first argument last)."""
+    while True:
+        if not stack and isinstance(p, Term) \
+                and (not env or env is _levels(depth)):
+            return p
+        if isinstance(p, PApp):
+            stack.append((p.arg, env))
+            p = p.fn
+        elif isinstance(p, (PLam, Abs)):
+            if not stack:
+                return Abs(p.hint, p.param_type,
+                           _build(p.body, (depth,) + env, depth + 1, []))
+            env = (stack.pop(),) + env
+            p = p.body
+        else:
+            if isinstance(p, App):
+                stack.extend((a, env) for a in reversed(p.args))
+                atom = p.head
+            else:
+                atom = p.atom
+            entry = env[atom.index] if isinstance(atom, Bound) else None
+            if not isinstance(entry, tuple):
+                return _neutral(atom, entry, stack, depth)
+            p, env = entry
 
 
-@dataclass
-class VNe:
-    head: Union[Atom, Level]
-    spine: tuple["Value", ...]
-    rem: SimpleType
+def _neutral(atom: Atom, level: int | None, stack: list, depth: int) -> Term:
+    """``atom`` applied to the closures on ``stack``, eta-expanded over the
+    arguments it still lacks; ``level`` places a bound ``atom``."""
+    missing = domains(atom.ty)[len(stack):]
+    inner = depth + len(missing)
+    if level is not None:
+        atom = Bound(inner - 1 - level, atom.ty)
+    args = [_build(q, env, inner, []) for q, env in reversed(stack)]
+    args.extend(_neutral(Bound(0, dom), depth + k, [], inner)
+                for k, dom in enumerate(missing))
+    term: Term = App(atom, tuple(args))
+    for k in reversed(range(len(missing))):
+        term = Abs(eta_hint(depth + k), missing[k], term)
+    return term
 
 
-Value = Union[VLam, VNe]
-
-
-def vapply(fn: Value, arg: Value) -> Value:
-    if isinstance(fn, VLam):
-        return fn.run(arg)
-    assert isinstance(fn.rem, Arrow)
-    return VNe(fn.head, fn.spine + (arg,), fn.rem.cod)
-
-
-def eval_term(t: Term, env: tuple[Value, ...],
-              frees: Mapping[str, Value]) -> Value:
+def _replace(t: Term, theta: Mapping[str, Term], depth: int) -> Term:
+    """Substitute ``theta`` for free variables of ``t``; a substituted
+    variable's arguments are passed to its replacement."""
+    if free_names(t).isdisjoint(theta):
+        return t
     if isinstance(t, Abs):
-        return VLam(t.hint, t.param_type,
-                    lambda v: eval_term(t.body, (v,) + env, frees))
+        return Abs(t.hint, t.param_type, _replace(t.body, theta, depth + 1))
+    args = [_replace(a, theta, depth) for a in t.args]
     head = t.head
-    if isinstance(head, Bound):
-        value: Value = env[head.index]
-    elif isinstance(head, Free) and head.name in frees:
-        value = frees[head.name]
-    else:
-        value = VNe(head, (), head.ty)
-    for a in t.args:
-        value = vapply(value, eval_term(a, env, frees))
-    return value
-
-
-def eval_preterm(p: Preterm, env: tuple[Value, ...],
-                 frees: Mapping[str, Value]) -> Value:
-    if isinstance(p, Term):
-        return eval_term(p, env, frees)
-    if isinstance(p, PLam):
-        return VLam(p.hint, p.param_type,
-                    lambda v: eval_preterm(p.body, (v,) + env, frees))
-    if isinstance(p, PApp):
-        return vapply(eval_preterm(p.fn, env, frees),
-                      eval_preterm(p.arg, env, frees))
-    atom = p.atom
-    if isinstance(atom, Bound):
-        return env[atom.index]
-    if isinstance(atom, Free) and atom.name in frees:
-        return frees[atom.name]
-    return VNe(atom, (), atom.ty)
-
-
-def reify(v: Value, ty: SimpleType, depth: int) -> Term:
-    """Read a value back as an eta-long beta-normal term of type ``ty``."""
-    if isinstance(ty, Arrow):
-        fresh = VNe(Level(depth, ty.dom), (), ty.dom)
-        body = reify(vapply(v, fresh), ty.cod, depth + 1)
-        hint = v.hint if isinstance(v, VLam) else eta_hint(depth)
-        return Abs(hint, ty.dom, body)
-    assert isinstance(v, VNe), "value of basic type must be neutral"
-    head = v.head
-    head_ty = head.ty
-    doms = domains(head_ty)
-    assert len(doms) == len(v.spine)
-    args = tuple(reify(a, doms[i], depth) for i, a in enumerate(v.spine))
-    if isinstance(head, Level):
-        atom: Atom = Bound(depth - 1 - head.depth, head.ty)
-    else:
-        atom = head
-    return App(atom, args)
+    if isinstance(head, Free) and head.name in theta:
+        env = _levels(depth)
+        return _build(theta[head.name], (), depth,
+                      [(a, env) for a in reversed(args)])
+    return App(head, tuple(args))
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
-Subst = Mapping[str, Term]
+def eta_expand(atom: Atom) -> Term:
+    """The eta-long term standing for a bare atom, e.g. \\x y. F(x, y); a
+    bound atom's index counts from where the term stands."""
+    if isinstance(atom, Bound):
+        return _neutral(atom, 0, [], atom.index + 1)
+    return _neutral(atom, None, [], 0)
 
 
 def normalize(p: Preterm) -> Term:
     """Eta-long beta-normal form of a preterm (idempotent on Terms)."""
-    ty = preterm_type(p)
-    return reify(eval_preterm(p, (), {}), ty, 0)
+    preterm_type(p)
+    return _build(p, (), 0, [])
 
 
-def apply_subst(t: Term, theta: Subst) -> Term:
+def apply_subst(t: Term, theta: Mapping[str, Term]) -> Term:
     """Substitute free variables and renormalize.
 
     Entries of ``theta`` whose name is not free in ``t`` are ignored; the
-    substituted terms must match the variables' types.  When every
-    variable substituted is base-typed it occurs unapplied (the term is
-    eta-long), no beta step can happen, and the replacement is structural.
+    substituted terms must match the variables' types and be closed.
     """
-    relevant: dict[str, Term] = {}
     for atom in free_vars(t):
-        if atom.name in theta:
-            replacement = theta[atom.name]
-            if replacement.ty != atom.ty:
-                raise TermTypeError(
-                    f"substitution for {atom.name} has the wrong type",
-                    subject=replacement, expected=atom.ty, actual=replacement.ty)
-            relevant[atom.name] = replacement
-    if not relevant:
-        return t
-    if all(isinstance(u.ty, Base) for u in relevant.values()):
-        return _replace_frees(t, relevant)
-    frees = {name: eval_term(u, (), {}) for name, u in relevant.items()}
-    return reify(eval_term(t, (), frees), t.ty, 0)
-
-
-def _replace_frees(t: Term, replacement: Mapping[str, Term]) -> Term:
-    """Replace base-typed free variables; bound variables are nameless and
-    the replacements have no loose ones, so nothing is captured or
-    shifted."""
-    if isinstance(t, Abs):
-        return Abs(t.hint, t.param_type, _replace_frees(t.body, replacement))
-    head = t.head
-    if isinstance(head, Free) and head.name in replacement:
-        return replacement[head.name]
-    return App(head, tuple(_replace_frees(a, replacement) for a in t.args))
+        replacement = theta.get(atom.name)
+        if replacement is not None and replacement.ty != atom.ty:
+            raise TermTypeError(
+                f"substitution for {atom.name} has the wrong type",
+                subject=replacement, expected=atom.ty, actual=replacement.ty)
+    return _replace(t, theta, 0)

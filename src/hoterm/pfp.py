@@ -10,17 +10,29 @@ of the other modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .hrs import Hrs, Rule
-from .normalize import PApp, PAtom, Preterm, normalize
-from .terms import (App, Atom, Free, Term, args, free_names, print_term,
-                    strip_binders, subterms)
+from .normalize import PAtom, normalize, papp
+from .terms import (App, Arrow, Atom, Free, SimpleType, Term, args,
+                    free_names, print_term, strip_binders, subterms, top)
 
 
 @dataclass(frozen=True)
 class SafeSet:
     rule: Rule
     safe: tuple[Term, ...]
+
+    @cached_property
+    def shapes(self) -> frozenset[tuple[Atom, SimpleType]]:
+        """(head under the binders, type) of each safe subterm: an applied
+        prefix can equal a safe subterm only when it has one of these."""
+        return frozenset((top(u), u.ty) for u in self.safe)
+
+    def has_prefix(self, head: Atom, arguments: tuple[Term, ...]) -> bool:
+        """True when some applied prefix of head(arguments) is safe."""
+        return any(p in self.safe
+                   for p in applied_prefixes(head, arguments, self.shapes))
 
 
 @dataclass(frozen=True)
@@ -69,23 +81,27 @@ def safe_subterms(rule: Rule) -> SafeSet:
     return SafeSet(rule, tuple(out))
 
 
-def applied_prefixes(head: Atom, arguments: tuple[Term, ...]) -> list[Term]:
-    """Normal forms of head(a1..ak) for every k, shortest first; dropping
-    trailing arguments leaves an under-applied head that eta-expands."""
+def applied_prefixes(head: Atom, arguments: tuple[Term, ...],
+                     shapes: frozenset[tuple[Atom, SimpleType]]
+                     ) -> list[Term]:
+    """Normal forms of head(a1..ak), shortest first, for each k at which
+    (head, the prefix's type) is one of ``shapes``; dropping trailing
+    arguments leaves an under-applied head that eta-expands."""
     out = []
+    ty = head.ty
     for k in range(len(arguments) + 1):
-        pre: Preterm = PAtom(head)
-        for a in arguments[:k]:
-            pre = PApp(pre, a)
-        out.append(normalize(pre))
+        if (head, ty) in shapes:
+            out.append(normalize(papp(PAtom(head), *arguments[:k])))
+        if isinstance(ty, Arrow):
+            ty = ty.cod
     return out
 
 
 def is_pfp(h: Hrs) -> PfpReport:
     """Check every rule; violations name the offending right-hand subterm."""
     violations: list[PfpViolation] = []
-    for rule in h.rules:
-        safe = set(safe_subterms(rule).safe)
+    for safe in h.safe_sets:
+        rule = safe.rule
         rhs_names = free_names(rule.rhs)
         for s in subterms(rule.rhs):
             if not isinstance(s, App):
@@ -93,7 +109,7 @@ def is_pfp(h: Hrs) -> PfpReport:
             head = s.head
             if not isinstance(head, Free) or head.name not in rhs_names:
                 continue
-            if any(p in safe for p in applied_prefixes(head, s.args)):
+            if safe.has_prefix(head, s.args):
                 continue
             violations.append(PfpViolation(
                 rule.name, s,

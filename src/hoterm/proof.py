@@ -17,8 +17,8 @@ from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
                        analyze_component)
 from .graph import (DependencyGraph, RecursionComponent, build_graph,
                     recursion_components, to_dot)
-from .hrs import Hrs, Rule, parse, read_source
-from .pfp import PfpReport, is_pfp, safe_subterms
+from .hrs import Hrs, parse, read_source
+from .pfp import PfpReport, SafeSet, is_pfp
 from .rewriting import LoopFound, find_loop
 from .sdp import DependencyPair, extract_sdps
 from .terms import format_position, print_term
@@ -71,6 +71,7 @@ def prove_text(text: str, config: ProverConfig = ProverConfig(),
                source_name: str = "<string>") -> ProofObject:
     digest = hashlib.sha256(text.encode()).hexdigest()
     h = parse(text)
+    config.analysis.check(h)
     pfp = is_pfp(h)
     sdps = extract_sdps(h)
     graph = build_graph(sdps)
@@ -189,13 +190,13 @@ def _document(proof: ProofObject) -> dict:
     }
 
 
-def _pfp_section(pfp: dict, safe_rules: tuple[Rule, ...]) -> list[str]:
+def _pfp_section(pfp: dict, safe_sets: tuple[SafeSet, ...]) -> list[str]:
     out = ["plain function-passing: " + ("yes" if pfp["is_pfp"] else "no")]
     out.extend(f"  rule {v['rule']}: subterm {v['subterm']}: {v['reason']}"
                for v in pfp["violations"])
-    for rule in safe_rules:
-        shown = ", ".join(print_term(u) for u in safe_subterms(rule).safe)
-        out.append(f"  safe({rule.name}) = {{{shown}}}")
+    for safe in safe_sets:
+        shown = ", ".join(print_term(u) for u in safe.safe)
+        out.append(f"  safe({safe.rule.name}) = {{{shown}}}")
     return out
 
 
@@ -220,7 +221,7 @@ def _lines(out: list[str]) -> str:
 def emit_pfp(h: Hrs, report: PfpReport) -> str:
     """The function-passing section with the safe sets of every rule, as
     printed by ``hoterm prove --pfp`` whatever the outcome of the check."""
-    return _lines(_pfp_section(_pfp_json(report), h.rules))
+    return _lines(_pfp_section(_pfp_json(report), h.safe_sets))
 
 
 def emit_sdps(sdps: tuple[DependencyPair, ...]) -> str:
@@ -240,7 +241,7 @@ def emit_text(proof: ProofObject) -> str:
            f"defined = {{{', '.join(sorted(h.defined))}}}; "
            f"constructors = {{{', '.join(sorted(h.constructors))}}}",
            "",
-           *_pfp_section(pfp, h.rules if pfp["is_pfp"] else ()),
+           *_pfp_section(pfp, h.safe_sets if pfp["is_pfp"] else ()),
            "",
            *_pairs_section(doc["sdps"]),
            "",

@@ -11,14 +11,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Union
 
 from .hrs import Hrs
-from .normalize import apply_subst
+from .normalize import apply_subst, eta_expand
 from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
-                    SimpleType, Term, close_over, domains, eta_expand,
-                    eta_hint, free_names, free_vars, open_abs, open_with,
-                    replace_at, result_type)
+                    SimpleType, Term, close_over, domains, eta_hint,
+                    free_names, free_vars, open_abs, open_with, replace_at,
+                    result_type)
 
 
 class NonPatternError(ValueError):
@@ -125,8 +126,8 @@ def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
             name, body = open_abs(u, avoid)
             walk(body, pos + (1,), avoid | {name})
             return
-        for rule, pattern_vars in by_head.get(u.head, ()):
-            theta = match(rule.lhs, u, pattern_vars)
+        for rule in by_head.get(u.head, ()):
+            theta = match(rule.lhs, u)
             if theta is not None:
                 hits.append((rule.name, pos, apply_subst(rule.rhs, theta)))
         for i, a in enumerate(u.args, start=1):
@@ -294,52 +295,45 @@ def reachable(h: Hrs, source: Term, target: Term, max_steps: int) -> bool:
 # loop hunting for disproofs
 
 
-def _term_size(t: Term) -> int:
-    if isinstance(t, Abs):
-        return 1 + _term_size(t.body)
-    return 1 + sum(_term_size(a) for a in t.args)
-
-
 def enumerate_closed_terms(h: Hrs, ty: SimpleType,
                            max_size: int) -> Iterator[Term]:
     """Closed eta-long terms of the given type over the signature, smallest
     first; used to instantiate rule variables when hunting for loops."""
     sig = sorted(h.signature.items())
 
-    def gen(want: SimpleType, budget: int,
-            env: tuple[SimpleType, ...]) -> Iterator[Term]:
+    @cache
+    def upto(want: SimpleType, budget: int, env: tuple[SimpleType, ...]
+             ) -> list[tuple[Term, int]]:
+        """Every closed term of ``want`` under binders of types ``env``
+        with at most ``budget`` nodes, with its size, in generation order:
+        heads in order, then arguments in this order, the first first."""
         if budget <= 0:
-            return
+            return []
         if isinstance(want, Arrow):
-            for body in gen(want.cod, budget - 1, env + (want.dom,)):
-                yield Abs(eta_hint(len(env)), want.dom, body)
-            return
-        heads: list = [Bound(i, bty)
-                       for i, bty in enumerate(reversed(env))]
+            return [(Abs(eta_hint(len(env)), want.dom, body), n + 1)
+                    for body, n in upto(want.cod, budget - 1,
+                                        env + (want.dom,))]
+        heads: list = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
         heads.extend(Const(name, sty) for name, sty in sig)
-        for head in heads:
-            if result_type(head.ty) != want:
-                continue
-            doms = domains(head.ty)
-            for args in gen_args(doms, budget - 1, env):
-                yield App(head, args)
+        return [(App(head, args), n + 1) for head in heads
+                if result_type(head.ty) == want
+                for args, n in arg_lists(domains(head.ty), budget - 1, env)]
 
-    def gen_args(doms: tuple[SimpleType, ...], budget: int,
-                 env: tuple[SimpleType, ...]) -> Iterator[tuple[Term, ...]]:
+    @cache
+    def arg_lists(doms: tuple[SimpleType, ...], budget: int,
+                  env: tuple[SimpleType, ...]
+                  ) -> list[tuple[tuple[Term, ...], int]]:
         if not doms:
-            yield ()
-            return
-        head_budget = budget - (len(doms) - 1)
-        for first in gen(doms[0], head_budget, env):
-            used = _term_size(first)
-            for rest in gen_args(doms[1:], budget - used, env):
-                yield (first,) + rest
+            return [((), 0)]
+        return [((first,) + rest, n + m)
+                for first, n in upto(doms[0], budget - (len(doms) - 1), env)
+                for rest, m in arg_lists(doms[1:], budget - n, env)]
 
-    # gen with a larger budget yields a superset in the same relative
-    # order, so taking each size in turn is a stable sort by size
+    # a larger budget lists a superset in the same relative order, so
+    # taking each size in turn is a stable sort by size
     for size in range(1, max_size + 1):
-        for term in gen(ty, size, ()):
-            if _term_size(term) == size:
+        for term, n in upto(ty, size, ()):
+            if n == size:
                 yield term
 
 
@@ -348,16 +342,15 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
     """Left-hand sides instantiated with small closed terms."""
     seen: set[Term] = set()
     emitted = 0
+    pools: dict[SimpleType, list[Term]] = {}    # the instances, by type
     for rule in h.rules:
-        fvars = sorted(free_names(rule.lhs))
-        var_types = {atom.name: atom.ty for atom in free_vars(rule.lhs)}
-        pools = []
-        for name in fvars:
-            pool = list(itertools.islice(
-                enumerate_closed_terms(h, var_types[name], max_term_size), 25))
-            pools.append(pool)
-        for combo in itertools.product(*pools):
-            theta = dict(zip(fvars, combo))
+        fvars = sorted(free_vars(rule.lhs), key=lambda atom: atom.name)
+        for atom in fvars:
+            if atom.ty not in pools:
+                pools[atom.ty] = list(itertools.islice(
+                    enumerate_closed_terms(h, atom.ty, max_term_size), 25))
+        for combo in itertools.product(*(pools[a.ty] for a in fvars)):
+            theta = {a.name: u for a, u in zip(fvars, combo)}
             seed = apply_subst(rule.lhs, theta)
             if seed in seen:
                 continue

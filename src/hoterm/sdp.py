@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hrs import Hrs, Rule
-from .normalize import apply_subst
-from .pfp import applied_prefixes, safe_subterms
-from .terms import (Abs, App, Const, Free, Term, eta_expand, free_names,
-                    free_vars, lam, print_term, strip_binders)
+from .normalize import apply_subst, eta_expand
+from .terms import (Abs, App, Const, Free, Term, free_names, free_vars, lam,
+                    print_term, strip_binders)
 
 MARK = "#"
 
@@ -77,8 +76,8 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
     up to alpha-equality and renaming of the extra variables."""
     pairs: list[DependencyPair] = []
     keys: set[tuple[Term, Term]] = set()
-    for rule in h.rules:
-        safe = set(safe_subterms(rule).safe)
+    for safe in h.safe_sets:
+        rule = safe.rule
         lhs_names = free_names(rule.lhs)
         lhs_marked = mark(rule.lhs)
         for cand in candidates(rule.rhs):
@@ -86,7 +85,7 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
                 continue
-            if any(p in safe for p in applied_prefixes(head, body.args)):
+            if safe.has_prefix(head, body.args):
                 continue
             rhs_marked = App(Const(head.name + MARK, head.ty), body.args)
             extras = _occurring_extras(rhs_marked, lhs_names)

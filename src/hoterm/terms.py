@@ -122,6 +122,8 @@ class Term:
     """Base class of eta-long beta-normal terms."""
 
     __slots__ = ()
+    _free_vars: "frozenset[Free] | None" = None     # set on first use
+    _free_names: "frozenset[str] | None" = None
 
     @property
     def ty(self) -> SimpleType:
@@ -202,8 +204,7 @@ def atom_name(atom: Atom) -> str:
 
 
 # ---------------------------------------------------------------------------
-# eta-long expansion of a bare atom
-
+# binder hints
 
 _ETA_HINTS = "xyzwvu"
 
@@ -212,27 +213,6 @@ def eta_hint(depth: int) -> str:
     letter = _ETA_HINTS[depth % len(_ETA_HINTS)]
     suffix = depth // len(_ETA_HINTS)
     return letter if suffix == 0 else f"{letter}{suffix}"
-
-
-def eta_expand(atom: Atom) -> Term:
-    """The eta-long term standing for a bare atom, e.g. \\x y. F(x, y)."""
-    doms = domains(atom.ty)
-    m = len(doms)
-    if m == 0:
-        return App(atom, ())
-    if isinstance(atom, Bound):
-        head: Atom = Bound(atom.index + m, atom.ty)
-    else:
-        head = atom
-    args = tuple(eta_expand(Bound(m - 1 - i, doms[i])) for i in range(m))
-    term: Term = App(head, args)
-    for i in reversed(range(m)):
-        term = Abs(eta_hint(i), doms[i], term)
-    return term
-
-
-def const(name: str, ty: SimpleType) -> Term:
-    return eta_expand(Const(name, ty))
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +251,40 @@ def lam(name: str, param_type: SimpleType, body: Term) -> Abs:
     return Abs(name, param_type, close_over(body, name))
 
 
+_NO_FREES: frozenset = frozenset()
+
+
 def free_vars(t: Term) -> frozenset[Free]:
-    out: set[Free] = set()
-
-    def go(u: Term):
-        if isinstance(u, Abs):
-            go(u.body)
-            return
-        if isinstance(u.head, Free):
-            out.add(u.head)
-        for a in u.args:
-            go(a)
-
-    go(t)
-    return frozenset(out)
+    """The free variables of ``t``, kept in the node after the first call."""
+    if t._free_vars is None:
+        _cache_frees(t)
+    return t._free_vars
 
 
 def free_names(t: Term) -> frozenset[str]:
-    return frozenset(a.name for a in free_vars(t))
+    if t._free_names is None:
+        _cache_frees(t)
+    return t._free_names
+
+
+def _cache_frees(t: Term) -> None:
+    """Store both free sets in ``t``, built from its children's; a child's
+    sets are shared when nothing else is free, and ground nodes share one
+    empty set."""
+    fv = names = _NO_FREES
+    for child in (t.body,) if isinstance(t, Abs) else t.args:
+        if child._free_vars is None:
+            _cache_frees(child)
+        if not child._free_vars:
+            continue
+        if fv:
+            fv, names = fv | child._free_vars, names | child._free_names
+        else:
+            fv, names = child._free_vars, child._free_names
+    if isinstance(t, App) and isinstance(t.head, Free):
+        fv, names = fv | {t.head}, names | {t.head.name}
+    object.__setattr__(t, "_free_vars", fv)
+    object.__setattr__(t, "_free_names", names)
 
 
 def liberation_name(hint: str, avoid: Iterable[str]) -> str:
@@ -367,7 +363,7 @@ def positions(t: Term) -> list[Position]:
 
 def subterm_at(t: Term, p: Position) -> Term:
     """The subterm at ``p``; binders crossed on the way become free variables."""
-    avoid: set[str] | None = None
+    avoid = set(free_names(t))
     cur = t
     for step, i in enumerate(p):
         if isinstance(cur, Abs):
@@ -375,8 +371,6 @@ def subterm_at(t: Term, p: Position) -> Term:
                 raise PositionError(p, i,
                                     f"index {i} at step {step} descends into a "
                                     "binder, which has only position 1")
-            if avoid is None:
-                avoid = set(free_names(t))
             name, cur = open_abs(cur, avoid)
             avoid.add(name)
         else:

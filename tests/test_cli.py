@@ -151,6 +151,20 @@ class TestAnalysisFlags:
         assert code == 0
         assert "path order with precedence mul > add > s > 0" in out
 
+    @pytest.mark.parametrize("precedence, complaint", [
+        ("ack>ack>s>0", "names ack twice"),
+        ("ack>s>0>ack", "names ack twice"),
+        ("ack>s>0>ak", "names ak, which the system does not declare"),
+    ])
+    def test_precedence_names_each_declared_symbol_once(
+            self, precedence, complaint, capsys):
+        code, out, err = run(capsys, "prove", FIXDIR / "ackermann.hrs",
+                             "--techniques", "redpair",
+                             "--precedence", precedence)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert complaint in err
+
     def test_max_pi_depth_gates_nested_projection(self, capsys):
         code1, out1, _ = run(capsys, "prove", FIXDIR / "nested.hrs",
                              "--techniques", "subterm",

@@ -170,6 +170,20 @@ class TestPatternFlag:
         h = load(fixtures / "foldl.hrs")
         assert all(r.is_pattern for r in h.rules)
 
+    @pytest.mark.parametrize("sig, var, lhs, is_pattern", [
+        ("(a -> a -> a) -> a", "a -> a -> a", "f(\\x y. F(y, x))", True),
+        ("(a -> a -> a) -> a", "a -> a -> a", "f(\\x y. F(x, x))", False),
+        ("((a -> a) -> a) -> a", "(a -> a) -> a", "f(\\x. F(x))", True),
+        ("((a -> a) -> a) -> a", "(a -> a) -> a", "f(\\x. F(\\y. x(c)))",
+         False),
+        ("(a -> a) -> a", "a -> a", "f(\\x. F(c))", False),
+    ])
+    def test_pattern_arguments_are_distinct_bound_variables(
+            self, sig, var, lhs, is_pattern):
+        h = parse(f"basic a\nsig f : {sig}\nsig c : a\nvar F : {var}\n"
+                  f"rule r: {lhs} -> c\n")
+        assert h.rules[0].is_pattern is is_pattern
+
 
 class TestLoad:
     def test_load_reads_fixture_files(self, fixtures):

@@ -15,14 +15,15 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import strategies as S
+from nbe_oracle import hints, nbe_apply_subst
 import hoterm.rewriting as R
 from hoterm.hrs import load, parse
-from hoterm.normalize import apply_subst, eval_term, reify
+from hoterm.normalize import apply_subst
 from hoterm.rewriting import (DepthExhausted, LoopFound, NormalForm,
                               bounded_search, enumerate_closed_terms,
                               find_loop, loop_seeds, rewrite_step)
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, domains,
-                          eta_hint, free_vars, print_term, result_type)
+                          eta_hint, print_term, result_type)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 FIXTURE_SYSTEMS = sorted(p.stem for p in FIXTURES.glob("*.hrs"))
@@ -307,17 +308,7 @@ class TestEnumerateClosedTerms:
 
 
 # ---------------------------------------------------------------------------
-# substitution without normalization by evaluation
-
-
-def by_evaluation(t, theta):
-    """``apply_subst`` through evaluation and read-back, whatever the types."""
-    relevant = {a.name: theta[a.name] for a in free_vars(t)
-                if a.name in theta}
-    if not relevant:
-        return t
-    frees = {name: eval_term(u, (), {}) for name, u in relevant.items()}
-    return reify(eval_term(t, (), frees), t.ty, 0)
+# substitution against the evaluation oracle
 
 
 HO_SIG = {"c": Base("a"), "d": Base("b"), "g": Arrow(Base("a"), Base("b")),
@@ -337,10 +328,14 @@ def ho_substitutions(draw, kinds=("X", "Y", "F")):
 
 
 class TestApplySubstFastPath:
+    """``apply_subst`` against the evaluation oracle: first-order terms,
+    base-typed variables in higher-order terms, and function variables."""
+
     def check(self, t, theta):
         got = apply_subst(t, theta)
-        want = by_evaluation(t, theta)
+        want = nbe_apply_subst(t, theta)
         assert got == want
+        assert hints(got) == hints(want)
         assert print_term(got) == print_term(want)
 
     @settings(max_examples=200, deadline=None)

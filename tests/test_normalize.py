@@ -1,11 +1,20 @@
+from pathlib import Path
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import hoterm.hrs
 import strategies as S
-from hoterm.normalize import (PApp, PAtom, PLam, apply_subst, normalize, papp,
-                              preterm_type)
+from hoterm.hrs import parse, print_hrs
+from hoterm.normalize import (PApp, PAtom, PLam, apply_subst, eta_expand,
+                              normalize, papp, preterm_type)
 from hoterm.terms import (App, Base, Bound, Const, Free, TermTypeError, arrow,
-                          eta_expand, lam)
+                          lam, print_term)
+from nbe_oracle import hints, nbe_normalize
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 NAT = Base("nat")
 SUC = arrow(NAT, NAT)
@@ -93,3 +102,85 @@ def test_normalization_is_idempotent(p):
     once = normalize(p)
     assert normalize(once) == once
     assert once.ty == Base("a")
+
+
+# ---------------------------------------------------------------------------
+# hereditary substitution against the evaluation oracle
+
+A, B = Base("a"), Base("b")
+A2A = arrow(A, A)
+PRETERM_SIG = {"c0": A, "c1": B, "g": arrow(A, B, A), "h": arrow(A2A, A)}
+PRETERM_FREES = {"W": A2A, "U": B}
+
+
+def assert_same_build(got, want):
+    """Equal terms with the same binder hints, so they print the same."""
+    assert got == want
+    assert hints(got) == hints(want)
+    assert print_term(got) == print_term(want)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([A, B, A2A, arrow(A2A, A)]).flatmap(
+    lambda ty: S.preterms(PRETERM_SIG, PRETERM_FREES, ty, fuel=4)))
+def test_normalize_agrees_with_evaluation(p):
+    assert_same_build(normalize(p), nbe_normalize(p))
+
+
+K = Const("k", A2A)
+PAIR = Const("pair", arrow(A, A, A))
+TWICE = Const("twice", arrow(A2A, A, A))
+C0 = PAtom(Const("c0", A))
+
+
+@pytest.mark.parametrize("p", [
+    # a higher-order head alone: binders hinted by their depth
+    PAtom(Free("F", arrow(A2A, A, A))),
+    # an under-applied argument of a higher-order head
+    papp(PAtom(Const("h", arrow(A2A, A))), PAtom(K)),
+    # the same under a binder, one level deeper
+    PLam("z", A, papp(PAtom(TWICE), papp(PAtom(PAIR), PAtom(Bound(0, A))))),
+    # a redex whose argument is a head that the body leaves unapplied,
+    # one binder below the redex
+    PApp(PLam("f", A2A, PLam("z", A, papp(PAtom(TWICE),
+                                            PAtom(Bound(1, A2A)),
+                                            PAtom(Bound(0, A))))),
+         PAtom(K)),
+    # a redex whose argument the body applies: pair gets one argument
+    PApp(PLam("f", arrow(A, A, A), papp(PAtom(TWICE),
+                                        papp(PAtom(Bound(0, arrow(A, A, A))),
+                                             C0))),
+         PAtom(PAIR)),
+    # an abstraction passed to a variable that passes it on
+    PApp(PLam("f", A2A, papp(PAtom(Const("h", arrow(A2A, A))),
+                             PAtom(Bound(0, A2A)))),
+         PLam("q", A, papp(PAtom(K), PAtom(Bound(0, A))))),
+    # a redex left partly applied: the rest keeps its binder hint
+    PApp(PLam("f", A, PLam("r", A, papp(PAtom(PAIR), PAtom(Bound(1, A)),
+                                         PAtom(Bound(0, A))))), C0),
+])
+def test_hand_picked_preterms_agree_with_evaluation(p):
+    assert_same_build(normalize(p), nbe_normalize(p))
+
+
+def assert_parse_agrees_with_evaluation(text):
+    """``parse`` equals elaboration by evaluation then ``uniquify_hints``."""
+    got = parse(text)
+    with patch.object(hoterm.hrs, "normalize", nbe_normalize):
+        want = parse(text)
+    assert len(got.rules) == len(want.rules)
+    for r, s in zip(got.rules, want.rules):
+        assert_same_build(r.lhs, s.lhs)
+        assert_same_build(r.rhs, s.rhs)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.hrs")),
+                         ids=lambda p: p.stem)
+def test_parse_of_fixture_agrees_with_evaluation(path):
+    assert_parse_agrees_with_evaluation(path.read_text())
+
+
+@settings(max_examples=100)
+@given(S.systems())
+def test_parse_of_generated_system_agrees_with_evaluation(h):
+    assert_parse_agrees_with_evaluation(print_hrs(h))

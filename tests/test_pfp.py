@@ -1,10 +1,15 @@
 from pathlib import Path
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 
+import hoterm.pfp
 import strategies as S
-from hoterm.hrs import load
+from hoterm.hrs import load, parse, print_hrs
+from hoterm.normalize import PAtom, normalize, papp
 from hoterm.pfp import is_pfp, safe_basic, safe_subterms
+from hoterm.sdp import extract_sdps
 from hoterm.terms import Base, free_names, subterms
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -87,3 +92,33 @@ class TestSafeSetInvariants:
                 # basic-subterm walk, so it must be basic-typed
                 if u not in lhs_args:
                     assert isinstance(u.ty, Base)
+
+
+def every_applied_prefix(head, arguments, shapes):
+    """``applied_prefixes`` without the shape filter: every prefix built."""
+    return [normalize(papp(PAtom(head), *arguments[:k]))
+            for k in range(len(arguments) + 1)]
+
+
+def assert_prefix_filter_changes_nothing(text):
+    """The pfp report and the pairs, with and without the shape filter."""
+    h = parse(text)
+    with patch.object(hoterm.pfp, "applied_prefixes", every_applied_prefix):
+        unfiltered = parse(text)
+        want_pfp, want_pairs = is_pfp(unfiltered), extract_sdps(unfiltered)
+    assert is_pfp(h) == want_pfp
+    pairs = extract_sdps(h)
+    assert pairs == want_pairs
+    assert [str(p) for p in pairs] == [str(p) for p in want_pairs]
+
+
+class TestPrefixFilter:
+    @pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.hrs")),
+                             ids=lambda p: p.stem)
+    def test_fixture(self, path):
+        assert_prefix_filter_changes_nothing(path.read_text())
+
+    @settings(max_examples=200)
+    @given(S.systems())
+    def test_generated_system(self, h):
+        assert_prefix_filter_changes_nothing(print_hrs(h))

@@ -1,11 +1,14 @@
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import strategies as S
+from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           PositionError, TermTypeError, args, arrow,
-                          eta_expand, format_position, lam, positions,
-                          print_term, replace_at, subterm_at, subterms, top)
+                          format_position, free_names, free_vars, lam,
+                          positions, print_term, replace_at, subterm_at,
+                          subterms, top)
 
 NAT = Base("nat")
 LIST = Base("natlist")
@@ -134,3 +137,40 @@ def test_positions_and_subterms_agree(t):
 def test_higher_order_positions_and_subterms_agree(t):
     via_positions = {subterm_at(t, p) for p in positions(t)}
     assert via_positions == set(subterms(t))
+
+
+def walked_free_vars(t):
+    """The free variables of ``t`` by a fresh walk, without the cache."""
+    if isinstance(t, Abs):
+        return walked_free_vars(t.body)
+    out = set()
+    if isinstance(t.head, Free):
+        out.add(t.head)
+    for a in t.args:
+        out |= walked_free_vars(a)
+    return frozenset(out)
+
+
+def nodes(t):
+    """Every node of ``t``, binders left closed."""
+    yield t
+    for child in ((t.body,) if isinstance(t, Abs) else t.args):
+        yield from nodes(child)
+
+
+@settings(max_examples=200)
+@given(S.eta_long_terms(
+    {"k": arrow(S.FO_NAT, S.FO_NAT), "c": S.FO_NAT,
+     "w": arrow(arrow(S.FO_NAT, S.FO_NAT), S.FO_NAT)},
+    {"G": arrow(S.FO_NAT, S.FO_NAT), "X": S.FO_NAT}, S.FO_NAT, fuel=4),
+    st.data())
+def test_cached_free_sets_equal_a_walk(t, data):
+    """Whatever node is asked first, each node's cached sets are those a
+    walk finds, here and in the terms that opening binders builds."""
+    everything = list(nodes(t))
+    for u in subterms(t):
+        everything.extend(nodes(u))
+    for u in data.draw(st.permutations(everything)):
+        want = walked_free_vars(u)
+        assert free_vars(u) == want
+        assert free_names(u) == {a.name for a in want}
