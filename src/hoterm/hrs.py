@@ -10,8 +10,10 @@ A file declares basic types, a signature, rule variables, and named rules::
 
 Comments start with ``#``.  Terms are written ``f(t1, ..., tn)`` with
 ``\\x y. t`` for abstraction; binder types are inferred from the expected
-argument type, and under-applied heads are eta-expanded while reading.
-"""
+argument type.  Each line is read in one pass: one regular expression
+splits it into tokens, and each side of a rule is built straight into its
+eta-long form, with every check on the way.  A line that fails is read
+again for syntax alone, so that a syntax error is reported first."""
 
 from __future__ import annotations
 
@@ -19,12 +21,12 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
-from .normalize import PAtom, PLam, Preterm, eta_expand, normalize, papp
+from .normalize import eta_expand
 from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
-                    SimpleType, Term, TermTypeError, free_names,
-                    liberation_name, print_term, top)
+                    SimpleType, Term, domains, eta_hint,
+                    free_names, print_term, top)
 
 if TYPE_CHECKING:
     from .pfp import SafeSet
@@ -68,9 +70,8 @@ class Hrs:
     constructors: frozenset[str] = field(init=False)
 
     def __post_init__(self):
-        defined = frozenset(top(r.lhs).name for r in self.rules)
-        self.defined = defined
-        self.constructors = frozenset(self.signature) - defined
+        self.defined = frozenset(top(r.lhs).name for r in self.rules)
+        self.constructors = frozenset(self.signature) - self.defined
 
     @cached_property
     def rules_by_head(self) -> dict[Atom, tuple[Rule, ...]]:
@@ -90,291 +91,270 @@ class Hrs:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# reader
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_']*")
 _RULE_NAME_RE = re.compile(r"[A-Za-z0-9_'-]+")
-_TOKEN_RE = re.compile(r"\s+|->|[A-Za-z0-9_][A-Za-z0-9_']*|[\\().,:]")
+# a name, '->' or a punctuation mark; any other character is an error
+_TOKEN_RE = re.compile(
+    r"\s*(?:(->|[A-Za-z0-9_][A-Za-z0-9_']*|[\\().,:])|(\S))")
+_PUNCT = frozenset(("->", "\\", "(", ")", ".", ",", ":"))
+_END = ("", 0)      # after the last token of a line
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    col: int
+class _Reader:
+    """A cursor over the tokens of one line; reads a rule's sides into
+    canonical terms.  ``depth`` counts the binders above the term being
+    read, eta binders included; a ``\\x.`` binder is kept with its level
+    (the depth it stands at), from which each use computes its index.
+    Hints are given in preorder, each avoiding the declared names and the
+    hints given before it on the same side."""
 
-
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    out = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            raise HrsError(f"unexpected character {line[pos]!r}",
-                           lineno, pos + 1)
-        if not m.group().isspace():
-            out.append(_Token(m.group(), pos + 1))
-        pos = m.end()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# surface syntax (types not yet known)
-
-
-@dataclass(frozen=True)
-class _SLam:
-    binders: tuple[str, ...]
-    body: "_STerm"
-    col: int
-
-
-@dataclass(frozen=True)
-class _SApp:
-    head: str
-    args: tuple["_STerm", ...]
-    col: int
-
-
-_STerm = Union[_SLam, _SApp]
-
-
-class _Cursor:
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
+    def __init__(self, text: str, lineno: int, offset: int = 0,
+                 scope: dict[str, Atom] | None = None):
+        self.toks = []          # (text, column), then _END
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(1) is None:
+                raise HrsError(f"unexpected character {m.group(2)!r}",
+                               lineno, offset + m.start(2) + 1)
+            self.toks.append((m.group(1), offset + m.start(1) + 1))
+        self.toks.append(_END)
+        self.pos = 0
         self.lineno = lineno
-        self.i = 0
+        self.scope = scope
+        # a \x. binder in scope: its type, as a Bound, and its level
+        self.bound: dict[str, tuple[Bound, int]] = {}
+        self.taken: frozenset[str] = frozenset()
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise HrsError(f"unexpected end of line"
-                           + (f", expected {expected!r}" if expected else ""),
-                           self.lineno)
-        if expected is not None and tok.text != expected:
-            raise HrsError(f"expected {expected!r}, found {tok.text!r}",
-                           self.lineno, tok.col)
-        self.i += 1
-        return tok
-
-    def next_name(self, what: str) -> _Token:
-        tok = self.next(None)
-        if not _NAME_RE.fullmatch(tok.text):
-            raise HrsError(f"expected {what}, found {tok.text!r}",
-                           self.lineno, tok.col)
-        return tok
-
-    def done(self):
-        tok = self.peek()
-        if tok is not None:
-            raise HrsError(f"trailing input {tok.text!r}", self.lineno, tok.col)
-
-
-def _parse_type(cur: _Cursor, basics: set[str]) -> SimpleType:
-    left = _parse_type_atom(cur, basics)
-    tok = cur.peek()
-    if tok is not None and tok.text == "->":
-        cur.next()
-        return Arrow(left, _parse_type(cur, basics))
-    return left
-
-
-def _parse_type_atom(cur: _Cursor, basics: set[str]) -> SimpleType:
-    tok = cur.peek()
-    if tok is None:
-        raise HrsError("unexpected end of line in type", cur.lineno)
-    if tok.text == "(":
-        cur.next()
-        ty = _parse_type(cur, basics)
-        cur.next(")")
-        return ty
-    name = cur.next_name("a type name")
-    if name.text not in basics:
-        raise HrsError(f"unknown basic type {name.text!r}",
-                       cur.lineno, name.col)
-    return Base(name.text)
-
-
-def _parse_sterm(cur: _Cursor) -> _STerm:
-    tok = cur.peek()
-    if tok is None:
-        raise HrsError("unexpected end of line in term", cur.lineno)
-    if tok.text == "\\":
-        cur.next()
-        binders = [cur.next_name("a binder name")]
-        while cur.peek() is not None and cur.peek().text != ".":
-            binders.append(cur.next_name("a binder name"))
-        cur.next(".")
-        body = _parse_sterm(cur)
-        return _SLam(tuple(t.text for t in binders), body, tok.col)
-    if tok.text == "(":
-        cur.next()
-        inner = _parse_sterm(cur)
-        cur.next(")")
-        return inner
-    head = cur.next_name("a term")
-    args: list[_STerm] = []
-    nxt = cur.peek()
-    if nxt is not None and nxt.text == "(":
-        cur.next()
-        args.append(_parse_sterm(cur))
-        while cur.peek() is not None and cur.peek().text == ",":
-            cur.next()
-            args.append(_parse_sterm(cur))
-        cur.next(")")
-    return _SApp(head.text, tuple(args), tok.col)
-
-
-# ---------------------------------------------------------------------------
-# scope resolution and type checking of surface terms
-
-
-class _Scope:
-    """Declared symbols and variables plus the lexical binder stack."""
-
-    def __init__(self, signature: dict[str, SimpleType],
-                 variables: dict[str, SimpleType], lineno: int):
-        self.signature = signature
-        self.variables = variables
-        self.lineno = lineno
-        self.binders: list[tuple[str, SimpleType]] = []
-
-    def head_atom(self, name: str, col: int):
-        for depth, (bname, bty) in enumerate(reversed(self.binders)):
-            if bname == name:
-                return Bound(depth, bty)
-        if name in self.variables:
-            return Free(name, self.variables[name])
-        if name in self.signature:
-            return Const(name, self.signature[name])
-        raise HrsError(f"unknown symbol {name!r}", self.lineno, col)
-
-    def push(self, name: str, ty: SimpleType, col: int):
-        if (name in self.signature or name in self.variables
-                or any(b == name for b, _ in self.binders)):
-            raise HrsError(f"binder {name!r} shadows a declared name",
+    def expect(self, text: str) -> None:
+        tok, col = self.toks[self.pos]
+        if tok != text:
+            if not tok:
+                raise HrsError(f"unexpected end of line, expected {text!r}",
+                               self.lineno)
+            raise HrsError(f"expected {text!r}, found {tok!r}",
                            self.lineno, col)
-        self.binders.append((name, ty))
+        self.pos += 1
 
-    def pop(self, n: int):
-        del self.binders[len(self.binders) - n:]
+    def name(self, what: str) -> tuple[str, int]:
+        tok = self.toks[self.pos]
+        if tok[0] in _PUNCT:
+            raise HrsError(f"expected {what}, found {tok[0]!r}",
+                           self.lineno, tok[1])
+        if tok is _END:
+            raise HrsError("unexpected end of line", self.lineno)
+        self.pos += 1
+        return tok
 
+    def done(self) -> None:
+        tok, col = self.toks[self.pos]
+        if tok:
+            raise HrsError(f"trailing input {tok!r}", self.lineno, col)
 
-def _check_sterm(s: _STerm, expected: SimpleType | None,
-                 scope: _Scope) -> tuple[Preterm, SimpleType]:
-    """Elaborate a surface term; with ``expected=None`` the type is inferred,
-    which requires the term to start with a declared head."""
-    if isinstance(s, _SLam):
+    def type(self, basics: dict[str, None]) -> SimpleType:
+        tok, col = self.toks[self.pos]
+        if tok == "(":
+            self.pos += 1
+            left = self.type(basics)
+            self.expect(")")
+        elif not tok:
+            raise HrsError("unexpected end of line in type", self.lineno)
+        else:
+            self.name("a type name")
+            if tok not in basics:
+                raise HrsError(f"unknown basic type {tok!r}", self.lineno, col)
+            left = Base(tok)
+        if self.toks[self.pos][0] == "->":
+            self.pos += 1
+            return Arrow(left, self.type(basics))
+        return left
+
+    def rule(self, name: str, require_patterns: bool) -> Rule:
+        """The rule on this line; if reading it fails, a syntax error
+        anywhere on the line is reported first."""
+        try:
+            lhs = self.term(None, 0)
+            if not isinstance(lhs.ty, Base):
+                raise HrsError(f"rule {name!r} is not basic-typed: its sides "
+                               f"have type {lhs.ty}", self.lineno)
+            self.expect("->")
+            self.taken = frozenset()
+            rhs = self.term(lhs.ty, 0)
+            self.done()
+        except HrsError:
+            self.pos = 0
+            self.skip_term()
+            self.expect("->")
+            self.skip_term()
+            self.done()
+            raise
+        if not isinstance(lhs.head, Const):
+            raise HrsError(f"left-hand side of rule {name!r} must be headed "
+                           f"by a function symbol, found variable "
+                           f"{lhs.head.name!r}", self.lineno)
+        fresh = free_names(rhs) - free_names(lhs)
+        if fresh:
+            raise HrsError(f"right-hand side of rule {name!r} has fresh free "
+                           f"variable(s) {', '.join(sorted(fresh))}",
+                           self.lineno)
+        pattern = is_miller_pattern(lhs, free_names(lhs))
+        if require_patterns and not pattern:
+            raise HrsError(f"left-hand side of rule {name!r} is not a "
+                           "pattern: some variable is applied to "
+                           "non-variable arguments", self.lineno)
+        return Rule(name, lhs, rhs, pattern)
+
+    def hint(self, name: str) -> str:
+        while name in self.scope or name in self.taken:
+            name += "'"
+        self.taken |= {name}
+        return name
+
+    def term(self, expected: SimpleType | None, depth: int) -> Term:
+        """The term at the cursor, of type ``expected`` (inferred when
+        None), under ``depth`` binders."""
+        tok, col = self.toks[self.pos]
+        if tok == "\\":
+            return self.abstraction(expected, depth, col)
+        if tok == "(":
+            self.pos += 1
+            t = self.term(expected, depth)
+            self.expect(")")
+            return t
+        if not tok:
+            raise HrsError("unexpected end of line in term", self.lineno)
+        self.name("a term")
+        atom, level = self.bound.get(tok) or (self.scope.get(tok), None)
+        if atom is None:
+            raise HrsError(f"unknown symbol {tok!r}", self.lineno, col)
+        rest, args = atom.ty, []
+        if self.toks[self.pos][0] == "(":
+            start, taken = self.pos, self.taken
+            rest, args = self.arguments(tok, col, atom.ty, depth)
+        if expected is not None and rest is not expected:
+            raise HrsError(f"term headed by {tok!r} has type {rest}, "
+                           f"expected {expected}", self.lineno, col)
+        if isinstance(rest, Base):
+            if level is not None:
+                atom = Bound(depth - 1 - level, atom.ty)
+            return App(atom, tuple(args))
+        if args:        # read them again beneath the eta binders
+            self.pos, self.taken = start, taken
+        return self.spine(atom, level, domains(rest), depth,
+                          (tok, col) if args else None)
+
+    def arguments(self, head: str, col: int, ty: SimpleType, depth: int
+                  ) -> tuple[SimpleType, list[Term]]:
+        """``(t1, ..., tn)`` passed to ``head`` of type ``ty``: the type
+        left and the terms."""
+        args, rest = [], ty
+        while not args or self.toks[self.pos][0] == ",":
+            self.pos += 1       # past the "(" or ","
+            if not isinstance(rest, Arrow):
+                raise HrsError(f"{head!r} is applied to too many arguments "
+                               f"(its type is {ty})", self.lineno, col)
+            args.append(self.term(rest.dom, depth))
+            rest = rest.cod
+        self.expect(")")
+        return rest, args
+
+    def spine(self, atom: Atom, level: int | None,
+              missing: tuple[SimpleType, ...], depth: int,
+              head: tuple[str, int] | None = None) -> Term:
+        """``atom`` eta-expanded over the ``missing`` argument types: the
+        eta binders take their hints, then the arguments at the cursor, if
+        ``head`` is given, are read beneath them.  ``level`` places a
+        bound ``atom``."""
+        hints = [self.hint(eta_hint(depth + k)) for k in range(len(missing))]
+        inner = depth + len(missing)
+        args = self.arguments(*head, atom.ty, inner)[1] if head else []
+        args.extend(self.spine(Bound(0, dom), depth + k, domains(dom), inner)
+                    for k, dom in enumerate(missing))
+        if level is not None:
+            atom = Bound(inner - 1 - level, atom.ty)
+        t: Term = App(atom, tuple(args))
+        for hint, dom in zip(reversed(hints), reversed(missing)):
+            t = Abs(hint, dom, t)
+        return t
+
+    def abstraction(self, expected: SimpleType | None, depth: int,
+                    col: int) -> Term:
+        names = self.binder_names()
         if expected is None:
             raise HrsError("a rule left-hand side must start with a function "
-                           "symbol, not an abstraction", scope.lineno, s.col)
-        doms = []
-        ty = expected
-        for name in s.binders:
+                           "symbol, not an abstraction", self.lineno, col)
+        doms, ty = [], expected
+        for _ in names:
             if not isinstance(ty, Arrow):
-                raise HrsError(
-                    f"abstraction has more binders than the expected type "
-                    f"{expected} provides", scope.lineno, s.col)
+                raise HrsError(f"abstraction has more binders than the "
+                               f"expected type {expected} provides",
+                               self.lineno, col)
             doms.append(ty.dom)
             ty = ty.cod
-        for name, dom in zip(s.binders, doms):
-            scope.push(name, dom, s.col)
-        body, _ = _check_sterm(s.body, ty, scope)
-        scope.pop(len(s.binders))
-        pre: Preterm = body
-        for name, dom in zip(reversed(s.binders), reversed(doms)):
-            pre = PLam(name, dom, pre)
-        return pre, expected
-    atom = scope.head_atom(s.head, s.col)
-    ty = atom.ty
-    pre_args: list[Preterm] = []
-    for arg in s.args:
-        if not isinstance(ty, Arrow):
-            raise HrsError(f"{s.head!r} is applied to too many arguments "
-                           f"(its type is {atom.ty})", scope.lineno, s.col)
-        arg_pre, _ = _check_sterm(arg, ty.dom, scope)
-        pre_args.append(arg_pre)
-        ty = ty.cod
-    if expected is not None and ty != expected:
-        raise HrsError(f"term headed by {s.head!r} has type {ty}, "
-                       f"expected {expected}", scope.lineno, s.col)
-    return papp(PAtom(atom), *pre_args), ty
+        for k, name in enumerate(names):
+            if name in self.scope or name in self.bound:
+                raise HrsError(f"binder {name!r} shadows a declared name",
+                               self.lineno, col)
+            self.bound[name] = (Bound(0, doms[k]), depth + k)
+        hints = [self.hint(name) for name in names]
+        body = self.term(ty, depth + len(names))
+        for name in names:
+            del self.bound[name]
+        for hint, dom in zip(reversed(hints), reversed(doms)):
+            body = Abs(hint, dom, body)
+        return body
+
+    def binder_names(self) -> list[str]:
+        self.pos += 1
+        names = [self.name("a binder name")[0]]
+        while self.toks[self.pos][0] not in ("", "."):
+            names.append(self.name("a binder name")[0])
+        self.expect(".")
+        return names
+
+    def skip_term(self) -> None:
+        """Read the term at the cursor for its syntax alone."""
+        tok = self.toks[self.pos][0]
+        if tok == "\\":
+            self.binder_names()
+            self.skip_term()
+        elif tok == "(":
+            self.pos += 1
+            self.skip_term()
+            self.expect(")")
+        elif not tok:
+            raise HrsError("unexpected end of line in term", self.lineno)
+        else:
+            self.name("a term")
+            sep = "("           # then "," between the arguments
+            while self.toks[self.pos][0] == sep:
+                self.pos, sep = self.pos + 1, ","
+                self.skip_term()
+            if sep == ",":
+                self.expect(")")
 
 
 # ---------------------------------------------------------------------------
-# rule post-processing
-
-
-def uniquify_hints(t: Term, avoid: frozenset[str]) -> Term:
-    """Rename binder hints so they are pairwise distinct and avoid the given
-    names; purely cosmetic for equality, but it keeps the names that appear
-    when binders are opened predictable."""
-    used = set(avoid)
-
-    def go(u: Term) -> Term:
-        """``u`` renamed; the node itself where no hint under it changes."""
-        if isinstance(u, Abs):
-            want = liberation_name(u.hint, used)
-            used.add(want)
-            body = go(u.body)
-            same = want == u.hint and body is u.body
-            return u if same else Abs(want, u.param_type, body)
-        args = tuple(map(go, u.args))
-        same = all(a is b for a, b in zip(args, u.args))
-        return u if same else App(u.head, args)
-
-    return go(t)
+# rule checks
 
 
 def is_miller_pattern(t: Term, pattern_vars: frozenset[str]) -> bool:
     """True when every pattern variable is applied only to sequences of
     pairwise distinct bound variables."""
-
-    def walk(u: Term) -> bool:
-        while isinstance(u, Abs):
-            u = u.body
-        head = u.head
-        if not isinstance(head, Free) or head.name not in pattern_vars:
-            return all(walk(a) for a in u.args)
-        seen: set[int] = set()
-        for a in u.args:
-            body, m = a, 0
-            while isinstance(body, Abs):
-                body, m = body.body, m + 1
-            h = body.head       # must be bound outside ``a``, at index i
-            i = h.index - m if isinstance(h, Bound) else -1
-            if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
-                return False
-            seen.add(i)
-        return True
-
-    return walk(t)
-
-
-def _build_rule(name: str, lhs: Term, rhs: Term, scope_names: frozenset[str],
-                lineno: int, require_patterns: bool) -> Rule:
-    head = top(lhs)
-    if not isinstance(head, Const):
-        raise HrsError(f"left-hand side of rule {name!r} must be headed by a "
-                       f"function symbol, found variable {head.name!r}", lineno)
-    if not isinstance(lhs.ty, Base):
-        raise HrsError(f"rule {name!r} is not basic-typed: its sides have type "
-                       f"{lhs.ty}", lineno)
-    lhs = uniquify_hints(lhs, scope_names)
-    rhs = uniquify_hints(rhs, scope_names)
-    fresh = free_names(rhs) - free_names(lhs)
-    if fresh:
-        names = ", ".join(sorted(fresh))
-        raise HrsError(f"right-hand side of rule {name!r} has fresh free "
-                       f"variable(s) {names}", lineno)
-    pattern = is_miller_pattern(lhs, free_names(lhs))
-    if require_patterns and not pattern:
-        raise HrsError(f"left-hand side of rule {name!r} is not a pattern: "
-                       "some variable is applied to non-variable arguments",
-                       lineno)
-    return Rule(name, lhs, rhs, pattern)
+    while isinstance(t, Abs):
+        t = t.body
+    if not isinstance(t.head, Free) or t.head.name not in pattern_vars:
+        return all(is_miller_pattern(a, pattern_vars) for a in t.args)
+    seen: set[int] = set()
+    for a in t.args:
+        body, m = a, 0
+        while isinstance(body, Abs):
+            body, m = body.body, m + 1
+        h = body.head       # must be bound outside ``a``, at index i
+        i = h.index - m if isinstance(h, Bound) else -1
+        if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
+            return False
+        seen.add(i)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -385,73 +365,57 @@ def parse(text: str, require_patterns: bool = False) -> Hrs:
     """Parse a rewrite system.  Non-pattern left-hand sides are accepted by
     default and only flagged on the rule; pass ``require_patterns=True`` to
     reject them outright."""
-    basics: list[str] = []
+    basics: dict[str, None] = {}        # in order
     signature: dict[str, SimpleType] = {}
     variables: dict[str, SimpleType] = {}
-    rules: list[Rule] = []
+    scope: dict[str, Atom] = {}         # the names declared so far
+    rules: dict[str, Rule] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        words = line.split(None, 1)
+        if not words:
             continue
-        stripped = line.lstrip()
-        keyword = stripped.split(None, 1)[0]
+        keyword = words[0]
+        if keyword in ("basic", "sig", "var"):
+            cur = _Reader(line, lineno)
+            cur.expect(keyword)
         if keyword == "basic":
-            cur = _Cursor(_tokenize(line, lineno), lineno)
-            cur.next("basic")
-            while cur.peek() is not None:
-                tok = cur.next_name("a basic type name")
-                if tok.text in basics:
-                    raise HrsError(f"basic type {tok.text!r} declared twice",
-                                   lineno, tok.col)
-                basics.append(tok.text)
+            while cur.toks[cur.pos][0]:
+                name, col = cur.name("a basic type name")
+                if name in basics:
+                    raise HrsError(f"basic type {name!r} declared twice",
+                                   lineno, col)
+                basics[name] = None
         elif keyword in ("sig", "var"):
-            cur = _Cursor(_tokenize(line, lineno), lineno)
-            cur.next(keyword)
-            tok = cur.next_name("a name")
-            cur.next(":")
-            ty = _parse_type(cur, set(basics))
+            name, col = cur.name("a name")
+            cur.expect(":")
+            ty = cur.type(basics)
             cur.done()
-            if tok.text in signature or tok.text in variables:
-                raise HrsError(f"name {tok.text!r} declared twice",
-                               lineno, tok.col)
-            (signature if keyword == "sig" else variables)[tok.text] = ty
+            if name in scope:
+                raise HrsError(f"name {name!r} declared twice", lineno, col)
+            table, kind = ((signature, Const) if keyword == "sig"
+                           else (variables, Free))
+            table[name] = ty
+            scope[name] = kind(name, ty)
         elif keyword == "rule":
-            rest = stripped[len("rule"):].lstrip()
+            rest = words[1] if len(words) > 1 else ""
             if ":" not in rest:
                 raise HrsError("expected 'rule <name>: <term> -> <term>'",
                                lineno)
-            rule_name, body = rest.split(":", 1)
-            rule_name = rule_name.strip()
+            rule_name = rest.split(":", 1)[0].strip()
             if not _RULE_NAME_RE.fullmatch(rule_name):
                 raise HrsError(f"invalid rule name {rule_name!r}", lineno)
-            if any(r.name == rule_name for r in rules):
+            if rule_name in rules:
                 raise HrsError(f"rule name {rule_name!r} used twice", lineno)
-            cur = _Cursor(_tokenize(body, lineno), lineno)
-            lhs_s = _parse_sterm(cur)
-            cur.next("->")
-            rhs_s = _parse_sterm(cur)
-            cur.done()
-            scope = _Scope(signature, variables, lineno)
-            try:
-                lhs_pre, lhs_ty = _check_sterm(lhs_s, None, scope)
-                if not isinstance(lhs_ty, Base):
-                    raise HrsError(f"rule {rule_name!r} is not basic-typed: "
-                                   f"its sides have type {lhs_ty}", lineno)
-                rhs_pre, _ = _check_sterm(rhs_s, lhs_ty, scope)
-                lhs = normalize(lhs_pre)
-                rhs = normalize(rhs_pre)
-            except TermTypeError as exc:
-                raise HrsError(f"type error in rule {rule_name!r}: {exc}",
-                               lineno) from exc
-            scope_names = frozenset(signature) | frozenset(variables)
-            rules.append(_build_rule(rule_name, lhs, rhs, scope_names,
-                                     lineno, require_patterns))
+            body = line.index(":") + 1
+            rules[rule_name] = _Reader(line[body:], lineno, body, scope).rule(
+                rule_name, require_patterns)
         else:
             raise HrsError(f"unknown directive {keyword!r} (expected basic, "
                            "sig, var, or rule)", lineno)
 
-    return Hrs(tuple(basics), signature, variables, tuple(rules))
+    return Hrs(tuple(basics), signature, variables, tuple(rules.values()))
 
 
 def read_source(path: str | Path) -> str:

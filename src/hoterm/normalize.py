@@ -1,7 +1,7 @@
 """Canonical forms by hereditary substitution.
 
 Preterms are raw lambda trees: they may contain under-applied heads and
-beta-redexes (the parser makes none).  ``normalize`` builds the eta-long
+beta-redexes (pfp's prefixes have none).  ``normalize`` builds the eta-long
 beta-normal Term of a preterm in one pass: it eta-expands an under-applied
 head where it stands, and contracts a redex by substituting the argument
 into the body, hereditarily: an argument that lands in head position is

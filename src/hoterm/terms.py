@@ -10,31 +10,71 @@ equality and terms can be used directly as set members and dict keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Container, Iterable, Union
+
+
+def _stored_hash(self) -> int:
+    """``__hash__`` of the classes below, which compute it once."""
+    return self._hash
+
 
 # ---------------------------------------------------------------------------
 # simple types
 
 
 class SimpleType:
-    """A basic type or a function type built from basic types."""
+    """A basic type or a function type built from basic types.
 
-    __slots__ = ()
+    Types are interned: equal parts give the same object, so equality is
+    identity, and the hash, taken from the parts, is computed once.
+    """
+
+    __slots__ = ("_hash",)
+    __hash__ = _stored_hash
+
+    def __setattr__(self, attr, *value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
+# by name, or by the ids of an Arrow's parts; a system has few types
+_TYPES: dict[object, SimpleType] = {}
+
+
+def _intern(cls: type, key: object, *parts) -> SimpleType:
+    self = object.__new__(cls)
+    for slot, part in zip(cls.__slots__, parts):
+        object.__setattr__(self, slot, part)
+    object.__setattr__(self, "_hash", hash(parts))
+    _TYPES[key] = self
+    return self
+
+
 class Base(SimpleType):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> Base:
+        return _TYPES.get(name) or _intern(cls, name, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow(SimpleType):
-    dom: SimpleType
-    cod: SimpleType
+    __slots__ = ("dom", "cod")
+
+    def __new__(cls, dom: SimpleType, cod: SimpleType) -> Arrow:
+        key = (id(dom), id(cod))
+        return _TYPES.get(key) or _intern(cls, key, dom, cod)
 
     def __str__(self) -> str:
         dom = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
@@ -70,12 +110,20 @@ def result_type(ty: SimpleType) -> Base:
 # atoms: the possible heads of an application
 
 
+def _hash_fields(self) -> None:
+    """``__post_init__`` of the atoms, which store their hash when made:
+    every App hashes its head.  The instance dict holds just the fields."""
+    object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+
 @dataclass(frozen=True)
 class Const:
     """A function symbol from the signature."""
 
     name: str
     ty: SimpleType
+    __post_init__ = _hash_fields
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -84,6 +132,8 @@ class Free:
 
     name: str
     ty: SimpleType
+    __post_init__ = _hash_fields
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -92,6 +142,8 @@ class Bound:
 
     index: int
     ty: SimpleType
+    __post_init__ = _hash_fields
+    __hash__ = _stored_hash
 
 
 Atom = Union[Const, Free, Bound]
@@ -153,8 +205,7 @@ class Abs(Term):
                 and self.param_type == other.param_type
                 and self.body == other.body)
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -193,8 +244,7 @@ class App(Term):
                 and self.head == other.head
                 and self.args == other.args)
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = _stored_hash
 
 
 def atom_name(atom: Atom) -> str:
@@ -287,10 +337,9 @@ def _cache_frees(t: Term) -> None:
     object.__setattr__(t, "_free_names", names)
 
 
-def liberation_name(hint: str, avoid: Iterable[str]) -> str:
+def liberation_name(hint: str, avoid: Container[str]) -> str:
     """Deterministic display name for a binder being opened."""
     name = hint or "x"
-    avoid = set(avoid)
     while name in avoid:
         name += "'"
     return name
@@ -437,31 +486,18 @@ def print_term(t: Term, avoid: Iterable[str] = ()) -> str:
     """Concrete syntax: f(a, b), \\x y. body, bare names for atoms."""
     taboo = set(avoid) | set(free_names(t))
 
-    def binder_name(hint: str, scope: list[str]) -> str:
-        name = hint or "x"
-        while name in taboo or name in scope:
-            name += "'"
-        return name
-
     def go(u: Term, scope: list[str]) -> str:
         if isinstance(u, Abs):
             names: list[str] = []
             while isinstance(u, Abs):
-                name = binder_name(u.hint, scope + names)
+                name = u.hint or "x"
+                while name in taboo or name in scope or name in names:
+                    name += "'"
                 names.append(name)
                 u = u.body
-            body = go_app(u, scope + names)
-            return "\\" + " ".join(names) + ". " + body
-        return go_app(u, scope)
-
-    def go_app(u: Term, scope: list[str]) -> str:
-        if isinstance(u, Abs):
-            return go(u, scope)
+            return "\\" + " ".join(names) + ". " + go(u, scope + names)
         head = u.head
-        if isinstance(head, Bound):
-            name = scope[-1 - head.index]
-        else:
-            name = head.name
+        name = scope[-1 - head.index] if isinstance(head, Bound) else head.name
         if not u.args:
             return name
         return name + "(" + ", ".join(go(a, scope) for a in u.args) + ")"

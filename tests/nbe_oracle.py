@@ -1,20 +1,26 @@
-"""Normalization by evaluation, kept as the oracle for hereditary substitution.
+"""Normalization by evaluation, kept as the oracle for hereditary
+substitution and for the reader.
 
-``hoterm.normalize`` builds canonical forms directly.  This module computes
-them the way the prover once did: evaluate into a semantic domain of
-closures and neutral values, then read the value back as an eta-long
-beta-normal term.  The property tests compare the two on terms, binder
-hints and printed text.
+``hoterm.normalize`` builds canonical forms directly, and so does
+``hoterm.hrs.parse``.  This module computes them the way the prover once
+did: evaluate into a semantic domain of closures and neutral values, then
+read the value back as an eta-long beta-normal term.  ``reference_rules``
+reads a system's rules by the old route: surface syntax, then a preterm,
+then evaluation and read-back, then ``uniquify_hints``.  The property tests
+compare both builders with it on terms, binder hints and printed text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from hoterm.normalize import PApp, PLam, Preterm, preterm_type
-from hoterm.terms import (Abs, App, Arrow, Atom, Bound, Free, SimpleType,
-                          Term, domains, eta_hint, free_vars)
+from hoterm.hrs import parse
+from hoterm.normalize import PApp, PAtom, PLam, Preterm, papp, preterm_type
+from hoterm.terms import (Abs, App, Arrow, Atom, Bound, Const, Free,
+                          SimpleType, Term, domains, eta_hint, free_vars,
+                          liberation_name)
 
 
 @dataclass(frozen=True)
@@ -123,3 +129,103 @@ def hints(t: Term) -> list[str]:
     if isinstance(t, Abs):
         return [t.hint] + hints(t.body)
     return [h for a in t.args for h in hints(a)]
+
+
+# ---------------------------------------------------------------------------
+# the reference elaborator
+
+
+def uniquify_hints(t: Term, avoid: frozenset[str]) -> Term:
+    """Rename binder hints in preorder so they are pairwise distinct and
+    avoid the given names."""
+    used = set(avoid)
+
+    def go(u: Term) -> Term:
+        if isinstance(u, Abs):
+            want = liberation_name(u.hint, used)
+            used.add(want)
+            return Abs(want, u.param_type, go(u.body))
+        return App(u.head, tuple(map(go, u.args)))
+
+    return go(t)
+
+
+_TOKEN = re.compile(r"->|[A-Za-z0-9_][A-Za-z0-9_']*|[\\().,]")
+
+
+def _surface(toks: list[str]):
+    """One surface term off the front of ``toks``: ("lam", names, body) or
+    ("app", head, args).  The input is known to parse."""
+    tok = toks.pop(0)
+    if tok == "\\":
+        names = []
+        while toks[0] != ".":
+            names.append(toks.pop(0))
+        toks.pop(0)
+        return ("lam", names, _surface(toks))
+    if tok == "(":
+        inner = _surface(toks)
+        toks.pop(0)
+        return inner
+    args = []
+    if toks and toks[0] == "(":
+        toks.pop(0)
+        args.append(_surface(toks))
+        while toks.pop(0) == ",":
+            args.append(_surface(toks))
+    return ("app", tok, args)
+
+
+def _preterm(s, expected: SimpleType | None, scope: dict[str, Atom],
+             binders: list[tuple[str, SimpleType]]) -> Preterm:
+    """The surface term as a preterm: binder types from ``expected``,
+    bound variables as indices into ``binders``."""
+    if s[0] == "lam":
+        doms, ty = [], expected
+        for _ in s[1]:
+            doms.append(ty.dom)
+            ty = ty.cod
+        binders.extend(zip(s[1], doms))
+        pre = _preterm(s[2], ty, scope, binders)
+        del binders[-len(doms):]
+        for name, dom in zip(reversed(s[1]), reversed(doms)):
+            pre = PLam(name, dom, pre)
+        return pre
+    _, head, args = s
+    for depth, (name, ty) in enumerate(reversed(binders)):
+        if name == head:
+            atom: Atom = Bound(depth, ty)
+            break
+    else:
+        atom = scope[head]
+    ty = atom.ty
+    pre_args = []
+    for a in args:
+        pre_args.append(_preterm(a, ty.dom, scope, binders))
+        ty = ty.cod
+    return papp(PAtom(atom), *pre_args)
+
+
+def reference_rules(text: str) -> list[tuple[Term, Term]]:
+    """The sides of each rule of a system that ``parse`` accepts, elaborated
+    by evaluation; each rule's hints avoid the names declared above it."""
+    h = parse(text)
+    scope: dict[str, Atom] = {}
+    out = []
+    for raw in text.splitlines():
+        words = raw.split("#", 1)[0].split()
+        if words and words[0] in ("sig", "var"):
+            name = words[1]
+            scope[name] = (Const(name, h.signature[name]) if words[0] == "sig"
+                           else Free(name, h.variables[name]))
+        elif words and words[0] == "rule":
+            toks = _TOKEN.findall(raw.split("#", 1)[0].split(":", 1)[1])
+            lhs_s = _surface(toks)
+            toks.pop(0)
+            rhs_s = _surface(toks)
+            lhs = nbe_normalize(_preterm(lhs_s, None, scope, []))
+            rhs = nbe_normalize(_preterm(rhs_s, lhs.ty, scope, []))
+            avoid = frozenset(scope)
+            out.append((uniquify_hints(lhs, avoid),
+                        uniquify_hints(rhs, avoid)))
+    return out

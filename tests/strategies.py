@@ -12,8 +12,10 @@ import hypothesis.strategies as st
 
 from hoterm.hrs import Hrs, Rule, parse, print_hrs
 from hoterm.normalize import PApp, Preterm
-from hoterm.terms import (App, Arrow, Base, Const, Free, SimpleType, Term,
-                          arrow, domains, free_names, lam, result_type)
+from hoterm.normalize import eta_expand
+from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
+                          SimpleType, Term, arrow, domains, free_names, lam,
+                          result_type)
 
 BASES = (Base("a"), Base("b"))
 
@@ -126,6 +128,59 @@ def systems(draw, bases=BASES) -> Hrs:
     rule_list = [draw(rules(sig, variables, f"r{i}")) for i in range(n_rules)]
     raw = Hrs(tuple(b.name for b in bases), sig, variables, tuple(rule_list))
     return parse(print_hrs(raw))
+
+
+def _loose(t: Term, depth: int = 0) -> set[int]:
+    """Indices of the bound variables that ``t`` uses from outside it."""
+    if isinstance(t, Abs):
+        return _loose(t.body, depth + 1)
+    out = {a for u in t.args for a in _loose(u, depth)}
+    if isinstance(t.head, Bound) and t.head.index >= depth:
+        out.add(t.head.index - depth)
+    return out
+
+
+@st.composite
+def contracted_texts(draw, h: Hrs) -> str:
+    """``print_hrs(h)`` with some eta-expansions written short: where
+    ``\\x1 ... xk. a(t1, ..., tn, x1', ..., xj')`` ends in the eta-long forms
+    of its last j binders and uses them nowhere else, the text may drop
+    them from both ends, down to a bare ``a``.  Reading it back gives the
+    same rules, up to binder hints."""
+    taboo = set(h.signature) | set(h.variables)
+
+    def show(u: Term, scope: list[str]) -> str:
+        names: list[str] = []
+        while isinstance(u, Abs):
+            name = u.hint
+            while name in taboo or name in scope or name in names:
+                name += "'"
+            names.append(name)
+            u = u.body
+        args, k = u.args, len(names)
+        j = 0
+        while (j < min(k, len(args))
+               and args[-1 - j] == eta_expand(Bound(j, args[-1 - j].ty))):
+            j += 1
+        used = {i for a in args[:len(args) - j] for i in _loose(a)}
+        if isinstance(u.head, Bound):
+            used.add(u.head.index)
+        j = draw(st.integers(0, min(used | {j})))
+        inner = scope + names
+        head = (inner[-1 - u.head.index] if isinstance(u.head, Bound)
+                else u.head.name)
+        shown = [show(a, inner) for a in args[:len(args) - j]]
+        text = head + (f"({', '.join(shown)})" if shown else "")
+        if k - j:
+            text = "\\" + " ".join(names[:k - j]) + ". " + text
+        return text
+
+    lines = print_hrs(h).splitlines()
+    rules_at = len(lines) - len(h.rules)
+    for i, r in enumerate(h.rules):
+        lines[rules_at + i] = (f"rule {r.name}: {show(r.lhs, [])} -> "
+                               f"{show(r.rhs, [])}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

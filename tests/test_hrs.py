@@ -202,3 +202,152 @@ class TestLoad:
         h = load(fixtures / "sqsum.hrs")
         for r in h.rules:
             assert free_names(r.rhs) <= free_names(r.lhs)
+
+
+# ---------------------------------------------------------------------------
+# every error the reader raises, with its full message, line and column
+
+HEAD = ("basic a\nsig f : a -> a\nsig c : a\nsig h : (a -> a) -> a\n"
+        "var X : a\nvar F : a -> a\n")       # rules below sit on line 7
+
+
+ERRORS = [
+    # lexer
+    ("basic a $", "unexpected character '$'", 1, 9),
+    ("basic a\nsig f : a $", "unexpected character '$'", 2, 11),
+    # declarations
+    ("basic a ->", "expected a basic type name, found '->'", 1, 9),
+    ("basic a a", "basic type 'a' declared twice", 1, 9),
+    ("basic a\nsig : a", "expected a name, found ':'", 2, 5),
+    ("basic a\nsig f a", "expected ':', found 'a'", 2, 7),
+    ("basic a\nsig f", "unexpected end of line, expected ':'", 2, None),
+    ("basic a\nsig f : a ->", "unexpected end of line in type", 2, None),
+    ("basic a\nsig f : (a -> a", "unexpected end of line, expected ')'",
+     2, None),
+    ("basic a\nsig f : ->", "expected a type name, found '->'", 2, 9),
+    ("basic a\nsig f : b", "unknown basic type 'b'", 2, 9),
+    ("basic a\nsig f : a a", "trailing input 'a'", 2, 11),
+    ("basic a\nsig f : a\nvar f : a", "name 'f' declared twice", 3, 5),
+    ("wibble", "unknown directive 'wibble' (expected basic, sig, var, or "
+     "rule)", 1, None),
+    # rule headers
+    (HEAD + "rule r f(X) -> c",
+     "expected 'rule <name>: <term> -> <term>'", 7, None),
+    (HEAD + "rule r s: f(X) -> c", "invalid rule name 'r s'", 7, None),
+    (HEAD + "rule r: f(X) -> c\nrule r: c -> c", "rule name 'r' used twice",
+     8, None),
+    # rule syntax
+    (HEAD + "rule r: f(X)", "unexpected end of line, expected '->'",
+     7, None),
+    (HEAD + "rule r: f(X) -> f(X", "unexpected end of line, expected ')'",
+     7, None),
+    (HEAD + "rule r: f(X) f(X)", "expected '->', found 'f'", 7, 14),
+    (HEAD + "rule r: f(X) ->", "unexpected end of line in term", 7, None),
+    (HEAD + "rule r: \\", "unexpected end of line", 7, None),
+    (HEAD + "rule r: f(\\.", "expected a binder name, found '.'", 7, 12),
+    (HEAD + "rule r: h(\\x", "unexpected end of line, expected '.'",
+     7, None),
+    (HEAD + "rule r: h(\\x. f(x)) -> )", "expected a term, found ')'",
+     7, 24),
+    (HEAD + "rule r: f(X) -> f($)", "unexpected character '$'", 7, 19),
+    (HEAD + "rule r: f(X) -> f(X) c", "trailing input 'c'", 7, 22),
+    # rule scope and types
+    (HEAD + "rule r: f(X) -> g(X)", "unknown symbol 'g'", 7, 17),
+    (HEAD + "rule r: h(\\c. c) -> c", "binder 'c' shadows a declared name",
+     7, 11),
+    (HEAD + "rule r: \\x. f(x) -> c", "a rule left-hand side must start "
+     "with a function symbol, not an abstraction", 7, 9),
+    (HEAD + "rule r: h(\\x y. x) -> c", "abstraction has more binders than "
+     "the expected type a -> a provides", 7, 11),
+    (HEAD + "rule r: f(X, X) -> c",
+     "'f' is applied to too many arguments (its type is a -> a)", 7, 9),
+    (HEAD + "rule r: f(F) -> c",
+     "term headed by 'F' has type a -> a, expected a", 7, 11),
+    (HEAD + "rule r: f -> f",
+     "rule 'r' is not basic-typed: its sides have type a -> a", 7, None),
+    # whole rules
+    (HEAD + "rule r: F(X) -> X", "left-hand side of rule 'r' must be "
+     "headed by a function symbol, found variable 'F'", 7, None),
+    (HEAD + "var Y : a\nrule r: f(X) -> Y",
+     "right-hand side of rule 'r' has fresh free variable(s) Y", 8, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", ERRORS,
+                         ids=[message for _, message, _, _ in ERRORS])
+def test_error_message_line_and_column(text, message, line, col):
+    with pytest.raises(HrsError) as info:
+        parse(text)
+    err = info.value
+    where = f"line {line}" + ("" if col is None else f", col {col}")
+    assert str(err) == f"{where}: {message}"
+    assert (err.line, err.col) == (line, col)
+
+
+def test_non_pattern_error_message():
+    with pytest.raises(HrsError) as info:
+        parse(HEAD + "rule r: h(\\x. F(c)) -> c", require_patterns=True)
+    assert str(info.value) == (
+        "line 7: left-hand side of rule 'r' is not a pattern: some variable "
+        "is applied to non-variable arguments")
+
+
+def test_undecodable_file_is_reported(tmp_path):
+    path = tmp_path / "bad.hrs"
+    path.write_bytes(b"basic a\n\xff\n")
+    with pytest.raises(HrsError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not UTF-8 text: byte 8 cannot be " \
+                              "decoded"
+    assert (info.value.line, info.value.col) == (None, None)
+
+
+@pytest.mark.parametrize("text, message, col", [
+    # an unknown symbol before an unclosed argument list
+    (HEAD + "rule r: g(X) -> f(X", "unexpected end of line, expected ')'",
+     None),
+    # an ill-typed left-hand side before trailing input
+    (HEAD + "rule r: f(F) -> c c", "trailing input 'c'", 19),
+    # an abstraction on the left before a bad binder on the right
+    (HEAD + "rule r: \\x. f(x) -> h(\\)", "expected a binder name, "
+     "found ')'", 24),
+])
+def test_syntax_error_is_reported_before_type_error(text, message, col):
+    with pytest.raises(HrsError) as info:
+        parse(text)
+    where = "line 7" + ("" if col is None else f", col {col}")
+    assert str(info.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("indent", ["", "   "])
+@pytest.mark.parametrize("body, message, col", [
+    ("f(X) -> f($)", "unexpected character '$'", 19),
+    ("f(X) -> g(X)", "unknown symbol 'g'", 17),
+    ("f(X) -> f(X) c", "trailing input 'c'", 22),
+])
+def test_rule_line_columns_count_from_line_start(indent, body, message, col):
+    with pytest.raises(HrsError) as info:
+        parse(HEAD + indent + "rule r: " + body)
+    assert info.value.col == col + len(indent)
+    assert str(info.value) == f"line 7, col {col + len(indent)}: {message}"
+
+
+def test_rule_sees_only_the_names_declared_above_it():
+    text = ("basic a\nsig h : (a -> a) -> a\nsig c : a\nvar G : a -> a\n"
+            "rule r: h(G) -> c\n"          # G eta-expands under hint x
+            "sig x : a\n"
+            "rule s: h(G) -> x\n")         # now x is taken: x'
+    r, s = parse(text).rules
+    assert r.lhs.args[0].hint == "x"
+    assert s.lhs.args[0].hint == "x'"
+    with pytest.raises(HrsError) as info:
+        parse("basic a\nsig f : a -> a\nrule r: f(X) -> f(X)\nvar X : a\n")
+    assert str(info.value) == "line 3, col 11: unknown symbol 'X'"
+
+
+@settings(max_examples=100)
+@given(S.systems().flatmap(
+    lambda h: S.contracted_texts(h).map(lambda text: (h, text))))
+def test_eta_short_text_reads_as_the_long_one(case):
+    h, text = case
+    assert parse(text).rules == h.rules

@@ -1,18 +1,16 @@
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-import hoterm.hrs
 import strategies as S
 from hoterm.hrs import parse, print_hrs
 from hoterm.normalize import (PApp, PAtom, PLam, apply_subst, eta_expand,
                               normalize, papp, preterm_type)
 from hoterm.terms import (App, Base, Bound, Const, Free, TermTypeError, arrow,
                           lam, print_term)
-from nbe_oracle import hints, nbe_normalize
+from nbe_oracle import hints, nbe_normalize, reference_rules
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -164,14 +162,14 @@ def test_hand_picked_preterms_agree_with_evaluation(p):
 
 
 def assert_parse_agrees_with_evaluation(text):
-    """``parse`` equals elaboration by evaluation then ``uniquify_hints``."""
-    got = parse(text)
-    with patch.object(hoterm.hrs, "normalize", nbe_normalize):
-        want = parse(text)
-    assert len(got.rules) == len(want.rules)
-    for r, s in zip(got.rules, want.rules):
-        assert_same_build(r.lhs, s.lhs)
-        assert_same_build(r.rhs, s.rhs)
+    """``parse`` equals the reference elaborator: preterms, evaluation and
+    read-back, then ``uniquify_hints``."""
+    got = parse(text).rules
+    want = reference_rules(text)
+    assert len(got) == len(want)
+    for r, (lhs, rhs) in zip(got, want):
+        assert_same_build(r.lhs, lhs)
+        assert_same_build(r.rhs, rhs)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.hrs")),
@@ -184,3 +182,33 @@ def test_parse_of_fixture_agrees_with_evaluation(path):
 @given(S.systems())
 def test_parse_of_generated_system_agrees_with_evaluation(h):
     assert_parse_agrees_with_evaluation(print_hrs(h))
+
+
+@settings(max_examples=100)
+@given(S.systems().flatmap(S.contracted_texts))
+def test_parse_of_eta_short_system_agrees_with_evaluation(text):
+    assert_parse_agrees_with_evaluation(text)
+
+
+SHORT = ("basic a\nsig c : a\nsig pair : a -> a -> a\n"
+         "sig twice : (a -> a) -> a -> a\nsig h : (a -> a) -> a\n"
+         "sig k : ((a -> a) -> a -> a) -> a\nvar F : (a -> a) -> a -> a\n")
+
+
+@pytest.mark.parametrize("rule", [
+    # a partly applied head, at the root and under a binder
+    "rule r: h(pair(c)) -> twice(pair(c), c)",
+    "rule r: h(\\z. twice(pair(z), z)) -> h(\\z. twice(pair(z), c))",
+    # its argument holds binders, whose hints come after the eta binder's
+    "rule r: h(twice(\\w. pair(w, c))) -> c",
+    # bare variables, bound and free, of higher type
+    "rule r: k(F) -> k(\\g. F(g))",
+    "rule r: k(\\g. twice(g)) -> k(\\g. twice(\\z. g(z)))",
+    # a surface hint taken before an eta binder's
+    "rule r: k(\\y. twice(y)) -> k(\\g y'. g(y'))",
+])
+@pytest.mark.parametrize("declared", ["", "sig x : a\nsig x' : a\n"])
+def test_parse_of_eta_short_rule_agrees_with_evaluation(declared, rule):
+    """Each eta binder is hinted by its depth, x first, and every hint
+    avoids the names declared above its rule."""
+    assert_parse_agrees_with_evaluation(SHORT + declared + rule + "\n")

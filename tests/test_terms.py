@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -30,6 +34,50 @@ class TestTypes:
     def test_printing_parenthesizes_domains_only(self):
         assert str(BIN) == "nat -> nat -> nat"
         assert str(Arrow(Arrow(NAT, NAT), NAT)) == "(nat -> nat) -> nat"
+
+
+class TestInterning:
+    def test_equal_parts_give_the_same_type(self):
+        assert Base("nat") is NAT
+        assert Arrow(NAT, LIST) is Arrow(Base("nat"), Base("natlist"))
+        assert arrow(NAT, NAT, NAT) is BIN
+        assert Arrow(NAT, LIST) is not Arrow(LIST, NAT)
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copies_are_the_interned_type(self, copy_of):
+        for ty in (NAT, BIN, Arrow(BIN, LIST)):
+            assert copy_of(ty) is ty
+
+    def test_hash_comes_from_the_parts(self):
+        assert hash(NAT) == hash(("nat",))
+        assert hash(Arrow(NAT, LIST)) == hash((NAT, LIST))
+
+    def test_repr_is_unchanged(self):
+        # TermTypeError messages embed it
+        assert repr(Arrow(NAT, LIST)) == \
+            "Arrow(dom=Base(name='nat'), cod=Base(name='natlist'))"
+
+    def test_types_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            NAT.name = "int"
+        with pytest.raises(FrozenInstanceError):
+            del BIN.dom
+
+    def test_atoms_hash_once_and_compare_by_value(self):
+        f, g = Const("f", BIN), Const("f", arrow(NAT, NAT, NAT))
+        assert f == g and hash(f) == hash(g) == hash(("f", BIN))
+        assert Free("f", BIN) != f
+        assert hash(Bound(1, NAT)) == hash((1, NAT))
+
+    def test_ill_typed_argument_is_still_rejected(self):
+        s = Const("s", arrow(NAT, NAT))
+        nil = App(Const("nil", LIST), ())
+        with pytest.raises(TermTypeError) as info:
+            App(s, (nil,))
+        assert str(info.value) == (
+            "argument 1 of s has the wrong type in nil (expected nat, got "
+            "natlist)")
 
 
 class TestConstruction:
