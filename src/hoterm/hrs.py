@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -70,8 +71,9 @@ class Hrs:
     constructors: frozenset[str] = field(init=False)
 
     def __post_init__(self):
-        self.defined = frozenset(top(r.lhs).name for r in self.rules)
-        self.constructors = frozenset(self.signature) - self.defined
+        defined = frozenset(top(r.lhs).name for r in self.rules)
+        self.defined = defined
+        self.constructors = frozenset(self.signature) - defined
 
     @cached_property
     def rules_by_head(self) -> dict[Atom, tuple[Rule, ...]]:
@@ -94,11 +96,11 @@ class Hrs:
 # reader
 
 _RULE_NAME_RE = re.compile(r"[A-Za-z0-9_'-]+")
-# a name, '->' or a punctuation mark; any other character is an error
+# a name, '->' or a punctuation mark; any other character is an error,
+# which the one group leaves empty
 _TOKEN_RE = re.compile(
-    r"\s*(?:(->|[A-Za-z0-9_][A-Za-z0-9_']*|[\\().,:])|(\S))")
+    r"\s*(?:(->|[A-Za-z0-9_][A-Za-z0-9_']*|[\\().,:])|\S)")
 _PUNCT = frozenset(("->", "\\", "(", ")", ".", ",", ":"))
-_END = ("", 0)      # after the last token of a line
 
 
 class _Reader:
@@ -111,47 +113,66 @@ class _Reader:
 
     def __init__(self, text: str, lineno: int, offset: int = 0,
                  scope: dict[str, Atom] | None = None):
-        self.toks = []          # (text, column), then _END
-        for m in _TOKEN_RE.finditer(text):
-            if m.group(1) is None:
-                raise HrsError(f"unexpected character {m.group(2)!r}",
-                               lineno, offset + m.start(2) + 1)
-            self.toks.append((m.group(1), offset + m.start(1) + 1))
-        self.toks.append(_END)
+        self.text, self.offset, self.lineno = text, offset, lineno
+        self.toks = _TOKEN_RE.findall(text)
+        if "" in self.toks:
+            col = self.col(self.toks.index(""))
+            raise HrsError(f"unexpected character {text[col - 1 - offset]!r}",
+                           lineno, col)
+        # the position of each "(" -> the terms it holds: one more than
+        # its top-level commas, so a head's arguments are counted unread
+        self.width: dict[int, int] = {}
+        opened = []
+        for i, tok in enumerate(self.toks):
+            if tok == "(":
+                opened.append(i)
+                self.width[i] = 1
+            elif tok == ")" and opened:
+                opened.pop()
+            elif tok == "," and opened:
+                self.width[opened[-1]] += 1
+        self.toks.append("")    # the end of the line
         self.pos = 0
-        self.lineno = lineno
         self.scope = scope
         # a \x. binder in scope: its type, as a Bound, and its level
         self.bound: dict[str, tuple[Bound, int]] = {}
         self.taken: frozenset[str] = frozenset()
 
+    def col(self, i: int) -> int:
+        """The column where token ``i`` starts, found again by scanning the
+        line: only an error message needs it."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), i, None))
+        return self.offset + m.end() - len(m.group().lstrip()) + 1
+
+    def error(self, message: str, i: int) -> HrsError:
+        return HrsError(message, self.lineno, self.col(i))
+
     def expect(self, text: str) -> None:
-        tok, col = self.toks[self.pos]
+        tok = self.toks[self.pos]
         if tok != text:
             if not tok:
                 raise HrsError(f"unexpected end of line, expected {text!r}",
                                self.lineno)
-            raise HrsError(f"expected {text!r}, found {tok!r}",
-                           self.lineno, col)
+            raise self.error(f"expected {text!r}, found {tok!r}", self.pos)
         self.pos += 1
 
-    def name(self, what: str) -> tuple[str, int]:
+    def name(self, what: str) -> str:
         tok = self.toks[self.pos]
-        if tok[0] in _PUNCT:
-            raise HrsError(f"expected {what}, found {tok[0]!r}",
-                           self.lineno, tok[1])
-        if tok is _END:
+        if tok in _PUNCT:
+            raise self.error(f"expected {what}, found {tok!r}", self.pos)
+        if not tok:
             raise HrsError("unexpected end of line", self.lineno)
         self.pos += 1
         return tok
 
     def done(self) -> None:
-        tok, col = self.toks[self.pos]
+        tok = self.toks[self.pos]
         if tok:
-            raise HrsError(f"trailing input {tok!r}", self.lineno, col)
+            raise self.error(f"trailing input {tok!r}", self.pos)
 
     def type(self, basics: dict[str, None]) -> SimpleType:
-        tok, col = self.toks[self.pos]
+        at = self.pos
+        tok = self.toks[at]
         if tok == "(":
             self.pos += 1
             left = self.type(basics)
@@ -161,9 +182,9 @@ class _Reader:
         else:
             self.name("a type name")
             if tok not in basics:
-                raise HrsError(f"unknown basic type {tok!r}", self.lineno, col)
+                raise self.error(f"unknown basic type {tok!r}", at)
             left = Base(tok)
-        if self.toks[self.pos][0] == "->":
+        if self.toks[self.pos] == "->":
             self.pos += 1
             return Arrow(left, self.type(basics))
         return left
@@ -212,9 +233,10 @@ class _Reader:
     def term(self, expected: SimpleType | None, depth: int) -> Term:
         """The term at the cursor, of type ``expected`` (inferred when
         None), under ``depth`` binders."""
-        tok, col = self.toks[self.pos]
+        at = self.pos
+        tok = self.toks[at]
         if tok == "\\":
-            return self.abstraction(expected, depth, col)
+            return self.abstraction(expected, depth, at)
         if tok == "(":
             self.pos += 1
             t = self.term(expected, depth)
@@ -225,33 +247,36 @@ class _Reader:
         self.name("a term")
         atom, level = self.bound.get(tok) or (self.scope.get(tok), None)
         if atom is None:
-            raise HrsError(f"unknown symbol {tok!r}", self.lineno, col)
-        rest, args = atom.ty, []
-        if self.toks[self.pos][0] == "(":
-            start, taken = self.pos, self.taken
-            rest, args = self.arguments(tok, col, atom.ty, depth)
+            raise self.error(f"unknown symbol {tok!r}", at)
+        n = self.width[self.pos] if self.toks[self.pos] == "(" else 0
+        missing = domains(atom.ty)[n:]
+        if missing:     # under-applied: its arguments go beneath eta binders
+            t = self.spine(atom, level, missing, depth,
+                           (tok, at) if n else None)
+            rest = t.ty
+        elif n:
+            rest, args = self.arguments(tok, at, atom.ty, depth)
+        else:
+            rest, args = atom.ty, []
         if expected is not None and rest is not expected:
-            raise HrsError(f"term headed by {tok!r} has type {rest}, "
-                           f"expected {expected}", self.lineno, col)
-        if isinstance(rest, Base):
-            if level is not None:
-                atom = Bound(depth - 1 - level, atom.ty)
-            return App(atom, tuple(args))
-        if args:        # read them again beneath the eta binders
-            self.pos, self.taken = start, taken
-        return self.spine(atom, level, domains(rest), depth,
-                          (tok, col) if args else None)
+            raise self.error(f"term headed by {tok!r} has type {rest}, "
+                             f"expected {expected}", at)
+        if missing:
+            return t
+        if level is not None:
+            atom = Bound(depth - 1 - level, atom.ty)
+        return App(atom, tuple(args))
 
-    def arguments(self, head: str, col: int, ty: SimpleType, depth: int
+    def arguments(self, head: str, at: int, ty: SimpleType, depth: int
                   ) -> tuple[SimpleType, list[Term]]:
-        """``(t1, ..., tn)`` passed to ``head`` of type ``ty``: the type
-        left and the terms."""
+        """``(t1, ..., tn)`` passed to ``head``, the token at ``at``, of
+        type ``ty``: the type left and the terms."""
         args, rest = [], ty
-        while not args or self.toks[self.pos][0] == ",":
+        while not args or self.toks[self.pos] == ",":
             self.pos += 1       # past the "(" or ","
             if not isinstance(rest, Arrow):
-                raise HrsError(f"{head!r} is applied to too many arguments "
-                               f"(its type is {ty})", self.lineno, col)
+                raise self.error(f"{head!r} is applied to too many "
+                                 f"arguments (its type is {ty})", at)
             args.append(self.term(rest.dom, depth))
             rest = rest.cod
         self.expect(")")
@@ -277,23 +302,22 @@ class _Reader:
         return t
 
     def abstraction(self, expected: SimpleType | None, depth: int,
-                    col: int) -> Term:
+                    at: int) -> Term:
         names = self.binder_names()
         if expected is None:
-            raise HrsError("a rule left-hand side must start with a function "
-                           "symbol, not an abstraction", self.lineno, col)
+            raise self.error("a rule left-hand side must start with a "
+                             "function symbol, not an abstraction", at)
         doms, ty = [], expected
         for _ in names:
             if not isinstance(ty, Arrow):
-                raise HrsError(f"abstraction has more binders than the "
-                               f"expected type {expected} provides",
-                               self.lineno, col)
+                raise self.error(f"abstraction has more binders than the "
+                                 f"expected type {expected} provides", at)
             doms.append(ty.dom)
             ty = ty.cod
         for k, name in enumerate(names):
             if name in self.scope or name in self.bound:
-                raise HrsError(f"binder {name!r} shadows a declared name",
-                               self.lineno, col)
+                raise self.error(f"binder {name!r} shadows a declared name",
+                                 at)
             self.bound[name] = (Bound(0, doms[k]), depth + k)
         hints = [self.hint(name) for name in names]
         body = self.term(ty, depth + len(names))
@@ -305,15 +329,15 @@ class _Reader:
 
     def binder_names(self) -> list[str]:
         self.pos += 1
-        names = [self.name("a binder name")[0]]
-        while self.toks[self.pos][0] not in ("", "."):
-            names.append(self.name("a binder name")[0])
+        names = [self.name("a binder name")]
+        while self.toks[self.pos] not in ("", "."):
+            names.append(self.name("a binder name"))
         self.expect(".")
         return names
 
     def skip_term(self) -> None:
         """Read the term at the cursor for its syntax alone."""
-        tok = self.toks[self.pos][0]
+        tok = self.toks[self.pos]
         if tok == "\\":
             self.binder_names()
             self.skip_term()
@@ -326,7 +350,7 @@ class _Reader:
         else:
             self.name("a term")
             sep = "("           # then "," between the arguments
-            while self.toks[self.pos][0] == sep:
+            while self.toks[self.pos] == sep:
                 self.pos, sep = self.pos + 1, ","
                 self.skip_term()
             if sep == ",":
@@ -381,19 +405,20 @@ def parse(text: str, require_patterns: bool = False) -> Hrs:
             cur = _Reader(line, lineno)
             cur.expect(keyword)
         if keyword == "basic":
-            while cur.toks[cur.pos][0]:
-                name, col = cur.name("a basic type name")
+            while cur.toks[cur.pos]:
+                name = cur.name("a basic type name")
                 if name in basics:
-                    raise HrsError(f"basic type {name!r} declared twice",
-                                   lineno, col)
+                    raise cur.error(f"basic type {name!r} declared twice",
+                                    cur.pos - 1)
                 basics[name] = None
         elif keyword in ("sig", "var"):
-            name, col = cur.name("a name")
+            name = cur.name("a name")
             cur.expect(":")
             ty = cur.type(basics)
             cur.done()
             if name in scope:
-                raise HrsError(f"name {name!r} declared twice", lineno, col)
+                # the name is token 1, after the keyword
+                raise cur.error(f"name {name!r} declared twice", 1)
             table, kind = ((signature, Const) if keyword == "sig"
                            else (variables, Free))
             table[name] = ty

@@ -11,13 +11,7 @@ equality and terms can be used directly as set members and dict keys.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Container, Iterable, Union
-
-
-def _stored_hash(self) -> int:
-    """``__hash__`` of the classes below, which compute it once."""
-    return self._hash
-
+from typing import Iterable, Union
 
 # ---------------------------------------------------------------------------
 # simple types
@@ -31,7 +25,9 @@ class SimpleType:
     """
 
     __slots__ = ("_hash",)
-    __hash__ = _stored_hash
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __setattr__(self, attr, *value):
         raise FrozenInstanceError(f"cannot assign to field {attr!r}")
@@ -110,20 +106,12 @@ def result_type(ty: SimpleType) -> Base:
 # atoms: the possible heads of an application
 
 
-def _hash_fields(self) -> None:
-    """``__post_init__`` of the atoms, which store their hash when made:
-    every App hashes its head.  The instance dict holds just the fields."""
-    object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
-
-
 @dataclass(frozen=True)
 class Const:
     """A function symbol from the signature."""
 
     name: str
     ty: SimpleType
-    __post_init__ = _hash_fields
-    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -132,8 +120,6 @@ class Free:
 
     name: str
     ty: SimpleType
-    __post_init__ = _hash_fields
-    __hash__ = _stored_hash
 
 
 @dataclass(frozen=True)
@@ -142,8 +128,6 @@ class Bound:
 
     index: int
     ty: SimpleType
-    __post_init__ = _hash_fields
-    __hash__ = _stored_hash
 
 
 Atom = Union[Const, Free, Bound]
@@ -205,7 +189,8 @@ class Abs(Term):
                 and self.param_type == other.param_type
                 and self.body == other.body)
 
-    __hash__ = _stored_hash
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -244,7 +229,8 @@ class App(Term):
                 and self.head == other.head
                 and self.args == other.args)
 
-    __hash__ = _stored_hash
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def atom_name(atom: Atom) -> str:
@@ -337,9 +323,10 @@ def _cache_frees(t: Term) -> None:
     object.__setattr__(t, "_free_names", names)
 
 
-def liberation_name(hint: str, avoid: Container[str]) -> str:
+def liberation_name(hint: str, avoid: Iterable[str]) -> str:
     """Deterministic display name for a binder being opened."""
     name = hint or "x"
+    avoid = set(avoid)
     while name in avoid:
         name += "'"
     return name
@@ -486,18 +473,31 @@ def print_term(t: Term, avoid: Iterable[str] = ()) -> str:
     """Concrete syntax: f(a, b), \\x y. body, bare names for atoms."""
     taboo = set(avoid) | set(free_names(t))
 
+    def binder_name(hint: str, scope: list[str]) -> str:
+        name = hint or "x"
+        while name in taboo or name in scope:
+            name += "'"
+        return name
+
     def go(u: Term, scope: list[str]) -> str:
         if isinstance(u, Abs):
             names: list[str] = []
             while isinstance(u, Abs):
-                name = u.hint or "x"
-                while name in taboo or name in scope or name in names:
-                    name += "'"
+                name = binder_name(u.hint, scope + names)
                 names.append(name)
                 u = u.body
-            return "\\" + " ".join(names) + ". " + go(u, scope + names)
+            body = go_app(u, scope + names)
+            return "\\" + " ".join(names) + ". " + body
+        return go_app(u, scope)
+
+    def go_app(u: Term, scope: list[str]) -> str:
+        if isinstance(u, Abs):
+            return go(u, scope)
         head = u.head
-        name = scope[-1 - head.index] if isinstance(head, Bound) else head.name
+        if isinstance(head, Bound):
+            name = scope[-1 - head.index]
+        else:
+            name = head.name
         if not u.args:
             return name
         return name + "(" + ", ".join(go(a, scope) for a in u.args) + ")"

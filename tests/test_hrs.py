@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as S
-from hoterm.hrs import Hrs, HrsError, Rule, load, parse, print_hrs
+from hoterm.hrs import (Hrs, HrsError, Rule, _Reader, load, parse,
+                        print_hrs)
 from hoterm.terms import Abs, App, Arrow, Base, arrow, free_names, top
 
 NAT = Base("nat")
@@ -351,3 +352,35 @@ def test_rule_sees_only_the_names_declared_above_it():
 def test_eta_short_text_reads_as_the_long_one(case):
     h, text = case
     assert parse(text).rules == h.rules
+
+
+def test_nested_under_applied_heads_are_read_once(monkeypatch):
+    # each twice(...) but the outer one is under-applied and eta-expanded;
+    # reading its arguments again beneath the eta binders would read the
+    # innermost argument list 2^30 times
+    body = "s"
+    for _ in range(30):
+        body = f"twice({body})"
+    text = ("basic a\nsig twice : (a -> a) -> a -> a\nsig s : a -> a\n"
+            f"sig h : a -> a\nvar X : a\nrule r: h(X) -> twice({body}, X)\n")
+    reads = 0
+    arguments = _Reader.arguments
+
+    def counted(self, *rest):
+        nonlocal reads
+        reads += 1
+        if reads > 100:
+            raise RuntimeError("an argument list was read again")
+        return arguments(self, *rest)
+
+    monkeypatch.setattr(_Reader, "arguments", counted)
+    rhs = parse(text).rules[0].rhs
+    assert reads == text.splitlines()[-1].count("(")
+    hints = []
+    for _ in range(30):
+        fn = rhs.args[0]
+        assert isinstance(fn, Abs)
+        hints.append(fn.hint)
+        rhs = fn.body
+    assert isinstance(rhs.args[0], Abs)
+    assert len(set(hints)) == 30

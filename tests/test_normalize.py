@@ -206,6 +206,8 @@ SHORT = ("basic a\nsig c : a\nsig pair : a -> a -> a\n"
     "rule r: k(\\g. twice(g)) -> k(\\g. twice(\\z. g(z)))",
     # a surface hint taken before an eta binder's
     "rule r: k(\\y. twice(y)) -> k(\\g y'. g(y'))",
+    # under-applied heads nested in each other's arguments
+    "rule r: h(twice(twice(twice(pair(c))))) -> c",
 ])
 @pytest.mark.parametrize("declared", ["", "sig x : a\nsig x' : a\n"])
 def test_parse_of_eta_short_rule_agrees_with_evaluation(declared, rule):

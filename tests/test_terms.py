@@ -1,11 +1,15 @@
 import copy
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import hoterm
 import strategies as S
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
@@ -64,11 +68,28 @@ class TestInterning:
         with pytest.raises(FrozenInstanceError):
             del BIN.dom
 
-    def test_atoms_hash_once_and_compare_by_value(self):
+    def test_atoms_hash_and_compare_by_value(self):
         f, g = Const("f", BIN), Const("f", arrow(NAT, NAT, NAT))
         assert f == g and hash(f) == hash(g) == hash(("f", BIN))
         assert Free("f", BIN) != f
         assert hash(Bound(1, NAT)) == hash((1, NAT))
+
+    def test_atoms_pickled_under_another_hash_seed_are_found(self):
+        made = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys\n"
+             "from hoterm.terms import Base, Arrow, Bound, Const, Free\n"
+             "nat = Base('nat')\n"
+             "atoms = (Const('f', Arrow(nat, nat)), Free('X', nat), "
+             "Bound(1, nat))\n"
+             "sys.stdout.buffer.write(pickle.dumps(atoms))"],
+            capture_output=True, check=True,
+            env={"PYTHONHASHSEED": "1", "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": str(Path(hoterm.__file__).parents[1])})
+        here = (Const("f", Arrow(NAT, NAT)), Free("X", NAT), Bound(1, NAT))
+        for loaded, atom in zip(pickle.loads(made.stdout), here):
+            assert loaded == atom and hash(loaded) == hash(atom)
+            assert loaded in {atom}
 
     def test_ill_typed_argument_is_still_rejected(self):
         s = Const("s", arrow(NAT, NAT))
