@@ -86,6 +86,12 @@ class Hrs:
         return {head: tuple(rs) for head, rs in index.items()}
 
     @cached_property
+    def subterm_steps(self) -> dict[Term, tuple | bool]:
+        """``rewriting``'s memo: a subterm met -> (the subterm, its
+        one-step rewrites), or only whether it has one."""
+        return {}
+
+    @cached_property
     def safe_sets(self) -> tuple[SafeSet, ...]:
         """``pfp.safe_subterms`` of each rule, in rule order."""
         from .pfp import safe_subterms  # pfp builds on this module

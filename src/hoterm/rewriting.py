@@ -8,17 +8,19 @@ so a rewrite step is identified by (rule, position, result).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .hrs import Hrs
 from .normalize import apply_subst, eta_expand
 from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
                     SimpleType, Term, close_over, domains, eta_hint,
-                    free_names, free_vars, open_abs, open_with, replace_at,
+                    free_names, free_vars, liberation_name, open_with,
                     result_type)
 
 
@@ -111,32 +113,102 @@ class RewriteStep:
 def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
     """All one-step rewrites of ``t``, ordered by rule name then position.
 
-    A rule is tried only at subterms headed by its left-hand side's head.
+    The rewrites of each subterm are found once and kept in
+    ``h.subterm_steps``, so a subterm shared by many terms is matched once.
+    A subterm's entries are (rule, position in it, rewritten subterm), in
+    walk order: its own contracta, for the rules indexed under its head,
+    then each argument's entries rebuilt under the head, or, under a
+    binder, the body's entries closed again over the name it was opened
+    with.  That name only has to be fresh, so the results do not depend on
+    where the subterm stands.  Equality ignores binder hints and the
+    results carry them, so an entry is reused only for a subterm with the
+    same hints as the one it was made for.
     """
+    _check_patterns(h)
+    hits = sorted(_rewrites(h.subterm_steps, h.rules_by_head, t),
+                  key=itemgetter(0, 1))
+    return tuple(RewriteStep(rule, pos, res) for rule, pos, res in hits)
+
+
+def reducible(h: Hrs, t: Term) -> bool:
+    """Whether ``t`` has a one-step rewrite, i.e. ``bool(rewrite_step(h, t))``.
+
+    Arguments are tried before the root, and the test stops at the first
+    redex; no contractum is built.  Answers are kept in ``h.subterm_steps``
+    beside the rewrites.
+    """
+    _check_patterns(h)
+    return _reducible(h.subterm_steps, h.rules_by_head, t)
+
+
+def _check_patterns(h: Hrs) -> None:
     for rule in h.rules:
         if not rule.is_pattern:
             raise NonPatternError(
                 f"rule {rule.name!r}: matching is undecidable for "
                 "non-pattern left-hand sides")
-    by_head = h.rules_by_head
-    hits: list[tuple[str, Position, Term]] = []
 
-    def walk(u: Term, pos: Position, avoid: set[str]):
-        if isinstance(u, Abs):
-            name, body = open_abs(u, avoid)
-            walk(body, pos + (1,), avoid | {name})
-            return
+
+# subterms kept in a system's table at most; a full table is emptied
+TABLE_BOUND = 100_000
+
+
+def _remember(table: dict, u: Term, value: tuple | bool) -> None:
+    if len(table) >= TABLE_BOUND:
+        table.clear()
+    table[u] = value
+
+
+def _rewrites(table: dict, by_head: dict, u: Term
+              ) -> tuple[tuple[str, Position, Term], ...]:
+    known = table.get(u)
+    if type(known) is tuple and _same_hints(known[0], u):
+        return known[1]
+    out = []
+    if isinstance(u, Abs):
+        name = liberation_name(u.hint, free_names(u))
+        for rule, pos, res in _rewrites(table, by_head,
+                                        open_with(u.body, name)):
+            out.append((rule, (1,) + pos,
+                        Abs(u.hint, u.param_type, close_over(res, name))))
+    else:
         for rule in by_head.get(u.head, ()):
             theta = match(rule.lhs, u)
             if theta is not None:
-                hits.append((rule.name, pos, apply_subst(rule.rhs, theta)))
-        for i, a in enumerate(u.args, start=1):
-            walk(a, pos + (i,), avoid)
+                out.append((rule.name, (), apply_subst(rule.rhs, theta)))
+        args = u.args
+        for i, a in enumerate(args):
+            for rule, pos, res in _rewrites(table, by_head, a):
+                out.append((rule, (i + 1,) + pos,
+                            App(u.head, args[:i] + (res,) + args[i + 1:])))
+    hits = tuple(out)
+    _remember(table, u, (u, hits))
+    return hits
 
-    walk(t, (), set(free_names(t)))
-    hits.sort(key=lambda hit: (hit[0], hit[1]))
-    return tuple(RewriteStep(rule, pos, replace_at(t, pos, res))
-                 for rule, pos, res in hits)
+
+def _same_hints(a: Term, b: Term) -> bool:
+    """Whether the equal terms ``a`` and ``b`` have the same binder hints,
+    which equality ignores but the rewrites of a term carry."""
+    if a is b:
+        return True
+    if isinstance(a, Abs):
+        return a.hint == b.hint and _same_hints(a.body, b.body)
+    return all(map(_same_hints, a.args, b.args))
+
+
+def _reducible(table: dict, by_head: dict, u: Term) -> bool:
+    known = table.get(u)
+    if known is not None:
+        return known if type(known) is bool else bool(known[1])
+    if isinstance(u, Abs):
+        name = liberation_name(u.hint, free_names(u))
+        found = _reducible(table, by_head, open_with(u.body, name))
+    else:
+        found = (any(_reducible(table, by_head, a) for a in u.args)
+                 or any(match(rule.lhs, u) is not None
+                        for rule in by_head.get(u.head, ())))
+    _remember(table, u, found)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +255,10 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
     DepthExhausted when a budget cut the search short.
 
     ``steps`` caches ``rewrite_step`` by term; pass one table to several
-    searches of the same system to share it.
+    searches of the same system to share it.  A term on the frontier, at
+    distance ``max_steps``, is never expanded, so unless ``steps`` already
+    holds it, it is only tested with ``reducible``: that tells a normal
+    form from a cut-off without building its rewrites.
     """
     if steps is None:
         steps = {}
@@ -195,14 +270,17 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
     truncated = False
     while queue:
         current = queue.popleft()
+        d = depth[current]
         out = steps.get(current)
         if out is None:
-            out = steps[current] = rewrite_step(h, current)
+            if d >= max_steps:
+                out = reducible(h, current)
+            else:
+                out = steps[current] = rewrite_step(h, current)
         if not out:
             if first_nf is None:
                 first_nf = current
             continue
-        d = depth[current]
         if d >= max_steps:
             truncated = True
             continue
@@ -298,43 +376,59 @@ def reachable(h: Hrs, source: Term, target: Term, max_steps: int) -> bool:
 def enumerate_closed_terms(h: Hrs, ty: SimpleType,
                            max_size: int) -> Iterator[Term]:
     """Closed eta-long terms of the given type over the signature, smallest
-    first; used to instantiate rule variables when hunting for loops."""
-    sig = sorted(h.signature.items())
+    first; used to instantiate rule variables when hunting for loops.
+
+    Terms of one size come in generation order: heads in order, then
+    arguments in this order, the first first.  Each term is built once,
+    in the list of its exact size, beside its key: the rank of its head
+    and its arguments' keys, which sort as generation order does.
+    """
+    consts = [Const(name, sty) for name, sty in sorted(h.signature.items())]
+
+    @cache
+    def exact(want: SimpleType, size: int, env: tuple[SimpleType, ...]
+              ) -> list[tuple[tuple, Term]]:
+        """Every closed term of ``want`` under binders of types ``env``
+        with ``size`` nodes, with its key, in generation order."""
+        if size <= 0:
+            return []
+        if isinstance(want, Arrow):
+            return [(key, Abs(eta_hint(len(env)), want.dom, body))
+                    for key, body in exact(want.cod, size - 1,
+                                           env + (want.dom,))]
+        heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
+        return [((rank,) + keys, App(head, args))
+                for rank, head in enumerate(heads + consts)
+                if result_type(head.ty) == want
+                for keys, args in arg_lists(domains(head.ty), size - 1, env)]
 
     @cache
     def upto(want: SimpleType, budget: int, env: tuple[SimpleType, ...]
-             ) -> list[tuple[Term, int]]:
-        """Every closed term of ``want`` under binders of types ``env``
-        with at most ``budget`` nodes, with its size, in generation order:
-        heads in order, then arguments in this order, the first first."""
-        if budget <= 0:
-            return []
-        if isinstance(want, Arrow):
-            return [(Abs(eta_hint(len(env)), want.dom, body), n + 1)
-                    for body, n in upto(want.cod, budget - 1,
-                                        env + (want.dom,))]
-        heads: list = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
-        heads.extend(Const(name, sty) for name, sty in sig)
-        return [(App(head, args), n + 1) for head in heads
-                if result_type(head.ty) == want
-                for args, n in arg_lists(domains(head.ty), budget - 1, env)]
+             ) -> list[tuple[tuple, int, Term]]:
+        """The terms of every size up to ``budget``, with key and size,
+        merged into generation order."""
+        return list(heapq.merge(*([(key, n, term) for key, term
+                                   in exact(want, n, env)]
+                                  for n in range(1, budget + 1))))
 
     @cache
-    def arg_lists(doms: tuple[SimpleType, ...], budget: int,
+    def arg_lists(doms: tuple[SimpleType, ...], size: int,
                   env: tuple[SimpleType, ...]
-                  ) -> list[tuple[tuple[Term, ...], int]]:
+                  ) -> list[tuple[tuple, tuple[Term, ...]]]:
+        """Argument tuples of ``size`` nodes in all, with their keys."""
         if not doms:
-            return [((), 0)]
-        return [((first,) + rest, n + m)
-                for first, n in upto(doms[0], budget - (len(doms) - 1), env)
-                for rest, m in arg_lists(doms[1:], budget - n, env)]
+            return [((), ())] if size == 0 else []
+        if len(doms) == 1:      # the last argument takes the size left
+            return [((key,), (term,))
+                    for key, term in exact(doms[0], size, env)]
+        return [((key,) + keys, (first,) + rest)
+                for key, n, first in upto(doms[0], size - (len(doms) - 1),
+                                          env)
+                for keys, rest in arg_lists(doms[1:], size - n, env)]
 
-    # a larger budget lists a superset in the same relative order, so
-    # taking each size in turn is a stable sort by size
     for size in range(1, max_size + 1):
-        for term, n in upto(ty, size, ()):
-            if n == size:
-                yield term
+        for _, term in exact(ty, size, ()):
+            yield term
 
 
 def loop_seeds(h: Hrs, max_term_size: int = 4,
@@ -366,7 +460,8 @@ def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,
     """Search for a looping reduction from small instances of the rules.
 
     The seeds share one table of rewrite steps, emptied between seeds once
-    it holds more than ``max_nodes`` terms.
+    it holds more than ``max_nodes`` terms; the system's table of subterm
+    rewrites is emptied with it.
     """
     steps: dict[Term, tuple[RewriteStep, ...]] = {}
     for seed in loop_seeds(h, max_term_size, cap):
@@ -375,4 +470,5 @@ def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,
             return outcome
         if len(steps) > max_nodes:
             steps.clear()
+            h.subterm_steps.clear()
     return None

@@ -10,7 +10,7 @@ equality and terms can be used directly as set members and dict keys.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import Iterable, Union
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,10 @@ class Term:
 
     def __repr__(self) -> str:
         return print_term(self)
+
+    def __reduce__(self):
+        # rebuilt, a copy hashes as this process does, not as the pickler's
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -279,6 +279,36 @@ class TestFindLoop:
         assert replays(h, found)
         assert len(calls) <= 136    # the path search expands 2^15 nodes
 
+    @pytest.mark.parametrize("name", ["ackermann", "arith", "nested",
+                                      "sqsum", "loop-chain"])
+    def test_subterm_table_stays_within_its_bound(self, name, monkeypatch):
+        def system():
+            if name == "loop-chain":
+                return loop_chain(6)
+            return load(FIXTURES / f"{name}.hrs")
+
+        class Watched(dict):
+            peak = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.peak = max(self.peak, len(self))
+
+        class NeverEmptied(Watched):
+            def clear(self):
+                pass
+
+        monkeypatch.setattr(R, "TABLE_BOUND", 10)
+        bounded, whole = system(), system()
+        bounded.subterm_steps = Watched()
+        whole.subterm_steps = NeverEmptied()
+        # max_nodes=30 also makes find_loop empty its tables between seeds
+        got = find_loop(bounded, max_steps=6, max_nodes=30, cap=40)
+        assert bounded.subterm_steps.peak <= 10
+        assert got == find_loop(whole, max_steps=6, max_nodes=30, cap=40)
+        assert whole.subterm_steps.peak > 10
+        assert isinstance(got, LoopFound) == (name == "loop-chain")
+
     @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
     def test_seeds_are_those_of_the_sorted_enumeration(self, name,
                                                        monkeypatch):

@@ -1,17 +1,22 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import strategies as S
+from nbe_oracle import hints
+from walk_oracle import walk_rewrite_step
+import hoterm.rewriting as R
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
-                              NormalForm, bounded_search, find_loop, match,
-                              reachable, rewrite_step)
-from hoterm.terms import (App, Base, Const, Free, arrow, free_names, lam,
-                          subterm_at)
+                              NormalForm, bounded_search, find_loop,
+                              loop_seeds, match, reachable, reducible,
+                              rewrite_step)
+from hoterm.terms import (Abs, App, Base, Const, Free, arrow, free_names, lam,
+                          print_term, subterm_at)
 
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 NAT = Base("nat")
 NATLIST = Base("natlist")
 ZERO = App(Const("0", NAT), ())
@@ -71,6 +76,17 @@ class TestMatch:
                       (lam("x", Base("a"), c),))
         with pytest.raises(NonPatternError, match="non-pattern"):
             rewrite_step(h, subject)
+        with pytest.raises(NonPatternError, match="non-pattern"):
+            reducible(h, subject)
+
+    def test_non_pattern_rule_raises_on_the_frontier(self):
+        # with max_steps=0 the seed is only tested for a redex
+        src = ("basic a\nsig f : (a -> a) -> a\nsig c : a\n"
+               "var F : a -> a\nrule r: f(\\x. F(c)) -> c\n")
+        h = parse(src)
+        c = App(Const("c", Base("a")), ())
+        with pytest.raises(NonPatternError, match="non-pattern"):
+            bounded_search(h, c, max_steps=0)
 
 
 class TestRewriteStep:
@@ -191,3 +207,105 @@ class TestSubstitutionClosure:
             source = apply_subst(term, theta)
             target = apply_subst(step.result, theta)
             assert reachable(h, source, target, max_steps=20)
+
+
+# ---------------------------------------------------------------------------
+# the memoised steps against the walk over whole terms
+
+
+def near(h, seeds, steps=2, cap=60):
+    """The seeds and the terms they reach in a few steps, at most ``cap``."""
+    out, layer = list(dict.fromkeys(seeds)), list(dict.fromkeys(seeds))
+    for _ in range(steps):
+        layer = [st.result for t in layer for st in walk_rewrite_step(h, t)]
+        out.extend(u for u in dict.fromkeys(layer) if u not in out)
+    return out[:cap]
+
+
+def assert_same_steps(h, terms):
+    """Each term's steps, with binder hints and printed text, equal the
+    walk's; ``reducible`` is asked first, from an empty table, and its
+    answers are then left in the table that ``rewrite_step`` fills."""
+    for t in terms:
+        want = walk_rewrite_step(h, t)
+        h.subterm_steps.clear()
+        assert reducible(h, t) == bool(want)
+        for got in (rewrite_step(h, t), rewrite_step(h, t)):
+            assert got == want
+            assert [hints(st.result) for st in got] == \
+                [hints(st.result) for st in want]
+            assert [print_term(st.result) for st in got] == \
+                [print_term(st.result) for st in want]
+    # once more over a table shared by all the terms
+    h.subterm_steps.clear()
+    for t in terms:
+        assert reducible(h, t) == bool(walk_rewrite_step(h, t))
+        assert rewrite_step(h, t) == walk_rewrite_step(h, t)
+
+
+PATTERN_FIXTURES = [p.stem for p in sorted(FIXTURES.glob("*.hrs"))
+                    if all(r.is_pattern for r in load(p).rules)]
+
+
+class TestMemoisedSteps:
+    def test_binder_fixtures_are_covered(self):
+        assert {"foo", "mapfun", "foldl"} <= set(PATTERN_FIXTURES)
+
+    @pytest.mark.parametrize("name", PATTERN_FIXTURES)
+    def test_fixture_seeds_and_sides(self, name):
+        # foldl and mapfun have no closed seeds: no constant of type nat
+        h = load(FIXTURES / f"{name}.hrs")
+        sides = [side for r in h.rules for side in (r.lhs, r.rhs)]
+        terms = near(h, [*loop_seeds(h, max_term_size=4, cap=30), *sides])
+        assert_same_steps(h, terms)
+
+    def test_binder_hint_taken_by_a_free_variable(self):
+        # the walk opens \x. with a name fresh for the whole term, the
+        # table with one fresh for the abstraction; both give x' here
+        h = load(FIXTURES / "foo.hrs")
+        o = Base("o")
+        foo = lambda t: App(Const("foo", h.signature["foo"]), (t,))
+        # \x. body, binding nothing in body
+        bar = lambda body: App(Const("bar", h.signature["bar"]),
+                               (Abs("x", o, body),))
+        inner = foo(bar(var("x", o)))
+        terms = near(h, [bar(foo(inner)), foo(bar(inner)), bar(inner)])
+        assert any("x'" in print_term(t) for t in terms)
+        assert_same_steps(h, terms)
+
+    def test_equal_subterms_keep_their_own_binder_hints(self):
+        # \x. g(c) and \y. g(c) are equal terms, one table key
+        h = parse("basic a b\nsig c : b\nsig d : a\nsig g : b -> a\n"
+                  "sig f : (a -> a) -> (a -> a) -> b\nrule r: g(c) -> d\n")
+        a = Base("a")
+        gc = App(Const("g", h.signature["g"]),
+                 (App(Const("c", h.signature["c"]), ()),))
+        t = App(Const("f", h.signature["f"]), (Abs("x", a, gc),
+                                               Abs("y", a, gc)))
+        got = rewrite_step(h, t)
+        assert [print_term(st.result) for st in got] == \
+            ["f(\\x. d, \\y. g(c))", "f(\\x. g(c), \\y. d)"]
+        assert_same_steps(h, [t])
+
+    @settings(max_examples=150, deadline=None)
+    @given(S.systems())
+    def test_generated_systems(self, h):
+        assume(all(r.is_pattern for r in h.rules))
+        assert_same_steps(h, near(h, loop_seeds(h, max_term_size=3, cap=8),
+                                  steps=1, cap=30))
+
+    def test_a_shared_subterm_is_matched_once(self, monkeypatch):
+        calls = []
+        real = R.match
+
+        def counting(pattern, subject, pattern_vars=None):
+            calls.append(subject)
+            return real(pattern, subject, pattern_vars)
+
+        monkeypatch.setattr(R, "match", counting)
+        h = load(FIXTURES / "arith.hrs")
+        inner = add(suc(ZERO), ZERO)
+        rewrite_step(h, add(inner, inner))
+        rewrite_step(h, suc(add(inner, ZERO)))
+        # once for each rule indexed under its head
+        assert calls.count(inner) == len(h.rules_by_head[inner.head]) == 2

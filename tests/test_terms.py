@@ -91,6 +91,31 @@ class TestInterning:
             assert loaded == atom and hash(loaded) == hash(atom)
             assert loaded in {atom}
 
+    def test_terms_pickled_under_another_hash_seed_are_found(self):
+        # each side builds g(\\x. f(x)) under its own hash seed
+        build = ("from hoterm.terms import Abs, App, Arrow, Base, Bound, "
+                 "Const\n"
+                 "nat = Base('nat')\n"
+                 "f = Const('f', Arrow(nat, nat))\n"
+                 "g = Const('g', Arrow(Arrow(nat, nat), nat))\n"
+                 "t = App(g, (Abs('x', nat, App(f, (App(Bound(0, nat)),)))"
+                 ",))\n")
+
+        def run(seed, code, stdin=b""):
+            return subprocess.run(
+                [sys.executable, "-c", "import pickle, sys\n" + build + code],
+                input=stdin, capture_output=True, check=True,
+                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": str(Path(hoterm.__file__).parents[1])}
+            ).stdout
+
+        made = run("1", "sys.stdout.buffer.write(pickle.dumps(t))")
+        found = run("2", "u = pickle.loads(sys.stdin.buffer.read())\n"
+                         "print(u == t, u in {t}, u.args[0] in {t.args[0]}, "
+                         "hash(u) == hash(t))",
+                    stdin=made)
+        assert found.split() == [b"True"] * 4
+
     def test_ill_typed_argument_is_still_rejected(self):
         s = Const("s", arrow(NAT, NAT))
         nil = App(Const("nil", LIST), ())

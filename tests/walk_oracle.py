@@ -1,0 +1,45 @@
+"""One-step rewriting by a walk over the whole term, kept as the oracle for
+the memoised ``rewrite_step`` and for ``reducible``.
+
+``hoterm.rewriting`` finds the rewrites of each distinct subterm once and
+keeps them in the system's table.  This module finds them the way the
+prover once did: walk the term, opening each binder with a name fresh for
+the whole term and the binders above, try the rules indexed under the head
+at every subterm, and put each contractum back in place with
+``replace_at``.
+"""
+
+from __future__ import annotations
+
+from hoterm.hrs import Hrs
+from hoterm.normalize import apply_subst
+from hoterm.rewriting import NonPatternError, RewriteStep, match
+from hoterm.terms import Abs, Position, Term, free_names, open_abs, replace_at
+
+
+def walk_rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
+    """All one-step rewrites of ``t``, ordered by rule name then position."""
+    for rule in h.rules:
+        if not rule.is_pattern:
+            raise NonPatternError(
+                f"rule {rule.name!r}: matching is undecidable for "
+                "non-pattern left-hand sides")
+    by_head = h.rules_by_head
+    hits: list[tuple[str, Position, Term]] = []
+
+    def walk(u: Term, pos: Position, avoid: set[str]):
+        if isinstance(u, Abs):
+            name, body = open_abs(u, avoid)
+            walk(body, pos + (1,), avoid | {name})
+            return
+        for rule in by_head.get(u.head, ()):
+            theta = match(rule.lhs, u)
+            if theta is not None:
+                hits.append((rule.name, pos, apply_subst(rule.rhs, theta)))
+        for i, a in enumerate(u.args, start=1):
+            walk(a, pos + (i,), avoid)
+
+    walk(t, (), set(free_names(t)))
+    hits.sort(key=lambda hit: (hit[0], hit[1]))
+    return tuple(RewriteStep(rule, pos, replace_at(t, pos, res))
+                 for rule, pos, res in hits)
