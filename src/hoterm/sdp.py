@@ -1,10 +1,11 @@
 """Extraction of static dependency pairs.
 
 A candidate of a right-hand side is any argument subterm with the enclosing
-binder prefix carried along.  A candidate headed by a defined symbol whose
-applied prefixes all stay outside the safe set of the left-hand side yields a
-pair: the marked left-hand side rewrites to the marked candidate body, with
-the stripped binders turning into extra free variables.
+binder prefix carried along, built nameless: the argument wrapped in that
+prefix.  A candidate headed by a defined symbol whose applied prefixes all
+stay outside the safe set of the left-hand side yields a pair: the marked
+left-hand side rewrites to the marked candidate body, with the stripped
+binders, opened only for a pair, turning into extra free variables.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 from .hrs import Hrs, Rule
 from .normalize import apply_subst, eta_expand
-from .terms import (Abs, App, Const, Free, Term, free_names, free_vars, lam,
-                    print_term, strip_binders)
+from .terms import (Abs, App, Const, Free, Term, args, binder_names,
+                    free_names, free_vars, print_term, under_binders)
 
 MARK = "#"
 
@@ -45,20 +46,21 @@ class DependencyPair:
 
 def candidates(t: Term) -> tuple[Term, ...]:
     """All argument subterms of ``t`` with the binder prefix carried down,
-    in traversal order and without duplicates."""
+    in traversal order and without duplicates.  The binders keep the names
+    ``strip_binders`` opens them with (``binder_names``) as hints."""
     out: list[Term] = []
     seen: set[Term] = set()
 
     def walk(u: Term):
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-        binders, body = strip_binders(u)
-        for arg in body.args:
-            wrapped = arg
+        if u in seen:
+            return
+        seen.add(u)
+        out.append(u)
+        binders = binder_names(u)
+        for arg in under_binders(u).args:
             for name, ty in reversed(binders):
-                wrapped = lam(name, ty, wrapped)
-            walk(wrapped)
+                arg = Abs(name, ty, arg)
+            walk(arg)
 
     walk(t)
     return tuple(out)
@@ -81,13 +83,13 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
         lhs_names = free_names(rule.lhs)
         lhs_marked = mark(rule.lhs)
         for cand in candidates(rule.rhs):
-            binders, body = strip_binders(cand)
+            body = under_binders(cand)
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
                 continue
-            if safe.has_prefix(head, body.args):
+            if safe.has_prefix(body):
                 continue
-            rhs_marked = App(Const(head.name + MARK, head.ty), body.args)
+            rhs_marked = App(Const(head.name + MARK, head.ty), args(cand))
             extras = _occurring_extras(rhs_marked, lhs_names)
             key = (lhs_marked, _canonical_extras(rhs_marked, extras))
             if key in keys:

@@ -160,6 +160,7 @@ class Term:
     __slots__ = ()
     _free_vars: "frozenset[Free] | None" = None     # set on first use
     _free_names: "frozenset[str] | None" = None
+    _reach: "int | None" = None
 
     @property
     def ty(self) -> SimpleType:
@@ -327,6 +328,20 @@ def _cache_frees(t: Term) -> None:
     object.__setattr__(t, "_free_names", names)
 
 
+def reach(t: Term) -> int:
+    """How many binders above ``t`` its bound variables reach: 0 when it
+    refers to none of them.  Kept in the node after the first call."""
+    if t._reach is None:
+        if isinstance(t, Abs):
+            n = max(reach(t.body) - 1, 0)
+        else:
+            n = t.head.index + 1 if isinstance(t.head, Bound) else 0
+            for a in t.args:
+                n = max(n, reach(a))
+        object.__setattr__(t, "_reach", n)
+    return t._reach
+
+
 def liberation_name(hint: str, avoid: Iterable[str]) -> str:
     """Deterministic display name for a binder being opened."""
     name = hint or "x"
@@ -342,32 +357,44 @@ def open_abs(t: Abs, avoid: set[str]) -> tuple[str, Term]:
     return name, open_with(t.body, name)
 
 
-def strip_binders(t: Term, avoid: Iterable[str] | None = None
-                  ) -> tuple[tuple[tuple[str, SimpleType], ...], App]:
-    """Open the whole binder prefix; returns the binders and the body."""
-    names = set(avoid) if avoid is not None else set(free_names(t))
+def binder_names(t: Term) -> tuple[tuple[str, SimpleType], ...]:
+    """The names, with their types, that open the binder prefix of ``t``:
+    each avoids the free names of ``t`` and the names before it."""
+    if isinstance(t, App):
+        return ()
+    avoid = set(free_names(t))
     binders: list[tuple[str, SimpleType]] = []
     while isinstance(t, Abs):
-        name, body = open_abs(t, names)
-        names.add(name)
+        name = liberation_name(t.hint, avoid)
+        avoid.add(name)
         binders.append((name, t.param_type))
-        t = body
-    assert isinstance(t, App)
-    return tuple(binders), t
+        t = t.body
+    return tuple(binders)
+
+
+def strip_binders(t: Term) -> tuple[tuple[tuple[str, SimpleType], ...], App]:
+    """Open the whole binder prefix; returns the binders and the body."""
+    binders = binder_names(t)
+    for name, _ in binders:
+        t = open_with(t.body, name)
+    return binders, t
 
 
 def top(t: Term) -> Atom:
     """The head symbol or variable under the binder prefix."""
-    if isinstance(t, App):
-        return t.head
-    _, body = strip_binders(t)
-    return body.head
+    return strip_binders(t)[1].head
 
 
 def args(t: Term) -> tuple[Term, ...]:
     """Arguments of the head, with any binder prefix opened."""
-    _, body = strip_binders(t)
-    return body.args
+    return strip_binders(t)[1].args
+
+
+def under_binders(t: Term) -> App:
+    """The application under the binder prefix, left nameless."""
+    while isinstance(t, Abs):
+        t = t.body
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -420,33 +447,6 @@ def subterm_at(t: Term, p: Position) -> Term:
                                     f"node has {len(cur.args)} arguments")
             cur = cur.args[i - 1]
     return cur
-
-
-def replace_at(t: Term, p: Position, new: Term) -> Term:
-    """Replace the subterm at ``p``, re-binding variables freed on the way down."""
-
-    def go(cur: Term, rest: Position, avoid: set[str]) -> Term:
-        if not rest:
-            if new.ty != cur.ty:
-                raise TermTypeError("replacement changes the type at the position",
-                                    subject=new, expected=cur.ty, actual=new.ty)
-            return new
-        i = rest[0]
-        if isinstance(cur, Abs):
-            if i != 1:
-                raise PositionError(p, i, "binder has only position 1")
-            name, body = open_abs(cur, avoid)
-            body = go(body, rest[1:], avoid | {name})
-            return Abs(cur.hint, cur.param_type, close_over(body, name))
-        if not 1 <= i <= len(cur.args):
-            raise PositionError(p, i,
-                                f"index {i} out of range: node has "
-                                f"{len(cur.args)} arguments")
-        new_args = list(cur.args)
-        new_args[i - 1] = go(cur.args[i - 1], rest[1:], avoid)
-        return App(cur.head, tuple(new_args))
-
-    return go(t, p, set(free_names(t)))
 
 
 def subterms(t: Term) -> tuple[Term, ...]:

@@ -335,3 +335,18 @@ class TestEntryPoint:
         assert witnesses == {
             "reduction pair: path order with precedence "
             "a > b > c > d > e > s"}
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["run_systems.py", "pi_depth_sweep.py"])
+    def test_script_reports_every_fixture(self, script):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), str(FIXDIR)],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
+        assert proc.returncode == 0, proc.stderr
+        stems = sorted(p.stem for p in FIXDIR.glob("*.hrs"))
+        assert len(stems) == 9
+        rows = [line.split()[0] for line in proc.stdout.splitlines()
+                if line.split() and line.split()[0] in stems]
+        assert rows == stems

@@ -6,7 +6,7 @@ keeps them in the system's table.  This module finds them the way the
 prover once did: walk the term, opening each binder with a name fresh for
 the whole term and the binders above, try the rules indexed under the head
 at every subterm, and put each contractum back in place with
-``replace_at``.
+``replace_at``, which the prover no longer needs and so is kept here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,35 @@ from __future__ import annotations
 from hoterm.hrs import Hrs
 from hoterm.normalize import apply_subst
 from hoterm.rewriting import NonPatternError, RewriteStep, match
-from hoterm.terms import Abs, Position, Term, free_names, open_abs, replace_at
+from hoterm.terms import (Abs, App, Position, PositionError, Term,
+                          TermTypeError, close_over, free_names, open_abs)
+
+
+def replace_at(t: Term, p: Position, new: Term) -> Term:
+    """Replace the subterm at ``p``, re-binding variables freed on the way down."""
+
+    def go(cur: Term, rest: Position, avoid: set[str]) -> Term:
+        if not rest:
+            if new.ty != cur.ty:
+                raise TermTypeError("replacement changes the type at the position",
+                                    subject=new, expected=cur.ty, actual=new.ty)
+            return new
+        i = rest[0]
+        if isinstance(cur, Abs):
+            if i != 1:
+                raise PositionError(p, i, "binder has only position 1")
+            name, body = open_abs(cur, avoid)
+            body = go(body, rest[1:], avoid | {name})
+            return Abs(cur.hint, cur.param_type, close_over(body, name))
+        if not 1 <= i <= len(cur.args):
+            raise PositionError(p, i,
+                                f"index {i} out of range: node has "
+                                f"{len(cur.args)} arguments")
+        new_args = list(cur.args)
+        new_args[i - 1] = go(cur.args[i - 1], rest[1:], avoid)
+        return App(cur.head, tuple(new_args))
+
+    return go(t, p, set(free_names(t)))
 
 
 def walk_rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
