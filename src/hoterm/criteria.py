@@ -2,8 +2,13 @@
 
 Two techniques are provided.  The subterm criterion projects every marked
 symbol to one argument position sequence and asks the projections to shrink
-under the subterm order.  The reduction-pair route orients all rules weakly
-and the component's pairs weakly or strictly with a lexicographic path order.
+under the subterm order.  It is decided on the nameless terms: binders a
+projection crosses are fresh variables, distinct between the two sides of a
+pair.  The reduction-pair route orients all rules weakly and the component's
+pairs weakly or strictly with a lexicographic path order.  When the
+call-graph guess at a precedence fails, what the path order must do is
+compiled once into and/or constraints over atoms ``f > g``, and the
+precedence search drops every prefix those constraints rule out.
 Components survive a successful step only through their non-strict pairs; the
 refinement loop recomputes components of the remainder and recurses.
 """
@@ -17,9 +22,9 @@ from typing import Callable, Iterable, Iterator
 from .graph import RecursionComponent, build_graph, recursion_components
 from .hrs import Hrs, Rule
 from .sdp import DependencyPair, unmark_name
-from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
-                    format_position, free_names, positions, print_term,
-                    subterm_at, subterms, top)
+from .terms import (Abs, Base, Const, Free, Position, Term, format_position,
+                    free_names, print_term, reach, subterm_at, top,
+                    under_binders)
 
 # ---------------------------------------------------------------------------
 # subterm criterion
@@ -58,9 +63,37 @@ class CriterionFailure:
     reason: str
 
 
-def _proper_prefixes(p: Position) -> Iterable[Position]:
-    for k in range(len(p)):
-        yield p[:k]
+def _descend(t: Term, p: Position) -> tuple[Term, list] | None:
+    """The nameless subterm of ``t`` at ``p`` and the heads, under their
+    binder prefixes, of the nodes strictly above it; None when ``p`` is not
+    valid in ``t``."""
+    heads = []
+    for i in p:
+        if isinstance(t, Abs):
+            if i != 1:
+                return None
+            heads.append(under_binders(t).head)
+            t = t.body
+        else:
+            if not 1 <= i <= len(t.args):
+                return None
+            heads.append(t.head)
+            t = t.args[i - 1]
+    return t, heads
+
+
+def _occurs_below(s: Term, t: Term) -> bool:
+    """``s`` is a proper subterm of ``t``, binders left nameless."""
+    stack = [t.body] if isinstance(t, Abs) else list(t.args)
+    while stack:
+        u = stack.pop()
+        if u == s:
+            return True
+        if isinstance(u, Abs):
+            stack.append(u.body)
+        else:
+            stack.extend(u.args)
+    return False
 
 
 def project_pair(pair: DependencyPair, p: Position, q: Position,
@@ -72,43 +105,46 @@ def project_pair(pair: DependencyPair, p: Position, q: Position,
     right side as a subterm, no free variable of the left side heads a
     subterm strictly above its projection, and below the right side's root
     neither a free variable nor a defined symbol heads a subterm strictly
-    above its projection.
+    above its projection.  Binders a projection crosses become fresh
+    variables, distinct between the two sides, so the test runs on the
+    nameless terms: a projected right side that reaches a binder it crossed
+    is a subterm of nothing.  Terms are opened only to print a failure.
     """
     u, v = pair.lhs, pair.rhs
-    try:
-        left = subterm_at(u, p)
-    except PositionError:
+    at_p, at_q = _descend(u, p), _descend(v, q)
+    if at_p is None:
         return CriterionFailure(
             pair, f"position {format_position(p)} is not valid in "
                   f"{print_term(u)}")
-    try:
-        right = subterm_at(v, q)
-    except PositionError:
+    if at_q is None:
         return CriterionFailure(
             pair, f"position {format_position(q)} is not valid in "
                   f"{print_term(v)}")
-    fv_u = free_names(u)
-    for pp in _proper_prefixes(p):
-        if top(subterm_at(u, pp)).name in fv_u:
+    (left, left_heads), (right, right_heads) = at_p, at_q
+    for k, head in enumerate(left_heads):
+        if isinstance(head, Free):
             return CriterionFailure(
                 pair, f"a free variable heads {print_term(u)} at "
-                      f"position {format_position(pp)}, above the "
+                      f"position {format_position(p[:k])}, above the "
                       "projection")
-    for qq in _proper_prefixes(q):
-        if qq == ():
-            continue
-        head = top(subterm_at(v, qq))
-        if isinstance(head, Free) and head.name in free_names(v) \
+    for k, head in enumerate(right_heads[1:], start=1):
+        if isinstance(head, Free) \
                 or isinstance(head, Const) and head.name in defined:
             return CriterionFailure(
                 pair, f"{head.name} heads {print_term(v)} at position "
-                      f"{format_position(qq)}, above the projection")
+                      f"{format_position(q[:k])}, above the projection")
+    if reach(right) > 0:
+        return CriterionFailure(
+            pair, f"{print_term(subterm_at(v, q))} refers to a binder above "
+                  f"position {format_position(q)}")
     if left == right:
         return False
-    if right in subterms(left):
+    if _occurs_below(right, left):
         return True
+    apart = free_names(v)       # print the left side's binders apart
     return CriterionFailure(
-        pair, f"{print_term(right)} is not a subterm of {print_term(left)}")
+        pair, f"{print_term(subterm_at(v, q))} is not a subterm of "
+              f"{print_term(subterm_at(u, p, apart), apart)}")
 
 
 def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
@@ -136,18 +172,33 @@ def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
     return CriterionVerdict(tuple(strict), tuple(weak), pi)
 
 
+def _positions_within(t: Term, depth: int) -> list[Position]:
+    """The positions of ``t`` below its root, at most ``depth`` long,
+    shortest first and lexicographic within a length."""
+    found: list[Position] = []
+    level: list[tuple[Position, Term]] = [((), t)]
+    for _ in range(depth):
+        level = [(here + (i,), child) for here, u in level
+                 for i, child in enumerate(
+                     (u.body,) if isinstance(u, Abs) else u.args, start=1)]
+        found += [here for here, _ in level]
+    return found
+
+
 def _candidate_positions(component: RecursionComponent, max_depth: int
                          ) -> dict[str, list[Position]]:
     """For each marked symbol, the positions valid in every side it heads,
     shortest first."""
-    shared: dict[str, set[Position]] = {}
+    shared: dict[str, list[Position]] = {}
     for pair in component.pairs:
         for side in (pair.lhs, pair.rhs):
-            here = {p for p in positions(side) if p and len(p) <= max_depth}
-            name = top(side).name
-            shared[name] = shared[name] & here if name in shared else here
-    return {name: sorted(pool, key=lambda p: (len(p), p))
-            for name, pool in shared.items()}
+            here = _positions_within(side, max_depth)
+            name = side.head.name
+            if name in shared:
+                valid = set(here)
+                here = [p for p in shared[name] if p in valid]
+            shared[name] = here
+    return shared
 
 
 def _depth_first(size: int, options: Callable[[list], Iterable],
@@ -187,7 +238,8 @@ def search_pi(component: RecursionComponent, max_depth: int = 3,
     Symbols are assigned in sorted order.  Once both symbols of a pair are
     assigned, a pair that fails ``project_pair`` rules out every completion,
     so that branch is dropped; the answer is the one full enumeration would
-    give first.
+    give first.  Each (pair, p, q) is projected once, and the verdict is
+    built from those answers.
     """
     candidates = _candidate_positions(component, max_depth)
     symbols = sorted(candidates)
@@ -195,31 +247,35 @@ def search_pi(component: RecursionComponent, max_depth: int = 3,
     if not symbols or any(not pool for pool in pools):
         return None
     index = {s: i for i, s in enumerate(symbols)}
+    where = [(n, pair, index[pair.lhs.head.name], index[pair.rhs.head.name])
+             for n, pair in enumerate(component.pairs)]
     # the pairs whose second symbol is assigned at each depth
     completed: list[list[tuple[int, DependencyPair, int, int]]] = \
         [[] for _ in symbols]
-    for n, pair in enumerate(component.pairs):
-        i, j = index[top(pair.lhs).name], index[top(pair.rhs).name]
+    for n, pair, i, j in where:
         completed[max(i, j)].append((n, pair, i, j))
-    passes: dict[tuple[int, Position, Position], bool] = {}
+    # project_pair's answer for each (pair, p, q) asked so far
+    results: dict[tuple[int, Position, Position],
+                  bool | CriterionFailure] = {}
 
     def viable(prefix: list) -> bool:
         for n, pair, i, j in completed[len(prefix) - 1]:
             key = (n, prefix[i], prefix[j])
-            if key not in passes:
-                passes[key] = not isinstance(
-                    project_pair(pair, prefix[i], prefix[j], defined),
-                    CriterionFailure)
-            if not passes[key]:
+            if key not in results:
+                results[key] = project_pair(pair, prefix[i], prefix[j],
+                                            defined)
+            if isinstance(results[key], CriterionFailure):
                 return False
         return True
 
     for choice in _depth_first(len(symbols),
                                lambda prefix: pools[len(prefix)], viable):
-        pi = PiAssignment(dict(zip(symbols, choice)))
-        verdict = check_subterm_criterion(component, pi, defined)
-        if isinstance(verdict, CriterionVerdict):
-            return verdict
+        shrinks = [results[n, choice[i], choice[j]] for n, _, i, j in where]
+        if any(shrinks):
+            return CriterionVerdict(
+                tuple(p for p, s in zip(component.pairs, shrinks) if s),
+                tuple(p for p, s in zip(component.pairs, shrinks) if not s),
+                PiAssignment(dict(zip(symbols, choice))))
     return None
 
 
@@ -248,26 +304,16 @@ def _comparable(s: Term, t: Term) -> bool:
     return _first_order(s) and _first_order(t) and s.ty == t.ty
 
 
-def _any3(values: Iterable[bool | None]) -> bool | None:
-    """Kleene disjunction, evaluated left to right: None stands for unknown."""
-    result: bool | None = False
-    for v in values:
-        if v:
-            return True
-        if v is None:
-            result = None
-    return result
-
-
-def _all3(values: Iterable[bool | None]) -> bool | None:
-    """Kleene conjunction, evaluated left to right: None stands for unknown."""
-    result: bool | None = True
-    for v in values:
-        if v is False:
-            return False
-        if v is None:
-            result = None
-    return result
+def _equiv(s: Term, t: Term) -> bool:
+    """Equal up to the marks on symbols: the path order's equivalence, which
+    no precedence changes, as it ranks distinct names apart."""
+    sh, th = s.head, t.head
+    if isinstance(sh, Free) or isinstance(th, Free):
+        return s == t
+    assert isinstance(sh, Const) and isinstance(th, Const)
+    return (unmark_name(sh.name) == unmark_name(th.name)
+            and len(s.args) == len(t.args)
+            and all(_equiv(a, b) for a, b in zip(s.args, t.args)))
 
 
 class LexPathOrder:
@@ -277,10 +323,6 @@ class LexPathOrder:
     answered only on binder-free terms whose variables have basic types;
     anything else is unknown.  Symbols missing from the precedence rank below
     all listed ones, ordered by name.
-
-    ``_greater`` is three-valued (None is unknown, combined in Kleene logic)
-    so that a subclass may leave some symbol comparisons open; with a full
-    precedence, as here, it always answers True or False.
     """
 
     def __init__(self, precedence: tuple[str, ...]):
@@ -291,7 +333,7 @@ class LexPathOrder:
     def describe(self) -> str:
         return "path order with precedence " + " > ".join(self.precedence)
 
-    def _cmp_symbols(self, f: str, g: str) -> int | None:
+    def _cmp_symbols(self, f: str, g: str) -> int:
         f, g = unmark_name(f), unmark_name(g)
         rf, rg = self._rank.get(f, 0), self._rank.get(g, 0)
         if rf != rg:
@@ -300,79 +342,190 @@ class LexPathOrder:
             return 1 if f > g else -1
         return 0
 
-    def _equiv(self, s: Term, t: Term) -> bool:
-        sh, th = s.head, t.head
-        if isinstance(sh, Free) or isinstance(th, Free):
-            return s == t
-        assert isinstance(sh, Const) and isinstance(th, Const)
-        return (self._cmp_symbols(sh.name, th.name) == 0
-                and len(s.args) == len(t.args)
-                and all(self._equiv(a, b) for a, b in zip(s.args, t.args)))
-
-    def _greater(self, s: Term, t: Term) -> bool | None:
+    def _greater(self, s: Term, t: Term) -> bool:
         th = t.head
         if isinstance(th, Free):
             return s != t and th.name in free_names(s)
         if isinstance(s.head, Free):
             return False
-        above = _any3(self._equiv(a, t) or self._greater(a, t)
-                      for a in s.args)
-        if above:
+        if any(_equiv(a, t) or self._greater(a, t) for a in s.args):
             return True
         by_head = self._cmp_symbols(s.head.name, th.name)
         if by_head == 0:
-            first: bool | None = False
+            first = False
             for a, b in zip(s.args, t.args):
-                if not self._equiv(a, b):
+                if not _equiv(a, b):
                     first = self._greater(a, b)
                     break
         else:
-            first = None if by_head is None else by_head > 0
-        if first is False:
-            return above
-        rest = _all3(self._greater(s, b) for b in t.args)
-        return _any3((above, _all3((first, rest))))
+            first = by_head > 0
+        return first and all(self._greater(s, b) for b in t.args)
 
     def compare(self, s: Term, t: Term) -> Comparison:
         if not _comparable(s, t):
             return Comparison.UNKNOWN
         if self._greater(s, t):
             return Comparison.GREATER
-        if self._equiv(s, t):
+        if _equiv(s, t):
             return Comparison.GREATER_EQUAL
         return Comparison.UNKNOWN
 
 
-class _PrecedencePrefix(LexPathOrder):
-    """The path orders of every precedence that starts with ``prefix`` and
-    ranks all other symbols below it.
+# A precedence constraint is True, False, an atom ``(i, j)``: the symbol
+# numbered i ranks above the one numbered j, or an _And or _Or of
+# constraints that are not constants: ``_fold`` folds those away.
 
-    Two distinct symbols outside the prefix compare as unknown, so
-    ``_greater`` answers True or False only where every such precedence
-    agrees.  ``_equiv`` needs no change: distinct symbols are never
-    equivalent under any precedence.
+
+class _And(tuple):
+    """Every part holds."""
+
+
+class _Or(tuple):
+    """Some part holds."""
+
+
+def _fold(kind: type, parts: Iterable) -> object:
+    """The constraint ``kind(parts)``, with its constant parts folded."""
+    decisive = kind is _Or          # True decides an _Or, False an _And
+    kept = []
+    for part in parts:
+        if part is decisive:
+            return part
+        if type(part) is not bool:
+            kept.append(part)
+    if not kept:
+        return not decisive
+    return kept[0] if len(kept) == 1 else kind(kept)
+
+
+def _assess(c, above: list[int], seen: dict) -> tuple[bool | None, int]:
+    """The Kleene value of a constraint, None for open, when ``above[i]``
+    has bit ``j`` set for each symbol ``j`` known to rank below ``i``; and,
+    for an open one, the atoms every precedence satisfying it makes true,
+    atom ``(i, j)`` as bit ``i * len(above) + j``: an _And needs those of
+    each open part, an _Or those that every open part needs.  ``seen``
+    keeps the answers for the parts shared within one order."""
+    kind = type(c)
+    if kind is tuple:
+        i, j = c
+        if above[i] >> j & 1:
+            return True, 0
+        if above[j] >> i & 1:
+            return False, 0
+        return None, 1 << i * len(above) + j
+    if kind is bool:
+        return c, 0
+    if id(c) in seen:
+        return seen[id(c)]
+    decisive = kind is _Or          # True decides an _Or, False an _And
+    value: bool | None = not decisive
+    needs = 0 if kind is _And else -1
+    for part in c:
+        v, part_needs = _assess(part, above, seen)
+        if v is decisive:
+            value, needs = v, 0
+            break
+        if v is None:
+            value = None
+            needs = needs | part_needs if kind is _And else needs & part_needs
+    seen[id(c)] = value, needs if value is None else 0
+    return seen[id(c)]
+
+
+class _PrecedenceConstraints:
+    """What ``check_reduction_pair`` asks of a precedence over ``symbols``,
+    compiled once into constraints over atoms ``f > g`` between unmarked
+    names, following ``LexPathOrder._greater`` step by step.  Under a total
+    precedence of the symbols a constraint has exactly the order's answer:
+    ``_equiv`` does not depend on the order, so it folds to a constant, and
+    terms the order does not compare fold to False.
+
+    ``rules_out(prefix)`` asks about every precedence that ranks ``prefix``
+    first, greatest first, and the other symbols below it.
     """
 
-    def _cmp_symbols(self, f: str, g: str) -> int | None:
-        f, g = unmark_name(f), unmark_name(g)
-        if f != g and f not in self._rank and g not in self._rank:
-            return None
-        return super()._cmp_symbols(f, g)
+    def __init__(self, symbols: list[str]):
+        self._index = {name: i for i, name in enumerate(symbols)}
+        self._greater: dict[tuple[Term, Term], object] = {}
+        self.required: list = []        # every one must hold
 
-    def _never(self, s: Term, t: Term, strict: bool) -> bool:
-        """No completion orients ``s > t`` (``strict``) or ``s >= t``."""
-        return not _comparable(s, t) or (
-            self._greater(s, t) is False
-            and (strict or not self._equiv(s, t)))
+    def greater(self, s: Term, t: Term):
+        """``LexPathOrder._greater(s, t)`` as a constraint."""
+        key = (s, t)
+        if key not in self._greater:
+            self._greater[key] = self._compile(s, t)
+        return self._greater[key]
 
-    def rules_out(self, h: Hrs, component: RecursionComponent) -> bool:
-        """No completion orients every rule and pair weakly and one pair
-        strictly, so ``check_reduction_pair`` fails on every completion."""
-        return (any(self._never(r.lhs, r.rhs, False) for r in h.rules)
-                or any(self._never(p.lhs, p.rhs, False)
-                       for p in component.pairs)
-                or all(self._never(p.lhs, p.rhs, True)
-                       for p in component.pairs))
+    def _compile(self, s: Term, t: Term):
+        th = t.head
+        if isinstance(th, Free):
+            return s != t and th.name in free_names(s)
+        if isinstance(s.head, Free):
+            return False
+        above = _fold(_Or, (_equiv(a, t) or self.greater(a, t)
+                                for a in s.args))
+        if above is True:
+            return True
+        f, g = unmark_name(s.head.name), unmark_name(th.name)
+        if f == g:
+            first = False
+            for a, b in zip(s.args, t.args):
+                if not _equiv(a, b):
+                    first = self.greater(a, b)
+                    break
+        else:
+            first = (self._index[f], self._index[g])
+        if first is False:
+            return above
+        rest = _fold(_And, [first] + [self.greater(s, b) for b in t.args])
+        return _fold(_Or, (above, rest))
+
+    def orients(self, s: Term, t: Term, strict: bool = False):
+        """``compare(s, t)`` is GREATER (``strict``) or not UNKNOWN."""
+        if not _comparable(s, t):
+            return False
+        if strict:
+            return self.greater(s, t)
+        return _equiv(s, t) or self.greater(s, t)
+
+    def ranked(self, prefix: tuple[str, ...]) -> list[int]:
+        """The order ``prefix`` fixes: each of its symbols above every
+        symbol after it and every symbol outside it."""
+        above = [0] * len(self._index)
+        below = (1 << len(self._index)) - 1
+        for name in prefix:
+            i = self._index[name]
+            below &= ~(1 << i)
+            above[i] = below
+        return above
+
+    def rules_out(self, prefix: tuple[str, ...]) -> bool:
+        """No precedence that starts with ``prefix`` satisfies every
+        required constraint: one is False already, or the atoms that open
+        ones force, added to the prefix's order and closed transitively,
+        rank some symbol above itself."""
+        above = self.ranked(prefix)
+        n = len(above)
+        while True:
+            forced, seen = 0, {}
+            for c in self.required:
+                value, needs = _assess(c, above, seen)
+                if value is False:
+                    return True
+                forced |= needs
+            if not forced:
+                return False
+            for bit in range(forced.bit_length()):
+                if not forced >> bit & 1:
+                    continue
+                i, j = divmod(bit, n)
+                if above[j] >> i & 1:
+                    return True
+                # i and everything above it now rank above j and its lower set
+                gain = 1 << j | above[j]
+                for k, lower in enumerate(above):
+                    if k == i or lower >> i & 1:
+                        above[k] = lower | gain
 
 
 @dataclass(frozen=True)
@@ -424,8 +577,17 @@ MAX_PRECEDENCE_SYMBOLS = 8
 
 def _symbols(t: Term) -> set[str]:
     """Unmarked names of the function symbols heading subterms of ``t``."""
-    return {unmark_name(u.head.name) for u in subterms(t)
-            if not isinstance(u, Abs) and isinstance(u.head, Const)}
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Abs):
+            stack.append(u.body)
+            continue
+        if isinstance(u.head, Const):
+            names.add(unmark_name(u.head.name))
+        stack.extend(u.args)
+    return names
 
 
 def _relevant_symbols(h: Hrs, component: RecursionComponent) -> list[str]:
@@ -491,10 +653,12 @@ def search_precedence(h: Hrs, component: RecursionComponent
     first that orients wins.  A rule side that is not first-order is
     unknown to every path order, so nothing is tried.
 
-    Precedences are built greatest symbol first.  A prefix under which
-    some rule or pair, or every pair strictly, is already unorientable is
-    dropped with all its completions, so the answer is the one full
-    enumeration would give first.
+    Past the guess, what the path order must do is compiled once into
+    constraints over the precedence: every rule and pair oriented weakly,
+    some pair strictly.  Precedences are built greatest symbol first, and a
+    prefix that ``_PrecedenceConstraints.rules_out`` is dropped with all
+    its completions, so the answer is the one full enumeration would give
+    first.  The winner is checked again with ``check_reduction_pair``.
     """
     if _higher_order_rule(h) is not None:
         return None
@@ -505,19 +669,28 @@ def search_precedence(h: Hrs, component: RecursionComponent
         return verdict
     if len(symbols) > MAX_PRECEDENCE_SYMBOLS:
         return None
-
-    def viable(prefix: list) -> bool:
-        return not _PrecedencePrefix(tuple(prefix)).rules_out(h, component)
-
+    constraints = _component_constraints(h, component, symbols)
+    if constraints.rules_out(()):
+        return None
     for perm in _depth_first(
             len(symbols),
-            lambda prefix: [s for s in symbols if s not in prefix], viable):
-        if perm == guess:
-            continue
+            lambda prefix: [s for s in symbols if s not in prefix],
+            lambda prefix: not constraints.rules_out(tuple(prefix))):
         verdict = check_reduction_pair(h, component, LexPathOrder(perm))
         if isinstance(verdict, OrientationVerdict):
             return verdict
     return None
+
+
+def _component_constraints(h: Hrs, component: RecursionComponent,
+                           symbols: list[str]) -> _PrecedenceConstraints:
+    """``check_reduction_pair``'s demands on a precedence of ``symbols``."""
+    c = _PrecedenceConstraints(symbols)
+    c.required = [c.orients(r.lhs, r.rhs) for r in h.rules]
+    c.required += [c.orients(p.lhs, p.rhs) for p in component.pairs]
+    c.required.append(_fold(_Or, [c.orients(p.lhs, p.rhs, strict=True)
+                                  for p in component.pairs]))
+    return c
 
 
 def _precedence_give_up_reason(h: Hrs, component: RecursionComponent) -> str:

@@ -67,6 +67,8 @@ def candidates(t: Term) -> tuple[Term, ...]:
 
 
 def _canonical_extras(rhs: Term, extras: tuple[str, ...]) -> Term:
+    if not extras:
+        return rhs
     types = {atom.name: atom.ty for atom in free_vars(rhs)}
     theta = {name: eta_expand(Free(f"${i}", types[name]))
              for i, name in enumerate(extras)}

@@ -428,9 +428,10 @@ def positions(t: Term) -> list[Position]:
     return out
 
 
-def subterm_at(t: Term, p: Position) -> Term:
-    """The subterm at ``p``; binders crossed on the way become free variables."""
-    avoid = set(free_names(t))
+def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:
+    """The subterm at ``p``; binders crossed on the way become free variables,
+    named apart from the free names of ``t`` and from ``avoid``."""
+    avoid = set(free_names(t)) | set(avoid)
     cur = t
     for step, i in enumerate(p):
         if isinstance(cur, Abs):

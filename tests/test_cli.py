@@ -11,6 +11,9 @@ import hoterm.criteria
 from hoterm.cli import (EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_MAYBE,
                         EXIT_NONTERMINATING, EXIT_TERMINATING, build_parser,
                         main)
+from hoterm.hrs import parse
+from hoterm.proof import ProverConfig, prove_text
+from hoterm.rewriting import rewrite_step
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -220,6 +223,45 @@ class TestAnalysisFlags:
         assert "rule foldl-nil is not first-order, so no path order was " \
                "tried" in out
         assert calls == []
+
+
+class TestOpenedBindersAreFresh:
+    # f(k(\x. x)) -> h(\x. f(x), k(\y. y)) -> f(k(\y. y)) is a loop; the
+    # pair f#(k(\x. x)) -> f#(x) has the extra variable x, which must not be
+    # taken for the left side's bound x
+    LOOPING = ("basic a\n"
+               "sig f : a -> a\n"
+               "sig k : (a -> a) -> a\n"
+               "sig h : (a -> a) -> a -> a\n"
+               "var F : a -> a\n"
+               "var Y : a\n"
+               "rule r1: f(k(\\x. x)) -> h(\\x. f(x), k(\\y. y))\n"
+               "rule r2: h(F, Y) -> F(Y)\n")
+
+    def test_looping_system_is_not_proved_terminating(self, tmp_path,
+                                                       capsys):
+        src = tmp_path / "loop.hrs"
+        src.write_text(self.LOOPING)
+        code, out, _ = run(capsys, "prove", src)
+        assert code == EXIT_MAYBE
+        assert "pi(f)" not in out
+        assert "no projection satisfies the subterm criterion" in out
+
+    def test_disprove_finds_the_loop(self, tmp_path, capsys):
+        src = tmp_path / "loop.hrs"
+        src.write_text(self.LOOPING)
+        code, out, _ = run(capsys, "prove", src, "--disprove")
+        assert code == EXIT_NONTERMINATING
+        assert "verdict: NONTERMINATING" in out
+        h = parse(self.LOOPING)
+        loop = prove_text(self.LOOPING,
+                          ProverConfig(disprove_steps=100)).verdict.loop
+        assert [step.rule for step in loop.trace] == ["r1", "r2"]
+        seen = [loop.start]
+        for step in loop.trace:
+            assert step in rewrite_step(h, seen[-1])
+            seen.append(step.result)
+        assert seen[-1] in seen[:-1]
 
 
 class TestParser:

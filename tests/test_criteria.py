@@ -10,13 +10,15 @@ from hoterm.criteria import (AnalysisConfig, Comparison, ComponentFailure,
                              CriterionVerdict, LexPathOrder,
                              OrientationFailure, OrientationVerdict,
                              PiAssignment, analyze_component,
+                             project_pair,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
 from hoterm.graph import RecursionComponent, build_graph, recursion_components
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.sdp import DependencyPair, extract_sdps
-from hoterm.terms import App, Base, Const, Free, arrow, lam, subterms
+from hoterm.terms import (App, Base, Const, Free, arrow, lam, subterm_at,
+                          subterms)
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -126,6 +128,37 @@ class TestSubtermCriterion:
         assert isinstance(out, CriterionVerdict)
 
 
+    def test_opened_left_binder_is_not_an_extra_variable(self):
+        # f#(k(\x. x)) -> f#(x), where x is an extra variable: the bound x
+        # under k is a different variable although it opens with the name x
+        a_a = arrow(A, A)
+        x = App(Free("x", A), ())
+        u = const("f#", a_a, const("k", arrow(a_a, A), lam("x", A, x)))
+        v = const("f#", a_a, x)
+        pair = DependencyPair(u, v, "r1", ("x",))
+        assert subterm_at(u, (1, 1, 1)) == x      # as opened, the names meet
+        reasons = [project_pair(pair, p, (1,), frozenset({"f", "h"})).reason
+                   for p in [(1,), (1, 1), (1, 1, 1)]]
+        assert reasons == ["x is not a subterm of k(\\x'. x')",
+                           "x is not a subterm of \\x'. x'",
+                           "x is not a subterm of x'"]
+        comp = RecursionComponent((0,), (pair,))
+        assert search_pi(comp, max_depth=3,
+                         defined=frozenset({"f", "h"})) is None
+
+    def test_right_side_reaching_a_crossed_binder_fails(self):
+        # g#(\x. s(x)) -> g#(\y. s(y)) under pi(g) = 1.1: both project to
+        # s applied to a binder each side crossed, two distinct variables
+        a_a = arrow(A, A)
+        g = Const("g#", arrow(a_a, A))
+        body = lam("x", A, const("s", a_a, App(Free("x", A), ())))
+        pair = DependencyPair(App(g, (body,)), App(g, (body,)), "r", ())
+        out = project_pair(pair, (1, 1), (1, 1), frozenset({"g"}))
+        assert out == CriterionFailure(
+            pair, "s(x) refers to a binder above position 1.1")
+        assert project_pair(pair, (1,), (1,), frozenset({"g"})) is False
+
+
 class TestSearchPi:
     def test_foldl_search_tries_positions_in_order(self, monkeypatch):
         h, comps = components_of("sqsum")
@@ -137,11 +170,10 @@ class TestSearchPi:
             tried.append(p)
             return real(pair, p, q, defined)
 
-        # the search and the final check of a candidate both ask for the
-        # pair, so a position may repeat; the order of first tries counts
+        # each position is projected once: the verdict reuses the answers
         monkeypatch.setattr(hoterm.criteria, "project_pair", spy)
         found = search_pi(foldl_c, max_depth=1, defined=h.defined)
-        assert list(dict.fromkeys(tried)) == [(1,), (2,), (3,)]
+        assert tried == [(1,), (2,), (3,)]
         assert str(found.witness) == "pi(foldl) = 3"
 
     def test_depth_one_misses_nested_descent(self):

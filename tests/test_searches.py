@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import strategies as S
 import hoterm.criteria as C
 from hoterm.criteria import (MAX_PRECEDENCE_SYMBOLS, AnalysisConfig,
-                             CriterionVerdict, LexPathOrder,
+                             Comparison, CriterionVerdict, LexPathOrder,
                              OrientationVerdict, PiAssignment,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
@@ -116,6 +116,18 @@ def precedence_unorientable(k):
     return _system(sig, ("X", "Y"), rules)
 
 
+def cycle_behind(m):
+    """m rules u_i(s(X)) -> X, whose symbols sort first, beside the cycle
+    x(s(X)) -> y(s(X)) -> z(s(X)) -> x(s(X)), which no path order orients."""
+    lines = ["basic nat", "sig s : nat -> nat", "var X : nat"]
+    lines += [f"sig {f} : nat -> nat"
+              for f in [f"u{i}" for i in range(m)] + ["x", "y", "z"]]
+    lines += [f"rule u{i}: u{i}(s(X)) -> X" for i in range(m)]
+    lines += [f"rule {f}{g}: {f}(s(X)) -> {g}(s(X))"
+              for f, g in ("xy", "yz", "zx")]
+    return "\n".join(lines) + "\n"
+
+
 FAMILIES = ([swapped_chain(n) for n in range(1, 7)]
             + [rotating_chain(n) for n in range(1, 7)]
             + [precedence_deep(k) for k in range(4, 7)]
@@ -181,7 +193,7 @@ class TestSameFirstWitness:
             assert search_precedence(h, comp) == oracle_precedence(h, comp)
 
 
-class TestPrecedencePrefix:
+class TestPrecedenceConstraints:
     SYMBOLS = ("0", "add", "mul", "pair", "s")
 
     @settings(max_examples=300, deadline=None)
@@ -189,8 +201,10 @@ class TestPrecedencePrefix:
            st.permutations(SYMBOLS), st.integers(0, len(SYMBOLS)))
     def test_definite_answers_hold_for_every_completion(self, s, t, order,
                                                         placed):
+        constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
         prefix = tuple(order[:placed])
-        answer = C._PrecedencePrefix(prefix)._greater(s, t)
+        answer, _ = C._assess(constraints.greater(s, t),
+                              constraints.ranked(prefix), {})
         if placed == len(self.SYMBOLS):
             assert answer is not None
         if answer is None:
@@ -202,6 +216,73 @@ class TestPrecedencePrefix:
     @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
     def test_full_precedence_never_answers_unknown(self, s, t, order):
         assert LexPathOrder(tuple(order))._greater(s, t) in (True, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
+    def test_full_precedence_orients_as_compare_does(self, s, t, order):
+        constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
+        above = constraints.ranked(tuple(order))
+        comparison = LexPathOrder(tuple(order)).compare(s, t)
+        strict, _ = C._assess(constraints.orients(s, t, strict=True), above,
+                              {})
+        weak, _ = C._assess(constraints.orients(s, t), above, {})
+        assert strict is (comparison is Comparison.GREATER)
+        assert weak is (comparison is not Comparison.UNKNOWN)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fo_systems(), st.randoms(use_true_random=False))
+    def test_full_precedence_accepts_as_check_reduction_pair_does(
+            self, h, rnd):
+        for comp in components(h):
+            symbols = C._relevant_symbols(h, comp)
+            constraints = C._component_constraints(h, comp, symbols)
+            for _ in range(4):
+                order = tuple(rnd.sample(symbols, len(symbols)))
+                verdict = check_reduction_pair(h, comp, LexPathOrder(order))
+                assert constraints.rules_out(order) is not \
+                    isinstance(verdict, OrientationVerdict)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fo_systems(), st.randoms(use_true_random=False))
+    def test_ruled_out_prefixes_have_no_orienting_completion(self, h, rnd):
+        # unit propagation and the cycle test drop only what no
+        # completion of the prefix can orient
+        for comp in components(h):
+            symbols = C._relevant_symbols(h, comp)
+            constraints = C._component_constraints(h, comp, symbols)
+            order = rnd.sample(symbols, len(symbols))
+            orienting = {perm for perm in itertools.permutations(symbols)
+                         if isinstance(check_reduction_pair(
+                             h, comp, LexPathOrder(perm)),
+                             OrientationVerdict)}
+            for placed in range(len(symbols) + 1):
+                prefix = tuple(order[:placed])
+                if constraints.rules_out(prefix):
+                    assert not any(perm[:placed] == prefix
+                                   for perm in orienting)
+
+    def test_an_atom_is_forced_only_when_every_open_disjunct_needs_it(self):
+        ab, bc, ca = (0, 1), (1, 2), (2, 0)
+        above = C._PrecedenceConstraints(["a", "b", "c"]).ranked(())
+        bit = {atom: 1 << atom[0] * 3 + atom[1] for atom in (ab, bc, ca)}
+        assert C._assess(C._Or((ab, bc)), above, {}) == (None, 0)
+        assert C._assess(C._And((ab, bc)), above, {}) == \
+            (None, bit[ab] | bit[bc])
+        assert C._assess(C._Or((C._And((ab, bc)), C._And((ab, ca)))),
+                         above, {}) == (None, bit[ab])
+        # with b > a fixed, only c > a is left open
+        above = C._PrecedenceConstraints(["a", "b", "c"]).ranked(("b",))
+        assert C._assess(C._Or((ab, ca)), above, {}) == (None, bit[ca])
+
+    def test_forced_atoms_closing_a_cycle_rule_out_the_empty_prefix(self):
+        h = parse(cycle_behind(0))
+        (comp,) = components(h)
+        symbols = C._relevant_symbols(h, comp)
+        constraints = C._component_constraints(h, comp, symbols)
+        # no constraint is False yet: only x > y > z > x shows the conflict
+        assert all(C._assess(c, constraints.ranked(()), {})[0] is None
+                   for c in constraints.required)
+        assert constraints.rules_out(())
 
 
 class TestScale:
@@ -243,6 +324,31 @@ class TestScale:
         (comp,) = components(h)
         assert search_precedence(h, comp) is None
         assert 1 <= len(calls) <= 24      # 8! = 40,320 without pruning
+
+    def test_cycle_behind_unrelated_symbols_is_seen_before_any_prefix(
+            self, monkeypatch):
+        calls, prefixes = [], []
+        real_check = C.check_reduction_pair
+        real_rules_out = C._PrecedenceConstraints.rules_out
+
+        def counting(*args):
+            calls.append(args)
+            return real_check(*args)
+
+        def recording(self, prefix):
+            prefixes.append(prefix)
+            return real_rules_out(self, prefix)
+
+        monkeypatch.setattr(C, "check_reduction_pair", counting)
+        monkeypatch.setattr(C._PrecedenceConstraints, "rules_out", recording)
+        h = parse(cycle_behind(4))
+        (comp,) = components(h)
+        assert len(C._relevant_symbols(h, comp)) == 8 \
+            <= MAX_PRECEDENCE_SYMBOLS
+        proof = prove_text(cycle_behind(4), REDPAIR)
+        assert proof.verdict.kind == MAYBE
+        assert len(calls) == 1            # the call-graph guess
+        assert prefixes == [()]           # no prefix is extended
 
 
 class TestCallGraphPrecedence:
