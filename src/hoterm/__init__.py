@@ -22,12 +22,12 @@ from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProofObject,
                     emit_text, prove, prove_text)
 from .rewriting import (DepthExhausted, LoopFound, NormalForm,
                         NonPatternError, RewriteStep, bounded_search,
-                        find_loop, match, reachable, rewrite_step)
+                        find_loop, match, rewrite_step)
 from .sdp import DependencyPair, candidates, extract_sdps, mark, unmark_name
 from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, Position,
                     PositionError, SimpleType, Term, TermTypeError, arrow,
-                    format_position, free_names, free_vars, lam, positions,
-                    print_term, subterm_at, subterms, top)
+                    format_position, free_names, free_vars, print_term,
+                    subterm_at, subterms, top)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

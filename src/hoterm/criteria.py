@@ -5,10 +5,11 @@ symbol to one argument position sequence and asks the projections to shrink
 under the subterm order.  It is decided on the nameless terms: binders a
 projection crosses are fresh variables, distinct between the two sides of a
 pair.  The reduction-pair route orients all rules weakly and the component's
-pairs weakly or strictly with a lexicographic path order.  When the
-call-graph guess at a precedence fails, what the path order must do is
-compiled once into and/or constraints over atoms ``f > g``, and the
-precedence search drops every prefix those constraints rule out.
+pairs weakly or strictly with a lexicographic path order, which compiles
+``s > t`` into memoised and/or constraints over atoms ``f > g`` and
+evaluates them under its precedence.  The precedence search compiles what
+the order must do for a component once, decides the call-graph guess on
+those constraints, and drops every prefix they rule out.
 Components survive a successful step only through their non-strict pairs; the
 refinement loop recomputes components of the remainder and recurses.
 """
@@ -178,6 +179,8 @@ def _positions_within(t: Term, depth: int) -> list[Position]:
     found: list[Position] = []
     level: list[tuple[Position, Term]] = [((), t)]
     for _ in range(depth):
+        if not level:
+            break
         level = [(here + (i,), child) for here, u in level
                  for i, child in enumerate(
                      (u.body,) if isinstance(u, Abs) else u.args, start=1)]
@@ -322,49 +325,33 @@ class LexPathOrder:
     A marked symbol ranks together with its unmarked form.  Comparisons are
     answered only on binder-free terms whose variables have basic types;
     anything else is unknown.  Symbols missing from the precedence rank below
-    all listed ones, ordered by name.
+    all listed ones, ordered by name.  ``s > t`` is the constraint
+    ``_PrecedenceConstraints.greater(s, t)`` evaluated under that order.
     """
 
     def __init__(self, precedence: tuple[str, ...]):
         self.precedence = tuple(precedence)
-        self._rank = {name: len(precedence) - i
-                      for i, name in enumerate(precedence)}
+        self._table = _PrecedenceConstraints(())
+        self._above: list[int] = []     # the order, as ``ranked`` gives it
 
     def describe(self) -> str:
         return "path order with precedence " + " > ".join(self.precedence)
 
-    def _cmp_symbols(self, f: str, g: str) -> int:
-        f, g = unmark_name(f), unmark_name(g)
-        rf, rg = self._rank.get(f, 0), self._rank.get(g, 0)
-        if rf != rg:
-            return 1 if rf > rg else -1
-        if f != g and rf == 0:
-            return 1 if f > g else -1
-        return 0
-
-    def _greater(self, s: Term, t: Term) -> bool:
-        th = t.head
-        if isinstance(th, Free):
-            return s != t and th.name in free_names(s)
-        if isinstance(s.head, Free):
-            return False
-        if any(_equiv(a, t) or self._greater(a, t) for a in s.args):
-            return True
-        by_head = self._cmp_symbols(s.head.name, th.name)
-        if by_head == 0:
-            first = False
-            for a, b in zip(s.args, t.args):
-                if not _equiv(a, b):
-                    first = self._greater(a, b)
-                    break
-        else:
-            first = by_head > 0
-        return first and all(self._greater(s, b) for b in t.args)
+    def _ranks(self) -> list[int]:
+        """The precedence over every symbol the table has met, unlisted
+        ones below the listed, the greater name above."""
+        known = self._table.symbols
+        if len(self._above) != len(known):
+            listed = [name for name in self.precedence if name in known]
+            unlisted = sorted(known.keys() - set(listed), reverse=True)
+            self._above = self._table.ranked(tuple(listed + unlisted))
+        return self._above
 
     def compare(self, s: Term, t: Term) -> Comparison:
         if not _comparable(s, t):
             return Comparison.UNKNOWN
-        if self._greater(s, t):
+        greater = self._table.greater(s, t)
+        if _assess(greater, self._ranks(), {})[0]:
             return Comparison.GREATER
         if _equiv(s, t):
             return Comparison.GREATER_EQUAL
@@ -433,24 +420,31 @@ def _assess(c, above: list[int], seen: dict) -> tuple[bool | None, int]:
 
 
 class _PrecedenceConstraints:
-    """What ``check_reduction_pair`` asks of a precedence over ``symbols``,
-    compiled once into constraints over atoms ``f > g`` between unmarked
-    names, following ``LexPathOrder._greater`` step by step.  Under a total
-    precedence of the symbols a constraint has exactly the order's answer:
-    ``_equiv`` does not depend on the order, so it folds to a constant, and
-    terms the order does not compare fold to False.
+    """The lexicographic path order as constraints over atoms ``f > g``
+    between unmarked names, numbered as they are met, ``symbols`` first.
+    Under a total precedence of the symbols a constraint has exactly the
+    order's answer: ``_equiv`` does not depend on the order, so it folds to
+    a constant, and terms the order does not compare fold to False.
 
+    ``required`` is what ``check_reduction_pair`` asks of a precedence, and
     ``rules_out(prefix)`` asks about every precedence that ranks ``prefix``
     first, greatest first, and the other symbols below it.
     """
 
-    def __init__(self, symbols: list[str]):
-        self._index = {name: i for i, name in enumerate(symbols)}
+    def __init__(self, symbols: Iterable[str]):
+        self.symbols = {name: i for i, name in enumerate(symbols)}
         self._greater: dict[tuple[Term, Term], object] = {}
         self.required: list = []        # every one must hold
 
+    def _number(self, name: str) -> int:
+        return self.symbols.setdefault(name, len(self.symbols))
+
     def greater(self, s: Term, t: Term):
-        """``LexPathOrder._greater(s, t)`` as a constraint."""
+        """The path order's ``s > t`` as a constraint: an argument of ``s``
+        is ``t`` up to marks or above it, or ``s`` is above every argument of
+        ``t`` and its head ranks above ``t``'s, or ties and the arguments
+        decrease lexicographically; a variable is below every other term
+        that holds it."""
         key = (s, t)
         if key not in self._greater:
             self._greater[key] = self._compile(s, t)
@@ -474,7 +468,7 @@ class _PrecedenceConstraints:
                     first = self.greater(a, b)
                     break
         else:
-            first = (self._index[f], self._index[g])
+            first = (self._number(f), self._number(g))
         if first is False:
             return above
         rest = _fold(_And, [first] + [self.greater(s, b) for b in t.args])
@@ -491,10 +485,10 @@ class _PrecedenceConstraints:
     def ranked(self, prefix: tuple[str, ...]) -> list[int]:
         """The order ``prefix`` fixes: each of its symbols above every
         symbol after it and every symbol outside it."""
-        above = [0] * len(self._index)
-        below = (1 << len(self._index)) - 1
+        above = [0] * len(self.symbols)
+        below = (1 << len(self.symbols)) - 1
         for name in prefix:
-            i = self._index[name]
+            i = self.symbols[name]
             below &= ~(1 << i)
             above[i] = below
         return above
@@ -653,33 +647,33 @@ def search_precedence(h: Hrs, component: RecursionComponent
     first that orients wins.  A rule side that is not first-order is
     unknown to every path order, so nothing is tried.
 
-    Past the guess, what the path order must do is compiled once into
-    constraints over the precedence: every rule and pair oriented weakly,
-    some pair strictly.  Precedences are built greatest symbol first, and a
-    prefix that ``_PrecedenceConstraints.rules_out`` is dropped with all
-    its completions, so the answer is the one full enumeration would give
-    first.  The winner is checked again with ``check_reduction_pair``.
+    What the path order must do is compiled once into constraints over the
+    precedence: every rule and pair oriented weakly, some pair strictly.
+    Under a whole precedence they hold exactly when ``check_reduction_pair``
+    passes, so they decide the guess.  Past it, precedences are built
+    greatest symbol first, and a prefix that ``rules_out`` is dropped with
+    all its completions; the first completion left wins, and only the
+    winner is passed to ``check_reduction_pair``.
     """
     if _higher_order_rule(h) is not None:
         return None
     symbols = _relevant_symbols(h, component)
-    guess = _call_graph_precedence(h, symbols)
-    verdict = check_reduction_pair(h, component, LexPathOrder(guess))
-    if isinstance(verdict, OrientationVerdict):
-        return verdict
-    if len(symbols) > MAX_PRECEDENCE_SYMBOLS:
-        return None
     constraints = _component_constraints(h, component, symbols)
-    if constraints.rules_out(()):
-        return None
-    for perm in _depth_first(
+    winner: tuple[str, ...] | None = _call_graph_precedence(h, symbols)
+    if constraints.rules_out(winner):
+        if len(symbols) > MAX_PRECEDENCE_SYMBOLS or constraints.rules_out(()):
+            return None
+        winner = next(_depth_first(
             len(symbols),
             lambda prefix: [s for s in symbols if s not in prefix],
-            lambda prefix: not constraints.rules_out(tuple(prefix))):
-        verdict = check_reduction_pair(h, component, LexPathOrder(perm))
-        if isinstance(verdict, OrientationVerdict):
-            return verdict
-    return None
+            lambda prefix: not constraints.rules_out(tuple(prefix))), None)
+        if winner is None:
+            return None
+    order = LexPathOrder(winner)
+    order._table = constraints          # decide on what is compiled already
+    verdict = check_reduction_pair(h, component, order)
+    assert isinstance(verdict, OrientationVerdict)
+    return verdict
 
 
 def _component_constraints(h: Hrs, component: RecursionComponent,

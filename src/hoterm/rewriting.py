@@ -348,27 +348,6 @@ def _first_cycle(root: Term, expanded: dict[Term, tuple[RewriteStep, ...]]
     return None
 
 
-def reachable(h: Hrs, source: Term, target: Term, max_steps: int) -> bool:
-    """True when some rewrite path of length <= max_steps joins the terms."""
-    if source == target:
-        return True
-    frontier = [source]
-    visited = {source}
-    for _ in range(max_steps):
-        nxt: list[Term] = []
-        for u in frontier:
-            for step in rewrite_step(h, u):
-                if step.result == target:
-                    return True
-                if step.result not in visited:
-                    visited.add(step.result)
-                    nxt.append(step.result)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
-
-
 # ---------------------------------------------------------------------------
 # loop hunting for disproofs
 

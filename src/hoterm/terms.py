@@ -287,11 +287,6 @@ def close_over(t: Term, name: str) -> Term:
     return go(t, 0)
 
 
-def lam(name: str, param_type: SimpleType, body: Term) -> Abs:
-    """Bind the free variable ``name`` of ``body`` under a new abstraction."""
-    return Abs(name, param_type, close_over(body, name))
-
-
 _NO_FREES: frozenset = frozenset()
 
 
@@ -415,17 +410,6 @@ class PositionError(ValueError):
 
 def format_position(p: Position) -> str:
     return ".".join(str(i) for i in p) if p else "e"
-
-
-def positions(t: Term) -> list[Position]:
-    """All positions of ``t``: the root, 1 under a binder, i into argument i."""
-    out: list[Position] = [()]
-    if isinstance(t, Abs):
-        out.extend((1,) + p for p in positions(t.body))
-    else:
-        for i, a in enumerate(t.args, start=1):
-            out.extend((i,) + p for p in positions(a))
-    return out
 
 
 def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:

@@ -18,7 +18,8 @@ from hoterm.pfp import PfpReport, PfpViolation
 from hoterm.sdp import (MARK, DependencyPair, _canonical_extras,
                         _occurring_extras, mark)
 from hoterm.terms import (App, Atom, Const, Free, Term, args, free_names,
-                          lam, print_term, strip_binders, subterms)
+                          print_term, strip_binders, subterms)
+from strategies import lam
 
 
 def safe_basic(t: Term, var_names: frozenset[str]) -> tuple[Term, ...]:

@@ -1,4 +1,5 @@
-"""Shared random generators.
+"""Shared random generators, and the term helpers ``lam`` and
+``positions``, which only the tests use.
 
 Name pools are kept disjoint on purpose: function symbols are f/g/h/c/d,
 declared variables are upper-case, binders are x1..x9.  This keeps liberated
@@ -14,8 +15,25 @@ from hoterm.hrs import Hrs, Rule, parse, print_hrs
 from hoterm.normalize import PApp, Preterm
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
-                          SimpleType, Term, arrow, domains, free_names, lam,
-                          result_type)
+                          Position, SimpleType, Term, arrow, close_over,
+                          domains, free_names, result_type)
+
+
+def lam(name: str, param_type: SimpleType, body: Term) -> Abs:
+    """Bind the free variable ``name`` of ``body`` under a new abstraction."""
+    return Abs(name, param_type, close_over(body, name))
+
+
+def positions(t: Term) -> list[Position]:
+    """All positions of ``t``: the root, 1 under a binder, i into argument i."""
+    out: list[Position] = [()]
+    if isinstance(t, Abs):
+        out.extend((1,) + p for p in positions(t.body))
+    else:
+        for i, a in enumerate(t.args, start=1):
+            out.extend((i,) + p for p in positions(a))
+    return out
+
 
 BASES = (Base("a"), Base("b"))
 

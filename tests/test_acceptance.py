@@ -145,6 +145,7 @@ def test_criterion_7_property_suites():
     import test_pfp
     import test_rewriting
     import test_sdp
+    import test_searches
 
     suites = [
         (test_normalize,
@@ -165,6 +166,8 @@ def test_criterion_7_property_suites():
          "test_transitive"),
         (test_criteria.TestLexPathOrderLaws,
          "test_strict_comparisons_survive_substitution"),
+        (test_searches.TestPrecedenceConstraints,
+         "test_compare_agrees_with_the_direct_order"),
         (test_graph.TestStronglyConnected,
          "test_matches_reachability_closure"),
     ]

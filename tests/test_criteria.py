@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as S
+from strategies import lam
 import hoterm.criteria
 from hoterm.criteria import (AnalysisConfig, Comparison, ComponentFailure,
                              ComponentProof, CriterionFailure,
@@ -17,8 +18,7 @@ from hoterm.graph import RecursionComponent, build_graph, recursion_components
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.sdp import DependencyPair, extract_sdps
-from hoterm.terms import (App, Base, Const, Free, arrow, lam, subterm_at,
-                          subterms)
+from hoterm.terms import App, Base, Const, Free, arrow, subterm_at, subterms
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -185,6 +185,13 @@ class TestSearchPi:
         found = search_pi(comps[0], max_depth=2, defined=h.defined)
         assert found is not None
         assert str(found.witness) == "pi(f) = 1.1"
+
+    def test_depth_beyond_every_position_costs_nothing(self):
+        # positions are listed only while some remain, not depth times
+        h, comps = components_of("sqsum")
+        for comp in comps:
+            assert search_pi(comp, max_depth=10**9, defined=h.defined) == \
+                search_pi(comp, max_depth=10, defined=h.defined)
 
     def test_no_projection_for_argument_swap(self):
         h = parse("basic a\nsig f : a -> a -> a\nsig c : a\n"

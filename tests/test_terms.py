@@ -11,11 +11,12 @@ import hypothesis.strategies as st
 
 import hoterm
 import strategies as S
+from strategies import lam, positions
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           PositionError, TermTypeError, args, arrow,
-                          format_position, free_names, free_vars, lam,
-                          positions, print_term, subterm_at, subterms, top)
+                          format_position, free_names, free_vars,
+                          print_term, subterm_at, subterms, top)
 from walk_oracle import replace_at
 
 NAT = Base("nat")
