@@ -16,9 +16,8 @@ refinement loop recomputes components of the remainder and recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import RecursionComponent, build_graph, recursion_components
 from .hrs import Hrs, Rule
@@ -31,16 +30,19 @@ from .terms import (Abs, Base, Const, Free, Position, Term, format_position,
 # subterm criterion
 
 
-@dataclass(frozen=True)
 class PiAssignment:
     """One projection position per marked symbol, e.g. {"add#": (1,)}."""
 
-    projections: dict[str, Position]
-
-    def __post_init__(self):
-        for name, pos in self.projections.items():
+    def __init__(self, projections: dict[str, Position]):
+        for name, pos in projections.items():
             if not pos:
                 raise ValueError(f"projection for {name} must be non-empty")
+        self.projections = projections
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PiAssignment):
+            return NotImplemented
+        return self.projections == other.projections
 
     def position_for(self, symbol: str) -> Position:
         return self.projections[symbol]
@@ -51,15 +53,13 @@ class PiAssignment:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     strict: tuple[DependencyPair, ...]
     weak: tuple[DependencyPair, ...]
     witness: PiAssignment
 
 
-@dataclass(frozen=True)
-class CriterionFailure:
+class CriterionFailure(NamedTuple):
     pair: DependencyPair | None
     reason: str
 
@@ -522,15 +522,13 @@ class _PrecedenceConstraints:
                         above[k] = lower | gain
 
 
-@dataclass(frozen=True)
-class OrientationVerdict:
+class OrientationVerdict(NamedTuple):
     strict: tuple[DependencyPair, ...]
     weak: tuple[DependencyPair, ...]
     oracle_description: str
 
 
-@dataclass(frozen=True)
-class OrientationFailure:
+class OrientationFailure(NamedTuple):
     subject: str
     reason: str
 
@@ -705,8 +703,7 @@ def _precedence_give_up_reason(h: Hrs, component: RecursionComponent) -> str:
 # refinement loop
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     techniques: tuple[str, ...] = ("subterm", "redpair")
     max_pi_depth: int = 3
     precedence: tuple[str, ...] | None = None
@@ -725,8 +722,7 @@ class ConfigError(ValueError):
     """An analysis setting does not fit the system it is applied to."""
 
 
-@dataclass(frozen=True)
-class RefinementStep:
+class RefinementStep(NamedTuple):
     component: RecursionComponent
     technique: str
     witness: str
@@ -734,17 +730,15 @@ class RefinementStep:
     remaining: tuple[DependencyPair, ...]
 
 
-@dataclass(frozen=True)
-class ComponentProof:
+class ComponentProof(NamedTuple):
     component: RecursionComponent
     steps: tuple[RefinementStep, ...]
 
 
-@dataclass(frozen=True)
-class ComponentFailure:
+class ComponentFailure(NamedTuple):
     component: RecursionComponent
     residual: RecursionComponent
-    reasons: tuple[str, ...] = field(default_factory=tuple)
+    reasons: tuple[str, ...] = ()
 
 
 def _without(component: RecursionComponent,

@@ -8,14 +8,13 @@ a single node qualifies only through a self-arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sdp import DependencyPair
 from .terms import top
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     nodes: tuple[DependencyPair, ...]
     arcs: frozenset[tuple[int, int]]
 
@@ -23,8 +22,7 @@ class DependencyGraph:
         return sorted(j for (a, b) in self.arcs if a == i for j in [b])
 
 
-@dataclass(frozen=True)
-class RecursionComponent:
+class RecursionComponent(NamedTuple):
     """Node indices into the owning graph, sorted, with their pairs."""
 
     indices: tuple[int, ...]

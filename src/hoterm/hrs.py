@@ -18,11 +18,10 @@ again for syntax alone, so that a syntax error is reported first."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .normalize import eta_expand
 from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
@@ -50,30 +49,26 @@ class HrsError(ValueError):
 # rules and systems
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     lhs: Term
     rhs: Term
-    is_pattern: bool = field(compare=False, default=True)
+    is_pattern: bool = True     # the reader derives it from lhs alone
 
     def __str__(self) -> str:
         return f"{self.name}: {print_term(self.lhs)} -> {print_term(self.rhs)}"
 
 
-@dataclass(eq=False)
 class Hrs:
-    basics: tuple[str, ...]
-    signature: dict[str, SimpleType]
-    variables: dict[str, SimpleType]
-    rules: tuple[Rule, ...]
-    defined: frozenset[str] = field(init=False)
-    constructors: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        defined = frozenset(top(r.lhs).name for r in self.rules)
-        self.defined = defined
-        self.constructors = frozenset(self.signature) - defined
+    def __init__(self, basics: tuple[str, ...],
+                 signature: dict[str, SimpleType],
+                 variables: dict[str, SimpleType], rules: tuple[Rule, ...]):
+        self.basics = basics
+        self.signature = signature
+        self.variables = variables
+        self.rules = rules
+        self.defined = frozenset(top(r.lhs).name for r in rules)
+        self.constructors = frozenset(signature) - self.defined
 
     @cached_property
     def rules_by_head(self) -> dict[Atom, tuple[Rule, ...]]:

@@ -14,9 +14,8 @@ normalization by evaluation reads them back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .terms import (Abs, App, Arrow, Atom, Bound, Free, SimpleType, Term,
                     TermTypeError, domains, eta_hint, free_names, free_vars)
@@ -25,21 +24,18 @@ from .terms import (Abs, App, Arrow, Atom, Bound, Free, SimpleType, Term,
 # preterms
 
 
-@dataclass(frozen=True)
-class PLam:
+class PLam(NamedTuple):
     hint: str
     param_type: SimpleType
     body: "Preterm"
 
 
-@dataclass(frozen=True)
-class PApp:
+class PApp(NamedTuple):
     fn: "Preterm"
     arg: "Preterm"
 
 
-@dataclass(frozen=True)
-class PAtom:
+class PAtom(NamedTuple):
     atom: Atom
 
 

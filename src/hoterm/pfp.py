@@ -15,8 +15,8 @@ binder is opened only to show a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .hrs import Hrs, Rule
 from .normalize import PAtom, normalize, papp
@@ -24,10 +24,10 @@ from .terms import (Abs, App, Atom, Free, Position, SimpleType, Term, args,
                     print_term, reach, subterm_at, under_binders)
 
 
-@dataclass(frozen=True)
 class SafeSet:
-    rule: Rule
-    safe: tuple[Term, ...]
+    def __init__(self, rule: Rule, safe: tuple[Term, ...]):
+        self.rule = rule
+        self.safe = safe
 
     @cached_property
     def members(self) -> frozenset[Term]:
@@ -53,15 +53,13 @@ class SafeSet:
         return (head, ty) in self.shapes and t in self.members
 
 
-@dataclass(frozen=True)
-class PfpViolation:
+class PfpViolation(NamedTuple):
     rule: str
     subterm: Term
     reason: str
 
 
-@dataclass(frozen=True)
-class PfpReport:
+class PfpReport(NamedTuple):
     is_pfp: bool
     violations: tuple[PfpViolation, ...]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
                        analyze_component)
@@ -35,21 +35,18 @@ FINITENESS_NOTE = ("the system is finite, so its dependency graph is finite "
 NOT_ANALYZED = "not analyzed: the function-passing gate failed"
 
 
-@dataclass(frozen=True)
-class ProverConfig:
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+class ProverConfig(NamedTuple):
+    analysis: AnalysisConfig = AnalysisConfig()
     disprove_steps: int | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
     reason: str | None = None
     loop: LoopFound | None = None
 
 
-@dataclass(frozen=True)
-class ProofObject:
+class ProofObject(NamedTuple):
     source_name: str
     input_digest: str
     hrs: Hrs

@@ -11,10 +11,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .hrs import Hrs
 from .normalize import apply_subst, eta_expand
@@ -103,8 +102,7 @@ def match(pattern: Term, subject: Term,
 # single steps
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     rule: str
     position: Position
     result: Term
@@ -215,21 +213,18 @@ def _reducible(table: dict, by_head: dict, u: Term) -> bool:
 # bounded search
 
 
-@dataclass(frozen=True)
-class LoopFound:
+class LoopFound(NamedTuple):
     """A rewrite path whose last term alpha-equals an earlier one."""
 
     start: Term
     trace: tuple[RewriteStep, ...]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     term: Term
 
 
-@dataclass(frozen=True)
-class DepthExhausted:
+class DepthExhausted(NamedTuple):
     max_steps: int
 
 

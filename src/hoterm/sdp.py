@@ -10,7 +10,7 @@ binders, opened only for a pair, turning into extra free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hrs import Hrs, Rule
 from .normalize import apply_subst, eta_expand
@@ -31,8 +31,7 @@ def unmark_name(name: str) -> str:
     return name[:-len(MARK)] if name.endswith(MARK) else name
 
 
-@dataclass(frozen=True)
-class DependencyPair:
+class DependencyPair(NamedTuple):
     """lhs and rhs are basic applications whose heads carry the mark."""
 
     lhs: Term

@@ -6,25 +6,27 @@ as many arguments as its type demands; application nodes therefore always have
 a basic type.  Bound variables are stored as nameless indices (the binder name
 is kept only as a printing hint), so alpha-equality coincides with structural
 equality and terms can be used directly as set members and dict keys.
+
+Types, atoms and term nodes are slotted, frozen classes with explicit
+constructors: each instance gets its type and its hash once, when it is
+built, and no method is generated when the module is imported.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Union
 
-# ---------------------------------------------------------------------------
-# simple types
 
+class _Frozen:
+    """Base of the immutable classes below.  A constructor fills the slots
+    without ``__setattr__``; ``_fields`` are the arguments that build an
+    equal instance."""
 
-class SimpleType:
-    """A basic type or a function type built from basic types.
+    __slots__ = ()
 
-    Types are interned: equal parts give the same object, so equality is
-    identity, and the hash, taken from the parts, is computed once.
-    """
-
-    __slots__ = ("_hash",)
+    def __init_subclass__(cls):
+        cls.__hash__ = _Frozen.__hash__     # which an __eq__ would unset
 
     def __hash__(self) -> int:
         return self._hash
@@ -35,11 +37,26 @@ class SimpleType:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, s) for s in self.__slots__)
+        # rebuilt, a copy hashes as this process does, not as the pickler's
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
+# simple types
+
+
+class SimpleType(_Frozen):
+    """A basic type or a function type built from basic types.
+
+    Types are interned: equal parts give the same object, so equality is
+    identity, and the hash, taken from the parts, is computed once.
+    """
+
+    __slots__ = ("_hash",)
 
 
 # by name, or by the ids of an Arrow's parts; a system has few types
@@ -48,7 +65,7 @@ _TYPES: dict[object, SimpleType] = {}
 
 def _intern(cls: type, key: object, *parts) -> SimpleType:
     self = object.__new__(cls)
-    for slot, part in zip(cls.__slots__, parts):
+    for slot, part in zip(cls._fields, parts):
         object.__setattr__(self, slot, part)
     object.__setattr__(self, "_hash", hash(parts))
     _TYPES[key] = self
@@ -56,7 +73,7 @@ def _intern(cls: type, key: object, *parts) -> SimpleType:
 
 
 class Base(SimpleType):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str) -> Base:
         return _TYPES.get(name) or _intern(cls, name, name)
@@ -66,7 +83,7 @@ class Base(SimpleType):
 
 
 class Arrow(SimpleType):
-    __slots__ = ("dom", "cod")
+    __slots__ = _fields = ("dom", "cod")
 
     def __new__(cls, dom: SimpleType, cod: SimpleType) -> Arrow:
         key = (id(dom), id(cod))
@@ -106,28 +123,50 @@ def result_type(ty: SimpleType) -> Base:
 # atoms: the possible heads of an application
 
 
-@dataclass(frozen=True)
-class Const:
+class _Named(_Frozen):
+    """An atom that is compared and hashed by its name and type."""
+
+    __slots__ = ("name", "ty", "_hash")
+    _fields = ("name", "ty")
+
+    def __init__(self, name: str, ty: SimpleType):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "_hash", hash((name, ty)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.ty is other.ty
+
+
+class Const(_Named):
     """A function symbol from the signature."""
 
-    name: str
-    ty: SimpleType
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(_Named):
     """A free variable."""
 
-    name: str
-    ty: SimpleType
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(_Frozen):
     """A bound variable as a de Bruijn index (0 is the innermost binder)."""
 
-    index: int
-    ty: SimpleType
+    __slots__ = ("index", "ty", "_hash")
+    _fields = ("index", "ty")
+
+    def __init__(self, index: int, ty: SimpleType):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "_hash", hash((index, ty)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and self.ty is other.ty
 
 
 Atom = Union[Const, Free, Bound]
@@ -154,36 +193,28 @@ class TermTypeError(TypeError):
 # terms
 
 
-class Term:
-    """Base class of eta-long beta-normal terms."""
+class Term(_Frozen):
+    """Base class of eta-long beta-normal terms.  Besides its type and hash,
+    a node keeps the free sets and the reach, None until first used."""
 
-    __slots__ = ()
-    _free_vars: "frozenset[Free] | None" = None     # set on first use
-    _free_names: "frozenset[str] | None" = None
-    _reach: "int | None" = None
-
-    @property
-    def ty(self) -> SimpleType:
-        return self._ty
+    __slots__ = ("ty", "_hash", "_free_vars", "_free_names", "_reach")
 
     def __repr__(self) -> str:
         return print_term(self)
 
-    def __reduce__(self):
-        # rebuilt, a copy hashes as this process does, not as the pickler's
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Abs(Term):
-    hint: str
-    param_type: SimpleType
-    body: Term
+    __slots__ = _fields = ("hint", "param_type", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_ty", Arrow(self.param_type, self.body.ty))
-        object.__setattr__(self, "_hash",
-                           hash(("abs", self.param_type, self.body)))
+    def __init__(self, hint: str, param_type: SimpleType, body: Term):
+        _set_hint(self, hint)
+        _set_param_type(self, param_type)
+        _set_body(self, body)
+        _set_ty(self, Arrow(param_type, body.ty))
+        _set_hash(self, hash(("abs", param_type, body)))
+        _set_free_vars(self, None)
+        _set_free_names(self, None)
+        _set_reach(self, None)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -194,36 +225,36 @@ class Abs(Term):
                 and self.param_type == other.param_type
                 and self.body == other.body)
 
-    def __hash__(self) -> int:
-        return self._hash
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
-    head: Atom
-    args: tuple[Term, ...] = ()
+    __slots__ = _fields = ("head", "args")
 
-    def __post_init__(self):
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        ty = self.head.ty
-        for i, arg in enumerate(self.args):
+    def __init__(self, head: Atom, args: tuple[Term, ...] = ()):
+        if not isinstance(args, tuple):
+            args = tuple(args)
+        ty = head.ty
+        for i, arg in enumerate(args):
             if not isinstance(ty, Arrow):
                 raise TermTypeError(
-                    f"head {atom_name(self.head)} applied to too many arguments",
-                    subject=atom_name(self.head), actual=self.head.ty)
+                    f"head {atom_name(head)} applied to too many arguments",
+                    subject=atom_name(head), actual=head.ty)
             if arg.ty != ty.dom:
                 raise TermTypeError(
-                    f"argument {i + 1} of {atom_name(self.head)} has the wrong type",
+                    f"argument {i + 1} of {atom_name(head)} has the wrong type",
                     subject=arg, expected=ty.dom, actual=arg.ty)
             ty = ty.cod
         if not isinstance(ty, Base):
             raise TermTypeError(
-                f"under-applied head {atom_name(self.head)}: "
+                f"under-applied head {atom_name(head)}: "
                 "application nodes must have a basic type",
-                subject=atom_name(self.head), actual=ty)
-        object.__setattr__(self, "_ty", ty)
-        object.__setattr__(self, "_hash", hash(("app", self.head, self.args)))
+                subject=atom_name(head), actual=ty)
+        _set_head(self, head)
+        _set_args(self, args)
+        _set_ty(self, ty)
+        _set_hash(self, hash(("app", head, args)))
+        _set_free_vars(self, None)
+        _set_free_names(self, None)
+        _set_reach(self, None)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -234,8 +265,14 @@ class App(Term):
                 and self.head == other.head
                 and self.args == other.args)
 
-    def __hash__(self) -> int:
-        return self._hash
+
+# the slots' own setters: a constructor fills a frozen node with them, at
+# half the cost of object.__setattr__
+_set_ty, _set_hash, _set_free_vars, _set_free_names, _set_reach = (
+    getattr(Term, s).__set__ for s in Term.__slots__)
+_set_hint, _set_param_type, _set_body = (
+    getattr(Abs, s).__set__ for s in Abs.__slots__)
+_set_head, _set_args = (getattr(App, s).__set__ for s in App.__slots__)
 
 
 def atom_name(atom: Atom) -> str:
@@ -319,8 +356,8 @@ def _cache_frees(t: Term) -> None:
             fv, names = child._free_vars, child._free_names
     if isinstance(t, App) and isinstance(t.head, Free):
         fv, names = fv | {t.head}, names | {t.head.name}
-    object.__setattr__(t, "_free_vars", fv)
-    object.__setattr__(t, "_free_names", names)
+    _set_free_vars(t, fv)
+    _set_free_names(t, names)
 
 
 def reach(t: Term) -> int:
@@ -333,7 +370,7 @@ def reach(t: Term) -> int:
             n = t.head.index + 1 if isinstance(t.head, Bound) else 0
             for a in t.args:
                 n = max(n, reach(a))
-        object.__setattr__(t, "_reach", n)
+        _set_reach(t, n)
     return t._reach
 
 

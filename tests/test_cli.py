@@ -392,3 +392,23 @@ class TestScripts:
         rows = [line.split()[0] for line in proc.stdout.splitlines()
                 if line.split() and line.split()[0] in stems]
         assert rows == stems
+
+    def test_import_cost_times_both_commands_without_writing(self):
+        def files():
+            return {p: p.stat().st_mtime_ns
+                    for d in (SRC, ROOT / "scripts") for p in d.rglob("*")}
+
+        before = files()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "import_cost.py"),
+             "--runs", "1"],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
+        assert proc.returncode == 0, proc.stderr
+        rows = {line[:34].strip(): line[34:].split()
+                for line in proc.stdout.splitlines()[2:]}
+        assert list(rows) == ["import hoterm.cli",
+                              "hoterm prove fixtures/sqsum.hrs"]
+        for cold, warm in rows.values():
+            assert float(cold) > 0 and float(warm) > 0
+        assert files() == before

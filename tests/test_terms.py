@@ -32,6 +32,18 @@ def num(n: int):
     return t
 
 
+COPIES = pytest.mark.parametrize("copy_of", [
+    copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+
+# an atom of each kind, and terms with each kind of head and a binder
+ATOMS_AND_TERMS = (
+    Const("add", BIN), Free("F", BIN), Bound(2, LIST), num(2),
+    App(Const("add", BIN), (num(1), App(Free("X", NAT), ()))),
+    Abs("x", NAT, App(Const("s", arrow(NAT, NAT)), (App(Bound(0, NAT)),))),
+    Abs("f", BIN, Abs("y", NAT, App(Bound(1, BIN), (num(0),
+                                                   App(Bound(0, NAT)))))))
+
+
 class TestTypes:
     def test_arrow_right_associative(self):
         assert arrow(NAT, NAT, NAT) == Arrow(NAT, Arrow(NAT, NAT))
@@ -48,11 +60,17 @@ class TestInterning:
         assert arrow(NAT, NAT, NAT) is BIN
         assert Arrow(NAT, LIST) is not Arrow(LIST, NAT)
 
-    @pytest.mark.parametrize("copy_of", [
-        copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    @COPIES
     def test_copies_are_the_interned_type(self, copy_of):
         for ty in (NAT, BIN, Arrow(BIN, LIST)):
             assert copy_of(ty) is ty
+
+    @COPIES
+    def test_copies_of_atoms_and_terms_are_equal(self, copy_of):
+        for t in ATOMS_AND_TERMS:
+            again = copy_of(t)
+            assert again == t and hash(again) == hash(t)
+            assert again.ty is t.ty
 
     def test_hash_comes_from_the_parts(self):
         assert hash(NAT) == hash(("nat",))
@@ -68,6 +86,20 @@ class TestInterning:
             NAT.name = "int"
         with pytest.raises(FrozenInstanceError):
             del BIN.dom
+
+    @pytest.mark.parametrize("t, field", [
+        (ATOMS_AND_TERMS[0], "name"), (ATOMS_AND_TERMS[1], "name"),
+        (ATOMS_AND_TERMS[2], "index"), (ATOMS_AND_TERMS[4], "head"),
+        (ATOMS_AND_TERMS[4], "args"), (ATOMS_AND_TERMS[5], "hint"),
+        (ATOMS_AND_TERMS[5], "param_type"), (ATOMS_AND_TERMS[5], "body")])
+    def test_atoms_and_terms_are_frozen(self, t, field):
+        before = getattr(t, field)
+        for name in (field, "ty"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, name)
+        assert getattr(t, field) is before
 
     def test_atoms_hash_and_compare_by_value(self):
         f, g = Const("f", BIN), Const("f", arrow(NAT, NAT, NAT))
@@ -130,8 +162,28 @@ class TestInterning:
 class TestConstruction:
     def test_app_requires_saturation(self):
         add = Const("add", BIN)
-        with pytest.raises(TermTypeError):
+        with pytest.raises(TermTypeError) as info:
             App(add, (num(0),))
+        assert str(info.value) == (
+            "under-applied head add: application nodes must have a basic "
+            "type in 'add' (expected None, got nat -> nat)")
+        with pytest.raises(TermTypeError) as info:
+            App(Bound(0, BIN), (num(0),))
+        assert str(info.value) == (
+            "under-applied head <bound 0>: application nodes must have a "
+            "basic type in '<bound 0>' (expected None, got nat -> nat)")
+
+    def test_app_rejects_too_many_arguments(self):
+        with pytest.raises(TermTypeError) as info:
+            App(Const("0", NAT), (num(0),))
+        assert str(info.value) == (
+            "head 0 applied to too many arguments in '0' (expected None, "
+            "got nat)")
+        with pytest.raises(TermTypeError) as info:
+            App(Free("F", arrow(NAT, NAT)), (num(0), num(1)))
+        assert str(info.value) == (
+            "head F applied to too many arguments in 'F' (expected None, "
+            "got nat -> nat)")
 
     def test_app_checks_argument_types(self):
         cons = Const("cons", arrow(NAT, LIST, LIST))
