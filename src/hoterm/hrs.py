@@ -81,6 +81,12 @@ class Hrs:
         return {head: tuple(rs) for head, rs in index.items()}
 
     @cached_property
+    def non_pattern(self) -> Rule | None:
+        """The first rule whose left-hand side is not a pattern, if any:
+        matching, and so rewriting, is undecidable for it."""
+        return next((r for r in self.rules if not r.is_pattern), None)
+
+    @cached_property
     def subterm_steps(self) -> dict[Term, tuple | bool]:
         """``rewriting``'s memo: a subterm met -> (the subterm, its
         one-step rewrites), or only whether it has one."""

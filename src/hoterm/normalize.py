@@ -140,8 +140,10 @@ def _replace(t: Term, theta: Mapping[str, Term], depth: int) -> Term:
         return t
     if isinstance(t, Abs):
         return Abs(t.hint, t.param_type, _replace(t.body, theta, depth + 1))
-    args = [_replace(a, theta, depth) for a in t.args]
     head = t.head
+    if not t.args and isinstance(head, Free):
+        return theta[head.name]     # what _build returns with nothing to pass
+    args = [_replace(a, theta, depth) for a in t.args]
     if isinstance(head, Free) and head.name in theta:
         env = _levels(depth)
         return _build(theta[head.name], (), depth,

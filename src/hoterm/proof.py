@@ -98,7 +98,7 @@ def _conclude(h: Hrs, pfp: PfpReport,
                            for c in blocked)
         reason = f"undischarged recursion component(s): {labels}"
     if config.disprove_steps is not None:
-        non_pattern = next((r for r in h.rules if not r.is_pattern), None)
+        non_pattern = h.non_pattern
         if non_pattern is not None:
             reason += (f"; loop search skipped: rule {non_pattern.name} is "
                        "not a pattern")

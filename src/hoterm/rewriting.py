@@ -140,11 +140,11 @@ def reducible(h: Hrs, t: Term) -> bool:
 
 
 def _check_patterns(h: Hrs) -> None:
-    for rule in h.rules:
-        if not rule.is_pattern:
-            raise NonPatternError(
-                f"rule {rule.name!r}: matching is undecidable for "
-                "non-pattern left-hand sides")
+    rule = h.non_pattern
+    if rule is not None:
+        raise NonPatternError(
+            f"rule {rule.name!r}: matching is undecidable for "
+            "non-pattern left-hand sides")
 
 
 # subterms kept in a system's table at most; a full table is emptied
@@ -407,31 +407,60 @@ def enumerate_closed_terms(h: Hrs, ty: SimpleType,
 
 def loop_seeds(h: Hrs, max_term_size: int = 4,
                cap: int = 200) -> Iterator[Term]:
-    """Left-hand sides instantiated with small closed terms."""
+    """Left-hand sides instantiated with small closed terms, each seed once,
+    at most ``cap`` of them.
+
+    A rule's variables, sorted by name, take every combination of the first
+    25 closed terms of their types (``enumerate_closed_terms``), the last
+    variable varying fastest.  The variables of one type share one pool of
+    terms, which is drawn from the enumeration only as far as the seeds
+    taken so far need: a search that stops at an early seed builds no more.
+    """
     seen: set[Term] = set()
-    emitted = 0
-    pools: dict[SimpleType, list[Term]] = {}    # the instances, by type
+    pools: dict[SimpleType, tuple[list[Term], Iterator[Term]]] = {}
+
+    def term(ty: SimpleType, i: int) -> Term | None:
+        """The ``i``-th term of the pool of ``ty``, or None past its end;
+        the pool grows by one term at a time."""
+        if ty not in pools:
+            pools[ty] = ([], itertools.islice(
+                enumerate_closed_terms(h, ty, max_term_size), 25))
+        drawn, rest = pools[ty]
+        if i == len(drawn):
+            drawn.extend(itertools.islice(rest, 1))
+        return drawn[i] if i < len(drawn) else None
+
     for rule in h.rules:
         fvars = sorted(free_vars(rule.lhs), key=lambda atom: atom.name)
-        for atom in fvars:
-            if atom.ty not in pools:
-                pools[atom.ty] = list(itertools.islice(
-                    enumerate_closed_terms(h, atom.ty, max_term_size), 25))
-        for combo in itertools.product(*(pools[a.ty] for a in fvars)):
-            theta = {a.name: u for a, u in zip(fvars, combo)}
-            seed = apply_subst(rule.lhs, theta)
-            if seed in seen:
-                continue
-            seen.add(seed)
-            yield seed
-            emitted += 1
-            if emitted >= cap:
-                return
+        combo = [term(a.ty, 0) for a in fvars]
+        if any(u is None for u in combo):
+            continue
+        index = [0] * len(fvars)
+        while True:         # an odometer over the pools, the last fastest
+            seed = apply_subst(rule.lhs, {a.name: u for a, u
+                                          in zip(fvars, combo)})
+            if seed not in seen:
+                seen.add(seed)
+                yield seed
+                if len(seen) >= cap:
+                    return
+            for k in reversed(range(len(fvars))):
+                index[k] += 1
+                u = term(fvars[k].ty, index[k])
+                if u is not None:
+                    combo[k] = u
+                    break
+                index[k] = 0
+                combo[k] = term(fvars[k].ty, 0)
+            else:
+                break
 
 
 def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,
               cap: int = 200, max_nodes: int = 20_000) -> LoopFound | None:
-    """Search for a looping reduction from small instances of the rules.
+    """Search for a looping reduction from small instances of the rules:
+    ``bounded_search`` from each of the seeds of ``loop_seeds`` in turn,
+    each seed built only when the search before it found no loop.
 
     The seeds share one table of rewrite steps, emptied between seeds once
     it holds more than ``max_nodes`` terms; the system's table of subterm

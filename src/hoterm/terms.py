@@ -14,7 +14,6 @@ built, and no method is generated when the module is imported.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Iterable, Union
 
 
@@ -32,6 +31,8 @@ class _Frozen:
         return self._hash
 
     def __setattr__(self, attr, *value):
+        # imported here, as dataclasses costs a start-up some 10 ms
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {attr!r}")
 
     __delattr__ = __setattr__

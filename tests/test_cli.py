@@ -380,18 +380,25 @@ class TestEntryPoint:
 
 
 class TestScripts:
-    @pytest.mark.parametrize("script", ["run_systems.py", "pi_depth_sweep.py"])
-    def test_script_reports_every_fixture(self, script):
+    @pytest.mark.parametrize("script, flags", [
+        ("run_systems.py", ()), ("run_systems.py", ("--disprove", "5")),
+        ("pi_depth_sweep.py", ())],
+        ids=["run_systems.py", "run_systems.py-disprove", "pi_depth_sweep.py"])
+    def test_script_reports_every_fixture(self, script, flags):
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), str(FIXDIR)],
+            [sys.executable, str(ROOT / "scripts" / script), str(FIXDIR),
+             *flags],
             capture_output=True, text=True, cwd=ROOT,
             env=dict(os.environ, PYTHONPATH=src_pythonpath()))
         assert proc.returncode == 0, proc.stderr
         stems = sorted(p.stem for p in FIXDIR.glob("*.hrs"))
         assert len(stems) == 9
-        rows = [line.split()[0] for line in proc.stdout.splitlines()
+        rows = [line.split() for line in proc.stdout.splitlines()
                 if line.split() and line.split()[0] in stems]
-        assert rows == stems
+        assert [row[0] for row in rows] == stems
+        if script == "run_systems.py":   # only the loop search finds foo's
+            foo = next(row for row in rows if row[0] == "foo")
+            assert foo[5] == ("NONTERMINATING" if flags else "MAYBE")
 
     def test_import_cost_times_both_commands_without_writing(self):
         def files():

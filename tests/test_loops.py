@@ -4,10 +4,12 @@
 the breadth-first search over rewrite paths it replaced, kept here as an
 oracle: every loop the oracle finds, the new search finds too, and where
 the oracle reaches a normal form the new search reaches the same one.
+The seeds drawn on demand are checked against the eager seeds kept in
+``walk_oracle``.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import hypothesis.strategies as st
 
 import strategies as S
 from nbe_oracle import hints, nbe_apply_subst
+from walk_oracle import eager_loop_seeds
 import hoterm.rewriting as R
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
@@ -320,6 +323,88 @@ class TestFindLoop:
             with monkeypatch.context() as m:
                 m.setattr(R, "enumerate_closed_terms", sorted_closed_terms)
                 assert lazy == list(loop_seeds(h, size))
+
+
+class TestSeedsOnDemand:
+    """``loop_seeds`` draws its pools as far as the seeds taken need, and
+    gives the seeds of the eager oracle, in the same order."""
+
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_fixtures(self, name):
+        h = load(FIXTURES / f"{name}.hrs")
+        for size in range(1, 6):
+            assert list(loop_seeds(h, size)) == \
+                list(eager_loop_seeds(h, size))
+
+    @settings(max_examples=200, deadline=None)
+    @given(S.systems(), st.integers(1, 4), st.integers(1, 200))
+    def test_generated_systems(self, h, size, cap):
+        assert list(loop_seeds(h, size, cap)) == \
+            list(eager_loop_seeds(h, size, cap))
+
+    def check(self, text, size, cap, want):
+        h = parse(text)
+        got = [print_term(t) for t in loop_seeds(h, size, cap)]
+        assert got == [print_term(t) for t in eager_loop_seeds(h, size, cap)]
+        if isinstance(want, int):
+            assert len(got) == want
+        else:
+            assert got == want
+        return got
+
+    def test_rule_without_variables(self):
+        self.check("basic a\nsig c : a\nsig d : a\nsig f : a -> a\n"
+                   "var X : a\nrule r: f(c) -> c\nrule s: f(X) -> X\n",
+                   size=2, cap=200, want=["f(c)", "f(d)", "f(f(c))",
+                                          "f(f(d))"])
+
+    def test_type_without_closed_terms_skips_only_its_rules(self):
+        # nothing builds a b, so g's rule has no instance; f's still has
+        self.check("basic a b\nsig c : a\nsig f : a -> a\n"
+                   "sig g : b -> a\nvar X : a\nvar Y : b\n"
+                   "rule r: g(Y) -> c\nrule s: f(X) -> X\n",
+                   size=2, cap=200, want=["f(c)", "f(f(c))"])
+
+    def test_variables_sharing_one_pool(self):
+        self.check("basic a\nsig c : a\nsig d : a\n"
+                   "sig h : a -> a -> a\nvar X : a\nvar Y : a\n"
+                   "rule r: h(X, Y) -> X\n",
+                   size=1, cap=200, want=["h(c, c)", "h(c, d)", "h(d, c)",
+                                          "h(d, d)"])
+
+    def test_cap_reached_inside_a_product(self):
+        # a has 24 terms up to size 4: f(c), 23 more from s, none from its
+        # copy t, then 176 of the 576 pairs: the cap stops the odometer at
+        # the ninth pair of the eighth row
+        got = self.check(
+            "basic a\nsig c : a\nsig d : a\nsig f : a -> a\n"
+            "sig h : a -> a -> a\nvar X : a\nvar Y : a\n"
+            "rule r: f(c) -> c\nrule s: f(X) -> X\nrule t: f(Y) -> c\n"
+            "rule u: h(X, Y) -> X\n", size=4, cap=200, want=200)
+        assert sum(seed.startswith("h(") for seed in got) == 176
+        assert got[-1] == "h(h(c, d), h(c, d))"
+
+    @pytest.mark.parametrize("name, max_steps, seeds", [
+        ("foo", 3, 2), ("loop-chain", 6, 1)])
+    def test_a_loop_found_early_draws_only_its_seeds(
+            self, name, max_steps, seeds, monkeypatch):
+        # foo's first seed, foo(bar(\x. x)), is a normal form after one
+        # step; its second loops.  The eager pool held 25 terms.
+        drawn = Counter()
+        real = R.enumerate_closed_terms
+
+        def counting(h, ty, max_size):
+            for t in real(h, ty, max_size):
+                drawn[ty] += 1
+                yield t
+
+        monkeypatch.setattr(R, "enumerate_closed_terms", counting)
+        h = loop_chain(6) if name == "loop-chain" else \
+            load(FIXTURES / f"{name}.hrs")
+        found = find_loop(h, max_steps=max_steps)
+        assert isinstance(found, LoopFound)
+        assert list(drawn.values()) == [seeds]
+        assert found.start == list(loop_seeds(h, cap=seeds))[-1]
 
 
 class TestEnumerateClosedTerms:

@@ -8,7 +8,10 @@ rather than times, so it holds on any machine.
 
 import dataclasses
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,17 @@ class TestNoGeneratedCode:
         assert len(classes) > 30
         assert [c.__qualname__ for c in classes
                 if dataclasses.is_dataclass(c)] == []
+
+    def test_importing_the_cli_loads_no_dataclasses(self):
+        # dataclasses, with inspect, ast and dis, costs a start-up about
+        # 10 ms; only an assignment to a frozen node needs it
+        code = "import sys, hoterm.cli; print('dataclasses' in sys.modules)"
+        src = str(Path(hoterm.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_atoms_and_term_nodes_have_no_instance_dict(self):
         nat = Base("nat")

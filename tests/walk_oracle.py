@@ -1,21 +1,29 @@
-"""One-step rewriting by a walk over the whole term, kept as the oracle for
-the memoised ``rewrite_step`` and for ``reducible``.
+"""The rewriting layer as it once worked, kept as oracles for the faster
+code that replaced it.
 
 ``hoterm.rewriting`` finds the rewrites of each distinct subterm once and
-keeps them in the system's table.  This module finds them the way the
-prover once did: walk the term, opening each binder with a name fresh for
-the whole term and the binders above, try the rules indexed under the head
-at every subterm, and put each contractum back in place with
+keeps them in the system's table.  ``walk_rewrite_step`` finds them the way
+the prover once did: walk the term, opening each binder with a name fresh
+for the whole term and the binders above, try the rules indexed under the
+head at every subterm, and put each contractum back in place with
 ``replace_at``, which the prover no longer needs and so is kept here.
+
+``eager_loop_seeds`` builds each pool of closed terms in full before the
+first seed: the seeds of the loop search must not change now that its pools
+are drawn only as far as the seeds taken need.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from hoterm.hrs import Hrs
 from hoterm.normalize import apply_subst
-from hoterm.rewriting import NonPatternError, RewriteStep, match
+from hoterm.rewriting import (NonPatternError, RewriteStep,
+                              enumerate_closed_terms, match)
 from hoterm.terms import (Abs, App, Position, PositionError, Term,
-                          TermTypeError, close_over, free_names, open_abs)
+                          TermTypeError, close_over, free_names, free_vars,
+                          open_abs)
 
 
 def replace_at(t: Term, p: Position, new: Term) -> Term:
@@ -71,3 +79,26 @@ def walk_rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
     hits.sort(key=lambda hit: (hit[0], hit[1]))
     return tuple(RewriteStep(rule, pos, replace_at(t, pos, res))
                  for rule, pos, res in hits)
+
+
+def eager_loop_seeds(h: Hrs, max_term_size: int = 4, cap: int = 200):
+    """``loop_seeds`` with every pool of a rule built before its first seed."""
+    seen: set[Term] = set()
+    emitted = 0
+    pools = {}      # the instances, by type
+    for rule in h.rules:
+        fvars = sorted(free_vars(rule.lhs), key=lambda atom: atom.name)
+        for atom in fvars:
+            if atom.ty not in pools:
+                pools[atom.ty] = list(itertools.islice(
+                    enumerate_closed_terms(h, atom.ty, max_term_size), 25))
+        for combo in itertools.product(*(pools[a.ty] for a in fvars)):
+            theta = {a.name: u for a, u in zip(fvars, combo)}
+            seed = apply_subst(rule.lhs, theta)
+            if seed in seen:
+                continue
+            seen.add(seed)
+            yield seed
+            emitted += 1
+            if emitted >= cap:
+                return
