@@ -143,7 +143,9 @@ def _replace(t: Term, theta: Mapping[str, Term], depth: int) -> Term:
     head = t.head
     if not t.args and isinstance(head, Free):
         return theta[head.name]     # what _build returns with nothing to pass
-    args = [_replace(a, theta, depth) for a in t.args]
+    args = []
+    for a in t.args:
+        args.append(_replace(a, theta, depth))
     if isinstance(head, Free) and head.name in theta:
         env = _levels(depth)
         return _build(theta[head.name], (), depth,

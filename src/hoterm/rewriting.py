@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from functools import cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
@@ -43,59 +42,63 @@ def _opened_atom(a: Term) -> Free | None:
     return None
 
 
-def match(pattern: Term, subject: Term,
-          pattern_vars: frozenset[str] | None = None) -> dict[str, Term] | None:
+def match(pattern: Term, subject: Term) -> dict[str, Term] | None:
     """The unique substitution theta with pattern[theta] == subject, or None.
 
     Raises NonPatternError when a pattern variable is applied to anything
     other than pairwise distinct bound variables.
     """
-    if pattern.ty != subject.ty:
+    if pattern.ty is not subject.ty:
         return None
-    pvars = free_names(pattern) if pattern_vars is None else pattern_vars
     theta: dict[str, Term] = {}
-    hints: dict[str, str] = {}  # marker name -> pattern binder hint
-
-    def go(p: Term, s: Term, depth: int) -> bool:
-        if isinstance(p, Abs):
-            if not isinstance(s, Abs) or p.param_type != s.param_type:
-                return False
-            name = f"{_MARKER}{depth}"
-            hints[name] = p.hint
-            return go(open_with(p.body, name), open_with(s.body, name),
-                      depth + 1)
-        if isinstance(s, Abs):
-            return False
-        ph = p.head
-        if isinstance(ph, Free) and ph.name in pvars:
-            markers: list[Free] = []
-            for a in p.args:
-                atom = _opened_atom(a)
-                if atom is None or atom in markers:
-                    raise NonPatternError(
-                        "pattern variable applied to arguments that are not "
-                        "pairwise distinct bound variables")
-                markers.append(atom)
-            candidate: Term = s
-            for atom in reversed(markers):
-                candidate = Abs(hints.get(atom.name, "x"), atom.ty,
-                                close_over(candidate, atom.name))
-            if any(n.startswith(_MARKER) for n in free_names(candidate)):
-                return False
-            previous = theta.get(ph.name)
-            if previous is not None:
-                return previous == candidate
-            theta[ph.name] = candidate
-            return True
-        if ph != s.head:
-            return False
-        return all(go(pa, sa, depth) for pa, sa in zip(p.args, s.args))
-
-    if not go(pattern, subject, 0):
+    if not _match(pattern, subject, 0, free_names(pattern), theta, {}):
         return None
     assert apply_subst(pattern, theta) == subject, \
         "internal error: match result does not reproduce the subject"
     return theta
+
+
+def _match(p: Term, s: Term, depth: int, pvars: frozenset[str],
+           theta: dict[str, Term], hints: dict[str, str]) -> bool:
+    """Extend ``theta`` so that ``p`` matches ``s``, under ``depth`` opened
+    binders; ``hints`` maps each binder's marker to its pattern hint."""
+    if isinstance(p, Abs):
+        if not isinstance(s, Abs) or p.param_type is not s.param_type:
+            return False
+        name = f"{_MARKER}{depth}"
+        hints[name] = p.hint
+        return _match(open_with(p.body, name), open_with(s.body, name),
+                      depth + 1, pvars, theta, hints)
+    if isinstance(s, Abs):
+        return False
+    ph = p.head
+    if isinstance(ph, Free) and ph.name in pvars:
+        markers: list[Free] = []
+        for a in p.args:
+            atom = _opened_atom(a)
+            if atom is None or atom in markers:
+                raise NonPatternError(
+                    "pattern variable applied to arguments that are not "
+                    "pairwise distinct bound variables")
+            markers.append(atom)
+        candidate: Term = s
+        for atom in reversed(markers):
+            candidate = Abs(hints.get(atom.name, "x"), atom.ty,
+                            close_over(candidate, atom.name))
+        for n in free_names(candidate):
+            if n.startswith(_MARKER):
+                return False
+        previous = theta.get(ph.name)
+        if previous is not None:
+            return previous == candidate
+        theta[ph.name] = candidate
+        return True
+    if ph is not s.head and ph != s.head:
+        return False
+    for pa, sa in zip(p.args, s.args):
+        if not _match(pa, sa, depth, pvars, theta, hints):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +128,7 @@ def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
     _check_patterns(h)
     hits = sorted(_rewrites(h.subterm_steps, h.rules_by_head, t),
                   key=itemgetter(0, 1))
-    return tuple(RewriteStep(rule, pos, res) for rule, pos, res in hits)
+    return tuple(map(RewriteStep._make, hits))
 
 
 def reducible(h: Hrs, t: Term) -> bool:
@@ -202,9 +205,16 @@ def _reducible(table: dict, by_head: dict, u: Term) -> bool:
         name = liberation_name(u.hint, free_names(u))
         found = _reducible(table, by_head, open_with(u.body, name))
     else:
-        found = (any(_reducible(table, by_head, a) for a in u.args)
-                 or any(match(rule.lhs, u) is not None
-                        for rule in by_head.get(u.head, ())))
+        found = False
+        for a in u.args:
+            if _reducible(table, by_head, a):
+                found = True
+                break
+        else:
+            for rule in by_head.get(u.head, ()):
+                if match(rule.lhs, u) is not None:
+                    found = True
+                    break
     _remember(table, u, found)
     return found
 
@@ -357,52 +367,63 @@ def enumerate_closed_terms(h: Hrs, ty: SimpleType,
     in the list of its exact size, beside its key: the rank of its head
     and its arguments' keys, which sort as generation order does.
     """
-    consts = [Const(name, sty) for name, sty in sorted(h.signature.items())]
-
-    @cache
-    def exact(want: SimpleType, size: int, env: tuple[SimpleType, ...]
-              ) -> list[tuple[tuple, Term]]:
-        """Every closed term of ``want`` under binders of types ``env``
-        with ``size`` nodes, with its key, in generation order."""
-        if size <= 0:
-            return []
-        if isinstance(want, Arrow):
-            return [(key, Abs(eta_hint(len(env)), want.dom, body))
-                    for key, body in exact(want.cod, size - 1,
-                                           env + (want.dom,))]
-        heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
-        return [((rank,) + keys, App(head, args))
-                for rank, head in enumerate(heads + consts)
-                if result_type(head.ty) == want
-                for keys, args in arg_lists(domains(head.ty), size - 1, env)]
-
-    @cache
-    def upto(want: SimpleType, budget: int, env: tuple[SimpleType, ...]
-             ) -> list[tuple[tuple, int, Term]]:
-        """The terms of every size up to ``budget``, with key and size,
-        merged into generation order."""
-        return list(heapq.merge(*([(key, n, term) for key, term
-                                   in exact(want, n, env)]
-                                  for n in range(1, budget + 1))))
-
-    @cache
-    def arg_lists(doms: tuple[SimpleType, ...], size: int,
-                  env: tuple[SimpleType, ...]
-                  ) -> list[tuple[tuple, tuple[Term, ...]]]:
-        """Argument tuples of ``size`` nodes in all, with their keys."""
-        if not doms:
-            return [((), ())] if size == 0 else []
-        if len(doms) == 1:      # the last argument takes the size left
-            return [((key,), (term,))
-                    for key, term in exact(doms[0], size, env)]
-        return [((key,) + keys, (first,) + rest)
-                for key, n, first in upto(doms[0], size - (len(doms) - 1),
-                                          env)
-                for keys, rest in arg_lists(doms[1:], size - n, env)]
-
+    lists = _TermLists()
+    lists.consts = [Const(n, sty) for n, sty in sorted(h.signature.items())]
     for size in range(1, max_size + 1):
-        for _, term in exact(ty, size, ()):
+        for _, term in lists[_exact, ty, size, ()]:
             yield term
+
+
+class _TermLists(dict):
+    """The lists of one enumeration over the symbols ``consts``, by builder
+    and arguments: a list is built, once, when it is first asked for."""
+
+    def __missing__(self, key: tuple) -> list:
+        build, *args = key
+        value = self[key] = build(self, *args)
+        return value
+
+
+def _exact(lists: _TermLists, want: SimpleType, size: int,
+           env: tuple[SimpleType, ...]) -> list[tuple[tuple, Term]]:
+    """Every closed term of ``want`` under binders of types ``env`` with
+    ``size`` nodes, with its key, in generation order."""
+    if size <= 0:
+        return []
+    if isinstance(want, Arrow):
+        return [(key, Abs(eta_hint(len(env)), want.dom, body))
+                for key, body in lists[_exact, want.cod, size - 1,
+                                       env + (want.dom,)]]
+    heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
+    return [((rank,) + keys, App(head, args))
+            for rank, head in enumerate(heads + lists.consts)
+            if result_type(head.ty) == want
+            for keys, args in lists[_arg_lists, domains(head.ty), size - 1,
+                                    env]]
+
+
+def _upto(lists: _TermLists, want: SimpleType, budget: int,
+          env: tuple[SimpleType, ...]) -> list[tuple[tuple, int, Term]]:
+    """The terms of every size up to ``budget``, with key and size, merged
+    into generation order."""
+    return list(heapq.merge(*([(key, n, term) for key, term
+                               in lists[_exact, want, n, env]]
+                              for n in range(1, budget + 1))))
+
+
+def _arg_lists(lists: _TermLists, doms: tuple[SimpleType, ...], size: int,
+               env: tuple[SimpleType, ...]
+               ) -> list[tuple[tuple, tuple[Term, ...]]]:
+    """Argument tuples of ``size`` nodes in all, with their keys."""
+    if not doms:
+        return [((), ())] if size == 0 else []
+    if len(doms) == 1:      # the last argument takes the size left
+        return [((key,), (term,)) for key, term in lists[_exact, doms[0],
+                                                         size, env]]
+    return [((key,) + keys, (first,) + rest)
+            for key, n, first in lists[_upto, doms[0],
+                                       size - (len(doms) - 1), env]
+            for keys, rest in lists[_arg_lists, doms[1:], size - n, env]]
 
 
 def loop_seeds(h: Hrs, max_term_size: int = 4,

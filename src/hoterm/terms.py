@@ -234,12 +234,13 @@ class App(Term):
         if not isinstance(args, tuple):
             args = tuple(args)
         ty = head.ty
-        for i, arg in enumerate(args):
+        for arg in args:
             if not isinstance(ty, Arrow):
                 raise TermTypeError(
                     f"head {atom_name(head)} applied to too many arguments",
                     subject=atom_name(head), actual=head.ty)
-            if arg.ty != ty.dom:
+            if arg.ty is not ty.dom:
+                i = len(domains(head.ty)) - len(domains(ty))
                 raise TermTypeError(
                     f"argument {i + 1} of {atom_name(head)} has the wrong type",
                     subject=arg, expected=ty.dom, actual=arg.ty)
@@ -299,30 +300,36 @@ def eta_hint(depth: int) -> str:
 
 def open_with(body: Term, name: str) -> Term:
     """Replace references to the binder just stripped off by a free variable."""
+    return _open(body, name, 0)
 
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Abs):
-            return Abs(t.hint, t.param_type, go(t.body, depth + 1))
-        head = t.head
-        if isinstance(head, Bound) and head.index == depth:
-            head = Free(name, head.ty)
-        return App(head, tuple(go(a, depth) for a in t.args))
 
-    return go(body, 0)
+def _open(t: Term, name: str, depth: int) -> Term:
+    if isinstance(t, Abs):
+        return Abs(t.hint, t.param_type, _open(t.body, name, depth + 1))
+    head = t.head
+    if isinstance(head, Bound) and head.index == depth:
+        head = Free(name, head.ty)
+    args = []
+    for a in t.args:
+        args.append(_open(a, name, depth))
+    return App(head, args)
 
 
 def close_over(t: Term, name: str) -> Term:
     """Turn free occurrences of ``name`` into references to a new outer binder."""
+    return _close(t, name, 0)
 
-    def go(u: Term, depth: int) -> Term:
-        if isinstance(u, Abs):
-            return Abs(u.hint, u.param_type, go(u.body, depth + 1))
-        head = u.head
-        if isinstance(head, Free) and head.name == name:
-            head = Bound(depth, head.ty)
-        return App(head, tuple(go(a, depth) for a in u.args))
 
-    return go(t, 0)
+def _close(u: Term, name: str, depth: int) -> Term:
+    if isinstance(u, Abs):
+        return Abs(u.hint, u.param_type, _close(u.body, name, depth + 1))
+    head = u.head
+    if isinstance(head, Free) and head.name == name:
+        head = Bound(depth, head.ty)
+    args = []
+    for a in u.args:
+        args.append(_close(a, name, depth))
+    return App(head, args)
 
 
 _NO_FREES: frozenset = frozenset()

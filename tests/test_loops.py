@@ -8,6 +8,7 @@ The seeds drawn on demand are checked against the eager seeds kept in
 ``walk_oracle``.
 """
 
+import gc
 import itertools
 from collections import Counter, deque
 from pathlib import Path
@@ -323,6 +324,37 @@ class TestFindLoop:
             with monkeypatch.context() as m:
                 m.setattr(R, "enumerate_closed_terms", sorted_closed_terms)
                 assert lazy == list(loop_seeds(h, size))
+
+
+def _arith_matches():
+    h = load(FIXTURES / "arith.hrs")
+    seeds = list(loop_seeds(h))
+    return lambda: [R.match(rule.lhs, seed) for rule in h.rules
+                    for seed in seeds]
+
+
+def _search(name, max_steps):
+    h = load(FIXTURES / f"{name}.hrs")
+    return lambda: find_loop(h, max_steps=max_steps)
+
+
+class TestNoGarbageCycles:
+    """Matching and the loop search leave no reference cycle behind: with
+    the cyclic collector off, reference counting frees all they made."""
+
+    @pytest.mark.parametrize("make", [
+        _arith_matches, lambda: _search("arith", 1),
+        lambda: _search("foo", 3), lambda: _search("mapfun", 2)],
+        ids=["match-arith-seeds", "arith", "foo", "mapfun"])
+    def test_collector_finds_nothing(self, make):
+        run = make()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSeedsOnDemand:

@@ -13,7 +13,7 @@ from hoterm.normalize import apply_subst
 from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
                               NormalForm, bounded_search, find_loop,
                               loop_seeds, match, reducible, rewrite_step)
-from hoterm.terms import (Abs, App, Base, Const, Free, Term, arrow, free_names,
+from hoterm.terms import (Abs, App, Base, Const, Free, Term, arrow,
                           print_term, subterm_at)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -38,18 +38,16 @@ def var(name, ty=NAT):
 
 class TestMatch:
     def test_variable_matches_anything(self):
-        theta = match(var("X"), suc(ZERO), pattern_vars=frozenset({"X"}))
+        theta = match(var("X"), suc(ZERO))
         assert theta == {"X": suc(ZERO)}
 
     def test_constructor_clash_gives_none(self):
-        assert match(suc(var("X")), ZERO,
-                     pattern_vars=frozenset({"X"})) is None
+        assert match(suc(var("X")), ZERO) is None
 
     def test_repeated_variable_requires_equal_subterms(self):
         pat = add(var("X"), var("X"))
-        assert match(pat, add(suc(ZERO), suc(ZERO)),
-                     frozenset({"X"})) is not None
-        assert match(pat, add(suc(ZERO), ZERO), frozenset({"X"})) is None
+        assert match(pat, add(suc(ZERO), suc(ZERO))) is not None
+        assert match(pat, add(suc(ZERO), ZERO)) is None
 
     def test_foldl_cons_instance(self, fixtures):
         h = load(fixtures / "foldl.hrs")
@@ -59,8 +57,7 @@ class TestMatch:
         lst = App(Const("cons", arrow(NAT, NATLIST, NATLIST)), (ZERO, tail))
         subject = App(Const("foldl", h.signature["foldl"]),
                       (step, suc(ZERO), lst))
-        theta = match(rule.lhs, subject,
-                      pattern_vars=frozenset(free_names(rule.lhs)))
+        theta = match(rule.lhs, subject)
         assert theta is not None
         assert str(theta["F"]) == "\\x y. add(x, y)"
         assert theta["Y"] == suc(ZERO)
@@ -319,9 +316,9 @@ class TestMemoisedSteps:
         calls = []
         real = R.match
 
-        def counting(pattern, subject, pattern_vars=None):
+        def counting(pattern, subject):
             calls.append(subject)
-            return real(pattern, subject, pattern_vars)
+            return real(pattern, subject)
 
         monkeypatch.setattr(R, "match", counting)
         h = load(FIXTURES / "arith.hrs")
@@ -330,3 +327,26 @@ class TestMemoisedSteps:
         rewrite_step(h, suc(add(inner, ZERO)))
         # once for each rule indexed under its head
         assert calls.count(inner) == len(h.rules_by_head[inner.head]) == 2
+        # the frontier test matches through the same name, stops at the
+        # first rule that applies (add-0), and then answers from the table
+        fresh = add(ZERO, suc(ZERO))
+        assert reducible(h, suc(fresh)) and reducible(h, suc(fresh))
+        assert calls.count(fresh) == 1
+
+    def test_each_contractum_is_built_by_apply_subst(self, monkeypatch):
+        # the per-layer counts of normalize.apply_subst rebind this name
+        built = []
+        real = R.apply_subst
+
+        def counting(t, theta):
+            built.append(t)
+            return real(t, theta)
+
+        monkeypatch.setattr(R, "apply_subst", counting)
+        h = load(FIXTURES / "arith.hrs")
+        mul = App(Const("mul", h.signature["mul"]), (ZERO, ZERO))
+        steps = rewrite_step(h, add(add(ZERO, ZERO), mul))
+        assert [st.rule for st in steps] == ["add-0", "mul-0"]
+        fired = {"add-0": 1, "mul-0": 1}
+        for rule in h.rules:
+            assert built.count(rule.rhs) == fired.get(rule.name, 0)

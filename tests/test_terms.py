@@ -190,6 +190,25 @@ class TestConstruction:
         with pytest.raises(TermTypeError):
             App(cons, (num(0), num(1)))
 
+    def test_wrong_second_argument_is_named_by_its_place(self):
+        nil = App(Const("nil", LIST), ())
+        with pytest.raises(TermTypeError) as info:
+            App(Const("add", BIN), (num(0), nil))
+        assert str(info.value) == (
+            "argument 2 of add has the wrong type in nil (expected nat, got "
+            "natlist)")
+        # the same first argument is not taken for the wrong one
+        with pytest.raises(TermTypeError) as info:
+            App(Const("f", arrow(NAT, LIST, NAT)), (num(0), num(0)))
+        assert str(info.value).startswith("argument 2 of f has the wrong")
+
+    def test_arguments_given_as_a_list_build_the_same_node(self):
+        add = Const("add", BIN)
+        listed = App(add, [num(1), num(0)])
+        assert listed == App(add, (num(1), num(0)))
+        assert type(listed.args) is tuple
+        assert hash(listed) == hash(App(add, (num(1), num(0))))
+
     def test_eta_expansion_of_bare_head(self):
         f = Free("F", BIN)
         expanded = eta_expand(f)
