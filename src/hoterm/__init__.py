@@ -15,7 +15,7 @@ from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
 from .graph import (DependencyGraph, RecursionComponent, build_graph,
                     recursion_components, strongly_connected, to_dot)
 from .hrs import Hrs, HrsError, Rule, load, parse, print_hrs
-from .normalize import apply_subst, eta_expand, normalize
+from .normalize import apply_subst, eta_expand
 from .pfp import PfpReport, PfpViolation, SafeSet, is_pfp, safe_subterms
 from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProofObject,
                     ProverConfig, Verdict, emit, emit_dot, emit_json,

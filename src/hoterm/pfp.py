@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .hrs import Hrs, Rule
-from .normalize import PAtom, normalize, papp
+from .normalize import normalize
 from .terms import (Abs, App, Atom, Free, Position, SimpleType, Term, args,
                     print_term, reach, subterm_at, under_binders)
 
@@ -44,8 +44,8 @@ class SafeSet:
         ``t`` that reaches a binder above it ends the prefixes that can be."""
         head, ty = t.head, t.head.ty
         for k, arg in enumerate(t.args):
-            if (head, ty) in self.shapes and normalize(
-                    papp(PAtom(head), *t.args[:k])) in self.members:
+            if (head, ty) in self.shapes \
+                    and normalize(head, t.args[:k]) in self.members:
                 return True
             if reach(arg):
                 return False

@@ -174,7 +174,7 @@ Atom = Union[Const, Free, Bound]
 
 
 class TermTypeError(TypeError):
-    """A term or preterm violates the typing discipline."""
+    """A term violates the typing discipline."""
 
     def __init__(self, message: str, subject: object = None,
                  expected: SimpleType | None = None,

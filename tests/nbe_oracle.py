@@ -4,9 +4,11 @@ substitution and for the reader.
 ``hoterm.normalize`` builds canonical forms directly, and so does
 ``hoterm.hrs.parse``.  This module computes them the way the prover once
 did: evaluate into a semantic domain of closures and neutral values, then
-read the value back as an eta-long beta-normal term.  ``reference_rules``
-reads a system's rules by the old route: surface syntax, then a preterm,
-then evaluation and read-back, then ``uniquify_hints``.  The property tests
+read the value back as an eta-long beta-normal term.  Its input is a
+preterm, a raw lambda tree that may hold under-applied heads and
+beta-redexes; the prover itself has only terms.  ``reference_rules`` reads
+a system's rules by the old route: surface syntax, then a preterm, then
+evaluation and read-back, then ``uniquify_hints``.  The property tests
 compare both builders with it on terms, binder hints and printed text.
 """
 
@@ -14,13 +16,69 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from hoterm.hrs import parse
-from hoterm.normalize import PApp, PAtom, PLam, Preterm, papp, preterm_type
 from hoterm.terms import (Abs, App, Arrow, Atom, Bound, Const, Free,
-                          SimpleType, Term, domains, eta_hint, free_vars,
-                          liberation_name)
+                          SimpleType, Term, TermTypeError, domains, eta_hint,
+                          free_vars, liberation_name)
+
+# ---------------------------------------------------------------------------
+# preterms
+
+
+class PLam(NamedTuple):
+    hint: str
+    param_type: SimpleType
+    body: "Preterm"
+
+
+class PApp(NamedTuple):
+    fn: "Preterm"
+    arg: "Preterm"
+
+
+class PAtom(NamedTuple):
+    atom: Atom
+
+
+Preterm = Union[PLam, PApp, PAtom, Term]
+
+
+def papp(fn: Preterm, *pre_args: Preterm) -> Preterm:
+    for a in pre_args:
+        fn = PApp(fn, a)
+    return fn
+
+
+def preterm_type(p: Preterm, env: tuple[SimpleType, ...] = ()) -> SimpleType:
+    """Type of a preterm, raising TermTypeError on ill-typed input."""
+    if isinstance(p, Term):
+        return p.ty
+    if isinstance(p, PLam):
+        return Arrow(p.param_type, preterm_type(p.body, (p.param_type,) + env))
+    if isinstance(p, PApp):
+        fn_ty = preterm_type(p.fn, env)
+        if not isinstance(fn_ty, Arrow):
+            raise TermTypeError("application of a non-function",
+                                subject=p.fn, actual=fn_ty)
+        arg_ty = preterm_type(p.arg, env)
+        if arg_ty != fn_ty.dom:
+            raise TermTypeError("argument type mismatch", subject=p.arg,
+                                expected=fn_ty.dom, actual=arg_ty)
+        return fn_ty.cod
+    atom = p.atom
+    if isinstance(atom, Bound):
+        if atom.index >= len(env):
+            raise TermTypeError(f"dangling bound index {atom.index}", subject=p)
+        if env[atom.index] != atom.ty:
+            raise TermTypeError("bound variable type mismatch", subject=p,
+                                expected=env[atom.index], actual=atom.ty)
+    return atom.ty
+
+
+# ---------------------------------------------------------------------------
+# evaluation and read-back
 
 
 @dataclass(frozen=True)
@@ -110,7 +168,7 @@ def reify(v: Value, ty: SimpleType, depth: int) -> Term:
 
 
 def nbe_normalize(p: Preterm) -> Term:
-    """``normalize`` by evaluation and read-back."""
+    """The canonical form of a preterm, by evaluation and read-back."""
     return reify(eval_preterm(p, (), {}), preterm_type(p), 0)
 
 

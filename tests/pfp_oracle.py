@@ -5,20 +5,20 @@ The prover decides safety on the nameless terms as they are stored, and
 opens a binder only for a pair or a violation it prints.  This module
 decides it the way the prover once did: open every binder into a named
 free variable (``strip_binders``), keep the bodies whose free names all
-occur in the left-hand side, normalize every applied prefix and look it
-up, rebind each candidate's binders with ``lam``, and walk the right-hand
-side's ``subterms``.
+occur in the left-hand side, normalize every applied prefix by evaluation
+(``nbe_oracle``) and look it up, rebind each candidate's binders with
+``lam``, and walk the right-hand side's ``subterms``.
 """
 
 from __future__ import annotations
 
 from hoterm.hrs import Hrs, Rule
-from hoterm.normalize import PAtom, normalize, papp
 from hoterm.pfp import PfpReport, PfpViolation
 from hoterm.sdp import (MARK, DependencyPair, _canonical_extras,
                         _occurring_extras, mark)
 from hoterm.terms import (App, Atom, Const, Free, Term, args, free_names,
                           print_term, strip_binders, subterms)
+from nbe_oracle import PAtom, nbe_normalize, papp
 from strategies import lam
 
 
@@ -58,7 +58,7 @@ def safe_subterms(rule: Rule) -> tuple[Term, ...]:
 def has_prefix(safe: tuple[Term, ...], head: Atom,
                arguments: tuple[Term, ...]) -> bool:
     """True when the normal form of some head(a1..ak), k = 0..n, is safe."""
-    return any(normalize(papp(PAtom(head), *arguments[:k])) in safe
+    return any(nbe_normalize(papp(PAtom(head), *arguments[:k])) in safe
                for k in range(len(arguments) + 1))
 
 

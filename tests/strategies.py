@@ -12,11 +12,11 @@ from __future__ import annotations
 import hypothesis.strategies as st
 
 from hoterm.hrs import Hrs, Rule, parse, print_hrs
-from hoterm.normalize import PApp, Preterm
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           Position, SimpleType, Term, arrow, close_over,
                           domains, free_names, result_type)
+from nbe_oracle import PApp, Preterm
 
 
 def lam(name: str, param_type: SimpleType, body: Term) -> Abs:

@@ -149,7 +149,7 @@ def test_criterion_7_property_suites():
 
     suites = [
         (test_normalize,
-         "test_normalization_is_idempotent"),
+         "test_substituted_redexes_agree_with_evaluation"),
         (test_hrs.TestPrintRoundtrip,
          "test_random_system_roundtrip"),
         (test_rewriting.TestSubstitutionClosure,

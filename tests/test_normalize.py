@@ -1,3 +1,4 @@
+import types
 from pathlib import Path
 
 import pytest
@@ -7,11 +8,11 @@ import hypothesis.strategies as st
 import strategies as S
 from strategies import lam
 from hoterm.hrs import parse, print_hrs
-from hoterm.normalize import (PApp, PAtom, PLam, apply_subst, eta_expand,
-                              normalize, papp, preterm_type)
-from hoterm.terms import (App, Base, Bound, Const, Free, TermTypeError, arrow,
-                          print_term)
-from nbe_oracle import hints, nbe_normalize, reference_rules
+from hoterm.normalize import apply_subst, eta_expand, normalize
+from hoterm.terms import (Abs, App, Base, Bound, Const, Free, Term,
+                          TermTypeError, arrow, domains, print_term)
+from nbe_oracle import (PApp, PAtom, PLam, hints, nbe_normalize, papp,
+                        reference_rules)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -27,38 +28,43 @@ def num(n: int):
     return t
 
 
+def contract(fn: Term, arg: Term) -> Term:
+    """The redex ``fn arg`` built by ``apply_subst``: G := fn in
+    \\xs. G(arg, xs), whose binders take the hints of fn's inner ones, as
+    evaluation reads a partly applied abstraction back."""
+    binders = []
+    body = fn.body
+    while isinstance(body, Abs):
+        binders.append(body)
+        body = body.body
+    n = len(binders)
+    t: Term = App(Free("G", fn.ty), (arg,) + tuple(
+        eta_expand(Bound(n - 1 - i, b.param_type))
+        for i, b in enumerate(binders)))
+    for b in reversed(binders):
+        t = Abs(b.hint, b.param_type, t)
+    return apply_subst(t, {"G": fn})
+
+
 class TestNormalize:
     def test_beta_reduction(self):
         # (\x. s(x)) 0  ~>  s(0)
-        redex = PApp(PLam("x", NAT, PApp(PAtom(Const("s", SUC)),
-                                         PAtom(Bound(0, NAT)))),
-                     PAtom(Const("0", NAT)))
-        assert normalize(redex) == num(1)
+        fn = lam("x", NAT, App(Const("s", SUC), (App(Free("x", NAT), ()),)))
+        assert contract(fn, num(0)) == num(1)
 
     def test_under_applied_head_is_expanded(self):
-        assert normalize(PAtom(Const("s", SUC))) == \
+        assert normalize(Const("s", SUC), ()) == \
             lam("x", NAT, App(Const("s", SUC), (App(Free("x", NAT), ()),)))
 
     def test_nested_redexes(self):
         # (\f. f 0) (\x. s(x))  ~>  s(0)
-        inner = PLam("x", NAT, PApp(PAtom(Const("s", SUC)),
-                                    PAtom(Bound(0, NAT))))
-        outer = PLam("f", SUC, PApp(PAtom(Bound(0, SUC)),
-                                    PAtom(Const("0", NAT))))
-        assert normalize(PApp(outer, inner)) == num(1)
+        inner = lam("x", NAT, App(Const("s", SUC), (App(Free("x", NAT), ()),)))
+        outer = Abs("f", SUC, App(Bound(0, SUC), (num(0),)))
+        assert contract(outer, inner) == num(1)
 
-    def test_normal_terms_pass_through(self):
+    def test_fully_applied_head_is_the_application(self):
         t = num(3)
-        assert normalize(t) == t
-
-    def test_preterm_type_inference(self):
-        p = papp(PAtom(Const("add", BIN)), num(1))
-        assert preterm_type(p) == SUC
-
-    def test_preterm_type_mismatch(self):
-        with pytest.raises(TermTypeError):
-            preterm_type(papp(PAtom(Const("s", SUC)),
-                              PAtom(Const("nil", Base("natlist")))))
+        assert normalize(t.head, t.args) == t
 
 
 class TestApplySubst:
@@ -90,17 +96,19 @@ class TestApplySubst:
             apply_subst(subject, {"X": App(Const("nil", Base("natlist")),
                                            ())})
 
+    def test_replacement_reaching_a_binder_rejected(self):
+        # the index would dangle in the result
+        subject = App(Free("F", NAT), ())
+        with pytest.raises(TermTypeError, match="reaches a binder"):
+            apply_subst(subject, {"F": App(Bound(0, NAT), ())})
 
-@settings(max_examples=200)
-@given(S.preterms({"c0": Base("a"), "c1": Base("b"),
-                   "g": arrow(Base("a"), Base("b"), Base("a")),
-                   "h": arrow(arrow(Base("a"), Base("a")), Base("a"))},
-                  {"W": arrow(Base("a"), Base("a")), "U": Base("b")},
-                  Base("a"), fuel=4))
-def test_normalization_is_idempotent(p):
-    once = normalize(p)
-    assert normalize(once) == once
-    assert once.ty == Base("a")
+
+def test_the_submodule_is_not_shadowed():
+    import hoterm
+    import hoterm.normalize as N
+    assert isinstance(N, types.ModuleType)
+    assert hoterm.apply_subst is N.apply_subst
+    assert hoterm.eta_expand is N.eta_expand
 
 
 # ---------------------------------------------------------------------------
@@ -119,47 +127,75 @@ def assert_same_build(got, want):
     assert print_term(got) == print_term(want)
 
 
+def substituted(p) -> Term:
+    """A preterm of ``S.preterms`` built by ``apply_subst``, one redex at a
+    time, the argument first."""
+    if isinstance(p, PApp):
+        return contract(p.fn, substituted(p.arg))
+    return p
+
+
 @settings(max_examples=300)
 @given(st.sampled_from([A, B, A2A, arrow(A2A, A)]).flatmap(
     lambda ty: S.preterms(PRETERM_SIG, PRETERM_FREES, ty, fuel=4)))
-def test_normalize_agrees_with_evaluation(p):
-    assert_same_build(normalize(p), nbe_normalize(p))
+def test_substituted_redexes_agree_with_evaluation(p):
+    assert_same_build(substituted(p), nbe_normalize(p))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_applied_prefixes_agree_with_evaluation(data):
+    ty = data.draw(S.simple_types(bases=(A, B)))
+    head = data.draw(st.sampled_from([Const("f", ty), Free("F", ty)]))
+    args = [data.draw(S.eta_long_terms(PRETERM_SIG, PRETERM_FREES, d, fuel=2))
+            for d in domains(ty)]
+    for k in range(len(args) + 1):
+        assert_same_build(normalize(head, args[:k]),
+                          nbe_normalize(papp(PAtom(head), *args[:k])))
 
 
 K = Const("k", A2A)
 PAIR = Const("pair", arrow(A, A, A))
 TWICE = Const("twice", arrow(A2A, A, A))
+H = Const("h", arrow(A2A, A))
 C0 = PAtom(Const("c0", A))
 
 
-@pytest.mark.parametrize("p", [
+@pytest.mark.parametrize("head, pre_args", [
     # a higher-order head alone: binders hinted by their depth
-    PAtom(Free("F", arrow(A2A, A, A))),
+    (Free("F", arrow(A2A, A, A)), ()),
     # an under-applied argument of a higher-order head
-    papp(PAtom(Const("h", arrow(A2A, A))), PAtom(K)),
-    # the same under a binder, one level deeper
-    PLam("z", A, papp(PAtom(TWICE), papp(PAtom(PAIR), PAtom(Bound(0, A))))),
-    # a redex whose argument is a head that the body leaves unapplied,
-    # one binder below the redex
-    PApp(PLam("f", A2A, PLam("z", A, papp(PAtom(TWICE),
-                                            PAtom(Bound(1, A2A)),
-                                            PAtom(Bound(0, A))))),
-         PAtom(K)),
-    # a redex whose argument the body applies: pair gets one argument
-    PApp(PLam("f", arrow(A, A, A), papp(PAtom(TWICE),
-                                        papp(PAtom(Bound(0, arrow(A, A, A))),
-                                             C0))),
-         PAtom(PAIR)),
-    # an abstraction passed to a variable that passes it on
-    PApp(PLam("f", A2A, papp(PAtom(Const("h", arrow(A2A, A))),
-                             PAtom(Bound(0, A2A)))),
-         PLam("q", A, papp(PAtom(K), PAtom(Bound(0, A))))),
-    # a redex left partly applied: the rest keeps its binder hint
-    PApp(PLam("f", A, PLam("r", A, papp(PAtom(PAIR), PAtom(Bound(1, A)),
-                                         PAtom(Bound(0, A))))), C0),
+    (H, (PAtom(K),)),
+    # a partly applied head whose argument keeps its own binder hint
+    (TWICE, (PLam("q", A, papp(PAtom(K), PAtom(Bound(0, A)))),)),
 ])
-def test_hand_picked_preterms_agree_with_evaluation(p):
-    assert_same_build(normalize(p), nbe_normalize(p))
+def test_hand_picked_prefixes_agree_with_evaluation(head, pre_args):
+    args = tuple(map(nbe_normalize, pre_args))
+    assert_same_build(normalize(head, args),
+                      nbe_normalize(papp(PAtom(head), *args)))
+
+
+@pytest.mark.parametrize("fn, arg", [
+    # a higher-order argument applied one binder below the redex
+    (PLam("f", A2A, PLam("z", A, papp(PAtom(TWICE), PAtom(Bound(1, A2A)),
+                                      PAtom(Bound(0, A))))),
+     PAtom(K)),
+    # a body that applies its argument partly: pair gets one argument
+    (PLam("f", arrow(A, A, A), papp(PAtom(TWICE),
+                                    papp(PAtom(Bound(0, arrow(A, A, A))),
+                                         C0))),
+     PAtom(PAIR)),
+    # an abstraction passed to a variable that passes it on
+    (PLam("f", A2A, papp(PAtom(H), PAtom(Bound(0, A2A)))),
+     PLam("q", A, papp(PAtom(K), PAtom(Bound(0, A))))),
+    # a redex left partly applied: the rest keeps its binder hint
+    (PLam("f", A, PLam("r", A, papp(PAtom(PAIR), PAtom(Bound(1, A)),
+                                    PAtom(Bound(0, A))))),
+     C0),
+])
+def test_hand_picked_redexes_agree_with_evaluation(fn, arg):
+    fn, arg = nbe_normalize(fn), nbe_normalize(arg)
+    assert_same_build(contract(fn, arg), nbe_normalize(PApp(fn, arg)))
 
 
 def assert_parse_agrees_with_evaluation(text):
