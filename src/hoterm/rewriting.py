@@ -93,7 +93,7 @@ def _match(p: Term, s: Term, depth: int, pvars: frozenset[str],
             return previous == candidate
         theta[ph.name] = candidate
         return True
-    if ph is not s.head and ph != s.head:
+    if ph is not s.head:
         return False
     for pa, sa in zip(p.args, s.args):
         if not _match(pa, sa, depth, pvars, theta, hints):
@@ -122,8 +122,9 @@ def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
     binder, the body's entries closed again over the name it was opened
     with.  That name only has to be fresh, so the results do not depend on
     where the subterm stands.  Equality ignores binder hints and the
-    results carry them, so an entry is reused only for a subterm with the
-    same hints as the one it was made for.
+    results carry them, so an entry is reused only for the node it was
+    made for: nodes are hash-consed with their hints, so that is every
+    subterm with the same hints.
     """
     _check_patterns(h)
     hits = sorted(_rewrites(h.subterm_steps, h.rules_by_head, t),
@@ -163,7 +164,7 @@ def _remember(table: dict, u: Term, value: tuple | bool) -> None:
 def _rewrites(table: dict, by_head: dict, u: Term
               ) -> tuple[tuple[str, Position, Term], ...]:
     known = table.get(u)
-    if type(known) is tuple and _same_hints(known[0], u):
+    if type(known) is tuple and known[0] is u:
         return known[1]
     out = []
     if isinstance(u, Abs):
@@ -185,16 +186,6 @@ def _rewrites(table: dict, by_head: dict, u: Term
     hits = tuple(out)
     _remember(table, u, (u, hits))
     return hits
-
-
-def _same_hints(a: Term, b: Term) -> bool:
-    """Whether the equal terms ``a`` and ``b`` have the same binder hints,
-    which equality ignores but the rewrites of a term carry."""
-    if a is b:
-        return True
-    if isinstance(a, Abs):
-        return a.hint == b.hint and _same_hints(a.body, b.body)
-    return all(map(_same_hints, a.args, b.args))
 
 
 def _reducible(table: dict, by_head: dict, u: Term) -> bool:

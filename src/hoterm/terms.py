@@ -10,11 +10,23 @@ equality and terms can be used directly as set members and dict keys.
 Types, atoms and term nodes are slotted, frozen classes with explicit
 constructors: each instance gets its type and its hash once, when it is
 built, and no method is generated when the module is imported.
+
+All of them are hash-consed: a constructor returns the object already alive
+for the same parts, so equal terms with the same binder hints are one
+object and compare by identity.  Types and atoms are few and are kept for
+good in one table.  Term nodes are kept in another by weak reference, keyed
+by the ids of their parts (a live node holds its parts, so their ids are not
+reused while it lives); a node nothing else holds dies as usual, and the
+table drops its dead entries whenever it has grown to twice the number it
+held alive at its last sweep.  Binder hints are part of a node's key, so
+alpha-equal terms with different hints are distinct objects that still
+compare and hash equal.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
+from weakref import ref
 
 
 class _Frozen:
@@ -60,16 +72,17 @@ class SimpleType(_Frozen):
     __slots__ = ("_hash",)
 
 
-# by name, or by the ids of an Arrow's parts; a system has few types
-_TYPES: dict[object, SimpleType] = {}
+# types by name or by the ids of an Arrow's parts, atoms by class, name or
+# index, and the id of their type; a system has few of them
+_INTERNED: dict[object, _Frozen] = {}
 
 
-def _intern(cls: type, key: object, *parts) -> SimpleType:
+def _intern(cls: type, key: object, *parts) -> _Frozen:
     self = object.__new__(cls)
     for slot, part in zip(cls._fields, parts):
         object.__setattr__(self, slot, part)
     object.__setattr__(self, "_hash", hash(parts))
-    _TYPES[key] = self
+    _INTERNED[key] = self
     return self
 
 
@@ -77,7 +90,7 @@ class Base(SimpleType):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str) -> Base:
-        return _TYPES.get(name) or _intern(cls, name, name)
+        return _INTERNED.get(name) or _intern(cls, name, name)
 
     def __str__(self) -> str:
         return self.name
@@ -88,7 +101,7 @@ class Arrow(SimpleType):
 
     def __new__(cls, dom: SimpleType, cod: SimpleType) -> Arrow:
         key = (id(dom), id(cod))
-        return _TYPES.get(key) or _intern(cls, key, dom, cod)
+        return _INTERNED.get(key) or _intern(cls, key, dom, cod)
 
     def __str__(self) -> str:
         dom = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
@@ -124,21 +137,20 @@ def result_type(ty: SimpleType) -> Base:
 # atoms: the possible heads of an application
 
 
-class _Named(_Frozen):
-    """An atom that is compared and hashed by its name and type."""
+class _Atom(_Frozen):
+    """A possible head, interned: equal atoms are the same object, so they
+    compare by identity; the hash is taken from the parts."""
 
+    __slots__ = ()
+
+    def __new__(cls, label: str | int, ty: SimpleType):
+        key = (cls, label, id(ty))
+        return _INTERNED.get(key) or _intern(cls, key, label, ty)
+
+
+class _Named(_Atom):
     __slots__ = ("name", "ty", "_hash")
     _fields = ("name", "ty")
-
-    def __init__(self, name: str, ty: SimpleType):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ty", ty)
-        object.__setattr__(self, "_hash", hash((name, ty)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.ty is other.ty
 
 
 class Const(_Named):
@@ -153,21 +165,11 @@ class Free(_Named):
     __slots__ = ()
 
 
-class Bound(_Frozen):
+class Bound(_Atom):
     """A bound variable as a de Bruijn index (0 is the innermost binder)."""
 
     __slots__ = ("index", "ty", "_hash")
     _fields = ("index", "ty")
-
-    def __init__(self, index: int, ty: SimpleType):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "ty", ty)
-        object.__setattr__(self, "_hash", hash((index, ty)))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index and self.ty is other.ty
 
 
 Atom = Union[Const, Free, Bound]
@@ -198,16 +200,38 @@ class Term(_Frozen):
     """Base class of eta-long beta-normal terms.  Besides its type and hash,
     a node keeps the free sets and the reach, None until first used."""
 
-    __slots__ = ("ty", "_hash", "_free_vars", "_free_names", "_reach")
+    __slots__ = ("ty", "_hash", "_free_vars", "_free_names", "_reach",
+                 "__weakref__")
 
     def __repr__(self) -> str:
         return print_term(self)
 
 
+# the nodes by weak reference, keyed by the ids of their parts (and an Abs's
+# hint); a dead entry reads None and is overwritten, and all are dropped at
+# ``_sweep_at`` entries, twice as many as were live at the last sweep
+_NODES: dict[tuple, ref] = {}
+_sweep_at = 2
+
+
+def _enter(key: tuple, node: Term) -> None:
+    global _sweep_at
+    _NODES[key] = ref(node)
+    if len(_NODES) >= _sweep_at:
+        for dead in [k for k, r in _NODES.items() if r() is None]:
+            del _NODES[dead]
+        _sweep_at = 2 * len(_NODES)
+
+
 class Abs(Term):
     __slots__ = _fields = ("hint", "param_type", "body")
 
-    def __init__(self, hint: str, param_type: SimpleType, body: Term):
+    def __new__(cls, hint: str, param_type: SimpleType, body: Term) -> Abs:
+        key = (hint, id(param_type), id(body))
+        known = _NODES.get(key)
+        if known is not None and (self := known()) is not None:
+            return self
+        self = object.__new__(cls)
         _set_hint(self, hint)
         _set_param_type(self, param_type)
         _set_body(self, body)
@@ -216,6 +240,8 @@ class Abs(Term):
         _set_free_vars(self, None)
         _set_free_names(self, None)
         _set_reach(self, None)
+        _enter(key, self)
+        return self
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -223,16 +249,20 @@ class Abs(Term):
         if not isinstance(other, Abs):
             return NotImplemented if not isinstance(other, Term) else False
         return (self._hash == other._hash
-                and self.param_type == other.param_type
+                and self.param_type is other.param_type
                 and self.body == other.body)
 
 
 class App(Term):
     __slots__ = _fields = ("head", "args")
 
-    def __init__(self, head: Atom, args: tuple[Term, ...] = ()):
+    def __new__(cls, head: Atom, args: tuple[Term, ...] = ()) -> App:
         if not isinstance(args, tuple):
             args = tuple(args)
+        key = (id(head), *map(id, args))
+        known = _NODES.get(key)
+        if known is not None and (self := known()) is not None:
+            return self
         ty = head.ty
         for arg in args:
             if not isinstance(ty, Arrow):
@@ -250,6 +280,7 @@ class App(Term):
                 f"under-applied head {atom_name(head)}: "
                 "application nodes must have a basic type",
                 subject=atom_name(head), actual=ty)
+        self = object.__new__(cls)
         _set_head(self, head)
         _set_args(self, args)
         _set_ty(self, ty)
@@ -257,6 +288,8 @@ class App(Term):
         _set_free_vars(self, None)
         _set_free_names(self, None)
         _set_reach(self, None)
+        _enter(key, self)
+        return self
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -264,14 +297,14 @@ class App(Term):
         if not isinstance(other, App):
             return NotImplemented if not isinstance(other, Term) else False
         return (self._hash == other._hash
-                and self.head == other.head
+                and self.head is other.head
                 and self.args == other.args)
 
 
 # the slots' own setters: a constructor fills a frozen node with them, at
 # half the cost of object.__setattr__
 _set_ty, _set_hash, _set_free_vars, _set_free_names, _set_reach = (
-    getattr(Term, s).__set__ for s in Term.__slots__)
+    getattr(Term, s).__set__ for s in Term.__slots__[:5])
 _set_hint, _set_param_type, _set_body = (
     getattr(Abs, s).__set__ for s in Abs.__slots__)
 _set_head, _set_args = (getattr(App, s).__set__ for s in App.__slots__)
@@ -528,10 +561,12 @@ def print_term(t: Term, avoid: Iterable[str] = ()) -> str:
         if isinstance(u, Abs):
             return go(u, scope)
         head = u.head
-        if isinstance(head, Bound):
-            name = scope[-1 - head.index]
-        else:
+        if not isinstance(head, Bound):
             name = head.name
+        elif head.index < len(scope):
+            name = scope[-1 - head.index]
+        else:                       # loose, as in an error's subject
+            name = atom_name(head)
         if not u.args:
             return name
         return name + "(" + ", ".join(go(a, scope) for a in u.args) + ")"

@@ -66,11 +66,9 @@ class TestInterning:
             assert copy_of(ty) is ty
 
     @COPIES
-    def test_copies_of_atoms_and_terms_are_equal(self, copy_of):
+    def test_copies_are_the_interned_atom_or_term(self, copy_of):
         for t in ATOMS_AND_TERMS:
-            again = copy_of(t)
-            assert again == t and hash(again) == hash(t)
-            assert again.ty is t.ty
+            assert copy_of(t) is t
 
     def test_hash_comes_from_the_parts(self):
         assert hash(NAT) == hash(("nat",))
@@ -103,7 +101,7 @@ class TestInterning:
 
     def test_atoms_hash_and_compare_by_value(self):
         f, g = Const("f", BIN), Const("f", arrow(NAT, NAT, NAT))
-        assert f == g and hash(f) == hash(g) == hash(("f", BIN))
+        assert f is g and hash(f) == hash(("f", BIN))
         assert Free("f", BIN) != f
         assert hash(Bound(1, NAT)) == hash((1, NAT))
 
@@ -159,6 +157,67 @@ class TestInterning:
             "natlist)")
 
 
+class TestHashConsing:
+    def test_equal_terms_built_apart_are_one_object(self):
+        def build():
+            return Abs("f", BIN, App(Const("add", BIN), (
+                App(Bound(0, BIN), (num(1), App(Free("X", NAT)))), num(2))))
+        assert build() is build()
+        assert build().body.args[0].args[0] is num(1)
+
+    def test_hint_different_alpha_equal_terms_are_distinct_but_equal(self):
+        body = App(Const("s", arrow(NAT, NAT)), (App(Bound(0, NAT)),))
+        g = Const("g", arrow(arrow(NAT, NAT), NAT))
+        for one, two in ((Abs("x", NAT, body), Abs("y", NAT, body)),
+                         (App(g, (Abs("x", NAT, body),)),
+                          App(g, (Abs("y", NAT, body),)))):
+            assert one is not two
+            assert one == two and hash(one) == hash(two)
+
+    def test_the_node_table_keeps_under_twice_its_live_entries(self):
+        # a fresh process, so that no node alive before the loop dies in it
+        code = ("from hoterm.terms import App, Base, Const, arrow, _NODES\n"
+                "nat = Base('nat')\n"
+                "z, s = Const('z', nat), Const('s', arrow(nat, nat))\n"
+                "pair = Const('pair', arrow(nat, nat, nat))\n"
+                "parts = [App(z)]\n"
+                "for _ in range(99):\n"
+                "    parts.append(App(s, (parts[-1],)))\n"
+                "for a in parts:\n"
+                "    for b in parts:\n"
+                "        App(pair, (a, b))\n"
+                "kept = App(pair, (parts[0], App(s, (parts[-1],))))\n"
+                "live = sum(r() is not None for r in _NODES.values())\n"
+                "print(len(_NODES), live)\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env={"PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": str(Path(hoterm.__file__).parents[1])})
+        entries, live = map(int, out.stdout.split())
+        assert live == 102 and entries < 2 * live
+
+    def test_reused_ids_never_give_a_wrong_node(self):
+        z, s = Const("z", NAT), Const("s", arrow(NAT, NAT))
+        g = Const("g", arrow(NAT, arrow(NAT, NAT), NAT))
+        ids = set()
+        rounds = 2000
+        for i in range(rounds):
+            # everything a round builds dies at its end, so the next
+            # rounds get its memory, and its ids, back
+            chain = App(z)
+            for _ in range(i % 5):
+                chain = App(s, (chain,))
+            fun = Abs(f"x{i % 3}", NAT, App(s, (App(Bound(0, NAT)),)))
+            t = App(g, (chain, fun))
+            assert t.head is g and t.args[0] is chain and t.args[1] is fun
+            assert print_term(t) == (
+                "g(" + "s(" * (i % 5) + "z" + ")" * (i % 5)
+                + f", \\x{i % 3}. s(x{i % 3}))")
+            ids.add(id(chain))
+            del chain, fun, t
+        assert len(ids) < rounds
+
+
 class TestConstruction:
     def test_app_requires_saturation(self):
         add = Const("add", BIN)
@@ -184,6 +243,14 @@ class TestConstruction:
         assert str(info.value) == (
             "head F applied to too many arguments in 'F' (expected None, "
             "got nat -> nat)")
+
+    def test_wrong_argument_with_a_loose_index_is_named(self):
+        # the subject is printed with the loose index as its atom name
+        with pytest.raises(TermTypeError) as info:
+            App(Const("f", arrow(NAT, NAT)), (App(Bound(0, LIST)),))
+        assert str(info.value) == (
+            "argument 1 of f has the wrong type in <bound 0> (expected nat, "
+            "got natlist)")
 
     def test_app_checks_argument_types(self):
         cons = Const("cons", arrow(NAT, LIST, LIST))
