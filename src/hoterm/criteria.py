@@ -97,10 +97,12 @@ def _occurs_below(s: Term, t: Term) -> bool:
     return False
 
 
-def project_pair(pair: DependencyPair, p: Position, q: Position,
-                 defined: frozenset[str]) -> bool | CriterionFailure:
+def _projection(pair: DependencyPair, p: Position, q: Position,
+                defined: frozenset[str]) -> bool | tuple:
     """Classify one pair when its left side projects to ``p`` and its right
-    side to ``q``: True if strictly smaller, False if equal, else the failure.
+    side to ``q``: True if strictly smaller, False if equal, else what
+    failed, a tuple that names the check and, for a head above a
+    projection, how deep it stands and which it is.
 
     The pair passes when the projected left side contains the projected
     right side as a subterm, no free variable of the left side heads a
@@ -109,43 +111,59 @@ def project_pair(pair: DependencyPair, p: Position, q: Position,
     above its projection.  Binders a projection crosses become fresh
     variables, distinct between the two sides, so the test runs on the
     nameless terms: a projected right side that reaches a binder it crossed
-    is a subterm of nothing.  Terms are opened only to print a failure.
+    is a subterm of nothing.
     """
-    u, v = pair.lhs, pair.rhs
-    at_p, at_q = _descend(u, p), _descend(v, q)
+    at_p, at_q = _descend(pair.lhs, p), _descend(pair.rhs, q)
     if at_p is None:
-        return CriterionFailure(
-            pair, f"position {format_position(p)} is not valid in "
-                  f"{print_term(u)}")
+        return ("left position",)
     if at_q is None:
-        return CriterionFailure(
-            pair, f"position {format_position(q)} is not valid in "
-                  f"{print_term(v)}")
+        return ("right position",)
     (left, left_heads), (right, right_heads) = at_p, at_q
     for k, head in enumerate(left_heads):
         if isinstance(head, Free):
-            return CriterionFailure(
-                pair, f"a free variable heads {print_term(u)} at "
-                      f"position {format_position(p[:k])}, above the "
-                      "projection")
+            return ("free above", k)
     for k, head in enumerate(right_heads[1:], start=1):
         if isinstance(head, Free) \
                 or isinstance(head, Const) and head.name in defined:
-            return CriterionFailure(
-                pair, f"{head.name} heads {print_term(v)} at position "
-                      f"{format_position(q[:k])}, above the projection")
+            return ("head above", k, head)
     if reach(right) > 0:
-        return CriterionFailure(
-            pair, f"{print_term(subterm_at(v, q))} refers to a binder above "
-                  f"position {format_position(q)}")
+        return ("reaches",)
     if left == right:
         return False
     if _occurs_below(right, left):
         return True
-    apart = free_names(v)       # print the left side's binders apart
-    return CriterionFailure(
-        pair, f"{print_term(subterm_at(v, q))} is not a subterm of "
-              f"{print_term(subterm_at(u, p, apart), apart)}")
+    return ("not below",)
+
+
+def project_pair(pair: DependencyPair, p: Position, q: Position,
+                 defined: frozenset[str]) -> bool | CriterionFailure:
+    """``_projection``'s answer, with a failure put in words: the terms
+    are opened and printed only here."""
+    found = _projection(pair, p, q, defined)
+    if not isinstance(found, tuple):
+        return found
+    u, v = pair.lhs, pair.rhs
+    check = found[0]
+    if check == "left position":
+        reason = f"position {format_position(p)} is not valid in " \
+                 f"{print_term(u)}"
+    elif check == "right position":
+        reason = f"position {format_position(q)} is not valid in " \
+                 f"{print_term(v)}"
+    elif check == "free above":
+        reason = f"a free variable heads {print_term(u)} at position " \
+                 f"{format_position(p[:found[1]])}, above the projection"
+    elif check == "head above":
+        reason = f"{found[2].name} heads {print_term(v)} at position " \
+                 f"{format_position(q[:found[1]])}, above the projection"
+    elif check == "reaches":
+        reason = f"{print_term(subterm_at(v, q))} refers to a binder " \
+                 f"above position {format_position(q)}"
+    else:
+        apart = free_names(v)   # print the left side's binders apart
+        reason = f"{print_term(subterm_at(v, q))} is not a subterm of " \
+                 f"{print_term(subterm_at(u, p, apart), apart)}"
+    return CriterionFailure(pair, reason)
 
 
 def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
@@ -239,7 +257,7 @@ def search_pi(component: RecursionComponent, max_depth: int = 3,
     first and lexicographic within a length, that passes the criterion.
 
     Symbols are assigned in sorted order.  Once both symbols of a pair are
-    assigned, a pair that fails ``project_pair`` rules out every completion,
+    assigned, a pair that fails ``_projection`` rules out every completion,
     so that branch is dropped; the answer is the one full enumeration would
     give first.  Each (pair, p, q) is projected once, and the verdict is
     built from those answers.
@@ -257,17 +275,17 @@ def search_pi(component: RecursionComponent, max_depth: int = 3,
         [[] for _ in symbols]
     for n, pair, i, j in where:
         completed[max(i, j)].append((n, pair, i, j))
-    # project_pair's answer for each (pair, p, q) asked so far
-    results: dict[tuple[int, Position, Position],
-                  bool | CriterionFailure] = {}
+    # _projection's answer for each (pair, p, q) asked so far; a failure
+    # is never put in words
+    results: dict[tuple[int, Position, Position], bool | tuple] = {}
 
     def viable(prefix: list) -> bool:
         for n, pair, i, j in completed[len(prefix) - 1]:
             key = (n, prefix[i], prefix[j])
             if key not in results:
-                results[key] = project_pair(pair, prefix[i], prefix[j],
-                                            defined)
-            if isinstance(results[key], CriterionFailure):
+                results[key] = _projection(pair, prefix[i], prefix[j],
+                                           defined)
+            if isinstance(results[key], tuple):
                 return False
         return True
 

@@ -21,12 +21,11 @@ import re
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, NamedTuple
 
 from .normalize import eta_expand
 from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
-                    SimpleType, Term, domains, eta_hint,
-                    free_names, print_term, top)
+                    SimpleType, Term, eta_hint, print_term, top, under_binders)
 
 if TYPE_CHECKING:
     from .pfp import SafeSet
@@ -106,7 +105,7 @@ _RULE_NAME_RE = re.compile(r"[A-Za-z0-9_'-]+")
 # a name, '->' or a punctuation mark; any other character is an error,
 # which the one group leaves empty
 _TOKEN_RE = re.compile(
-    r"\s*(?:(->|[A-Za-z0-9_][A-Za-z0-9_']*|[\\().,:])|\S)")
+    r"\s*(?:([A-Za-z0-9_][A-Za-z0-9_']*|[\\().,:]|->)|\S)")
 _PUNCT = frozenset(("->", "\\", "(", ")", ".", ",", ":"))
 
 
@@ -118,36 +117,18 @@ class _Reader:
     Hints are given in preorder, each avoiding the declared names and the
     hints given before it on the same side."""
 
-    def __init__(self, text: str, lineno: int, offset: int = 0,
-                 scope: dict[str, Atom] | None = None):
+    def __init__(self, text: str, lineno: int, offset: int = 0):
         self.text, self.offset, self.lineno = text, offset, lineno
         self.toks = _TOKEN_RE.findall(text)
         if "" in self.toks:
             col = self.col(self.toks.index(""))
             raise HrsError(f"unexpected character {text[col - 1 - offset]!r}",
                            lineno, col)
-        # the position of each "(" -> the terms it holds: one more than
-        # its top-level commas, so a head's arguments are counted unread
-        self.width: dict[int, int] = {}
-        opened = []
-        for i, tok in enumerate(self.toks):
-            if tok == "(":
-                opened.append(i)
-                self.width[i] = 1
-            elif tok == ")" and opened:
-                opened.pop()
-            elif tok == "," and opened:
-                self.width[opened[-1]] += 1
         self.toks.append("")    # the end of the line
         self.pos = 0
-        self.scope = scope
-        # a \x. binder in scope: its type, as a Bound, and its level
-        self.bound: dict[str, tuple[Bound, int]] = {}
-        self.taken: frozenset[str] = frozenset()
 
     def col(self, i: int) -> int:
-        """The column where token ``i`` starts, found again by scanning the
-        line: only an error message needs it."""
+        """Where token ``i`` starts, found again: only errors need it."""
         m = next(islice(_TOKEN_RE.finditer(self.text), i, None))
         return self.offset + m.end() - len(m.group().lstrip()) + 1
 
@@ -155,12 +136,14 @@ class _Reader:
         return HrsError(message, self.lineno, self.col(i))
 
     def expect(self, text: str) -> None:
+        """Step past ``text``; "" is the end of the line."""
         tok = self.toks[self.pos]
         if tok != text:
             if not tok:
                 raise HrsError(f"unexpected end of line, expected {text!r}",
                                self.lineno)
-            raise self.error(f"expected {text!r}, found {tok!r}", self.pos)
+            raise self.error(f"expected {text!r}, found {tok!r}" if text
+                             else f"trailing input {tok!r}", self.pos)
         self.pos += 1
 
     def name(self, what: str) -> str:
@@ -172,59 +155,75 @@ class _Reader:
         self.pos += 1
         return tok
 
-    def done(self) -> None:
+    def type(self, basics: dict[str, Base]) -> SimpleType:
         tok = self.toks[self.pos]
-        if tok:
-            raise self.error(f"trailing input {tok!r}", self.pos)
-
-    def type(self, basics: dict[str, None]) -> SimpleType:
-        at = self.pos
-        tok = self.toks[at]
-        if tok == "(":
-            self.pos += 1
+        self.pos += 1
+        if tok in basics:
+            left = basics[tok]
+        elif tok == "(":
             left = self.type(basics)
             self.expect(")")
         elif not tok:
             raise HrsError("unexpected end of line in type", self.lineno)
         else:
-            self.name("a type name")
-            if tok not in basics:
-                raise self.error(f"unknown basic type {tok!r}", at)
-            left = Base(tok)
-        if self.toks[self.pos] == "->":
-            self.pos += 1
-            return Arrow(left, self.type(basics))
-        return left
+            raise self.error(f"expected a type name, found {tok!r}"
+                             if tok in _PUNCT else
+                             f"unknown basic type {tok!r}", self.pos - 1)
+        if self.toks[self.pos] != "->":
+            return left
+        self.pos += 1
+        return Arrow(left, self.type(basics))
 
-    def rule(self, name: str, require_patterns: bool) -> Rule:
-        """The rule on this line; if reading it fails, a syntax error
-        anywhere on the line is reported first."""
+    def rule(self, name: str, scope: dict[str, Atom],
+             variables: dict[str, SimpleType], require_patterns: bool
+             ) -> Rule:
+        """The rule on this line over ``scope`` (its ``variables``); a syntax
+        error on it is reported first."""
+        self.scope = scope
+        # a \x. binder in scope -> its type, as a Bound, and its level;
+        # the hints given on the side being read
+        self.bound, self.taken = {}, set()
+        # the "(" at i holds width[i] terms, one more than its top-level
+        # commas (one on a line without): arguments are counted unread
+        self.width: dict[int, int] = {}
+        opened: list[int] = []
+        for i, tok in enumerate(self.toks if "," in self.text else ()):
+            if tok == "(":
+                opened.append(i)
+                self.width[i] = 1
+            elif tok == ")" and opened:
+                opened.pop()
+            elif tok == "," and opened:
+                self.width[opened[-1]] += 1
         try:
             lhs = self.term(None, 0)
             if not isinstance(lhs.ty, Base):
                 raise HrsError(f"rule {name!r} is not basic-typed: its sides "
                                f"have type {lhs.ty}", self.lineno)
+            arrow = self.pos
             self.expect("->")
-            self.taken = frozenset()
+            self.taken.clear()
             rhs = self.term(lhs.ty, 0)
-            self.done()
+            self.expect("")
         except HrsError:
             self.pos = 0
             self.skip_term()
             self.expect("->")
             self.skip_term()
-            self.done()
+            self.expect("")
             raise
         if not isinstance(lhs.head, Const):
             raise HrsError(f"left-hand side of rule {name!r} must be headed "
                            f"by a function symbol, found variable "
                            f"{lhs.head.name!r}", self.lineno)
-        fresh = free_names(rhs) - free_names(lhs)
+        # the variables a side names are the free ones of its term
+        lhs_names = variables.keys() & self.toks[:arrow]
+        fresh = (variables.keys() & self.toks[arrow:]) - lhs_names
         if fresh:
             raise HrsError(f"right-hand side of rule {name!r} has fresh free "
                            f"variable(s) {', '.join(sorted(fresh))}",
                            self.lineno)
-        pattern = is_miller_pattern(lhs, free_names(lhs))
+        pattern = is_miller_pattern(lhs, lhs_names)
         if require_patterns and not pattern:
             raise HrsError(f"left-hand side of rule {name!r} is not a "
                            "pattern: some variable is applied to "
@@ -234,75 +233,72 @@ class _Reader:
     def hint(self, name: str) -> str:
         while name in self.scope or name in self.taken:
             name += "'"
-        self.taken |= {name}
+        self.taken.add(name)
         return name
 
     def term(self, expected: SimpleType | None, depth: int) -> Term:
-        """The term at the cursor, of type ``expected`` (inferred when
-        None), under ``depth`` binders."""
-        at = self.pos
-        tok = self.toks[at]
-        if tok == "\\":
-            return self.abstraction(expected, depth, at)
-        if tok == "(":
-            self.pos += 1
-            t = self.term(expected, depth)
-            self.expect(")")
-            return t
-        if not tok:
-            raise HrsError("unexpected end of line in term", self.lineno)
-        self.name("a term")
-        atom, level = self.bound.get(tok) or (self.scope.get(tok), None)
+        """The term at the cursor, of type ``expected`` (None: any), under
+        ``depth`` binders; a head short of arguments is eta-expanded, its
+        binders hinted before its arguments are read beneath them."""
+        toks, at = self.toks, self.pos
+        tok = toks[at]
+        atom, level = self.scope.get(tok), None
         if atom is None:
-            raise self.error(f"unknown symbol {tok!r}", at)
-        n = self.width[self.pos] if self.toks[self.pos] == "(" else 0
-        missing = domains(atom.ty)[n:]
+            if tok == "\\":
+                return self.abstraction(expected, depth, at)
+            if tok == "(":
+                self.pos += 1
+                t = self.term(expected, depth)
+                self.expect(")")
+                return t
+            if not tok:
+                raise HrsError("unexpected end of line in term", self.lineno)
+            if tok not in self.bound:
+                raise self.error(f"expected a term, found {tok!r}" if tok in
+                                 _PUNCT else f"unknown symbol {tok!r}", at)
+            atom, level = self.bound[tok]
+        ty = atom.ty
+        doms = missing = ty.domains
+        self.pos = at + 1
+        if toks[at + 1] == "(":
+            missing = doms[self.width.get(at + 1, 1):]
         if missing:     # under-applied: its arguments go beneath eta binders
-            t = self.spine(atom, level, missing, depth,
-                           (tok, at) if n else None)
-            rest = t.ty
-        elif n:
-            rest, args = self.arguments(tok, at, atom.ty, depth)
-        else:
-            rest, args = atom.ty, []
-        if expected is not None and rest is not expected:
-            raise self.error(f"term headed by {tok!r} has type {rest}, "
-                             f"expected {expected}", at)
-        if missing:
-            return t
-        if level is not None:
-            atom = Bound(depth - 1 - level, atom.ty)
-        return App(atom, tuple(args))
-
-    def arguments(self, head: str, at: int, ty: SimpleType, depth: int
-                  ) -> tuple[SimpleType, list[Term]]:
-        """``(t1, ..., tn)`` passed to ``head``, the token at ``at``, of
-        type ``ty``: the type left and the terms."""
-        args, rest = [], ty
-        while not args or self.toks[self.pos] == ",":
-            self.pos += 1       # past the "(" or ","
-            if not isinstance(rest, Arrow):
-                raise self.error(f"{head!r} is applied to too many "
-                                 f"arguments (its type is {ty})", at)
-            args.append(self.term(rest.dom, depth))
-            rest = rest.cod
-        self.expect(")")
-        return rest, args
-
-    def spine(self, atom: Atom, level: int | None,
-              missing: tuple[SimpleType, ...], depth: int,
-              head: tuple[str, int] | None = None) -> Term:
-        """``atom`` eta-expanded over the ``missing`` argument types: the
-        eta binders take their hints, then the arguments at the cursor, if
-        ``head`` is given, are read beneath them.  ``level`` places a
-        bound ``atom``."""
-        hints = [self.hint(eta_hint(depth + k)) for k in range(len(missing))]
+            hints = [self.hint(eta_hint(depth + k))
+                     for k in range(len(missing))]
         inner = depth + len(missing)
-        args = self.arguments(*head, atom.ty, inner)[1] if head else []
-        args.extend(self.spine(Bound(0, dom), depth + k, domains(dom), inner)
-                    for k, dom in enumerate(missing))
+        args = []
+        if toks[at + 1] == "(":
+            for dom in doms:
+                self.pos += 1       # past the "(" or ","
+                args.append(self.term(dom, inner))
+                if toks[self.pos] != ",":
+                    break
+            else:
+                raise self.error(f"{tok!r} is applied to too many "
+                                 f"arguments (its type is {ty})", at)
+            if toks[self.pos] != ")":
+                self.expect(")")
+            self.pos += 1
         if level is not None:
-            atom = Bound(inner - 1 - level, atom.ty)
+            atom = Bound(inner - 1 - level, ty)
+        t = (self.expand(atom, args, hints, missing, depth) if missing
+             else App(atom, tuple(args)))
+        if expected is not None and t.ty is not expected:
+            raise self.error(f"term headed by {tok!r} has type {t.ty}, "
+                             f"expected {expected}", at)
+        return t
+
+    def expand(self, atom: Atom, args: list[Term], hints: list[str],
+               missing: tuple[SimpleType, ...], depth: int) -> Term:
+        """``atom`` applied to ``args``, under binders of the ``missing``
+        types hinted ``hints``; each variable they bind is expanded too."""
+        inner = depth + len(missing)
+        for k, dom in enumerate(missing):
+            more = dom.domains
+            args.append(self.expand(
+                Bound(inner + len(more) - 1 - (depth + k), dom), [],
+                [self.hint(eta_hint(inner + j)) for j in range(len(more))],
+                more, inner))
         t: Term = App(atom, tuple(args))
         for hint, dom in zip(reversed(hints), reversed(missing)):
             t = Abs(hint, dom, t)
@@ -314,18 +310,16 @@ class _Reader:
         if expected is None:
             raise self.error("a rule left-hand side must start with a "
                              "function symbol, not an abstraction", at)
-        doms, ty = [], expected
-        for _ in names:
-            if not isinstance(ty, Arrow):
-                raise self.error(f"abstraction has more binders than the "
-                                 f"expected type {expected} provides", at)
-            doms.append(ty.dom)
-            ty = ty.cod
+        doms, ty = expected.domains[:len(names)], expected
+        if len(doms) < len(names):
+            raise self.error(f"abstraction has more binders than the "
+                             f"expected type {expected} provides", at)
         for k, name in enumerate(names):
             if name in self.scope or name in self.bound:
                 raise self.error(f"binder {name!r} shadows a declared name",
                                  at)
             self.bound[name] = (Bound(0, doms[k]), depth + k)
+            ty = ty.cod
         hints = [self.hint(name) for name in names]
         body = self.term(ty, depth + len(names))
         for name in names:
@@ -336,8 +330,8 @@ class _Reader:
 
     def binder_names(self) -> list[str]:
         self.pos += 1
-        names = [self.name("a binder name")]
-        while self.toks[self.pos] not in ("", "."):
+        names = []
+        while not names or self.toks[self.pos] not in ("", "."):
             names.append(self.name("a binder name"))
         self.expect(".")
         return names
@@ -368,23 +362,25 @@ class _Reader:
 # rule checks
 
 
-def is_miller_pattern(t: Term, pattern_vars: frozenset[str]) -> bool:
+def is_miller_pattern(t: Term, pattern_vars: AbstractSet[str]) -> bool:
     """True when every pattern variable is applied only to sequences of
     pairwise distinct bound variables."""
-    while isinstance(t, Abs):
-        t = t.body
-    if not isinstance(t.head, Free) or t.head.name not in pattern_vars:
-        return all(is_miller_pattern(a, pattern_vars) for a in t.args)
-    seen: set[int] = set()
-    for a in t.args:
-        body, m = a, 0
-        while isinstance(body, Abs):
-            body, m = body.body, m + 1
-        h = body.head       # must be bound outside ``a``, at index i
-        i = h.index - m if isinstance(h, Bound) else -1
-        if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
-            return False
-        seen.add(i)
+    stack = [t]
+    while stack:
+        t = under_binders(stack.pop())
+        if not isinstance(t.head, Free) or t.head.name not in pattern_vars:
+            stack.extend(t.args)
+            continue
+        seen: set[int] = set()
+        for a in t.args:
+            body, m = a, 0
+            while isinstance(body, Abs):
+                body, m = body.body, m + 1
+            h = body.head       # must be bound outside ``a``, at index i
+            i = h.index - m if isinstance(h, Bound) else -1
+            if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
+                return False
+            seen.add(i)
     return True
 
 
@@ -396,53 +392,48 @@ def parse(text: str, require_patterns: bool = False) -> Hrs:
     """Parse a rewrite system.  Non-pattern left-hand sides are accepted by
     default and only flagged on the rule; pass ``require_patterns=True`` to
     reject them outright."""
-    basics: dict[str, None] = {}        # in order
+    basics: dict[str, Base] = {}        # by name, in order
     signature: dict[str, SimpleType] = {}
     variables: dict[str, SimpleType] = {}
     scope: dict[str, Atom] = {}         # the names declared so far
     rules: dict[str, Rule] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        words = line.split(None, 1)
-        if not words:
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
-        keyword = words[0]
+        keyword = line.split(None, 1)[0]
         if keyword in ("basic", "sig", "var"):
             cur = _Reader(line, lineno)
-            cur.expect(keyword)
+            cur.pos = 1         # past the keyword, which is token 0
         if keyword == "basic":
             while cur.toks[cur.pos]:
                 name = cur.name("a basic type name")
                 if name in basics:
                     raise cur.error(f"basic type {name!r} declared twice",
                                     cur.pos - 1)
-                basics[name] = None
+                basics[name] = Base(name)
         elif keyword in ("sig", "var"):
             name = cur.name("a name")
             cur.expect(":")
             ty = cur.type(basics)
-            cur.done()
-            if name in scope:
-                # the name is token 1, after the keyword
+            cur.expect("")
+            if name in scope:   # the name is token 1, after the keyword
                 raise cur.error(f"name {name!r} declared twice", 1)
-            table, kind = ((signature, Const) if keyword == "sig"
-                           else (variables, Free))
-            table[name] = ty
-            scope[name] = kind(name, ty)
+            (signature if keyword == "sig" else variables)[name] = ty
+            scope[name] = (Const if keyword == "sig" else Free)(name, ty)
         elif keyword == "rule":
-            rest = words[1] if len(words) > 1 else ""
-            if ":" not in rest:
+            body = line.find(":") + 1
+            if not body:
                 raise HrsError("expected 'rule <name>: <term> -> <term>'",
                                lineno)
-            rule_name = rest.split(":", 1)[0].strip()
+            rule_name = line[:body - 1].strip()[len("rule"):].strip()
             if not _RULE_NAME_RE.fullmatch(rule_name):
                 raise HrsError(f"invalid rule name {rule_name!r}", lineno)
             if rule_name in rules:
                 raise HrsError(f"rule name {rule_name!r} used twice", lineno)
-            body = line.index(":") + 1
-            rules[rule_name] = _Reader(line[body:], lineno, body, scope).rule(
-                rule_name, require_patterns)
+            rules[rule_name] = _Reader(line[body:], lineno, body).rule(
+                rule_name, scope, variables, require_patterns)
         else:
             raise HrsError(f"unknown directive {keyword!r} (expected basic, "
                            "sig, var, or rule)", lineno)

@@ -18,7 +18,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .terms import (Abs, App, Atom, Bound, Free, Term, TermTypeError,
-                    domains, eta_hint, free_names, free_vars, reach)
+                    eta_hint, free_names, free_vars, reach)
 
 # ---------------------------------------------------------------------------
 # the builder
@@ -60,7 +60,7 @@ def _build(t: Term, env: tuple, depth: int, stack: list) -> Term:
 def _neutral(atom: Atom, level: int | None, stack: list, depth: int) -> Term:
     """``atom`` applied to the closures on ``stack``, eta-expanded over the
     arguments it still lacks; ``level`` places a bound ``atom``."""
-    missing = domains(atom.ty)[len(stack):]
+    missing = atom.ty.domains[len(stack):]
     inner = depth + len(missing)
     if level is not None:
         atom = Bound(inner - 1 - level, atom.ty)

@@ -71,18 +71,14 @@ def safe_subterms(rule: Rule) -> SafeSet:
     of one headed by a rule variable."""
     out: list[Term] = list(args(rule.lhs))
     seen = set(out)
-
-    def walk(t: Term):
-        t = under_binders(t)
+    stack = out[::-1]
+    while stack:
+        t = under_binders(stack.pop())
         if not reach(t) and t not in seen:
             seen.add(t)
             out.append(t)
         if not isinstance(t.head, Free):
-            for a in t.args:
-                walk(a)
-
-    for arg in args(rule.lhs):
-        walk(arg)
+            stack.extend(reversed(t.args))
     return SafeSet(rule, tuple(out))
 
 
@@ -93,11 +89,12 @@ def is_pfp(h: Hrs) -> PfpReport:
     for safe in h.safe_sets:
         rule = safe.rule
         shown: set[Term] = set()
-
-        def walk(t: Term, pos: Position):
+        stack: list[tuple[Term, Position]] = [(rule.rhs, ())]
+        while stack:
+            t, pos = stack.pop()
             if isinstance(t, Abs):
-                walk(t.body, pos + (1,))
-                return
+                stack.append((t.body, pos + (1,)))
+                continue
             if isinstance(t.head, Free) and not safe.has_prefix(t):
                 s = subterm_at(rule.rhs, pos)
                 if s not in shown:
@@ -106,8 +103,6 @@ def is_pfp(h: Hrs) -> PfpReport:
                         rule.name, s,
                         f"no applied prefix of {print_term(s)} normalizes "
                         f"to a safe subterm of the left-hand side"))
-            for i, a in enumerate(t.args, start=1):
-                walk(a, pos + (i,))
-
-        walk(rule.rhs, ())
+            for i in range(len(t.args), 0, -1):
+                stack.append((t.args[i - 1], pos + (i,)))
     return PfpReport(not violations, tuple(violations))

@@ -17,9 +17,8 @@ from typing import Iterator, NamedTuple, Union
 from .hrs import Hrs
 from .normalize import apply_subst, eta_expand
 from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
-                    SimpleType, Term, close_over, domains, eta_hint,
-                    free_names, free_vars, liberation_name, open_with,
-                    result_type)
+                    SimpleType, Term, close_over, eta_hint, free_names,
+                    free_vars, liberation_name, open_with)
 
 
 class NonPatternError(ValueError):
@@ -388,8 +387,8 @@ def _exact(lists: _TermLists, want: SimpleType, size: int,
     heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
     return [((rank,) + keys, App(head, args))
             for rank, head in enumerate(heads + lists.consts)
-            if result_type(head.ty) == want
-            for keys, args in lists[_arg_lists, domains(head.ty), size - 1,
+            if head.ty.result is want
+            for keys, args in lists[_arg_lists, head.ty.domains, size - 1,
                                     env]]
 
 

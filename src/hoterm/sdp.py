@@ -49,19 +49,20 @@ def candidates(t: Term) -> tuple[Term, ...]:
     ``strip_binders`` opens them with (``binder_names``) as hints."""
     out: list[Term] = []
     seen: set[Term] = set()
-
-    def walk(u: Term):
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if u in seen:
-            return
+            continue
         seen.add(u)
         out.append(u)
         binders = binder_names(u)
+        wrapped = []
         for arg in under_binders(u).args:
             for name, ty in reversed(binders):
                 arg = Abs(name, ty, arg)
-            walk(arg)
-
-    walk(t)
+            wrapped.append(arg)
+        stack.extend(reversed(wrapped))
     return tuple(out)
 
 
@@ -106,17 +107,12 @@ def _occurring_extras(rhs_marked: Term, lhs_names: frozenset[str]
     """Names free in the pair's right side but not its left, in order of
     first occurrence; these are exactly the stripped binders that remain."""
     order: list[str] = []
-
-    def walk(u: Term):
-        if isinstance(u, Abs):
-            walk(u.body)
-            return
+    stack = [rhs_marked]
+    while stack:
+        u = under_binders(stack.pop())
         head = u.head
         if isinstance(head, Free) and head.name not in lhs_names \
                 and head.name not in order:
             order.append(head.name)
-        for a in u.args:
-            walk(a)
-
-    walk(rhs_marked)
+        stack.extend(reversed(u.args))
     return tuple(order)

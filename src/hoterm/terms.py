@@ -66,10 +66,12 @@ class SimpleType(_Frozen):
     """A basic type or a function type built from basic types.
 
     Types are interned: equal parts give the same object, so equality is
-    identity, and the hash, taken from the parts, is computed once.
+    identity, and the hash, taken from the parts, is computed once.  So are
+    ``domains``, the argument types in order, and ``result``, the basic type
+    left when all of them are given.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "domains", "result")
 
 
 # types by name or by the ids of an Arrow's parts, atoms by class, name or
@@ -86,11 +88,22 @@ def _intern(cls: type, key: object, *parts) -> _Frozen:
     return self
 
 
+def _shape(ty: SimpleType, domains: tuple[SimpleType, ...],
+           result: Base) -> SimpleType:
+    object.__setattr__(ty, "domains", domains)
+    object.__setattr__(ty, "result", result)
+    return ty
+
+
 class Base(SimpleType):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str) -> Base:
-        return _INTERNED.get(name) or _intern(cls, name, name)
+        self = _INTERNED.get(name)
+        if self is None:
+            self = _intern(cls, name, name)
+            _shape(self, (), self)
+        return self
 
     def __str__(self) -> str:
         return self.name
@@ -101,7 +114,8 @@ class Arrow(SimpleType):
 
     def __new__(cls, dom: SimpleType, cod: SimpleType) -> Arrow:
         key = (id(dom), id(cod))
-        return _INTERNED.get(key) or _intern(cls, key, dom, cod)
+        return _INTERNED.get(key) or _shape(_intern(cls, key, dom, cod),
+                                            (dom,) + cod.domains, cod.result)
 
     def __str__(self) -> str:
         dom = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
@@ -116,21 +130,6 @@ def arrow(*types: SimpleType) -> SimpleType:
     for dom in reversed(types[:-1]):
         result = Arrow(dom, result)
     return result
-
-
-def domains(ty: SimpleType) -> tuple[SimpleType, ...]:
-    out = []
-    while isinstance(ty, Arrow):
-        out.append(ty.dom)
-        ty = ty.cod
-    return tuple(out)
-
-
-def result_type(ty: SimpleType) -> Base:
-    while isinstance(ty, Arrow):
-        ty = ty.cod
-    assert isinstance(ty, Base)
-    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ class App(Term):
                     f"head {atom_name(head)} applied to too many arguments",
                     subject=atom_name(head), actual=head.ty)
             if arg.ty is not ty.dom:
-                i = len(domains(head.ty)) - len(domains(ty))
+                i = len(head.ty.domains) - len(ty.domains)
                 raise TermTypeError(
                     f"argument {i + 1} of {atom_name(head)} has the wrong type",
                     subject=arg, expected=ty.dom, actual=arg.ty)
@@ -517,19 +516,17 @@ def subterms(t: Term) -> tuple[Term, ...]:
     same convention as subterm_at, so both views agree."""
     out: list[Term] = []
     seen: set[Term] = set()
-
-    def walk(u: Term, avoid: set[str]):
+    stack = [(t, set(free_names(t)))]
+    while stack:
+        u, avoid = stack.pop()
         if u not in seen:
             seen.add(u)
             out.append(u)
         if isinstance(u, Abs):
             name, body = open_abs(u, avoid)
-            walk(body, avoid | {name})
+            stack.append((body, avoid | {name}))
         else:
-            for a in u.args:
-                walk(a, avoid)
-
-    walk(t, set(free_names(t)))
+            stack.extend((a, avoid) for a in reversed(u.args))
     return tuple(out)
 
 
@@ -538,37 +535,29 @@ def subterms(t: Term) -> tuple[Term, ...]:
 
 def print_term(t: Term, avoid: Iterable[str] = ()) -> str:
     """Concrete syntax: f(a, b), \\x y. body, bare names for atoms."""
-    taboo = set(avoid) | set(free_names(t))
+    return _print(t, [], set(avoid) | set(free_names(t)))
 
-    def binder_name(hint: str, scope: list[str]) -> str:
-        name = hint or "x"
-        while name in taboo or name in scope:
+
+def _print(u: Term, scope: list[str], taboo: set[str]) -> str:
+    """``u`` printed under binders named ``scope``, innermost last; a
+    binder's name avoids ``taboo`` and the names of the binders above."""
+    names: list[str] = []
+    while isinstance(u, Abs):
+        name = u.hint or "x"
+        while name in taboo or name in scope or name in names:
             name += "'"
-        return name
-
-    def go(u: Term, scope: list[str]) -> str:
-        if isinstance(u, Abs):
-            names: list[str] = []
-            while isinstance(u, Abs):
-                name = binder_name(u.hint, scope + names)
-                names.append(name)
-                u = u.body
-            body = go_app(u, scope + names)
-            return "\\" + " ".join(names) + ". " + body
-        return go_app(u, scope)
-
-    def go_app(u: Term, scope: list[str]) -> str:
-        if isinstance(u, Abs):
-            return go(u, scope)
-        head = u.head
-        if not isinstance(head, Bound):
-            name = head.name
-        elif head.index < len(scope):
-            name = scope[-1 - head.index]
-        else:                       # loose, as in an error's subject
-            name = atom_name(head)
-        if not u.args:
-            return name
-        return name + "(" + ", ".join(go(a, scope) for a in u.args) + ")"
-
-    return go(t, [])
+        names.append(name)
+        u = u.body
+    if names:
+        scope = scope + names
+    head = u.head
+    if not isinstance(head, Bound):
+        text = head.name
+    elif head.index < len(scope):
+        text = scope[-1 - head.index]
+    else:                       # loose, as in an error's subject
+        text = atom_name(head)
+    if u.args:
+        text += "(" + ", ".join([_print(a, scope, taboo)
+                                 for a in u.args]) + ")"
+    return "\\" + " ".join(names) + ". " + text if names else text

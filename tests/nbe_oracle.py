@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Union
 
 from hoterm.hrs import parse
 from hoterm.terms import (Abs, App, Arrow, Atom, Bound, Const, Free,
-                          SimpleType, Term, TermTypeError, domains, eta_hint,
+                          SimpleType, Term, TermTypeError, eta_hint,
                           free_vars, liberation_name)
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def reify(v: Value, ty: SimpleType, depth: int) -> Term:
         return Abs(hint, ty.dom, body)
     assert isinstance(v, VNe), "value of basic type must be neutral"
     head = v.head
-    doms = domains(head.ty)
+    doms = head.ty.domains
     assert len(doms) == len(v.spine)
     args = tuple(reify(a, doms[i], depth) for i, a in enumerate(v.spine))
     if isinstance(head, Level):

@@ -15,7 +15,7 @@ from hoterm.hrs import Hrs, Rule, parse, print_hrs
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           Position, SimpleType, Term, arrow, close_over,
-                          domains, free_names, result_type)
+                          free_names)
 from nbe_oracle import PApp, Preterm
 
 
@@ -76,8 +76,8 @@ def eta_long_terms(draw, consts: dict[str, SimpleType],
                    frees: dict[str, SimpleType], ty: SimpleType,
                    fuel: int = 4, _depth: int = 0) -> Term:
     """A random well-typed term of ``ty`` in eta-long beta-normal form."""
-    doms = domains(ty)
-    base = result_type(ty)
+    doms = ty.domains
+    base = ty.result
     inner_frees = dict(frees)
     binders: list[tuple[str, SimpleType]] = []
     for k, d in enumerate(doms):
@@ -85,13 +85,13 @@ def eta_long_terms(draw, consts: dict[str, SimpleType],
         binders.append((name, d))
         inner_frees[name] = d
     pool = [a for a in _atoms(consts, inner_frees)
-            if result_type(a.ty) == base]
+            if a.ty.result == base]
     assert pool, f"no head can produce {base}"
     if fuel <= 0:
-        cheapest = min(len(domains(a.ty)) for a in pool)
-        pool = [a for a in pool if len(domains(a.ty)) == cheapest]
+        cheapest = min(len(a.ty.domains) for a in pool)
+        pool = [a for a in pool if len(a.ty.domains) == cheapest]
     head = draw(st.sampled_from(pool))
-    head_doms = domains(head.ty)
+    head_doms = head.ty.domains
     args = tuple(
         draw(eta_long_terms(consts, inner_frees, d, fuel - 1,
                             _depth + len(binders) + 1))
@@ -121,12 +121,11 @@ def preterms(draw, consts: dict[str, SimpleType],
 def rules(draw, sig: dict[str, SimpleType],
           variables: dict[str, SimpleType], name: str) -> Rule:
     """lhs is a symbol applied to random arguments; rhs reuses lhs frees."""
-    heads = [n for n, t in sorted(sig.items())
-             if isinstance(result_type(t), Base) and domains(t)]
+    heads = [n for n, t in sorted(sig.items()) if t.domains]
     head_name = draw(st.sampled_from(heads))
     head = Const(head_name, sig[head_name])
     args = tuple(draw(eta_long_terms(sig, variables, d, fuel=2))
-                 for d in domains(head.ty))
+                 for d in head.ty.domains)
     lhs = App(head, args)
     usable = {n: t for n, t in variables.items() if n in free_names(lhs)}
     rhs = draw(eta_long_terms(sig, usable, lhs.ty, fuel=2))

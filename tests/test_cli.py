@@ -419,3 +419,27 @@ class TestScripts:
         for cold, warm in rows.values():
             assert float(cold) > 0 and float(warm) > 0
         assert files() == before
+
+    def test_parse_cost_times_every_set_without_writing(self):
+        def files():
+            return {p: p.stat().st_mtime_ns
+                    for d in ("src", "scripts", "bench")
+                    for p in (ROOT / d).rglob("*")}
+
+        before = files()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "parse_cost.py"),
+             "--runs", "2", "--passes", "1", "--baseline", str(ROOT)],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert [row[:1] if row[0] == "ratio" else row[:2] for row in rows] \
+            == [["1", "this"], ["1", "baseline"], ["2", "baseline"],
+                ["2", "this"], ["med", "this"], ["med", "baseline"], ["ratio"]]
+        assert proc.stdout.splitlines()[1].split()[2:] == [
+            "fixtures", "(9)", "search", "(17)", "loops", "(7)"]
+        for row in rows:
+            assert len(row) == 5 - (row[0] == "ratio")
+            assert all(float(x) > 0 for x in row[-3:])
+        assert files() == before

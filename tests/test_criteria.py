@@ -164,16 +164,27 @@ class TestSearchPi:
         h, comps = components_of("sqsum")
         foldl_c = comps[2]
         tried = []
-        real = hoterm.criteria.project_pair
+        real = hoterm.criteria._projection
 
         def spy(pair, p, q, defined):
             tried.append(p)
             return real(pair, p, q, defined)
 
         # each position is projected once: the verdict reuses the answers
-        monkeypatch.setattr(hoterm.criteria, "project_pair", spy)
+        monkeypatch.setattr(hoterm.criteria, "_projection", spy)
         found = search_pi(foldl_c, max_depth=1, defined=h.defined)
         assert tried == [(1,), (2,), (3,)]
+        assert str(found.witness) == "pi(foldl) = 3"
+
+    def test_failures_are_not_put_in_words(self, monkeypatch):
+        # (1,) and (2,) fail for foldl; the search only asks whether they do
+        h, comps = components_of("sqsum")
+
+        def refuse(*args):
+            raise AssertionError("a failure was printed")
+
+        monkeypatch.setattr(hoterm.criteria, "print_term", refuse)
+        found = search_pi(comps[2], max_depth=1, defined=h.defined)
         assert str(found.witness) == "pi(foldl) = 3"
 
     def test_depth_one_misses_nested_descent(self):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import strategies as S
 from hoterm.hrs import (Hrs, HrsError, Rule, _Reader, load, parse,
@@ -8,6 +11,8 @@ from hoterm.terms import Abs, App, Arrow, Base, arrow, free_names, top
 
 NAT = Base("nat")
 NATLIST = Base("natlist")
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURE_TEXTS = [p.read_text() for p in sorted(FIXTURES.glob("*.hrs"))]
 
 
 class TestParseFoldl:
@@ -364,18 +369,21 @@ def test_nested_under_applied_heads_are_read_once(monkeypatch):
     text = ("basic a\nsig twice : (a -> a) -> a -> a\nsig s : a -> a\n"
             f"sig h : a -> a\nvar X : a\nrule r: h(X) -> twice({body}, X)\n")
     reads = 0
-    arguments = _Reader.arguments
+    term = _Reader.term
 
     def counted(self, *rest):
         nonlocal reads
         reads += 1
         if reads > 100:
             raise RuntimeError("an argument list was read again")
-        return arguments(self, *rest)
+        return term(self, *rest)
 
-    monkeypatch.setattr(_Reader, "arguments", counted)
+    # each name on the line (h, X twice, s and each twice) is read by one
+    # call, with its arguments; any argument list read again would add calls
+    monkeypatch.setattr(_Reader, "term", counted)
     rhs = parse(text).rules[0].rhs
-    assert reads == text.splitlines()[-1].count("(")
+    line = text.splitlines()[-1]
+    assert reads == line.count("twice") + 4
     hints = []
     for _ in range(30):
         fn = rhs.args[0]
@@ -384,3 +392,25 @@ def test_nested_under_applied_heads_are_read_once(monkeypatch):
         rhs = fn.body
     assert isinstance(rhs.args[0], Abs)
     assert len(set(hints)) == 30
+
+
+@st.composite
+def edited_fixtures(draw) -> str:
+    """A fixture with one to three characters inserted, deleted or
+    replaced, mostly ones the format gives a meaning."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    chars = st.sampled_from("()\\.,:->#' \n\tXFxa0_$") | st.characters()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.text(chars, max_size=1)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_fixtures(), st.booleans())
+def test_edited_fixture_parses_or_raises_hrs_error(text, require_patterns):
+    try:
+        parse(text, require_patterns=require_patterns)
+    except HrsError:
+        pass

@@ -9,7 +9,9 @@ The seeds drawn on demand are checked against the eager seeds kept in
 """
 
 import gc
+import importlib
 import itertools
+import sys
 from collections import Counter, deque
 from pathlib import Path
 
@@ -23,11 +25,12 @@ from walk_oracle import eager_loop_seeds
 import hoterm.rewriting as R
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
+from hoterm.proof import emit, prove_text
 from hoterm.rewriting import (DepthExhausted, LoopFound, NormalForm,
                               bounded_search, enumerate_closed_terms,
                               find_loop, loop_seeds, rewrite_step)
-from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, domains,
-                          eta_hint, print_term, result_type)
+from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, eta_hint,
+                          print_term)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 FIXTURE_SYSTEMS = sorted(p.stem for p in FIXTURES.glob("*.hrs"))
@@ -87,8 +90,8 @@ def sorted_closed_terms(h, ty, max_size):
         heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
         heads.extend(Const(name, sty) for name, sty in sig)
         for head in heads:
-            if result_type(head.ty) == want:
-                for args in gen_args(domains(head.ty), budget - 1, env):
+            if head.ty.result == want:
+                for args in gen_args(head.ty.domains, budget - 1, env):
                     yield App(head, args)
 
     def gen_args(doms, budget, env):
@@ -338,16 +341,25 @@ def _search(name, max_steps):
     return lambda: find_loop(h, max_steps=max_steps)
 
 
-class TestNoGarbageCycles:
-    """Matching and the loop search leave no reference cycle behind: with
-    the cyclic collector off, reference counting frees all they made."""
+def _prove(text):
+    return lambda: emit(prove_text(text), "text")
 
-    @pytest.mark.parametrize("make", [
-        _arith_matches, lambda: _search("arith", 1),
-        lambda: _search("foo", 3), lambda: _search("mapfun", 2)],
-        ids=["match-arith-seeds", "arith", "foo", "mapfun"])
-    def test_collector_finds_nothing(self, make):
-        run = make()
+
+# the generated families of the benchmark's search workload, each at its
+# smallest size there
+SEARCH_FAMILIES = {"rotating": ("rotating_chain", 8),
+                   "swapped": ("swapped_chain", 4),
+                   "prec-deep": ("precedence_deep", 5),
+                   "prec-unorientable": ("precedence_unorientable", 5)}
+
+
+class TestNoGarbageCycles:
+    """Matching, the loop search, a proof and its text leave no reference
+    cycle behind: with the cyclic collector off, reference counting frees
+    all they made.  (The JSON emitter is left out: the standard library's
+    encoder makes cycles of its own.)"""
+
+    def check(self, run):
         gc.collect()
         gc.disable()
         try:
@@ -355,6 +367,25 @@ class TestNoGarbageCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("make", [
+        _arith_matches, lambda: _search("arith", 1),
+        lambda: _search("foo", 3), lambda: _search("mapfun", 2)],
+        ids=["match-arith-seeds", "arith", "foo", "mapfun"])
+    def test_collector_finds_nothing(self, make):
+        self.check(make())
+
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_proof_of_a_fixture(self, name):
+        self.check(_prove((FIXTURES / f"{name}.hrs").read_text()))
+
+    @pytest.mark.parametrize("family", SEARCH_FAMILIES)
+    def test_proof_of_a_search_family(self, family, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        generator, size = SEARCH_FAMILIES[family]
+        workloads = importlib.import_module("workloads")
+        self.check(_prove(getattr(workloads, generator)(size, "ab")))
 
 
 class TestSeedsOnDemand:
@@ -444,7 +475,7 @@ class TestEnumerateClosedTerms:
     def test_lazy_order_is_the_sorted_order(self, name):
         h = load(FIXTURES / f"{name}.hrs")
         types = {Base(b) for b in h.basics} | set(h.variables.values())
-        types |= {d for ty in h.signature.values() for d in domains(ty)}
+        types |= {d for ty in h.signature.values() for d in ty.domains}
         for ty, size in itertools.product(sorted(types, key=str),
                                           range(1, 6)):
             lazy = list(enumerate_closed_terms(h, ty, size))

@@ -10,7 +10,7 @@ from strategies import lam
 from hoterm.hrs import parse, print_hrs
 from hoterm.normalize import apply_subst, eta_expand, normalize
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, Term,
-                          TermTypeError, arrow, domains, print_term)
+                          TermTypeError, arrow, print_term)
 from nbe_oracle import (PApp, PAtom, PLam, hints, nbe_normalize, papp,
                         reference_rules)
 
@@ -148,7 +148,7 @@ def test_applied_prefixes_agree_with_evaluation(data):
     ty = data.draw(S.simple_types(bases=(A, B)))
     head = data.draw(st.sampled_from([Const("f", ty), Free("F", ty)]))
     args = [data.draw(S.eta_long_terms(PRETERM_SIG, PRETERM_FREES, d, fuel=2))
-            for d in domains(ty)]
+            for d in ty.domains]
     for k in range(len(args) + 1):
         assert_same_build(normalize(head, args[:k]),
                           nbe_normalize(papp(PAtom(head), *args[:k])))
