@@ -370,18 +370,25 @@ def is_miller_pattern(t: Term, pattern_vars: AbstractSet[str]) -> bool:
         t = under_binders(stack.pop())
         if not isinstance(t.head, Free) or t.head.name not in pattern_vars:
             stack.extend(t.args)
-            continue
-        seen: set[int] = set()
-        for a in t.args:
-            body, m = a, 0
-            while isinstance(body, Abs):
-                body, m = body.body, m + 1
-            h = body.head       # must be bound outside ``a``, at index i
-            i = h.index - m if isinstance(h, Bound) else -1
-            if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
-                return False
-            seen.add(i)
+        elif bound_args(t.args) is None:
+            return False
     return True
+
+
+def bound_args(args: tuple[Term, ...]) -> list[int] | None:
+    """The indices of the pairwise distinct bound variables that ``args``
+    eta-expand, in order, or None when they are not such variables."""
+    seen: list[int] = []
+    for a in args:
+        body, m = a, 0
+        while isinstance(body, Abs):
+            body, m = body.body, m + 1
+        h = body.head       # must be bound outside ``a``, at index i
+        i = h.index - m if isinstance(h, Bound) else -1
+        if i < 0 or i in seen or a != eta_expand(Bound(i, a.ty)):
+            return None
+        seen.append(i)
+    return seen
 
 
 # ---------------------------------------------------------------------------

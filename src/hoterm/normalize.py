@@ -5,7 +5,9 @@ substitutes free variables and rebuilds the result in one pass: a
 substituted variable's arguments are passed to its replacement, whose
 abstractions take them by substituting into the body, hereditarily: an
 argument that lands in head position is applied in turn, by recursion on
-the type.  Bound variables are nameless, so nothing is captured.
+the type.  Bound variables are nameless, so nothing is captured, and a
+replacement's loose indices, which reach binders above the term it is
+substituted into, are lifted past the binders it lands under.
 ``normalize`` builds a head applied to fewer arguments than it takes,
 eta-expanded where it stands.  An abstraction keeps its binder hint, and a
 binder made by eta-expansion is hinted by its depth from the root
@@ -27,7 +29,8 @@ from .terms import (Abs, App, Atom, Bound, Free, Term, TermTypeError,
 # being read to an int, the level (depth from the root) of a binder of the
 # result, or to a closure (term, environment), the argument an abstraction
 # took there: it is built where it is used, at any depth below where it was
-# made.
+# made.  The term read stands under the same outer binders as the result, so
+# an index past the environment reaches one of them, at a negative level.
 
 
 @cache
@@ -40,7 +43,7 @@ def _build(t: Term, env: tuple, depth: int, stack: list) -> Term:
     """The canonical form, under ``depth`` binders, of ``t`` read in
     ``env`` and applied to the closures on ``stack`` (first argument last)."""
     while True:
-        if not stack and (not env or env is _levels(depth)):
+        if not stack and (not env and not reach(t) or env is _levels(depth)):
             return t
         if isinstance(t, Abs):
             if not stack:
@@ -51,7 +54,10 @@ def _build(t: Term, env: tuple, depth: int, stack: list) -> Term:
             continue
         stack.extend((a, env) for a in reversed(t.args))
         atom = t.head
-        entry = env[atom.index] if isinstance(atom, Bound) else None
+        entry = None
+        if isinstance(atom, Bound):
+            i = atom.index
+            entry = env[i] if i < len(env) else len(env) - 1 - i
         if not isinstance(entry, tuple):
             return _neutral(atom, entry, stack, depth)
         t, env = entry
@@ -59,7 +65,8 @@ def _build(t: Term, env: tuple, depth: int, stack: list) -> Term:
 
 def _neutral(atom: Atom, level: int | None, stack: list, depth: int) -> Term:
     """``atom`` applied to the closures on ``stack``, eta-expanded over the
-    arguments it still lacks; ``level`` places a bound ``atom``."""
+    arguments it still lacks; ``level`` places a bound ``atom`` (a negative
+    level is above the root)."""
     missing = atom.ty.domains[len(stack):]
     inner = depth + len(missing)
     if level is not None:
@@ -82,7 +89,8 @@ def _replace(t: Term, theta: Mapping[str, Term], depth: int) -> Term:
         return Abs(t.hint, t.param_type, _replace(t.body, theta, depth + 1))
     head = t.head
     if not t.args and isinstance(head, Free):
-        return theta[head.name]     # what _build returns with nothing to pass
+        r = theta[head.name]    # what _build returns with nothing to pass
+        return _build(r, (), depth, []) if depth and reach(r) else r
     args = []
     for a in t.args:
         args.append(_replace(a, theta, depth))
@@ -114,17 +122,14 @@ def apply_subst(t: Term, theta: Mapping[str, Term]) -> Term:
     """Substitute free variables and renormalize.
 
     Entries of ``theta`` whose name is not free in ``t`` are ignored; the
-    substituted terms must match the variables' types and reach no binder.
+    substituted terms must match the variables' types.  A loose index of a
+    substituted term reaches a binder above ``t``, and is lifted past the
+    binders of ``t`` above the variable it replaces.
     """
     for atom in free_vars(t):
         replacement = theta.get(atom.name)
-        if replacement is None:
-            continue
-        if replacement.ty != atom.ty:
+        if replacement is not None and replacement.ty != atom.ty:
             raise TermTypeError(
                 f"substitution for {atom.name} has the wrong type",
                 subject=replacement, expected=atom.ty, actual=replacement.ty)
-        if reach(replacement):      # its index would dangle, unprintable
-            raise TermTypeError(
-                f"substitution for {atom.name} reaches a binder outside it")
     return _replace(t, theta, 0)

@@ -1,9 +1,11 @@
-"""Pattern matching and rewriting.
+"""Pattern matching and rewriting on the nameless terms.
 
 Matching is decidable because rule left-hand sides are restricted to patterns:
-free variables applied only to pairwise distinct bound variables.  A match is
-unique when it exists, and rewriting replaces the matched subterm in place,
-so a rewrite step is identified by (rule, position, result).
+free variables applied only to pairwise distinct bound variables (Miller,
+1991).  A match is unique when it exists.  Matching and rewriting read the de
+Bruijn terms as they are, under binders too, and name no binder.  Rewriting
+replaces the matched subterm in place, so a rewrite step is identified by
+(rule, position, result).
 """
 
 from __future__ import annotations
@@ -14,79 +16,58 @@ from collections import deque
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
-from .hrs import Hrs
-from .normalize import apply_subst, eta_expand
+from .hrs import Hrs, bound_args
+from .normalize import apply_subst
 from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
-                    SimpleType, Term, close_over, eta_hint, free_names,
-                    free_vars, liberation_name, open_with)
+                    SimpleType, Term, eta_hint, free_names, free_vars, reach)
 
 
 class NonPatternError(ValueError):
     """Matching was attempted against a non-pattern left-hand side."""
 
 
-_MARKER = "!"
-
-
-def _opened_atom(a: Term) -> Free | None:
-    """The marker variable ``a`` eta-expands, if it is one."""
-    u = a
-    while isinstance(u, Abs):
-        u = u.body
-    head = u.head
-    if isinstance(head, Free) and head.name.startswith(_MARKER):
-        atom = Free(head.name, a.ty)
-        if a == eta_expand(atom):
-            return atom
-    return None
-
-
 def match(pattern: Term, subject: Term) -> dict[str, Term] | None:
     """The unique substitution theta with pattern[theta] == subject, or None.
 
+    The subject may reach binders above it; so may the terms of theta.
     Raises NonPatternError when a pattern variable is applied to anything
     other than pairwise distinct bound variables.
     """
     if pattern.ty is not subject.ty:
         return None
     theta: dict[str, Term] = {}
-    if not _match(pattern, subject, 0, free_names(pattern), theta, {}):
+    if not _match(pattern, subject, [], free_names(pattern), theta):
         return None
     assert apply_subst(pattern, theta) == subject, \
         "internal error: match result does not reproduce the subject"
     return theta
 
 
-def _match(p: Term, s: Term, depth: int, pvars: frozenset[str],
-           theta: dict[str, Term], hints: dict[str, str]) -> bool:
-    """Extend ``theta`` so that ``p`` matches ``s``, under ``depth`` opened
-    binders; ``hints`` maps each binder's marker to its pattern hint."""
-    if isinstance(p, Abs):
+def _match(p: Term, s: Term, hints: list[str], pvars: frozenset[str],
+           theta: dict[str, Term]) -> bool:
+    """Extend ``theta`` so that ``p`` matches ``s``, both under the pattern
+    binders hinted ``hints``, innermost last."""
+    while isinstance(p, Abs):
         if not isinstance(s, Abs) or p.param_type is not s.param_type:
             return False
-        name = f"{_MARKER}{depth}"
-        hints[name] = p.hint
-        return _match(open_with(p.body, name), open_with(s.body, name),
-                      depth + 1, pvars, theta, hints)
+        hints = hints + [p.hint]
+        p, s = p.body, s.body
     if isinstance(s, Abs):
         return False
     ph = p.head
     if isinstance(ph, Free) and ph.name in pvars:
-        markers: list[Free] = []
-        for a in p.args:
-            atom = _opened_atom(a)
-            if atom is None or atom in markers:
+        candidate = s           # as it stands: no pattern binder to move
+        if hints or p.args:
+            bound = bound_args(p.args)
+            if bound is None:
                 raise NonPatternError(
                     "pattern variable applied to arguments that are not "
                     "pairwise distinct bound variables")
-            markers.append(atom)
-        candidate: Term = s
-        for atom in reversed(markers):
-            candidate = Abs(hints.get(atom.name, "x"), atom.ty,
-                            close_over(candidate, atom.name))
-        for n in free_names(candidate):
-            if n.startswith(_MARKER):
+            candidate = _capture(s, len(hints), bound, 0)
+            if candidate is None:
                 return False
+            for i, a in zip(reversed(bound), reversed(p.args)):
+                candidate = Abs(hints[-1 - i], a.ty, candidate)
         previous = theta.get(ph.name)
         if previous is not None:
             return previous == candidate
@@ -95,9 +76,37 @@ def _match(p: Term, s: Term, depth: int, pvars: frozenset[str],
     if ph is not s.head:
         return False
     for pa, sa in zip(p.args, s.args):
-        if not _match(pa, sa, depth, pvars, theta, hints):
+        if not _match(pa, sa, hints, pvars, theta):
             return False
     return True
+
+
+def _capture(s: Term, k: int, bound: list[int], depth: int) -> Term | None:
+    """``s``, under ``depth`` binders of its own below ``k`` pattern binders,
+    moved under new binders, the last innermost, that stand for the pattern
+    binders ``bound``; indices past the pattern binders are lifted.  None
+    when ``s`` refers to another pattern binder."""
+    if reach(s) <= depth:
+        return s
+    if isinstance(s, Abs):
+        body = _capture(s.body, k, bound, depth + 1)
+        return None if body is None else Abs(s.hint, s.param_type, body)
+    head = s.head
+    if isinstance(head, Bound) and head.index >= depth:
+        i = head.index - depth
+        if i >= k:
+            head = Bound(head.index - k + len(bound), head.ty)
+        elif i in bound:
+            head = Bound(depth + len(bound) - 1 - bound.index(i), head.ty)
+        else:
+            return None
+    args = []
+    for a in s.args:
+        a = _capture(a, k, bound, depth)
+        if a is None:
+            return None
+        args.append(a)
+    return App(head, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +127,11 @@ def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
     A subterm's entries are (rule, position in it, rewritten subterm), in
     walk order: its own contracta, for the rules indexed under its head,
     then each argument's entries rebuilt under the head, or, under a
-    binder, the body's entries closed again over the name it was opened
-    with.  That name only has to be fresh, so the results do not depend on
-    where the subterm stands.  Equality ignores binder hints and the
-    results carry them, so an entry is reused only for the node it was
-    made for: nodes are hash-consed with their hints, so that is every
-    subterm with the same hints.
+    binder, the body's entries put back under it.  A body keeps its loose
+    indices, so its entries do not depend on where it stands.  Equality
+    ignores binder hints and the results carry them, so an entry is reused
+    only for the node it was made for: nodes are hash-consed with their
+    hints, so that is every subterm with the same hints.
     """
     _check_patterns(h)
     hits = sorted(_rewrites(h.subterm_steps, h.rules_by_head, t),
@@ -167,11 +175,8 @@ def _rewrites(table: dict, by_head: dict, u: Term
         return known[1]
     out = []
     if isinstance(u, Abs):
-        name = liberation_name(u.hint, free_names(u))
-        for rule, pos, res in _rewrites(table, by_head,
-                                        open_with(u.body, name)):
-            out.append((rule, (1,) + pos,
-                        Abs(u.hint, u.param_type, close_over(res, name))))
+        for rule, pos, res in _rewrites(table, by_head, u.body):
+            out.append((rule, (1,) + pos, Abs(u.hint, u.param_type, res)))
     else:
         for rule in by_head.get(u.head, ()):
             theta = match(rule.lhs, u)
@@ -192,8 +197,7 @@ def _reducible(table: dict, by_head: dict, u: Term) -> bool:
     if known is not None:
         return known if type(known) is bool else bool(known[1])
     if isinstance(u, Abs):
-        name = liberation_name(u.hint, free_names(u))
-        found = _reducible(table, by_head, open_with(u.body, name))
+        found = _reducible(table, by_head, u.body)
     else:
         found = False
         for a in u.args:

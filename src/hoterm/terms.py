@@ -328,7 +328,7 @@ def eta_hint(depth: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# opening and closing binders
+# opening binders
 
 def open_with(body: Term, name: str) -> Term:
     """Replace references to the binder just stripped off by a free variable."""
@@ -344,23 +344,6 @@ def _open(t: Term, name: str, depth: int) -> Term:
     args = []
     for a in t.args:
         args.append(_open(a, name, depth))
-    return App(head, args)
-
-
-def close_over(t: Term, name: str) -> Term:
-    """Turn free occurrences of ``name`` into references to a new outer binder."""
-    return _close(t, name, 0)
-
-
-def _close(u: Term, name: str, depth: int) -> Term:
-    if isinstance(u, Abs):
-        return Abs(u.hint, u.param_type, _close(u.body, name, depth + 1))
-    head = u.head
-    if isinstance(head, Free) and head.name == name:
-        head = Bound(depth, head.ty)
-    args = []
-    for a in u.args:
-        args.append(_close(a, name, depth))
     return App(head, args)
 
 

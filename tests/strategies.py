@@ -1,5 +1,5 @@
-"""Shared random generators, and the term helpers ``lam`` and
-``positions``, which only the tests use.
+"""Shared random generators, and the term helpers ``lam``, ``close_over``
+and ``positions``, which only the tests use.
 
 Name pools are kept disjoint on purpose: function symbols are f/g/h/c/d,
 declared variables are upper-case, binders are x1..x9.  This keeps liberated
@@ -14,14 +14,24 @@ import hypothesis.strategies as st
 from hoterm.hrs import Hrs, Rule, parse, print_hrs
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
-                          Position, SimpleType, Term, arrow, close_over,
-                          free_names)
+                          Position, SimpleType, Term, arrow, free_names)
 from nbe_oracle import PApp, Preterm
 
 
 def lam(name: str, param_type: SimpleType, body: Term) -> Abs:
     """Bind the free variable ``name`` of ``body`` under a new abstraction."""
     return Abs(name, param_type, close_over(body, name))
+
+
+def close_over(t: Term, name: str, depth: int = 0) -> Term:
+    """Turn free occurrences of ``name`` into references to a new outer
+    binder, ``depth`` binders above ``t``."""
+    if isinstance(t, Abs):
+        return Abs(t.hint, t.param_type, close_over(t.body, name, depth + 1))
+    head = t.head
+    if isinstance(head, Free) and head.name == name:
+        head = Bound(depth, head.ty)
+    return App(head, tuple(close_over(a, name, depth) for a in t.args))
 
 
 def positions(t: Term) -> list[Position]:

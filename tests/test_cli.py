@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -418,6 +419,23 @@ class TestScripts:
                               "hoterm prove fixtures/sqsum.hrs"]
         for cold, warm in rows.values():
             assert float(cold) > 0 and float(warm) > 0
+        assert files() == before
+
+    def test_loop_answers_ends_with_a_digest_without_writing(self):
+        def files():
+            return {p: p.stat().st_mtime_ns
+                    for d in ("src", "scripts", "fixtures")
+                    for p in (ROOT / d).rglob("*")}
+
+        before = files()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "loop_answers.py"),
+             str(ROOT)], capture_output=True, text=True, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        *lines, digest = proc.stdout.splitlines()
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+        assert any(line.startswith("foo find_loop 1: LoopFound(")
+                   for line in lines)
         assert files() == before
 
     def test_parse_cost_times_every_set_without_writing(self):

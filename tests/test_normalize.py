@@ -96,11 +96,21 @@ class TestApplySubst:
             apply_subst(subject, {"X": App(Const("nil", Base("natlist")),
                                            ())})
 
-    def test_replacement_reaching_a_binder_rejected(self):
-        # the index would dangle in the result
-        subject = App(Free("F", NAT), ())
-        with pytest.raises(TermTypeError, match="reaches a binder"):
-            apply_subst(subject, {"F": App(Bound(0, NAT), ())})
+    def test_replacement_reaching_a_binder_is_lifted(self):
+        # <bound 0> is the binder above the term; under \y. it is index 1
+        g = Const("g", SUC)
+        loose = App(Bound(0, NAT), ())
+        subject = Abs("y", NAT, App(g, (App(Free("X", NAT), ()),)))
+        assert apply_subst(subject, {"X": loose}) == \
+            Abs("y", NAT, App(g, (App(Bound(1, NAT), ()),)))
+        assert apply_subst(App(Free("F", NAT), ()), {"F": loose}) == loose
+        # F := \z. add(z, <bound 1>), whose index 1 is the same binder
+        applied = Abs("y", NAT, App(Free("F", SUC), (App(Bound(0, NAT), ()),)))
+        step = Abs("z", NAT, App(Const("add", BIN), (App(Bound(0, NAT), ()),
+                                                     App(Bound(1, NAT), ()))))
+        assert apply_subst(applied, {"F": step}) == Abs("y", NAT, App(
+            Const("add", BIN), (App(Bound(0, NAT), ()),
+                                App(Bound(1, NAT), ()))))
 
 
 def test_the_submodule_is_not_shadowed():

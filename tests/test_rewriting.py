@@ -13,7 +13,7 @@ from hoterm.normalize import apply_subst
 from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
                               NormalForm, bounded_search, find_loop,
                               loop_seeds, match, reducible, rewrite_step)
-from hoterm.terms import (Abs, App, Base, Const, Free, Term, arrow,
+from hoterm.terms import (Abs, App, Base, Bound, Const, Free, Term, arrow,
                           print_term, subterm_at)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -64,6 +64,12 @@ class TestMatch:
         assert theta["X"] == ZERO
         assert theta["L"] == tail
 
+    def test_open_subject_gives_an_open_value(self):
+        # the subject reaches a binder above it, and so does X's value
+        g = Const("g", arrow(NAT, NAT))
+        loose = App(Bound(0, NAT), ())
+        assert match(App(g, (var("X"),)), App(g, (loose,))) == {"X": loose}
+
     def test_non_pattern_rule_raises(self):
         src = ("basic a\nsig f : (a -> a) -> a\nsig c : a\n"
                "var F : a -> a\nrule r: f(\\x. F(c)) -> c\n")
@@ -75,6 +81,15 @@ class TestMatch:
             rewrite_step(h, subject)
         with pytest.raises(NonPatternError, match="non-pattern"):
             reducible(h, subject)
+
+    def test_non_pattern_without_binders_raises(self):
+        # F(c) under no binder: a variable applied to a non-variable
+        a = Base("a")
+        f = Const("f", arrow(a, a))
+        c = App(Const("c", a), ())
+        pattern = App(f, (App(Free("F", arrow(a, a)), (c,)),))
+        with pytest.raises(NonPatternError, match="pairwise distinct"):
+            match(pattern, App(f, (c,)))
 
     def test_non_pattern_rule_raises_on_the_frontier(self):
         # with max_steps=0 the seed is only tested for a redex
@@ -304,6 +319,24 @@ class TestMemoisedSteps:
         assert [print_term(st.result) for st in got] == \
             ["f(\\x. d, \\y. g(c))", "f(\\x. g(c), \\y. d)"]
         assert_same_steps(h, [t])
+
+    def test_captures_reaching_above_the_redex(self):
+        # the g redexes stand under binders of the term, which X captures,
+        # and k-m moves its capture under new binders: the contracta lift
+        # and renumber the indices captured
+        sig = ("basic a\nsig c : a\nsig g : a -> a\nsig k : (a -> a) -> a\n"
+               "sig m : (a -> a -> a) -> a\nvar X : a\nvar F : a -> a\n"
+               "var G : a -> a -> a\n")
+        h = parse(sig + "rule g-k: g(X) -> k(\\z. X)\n"
+                  "rule k-m: k(\\x. F(x)) -> m(\\p q. F(g(p)))\n"
+                  "rule m-c: m(\\x y. G(x, y)) -> G(c, c)\n")
+        terms = parse(sig + "rule t1: k(\\x. g(x)) -> c\n"
+                      "rule t2: m(\\x y. g(k(\\z. g(x)))) -> c\n"
+                      "rule t3: k(\\x. k(\\y. g(k(\\z. x)))) -> c\n"
+                      "rule t4: k(\\x. m(\\p q. g(p))) -> c\n").rules
+        assert [st.rule for st in rewrite_step(h, terms[0].lhs)] == \
+            ["g-k", "k-m"]
+        assert_same_steps(h, near(h, [r.lhs for r in terms]))
 
     @settings(max_examples=150, deadline=None)
     @given(S.systems())

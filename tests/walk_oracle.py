@@ -22,8 +22,8 @@ from hoterm.normalize import apply_subst
 from hoterm.rewriting import (NonPatternError, RewriteStep,
                               enumerate_closed_terms, match)
 from hoterm.terms import (Abs, App, Position, PositionError, Term,
-                          TermTypeError, close_over, free_names, free_vars,
-                          open_abs)
+                          TermTypeError, free_names, free_vars, open_abs)
+from strategies import close_over
 
 
 def replace_at(t: Term, p: Position, new: Term) -> Term:
