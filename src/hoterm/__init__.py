@@ -26,8 +26,8 @@ from .rewriting import (DepthExhausted, LoopFound, NormalForm,
 from .sdp import DependencyPair, candidates, extract_sdps, mark, unmark_name
 from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, Position,
                     PositionError, SimpleType, Term, TermTypeError, arrow,
-                    format_position, free_names, free_vars, print_term,
-                    subterm_at, subterms, top)
+                    format_position, free_names, print_term, subterm_at,
+                    subterms)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

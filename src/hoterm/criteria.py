@@ -23,7 +23,7 @@ from .graph import RecursionComponent, build_graph, recursion_components
 from .hrs import Hrs, Rule
 from .sdp import DependencyPair, unmark_name
 from .terms import (Abs, Base, Const, Free, Position, Term, format_position,
-                    free_names, print_term, reach, subterm_at, top,
+                    free_names, print_term, reach, subterm_at,
                     under_binders)
 
 # ---------------------------------------------------------------------------
@@ -177,8 +177,8 @@ def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
     weak: list[DependencyPair] = []
     for pair in component.pairs:
         try:
-            p = pi.position_for(top(pair.lhs).name)
-            q = pi.position_for(top(pair.rhs).name)
+            p = pi.position_for(pair.lhs.head.name)
+            q = pi.position_for(pair.rhs.head.name)
         except KeyError as missing:
             return CriterionFailure(pair, f"no projection for {missing}")
         shrinks = project_pair(pair, p, q, defined)
@@ -617,7 +617,7 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
     """
     mentions: dict[str, set[str]] = {s: set() for s in symbols}
     for rule in h.rules:
-        caller = unmark_name(top(rule.lhs).name)
+        caller = unmark_name(rule.lhs.head.name)
         if caller not in mentions:
             continue
         for callee in _symbols(rule.rhs):

@@ -11,15 +11,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .sdp import DependencyPair
-from .terms import top
 
 
 class DependencyGraph(NamedTuple):
     nodes: tuple[DependencyPair, ...]
     arcs: frozenset[tuple[int, int]]
-
-    def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, b) in self.arcs if a == i for j in [b])
 
 
 class RecursionComponent(NamedTuple):
@@ -32,8 +28,8 @@ class RecursionComponent(NamedTuple):
 def build_graph(pairs: tuple[DependencyPair, ...]) -> DependencyGraph:
     """Connect i to j whenever the rhs head of pair i names the same symbol
     as the lhs head of pair j."""
-    rhs_heads = [top(p.rhs).name for p in pairs]
-    lhs_heads = [top(p.lhs).name for p in pairs]
+    rhs_heads = [p.rhs.head.name for p in pairs]
+    lhs_heads = [p.lhs.head.name for p in pairs]
     arcs = frozenset((i, j)
                      for i, rh in enumerate(rhs_heads)
                      for j, lh in enumerate(lhs_heads)

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, AbstractSet, NamedTuple
 
 from .normalize import eta_expand
 from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
-                    SimpleType, Term, eta_hint, print_term, top, under_binders)
+                    SimpleType, Term, eta_hint, print_term, under_binders)
 
 if TYPE_CHECKING:
     from .pfp import SafeSet
@@ -66,7 +66,7 @@ class Hrs:
         self.signature = signature
         self.variables = variables
         self.rules = rules
-        self.defined = frozenset(top(r.lhs).name for r in rules)
+        self.defined = frozenset(r.lhs.head.name for r in rules)
         self.constructors = frozenset(signature) - self.defined
 
     @cached_property
@@ -175,8 +175,7 @@ class _Reader:
         return Arrow(left, self.type(basics))
 
     def rule(self, name: str, scope: dict[str, Atom],
-             variables: dict[str, SimpleType], require_patterns: bool
-             ) -> Rule:
+             variables: dict[str, SimpleType]) -> Rule:
         """The rule on this line over ``scope`` (its ``variables``); a syntax
         error on it is reported first."""
         self.scope = scope
@@ -223,12 +222,7 @@ class _Reader:
             raise HrsError(f"right-hand side of rule {name!r} has fresh free "
                            f"variable(s) {', '.join(sorted(fresh))}",
                            self.lineno)
-        pattern = is_miller_pattern(lhs, lhs_names)
-        if require_patterns and not pattern:
-            raise HrsError(f"left-hand side of rule {name!r} is not a "
-                           "pattern: some variable is applied to "
-                           "non-variable arguments", self.lineno)
-        return Rule(name, lhs, rhs, pattern)
+        return Rule(name, lhs, rhs, is_miller_pattern(lhs, lhs_names))
 
     def hint(self, name: str) -> str:
         while name in self.scope or name in self.taken:
@@ -395,10 +389,9 @@ def bound_args(args: tuple[Term, ...]) -> list[int] | None:
 # file-level parsing
 
 
-def parse(text: str, require_patterns: bool = False) -> Hrs:
-    """Parse a rewrite system.  Non-pattern left-hand sides are accepted by
-    default and only flagged on the rule; pass ``require_patterns=True`` to
-    reject them outright."""
+def parse(text: str) -> Hrs:
+    """Parse a rewrite system.  Non-pattern left-hand sides are accepted and
+    only flagged on the rule (``Rule.is_pattern``)."""
     basics: dict[str, Base] = {}        # by name, in order
     signature: dict[str, SimpleType] = {}
     variables: dict[str, SimpleType] = {}
@@ -440,7 +433,7 @@ def parse(text: str, require_patterns: bool = False) -> Hrs:
             if rule_name in rules:
                 raise HrsError(f"rule name {rule_name!r} used twice", lineno)
             rules[rule_name] = _Reader(line[body:], lineno, body).rule(
-                rule_name, scope, variables, require_patterns)
+                rule_name, scope, variables)
         else:
             raise HrsError(f"unknown directive {keyword!r} (expected basic, "
                            "sig, var, or rule)", lineno)
@@ -458,8 +451,8 @@ def read_source(path: str | Path) -> str:
                        "be decoded") from None
 
 
-def load(path: str | Path, require_patterns: bool = False) -> Hrs:
-    return parse(read_source(path), require_patterns=require_patterns)
+def load(path: str | Path) -> Hrs:
+    return parse(read_source(path))
 
 
 # ---------------------------------------------------------------------------

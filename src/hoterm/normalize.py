@@ -20,7 +20,7 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .terms import (Abs, App, Atom, Bound, Free, Term, TermTypeError,
-                    eta_hint, free_names, free_vars, reach)
+                    eta_hint, free_names, reach)
 
 # ---------------------------------------------------------------------------
 # the builder
@@ -81,24 +81,30 @@ def _neutral(atom: Atom, level: int | None, stack: list, depth: int) -> Term:
 
 
 def _replace(t: Term, theta: Mapping[str, Term], depth: int) -> Term:
-    """Substitute ``theta`` for free variables of ``t``; a substituted
+    """Substitute ``theta`` for free variables of ``t``, each replacement
+    checked against the type of the variable it replaces; a substituted
     variable's arguments are passed to its replacement."""
     if free_names(t).isdisjoint(theta):
         return t
     if isinstance(t, Abs):
         return Abs(t.hint, t.param_type, _replace(t.body, theta, depth + 1))
     head = t.head
-    if not t.args and isinstance(head, Free):
-        r = theta[head.name]    # what _build returns with nothing to pass
-        return _build(r, (), depth, []) if depth and reach(r) else r
+    r = None
+    if isinstance(head, Free) and head.name in theta:
+        r = theta[head.name]
+        if r.ty is not head.ty:
+            raise TermTypeError(
+                f"substitution for {head.name} has the wrong type",
+                subject=r, expected=head.ty, actual=r.ty)
+        if not t.args:          # what _build returns with nothing to pass
+            return _build(r, (), depth, []) if depth and reach(r) else r
     args = []
     for a in t.args:
         args.append(_replace(a, theta, depth))
-    if isinstance(head, Free) and head.name in theta:
-        env = _levels(depth)
-        return _build(theta[head.name], (), depth,
-                      [(a, env) for a in reversed(args)])
-    return App(head, tuple(args))
+    if r is None:
+        return App(head, tuple(args))
+    env = _levels(depth)
+    return _build(r, (), depth, [(a, env) for a in reversed(args)])
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +132,4 @@ def apply_subst(t: Term, theta: Mapping[str, Term]) -> Term:
     substituted term reaches a binder above ``t``, and is lifted past the
     binders of ``t`` above the variable it replaces.
     """
-    for atom in free_vars(t):
-        replacement = theta.get(atom.name)
-        if replacement is not None and replacement.ty != atom.ty:
-            raise TermTypeError(
-                f"substitution for {atom.name} has the wrong type",
-                subject=replacement, expected=atom.ty, actual=replacement.ty)
     return _replace(t, theta, 0)

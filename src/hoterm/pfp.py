@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .hrs import Hrs, Rule
 from .normalize import normalize
-from .terms import (Abs, App, Atom, Free, Position, SimpleType, Term, args,
+from .terms import (Abs, App, Atom, Free, Position, SimpleType, Term,
                     print_term, reach, subterm_at, under_binders)
 
 
@@ -69,7 +69,7 @@ def safe_subterms(rule: Rule) -> SafeSet:
     every basic body under them that reaches none of the binders stripped
     above it.  The walk goes through the arguments of each body, but not
     of one headed by a rule variable."""
-    out: list[Term] = list(args(rule.lhs))
+    out: list[Term] = list(rule.lhs.args)
     seen = set(out)
     stack = out[::-1]
     while stack:

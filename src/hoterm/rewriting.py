@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple, Union
 from .hrs import Hrs, bound_args
 from .normalize import apply_subst
 from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
-                    SimpleType, Term, eta_hint, free_names, free_vars, reach)
+                    SimpleType, Term, eta_hint, free_names, reach)
 
 
 class NonPatternError(ValueError):
@@ -446,27 +446,27 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
         return drawn[i] if i < len(drawn) else None
 
     for rule in h.rules:
-        fvars = sorted(free_vars(rule.lhs), key=lambda atom: atom.name)
-        combo = [term(a.ty, 0) for a in fvars]
+        names = sorted(free_names(rule.lhs))
+        types = [h.variables[name] for name in names]
+        combo = [term(ty, 0) for ty in types]
         if any(u is None for u in combo):
             continue
-        index = [0] * len(fvars)
+        index = [0] * len(names)
         while True:         # an odometer over the pools, the last fastest
-            seed = apply_subst(rule.lhs, {a.name: u for a, u
-                                          in zip(fvars, combo)})
+            seed = apply_subst(rule.lhs, dict(zip(names, combo)))
             if seed not in seen:
                 seen.add(seed)
                 yield seed
                 if len(seen) >= cap:
                     return
-            for k in reversed(range(len(fvars))):
+            for k in reversed(range(len(names))):
                 index[k] += 1
-                u = term(fvars[k].ty, index[k])
+                u = term(types[k], index[k])
                 if u is not None:
                     combo[k] = u
                     break
                 index[k] = 0
-                combo[k] = term(fvars[k].ty, 0)
+                combo[k] = term(types[k], 0)
             else:
                 break
 

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .hrs import Hrs, Rule
 from .normalize import apply_subst, eta_expand
-from .terms import (Abs, App, Const, Free, Term, args, binder_names,
-                    free_names, free_vars, print_term, under_binders)
+from .terms import (Abs, App, Const, Free, Term, binder_names, free_names,
+                    print_term, strip_binders, under_binders)
 
 MARK = "#"
 
@@ -66,12 +66,11 @@ def candidates(t: Term) -> tuple[Term, ...]:
     return tuple(out)
 
 
-def _canonical_extras(rhs: Term, extras: tuple[str, ...]) -> Term:
+def _canonical_extras(rhs: Term, extras: tuple[Free, ...]) -> Term:
     if not extras:
         return rhs
-    types = {atom.name: atom.ty for atom in free_vars(rhs)}
-    theta = {name: eta_expand(Free(f"${i}", types[name]))
-             for i, name in enumerate(extras)}
+    theta = {atom.name: eta_expand(Free(f"${i}", atom.ty))
+             for i, atom in enumerate(extras)}
     return apply_subst(rhs, theta)
 
 
@@ -91,28 +90,29 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
                 continue
             if safe.has_prefix(body):
                 continue
-            rhs_marked = App(Const(head.name + MARK, head.ty), args(cand))
+            rhs_marked = App(Const(head.name + MARK, head.ty),
+                             strip_binders(cand)[1].args)
             extras = _occurring_extras(rhs_marked, lhs_names)
             key = (lhs_marked, _canonical_extras(rhs_marked, extras))
             if key in keys:
                 continue
             keys.add(key)
-            pairs.append(DependencyPair(lhs_marked, rhs_marked,
-                                        rule.name, extras))
+            pairs.append(DependencyPair(lhs_marked, rhs_marked, rule.name,
+                                        tuple(a.name for a in extras)))
     return tuple(pairs)
 
 
 def _occurring_extras(rhs_marked: Term, lhs_names: frozenset[str]
-                      ) -> tuple[str, ...]:
-    """Names free in the pair's right side but not its left, in order of
+                      ) -> tuple[Free, ...]:
+    """Variables free in the pair's right side but not its left, in order of
     first occurrence; these are exactly the stripped binders that remain."""
-    order: list[str] = []
+    order: list[Free] = []
     stack = [rhs_marked]
     while stack:
         u = under_binders(stack.pop())
         head = u.head
         if isinstance(head, Free) and head.name not in lhs_names \
-                and head.name not in order:
-            order.append(head.name)
+                and head not in order:
+            order.append(head)
         stack.extend(reversed(u.args))
     return tuple(order)

@@ -197,10 +197,9 @@ class TermTypeError(TypeError):
 
 class Term(_Frozen):
     """Base class of eta-long beta-normal terms.  Besides its type and hash,
-    a node keeps the free sets and the reach, None until first used."""
+    a node keeps its free names and the reach, None until first used."""
 
-    __slots__ = ("ty", "_hash", "_free_vars", "_free_names", "_reach",
-                 "__weakref__")
+    __slots__ = ("ty", "_hash", "_free_names", "_reach", "__weakref__")
 
     def __repr__(self) -> str:
         return print_term(self)
@@ -236,7 +235,6 @@ class Abs(Term):
         _set_body(self, body)
         _set_ty(self, Arrow(param_type, body.ty))
         _set_hash(self, hash(("abs", param_type, body)))
-        _set_free_vars(self, None)
         _set_free_names(self, None)
         _set_reach(self, None)
         _enter(key, self)
@@ -284,7 +282,6 @@ class App(Term):
         _set_args(self, args)
         _set_ty(self, ty)
         _set_hash(self, hash(("app", head, args)))
-        _set_free_vars(self, None)
         _set_free_names(self, None)
         _set_reach(self, None)
         _enter(key, self)
@@ -302,8 +299,8 @@ class App(Term):
 
 # the slots' own setters: a constructor fills a frozen node with them, at
 # half the cost of object.__setattr__
-_set_ty, _set_hash, _set_free_vars, _set_free_names, _set_reach = (
-    getattr(Term, s).__set__ for s in Term.__slots__[:5])
+_set_ty, _set_hash, _set_free_names, _set_reach = (
+    getattr(Term, s).__set__ for s in Term.__slots__[:4])
 _set_hint, _set_param_type, _set_body = (
     getattr(Abs, s).__set__ for s in Abs.__slots__)
 _set_head, _set_args = (getattr(App, s).__set__ for s in App.__slots__)
@@ -330,12 +327,9 @@ def eta_hint(depth: int) -> str:
 # ---------------------------------------------------------------------------
 # opening binders
 
-def open_with(body: Term, name: str) -> Term:
-    """Replace references to the binder just stripped off by a free variable."""
-    return _open(body, name, 0)
-
-
 def _open(t: Term, name: str, depth: int) -> Term:
+    """Replace references to the binder ``depth`` binders above ``t`` by a
+    free variable."""
     if isinstance(t, Abs):
         return Abs(t.hint, t.param_type, _open(t.body, name, depth + 1))
     head = t.head
@@ -350,37 +344,20 @@ def _open(t: Term, name: str, depth: int) -> Term:
 _NO_FREES: frozenset = frozenset()
 
 
-def free_vars(t: Term) -> frozenset[Free]:
-    """The free variables of ``t``, kept in the node after the first call."""
-    if t._free_vars is None:
-        _cache_frees(t)
-    return t._free_vars
-
-
 def free_names(t: Term) -> frozenset[str]:
+    """The names of the free variables of ``t``, kept in the node after the
+    first call, built from its children's: a child's set is shared when
+    nothing else is free, and ground nodes share one empty set."""
     if t._free_names is None:
-        _cache_frees(t)
+        names = _NO_FREES
+        for child in (t.body,) if isinstance(t, Abs) else t.args:
+            child_names = free_names(child)
+            if child_names:
+                names = names | child_names if names else child_names
+        if isinstance(t, App) and isinstance(t.head, Free):
+            names = names | {t.head.name}
+        _set_free_names(t, names)
     return t._free_names
-
-
-def _cache_frees(t: Term) -> None:
-    """Store both free sets in ``t``, built from its children's; a child's
-    sets are shared when nothing else is free, and ground nodes share one
-    empty set."""
-    fv = names = _NO_FREES
-    for child in (t.body,) if isinstance(t, Abs) else t.args:
-        if child._free_vars is None:
-            _cache_frees(child)
-        if not child._free_vars:
-            continue
-        if fv:
-            fv, names = fv | child._free_vars, names | child._free_names
-        else:
-            fv, names = child._free_vars, child._free_names
-    if isinstance(t, App) and isinstance(t.head, Free):
-        fv, names = fv | {t.head}, names | {t.head.name}
-    _set_free_vars(t, fv)
-    _set_free_names(t, names)
 
 
 def reach(t: Term) -> int:
@@ -409,7 +386,7 @@ def liberation_name(hint: str, avoid: Iterable[str]) -> str:
 def open_abs(t: Abs, avoid: set[str]) -> tuple[str, Term]:
     """Open an abstraction, picking a name that collides with nothing in scope."""
     name = liberation_name(t.hint, avoid)
-    return name, open_with(t.body, name)
+    return name, _open(t.body, name, 0)
 
 
 def binder_names(t: Term) -> tuple[tuple[str, SimpleType], ...]:
@@ -431,18 +408,8 @@ def strip_binders(t: Term) -> tuple[tuple[tuple[str, SimpleType], ...], App]:
     """Open the whole binder prefix; returns the binders and the body."""
     binders = binder_names(t)
     for name, _ in binders:
-        t = open_with(t.body, name)
+        t = _open(t.body, name, 0)
     return binders, t
-
-
-def top(t: Term) -> Atom:
-    """The head symbol or variable under the binder prefix."""
-    return strip_binders(t)[1].head
-
-
-def args(t: Term) -> tuple[Term, ...]:
-    """Arguments of the head, with any binder prefix opened."""
-    return strip_binders(t)[1].args
 
 
 def under_binders(t: Term) -> App:

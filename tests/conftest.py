@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 
@@ -19,6 +20,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+
+
+def bare_env(**env: str) -> dict[str, str]:
+    """A minimal environment for a child Python: ``env`` on a fixed PATH,
+    with the caller's PYTHONDONTWRITEBYTECODE, if set, passed on, so that
+    a run asked to write no bytecode writes none in its children either."""
+    env.setdefault("PATH", "/usr/bin:/bin")
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, NamedTuple, Union
 from hoterm.hrs import parse
 from hoterm.terms import (Abs, App, Arrow, Atom, Bound, Const, Free,
                           SimpleType, Term, TermTypeError, eta_hint,
-                          free_vars, liberation_name)
+                          free_names, liberation_name)
 
 # ---------------------------------------------------------------------------
 # preterms
@@ -174,8 +174,7 @@ def nbe_normalize(p: Preterm) -> Term:
 
 def nbe_apply_subst(t: Term, theta: Mapping[str, Term]) -> Term:
     """``apply_subst`` by evaluation and read-back, whatever the types."""
-    relevant = {a.name: theta[a.name] for a in free_vars(t)
-                if a.name in theta}
+    relevant = {name: theta[name] for name in free_names(t) if name in theta}
     if not relevant:
         return t
     frees = {name: eval_term(u, (), {}) for name, u in relevant.items()}

@@ -16,7 +16,7 @@ from hoterm.hrs import Hrs, Rule
 from hoterm.pfp import PfpReport, PfpViolation
 from hoterm.sdp import (MARK, DependencyPair, _canonical_extras,
                         _occurring_extras, mark)
-from hoterm.terms import (App, Atom, Const, Free, Term, args, free_names,
+from hoterm.terms import (App, Atom, Const, Free, Term, free_names,
                           print_term, strip_binders, subterms)
 from nbe_oracle import PAtom, nbe_normalize, papp
 from strategies import lam
@@ -42,7 +42,7 @@ def safe_basic(t: Term, var_names: frozenset[str]) -> tuple[Term, ...]:
 def safe_subterms(rule: Rule) -> tuple[Term, ...]:
     """The arguments of the left-hand side plus every opened basic body
     under them whose free names all occur in the left."""
-    lhs_args = args(rule.lhs)
+    lhs_args = rule.lhs.args
     lhs_names = free_names(rule.lhs)
     out: list[Term] = list(lhs_args)
     seen = set(out)
@@ -123,6 +123,6 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
             if key in keys:
                 continue
             keys.add(key)
-            pairs.append(DependencyPair(lhs_marked, rhs_marked,
-                                        rule.name, extras))
+            pairs.append(DependencyPair(lhs_marked, rhs_marked, rule.name,
+                                        tuple(a.name for a in extras)))
     return tuple(pairs)

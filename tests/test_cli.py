@@ -15,6 +15,7 @@ from hoterm.cli import (EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_MAYBE,
 from hoterm.hrs import parse
 from hoterm.proof import ProverConfig, prove_text
 from hoterm.rewriting import rewrite_step
+from conftest import bare_env
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -342,8 +343,8 @@ class TestEntryPoint:
                 [sys.executable, "-m", "hoterm.cli", "prove",
                  str(FIXDIR / "sqsum.hrs"), "--json"],
                 capture_output=True, text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": src_pythonpath()},
+                env=bare_env(PYTHONHASHSEED=seed,
+                              PYTHONPATH=src_pythonpath()),
             )
             assert proc.returncode == 0
             outputs.add(proc.stdout)
@@ -369,8 +370,8 @@ class TestEntryPoint:
                 [sys.executable, "-m", "hoterm.cli", "prove", str(src),
                  "--techniques", "redpair"],
                 capture_output=True, text=True,
-                env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": src_pythonpath()},
+                env=bare_env(PYTHONHASHSEED=str(seed),
+                              PYTHONPATH=src_pythonpath()),
             )
             assert proc.returncode == 0
             witnesses.update(line.strip() for line in proc.stdout.splitlines()

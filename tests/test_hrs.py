@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import strategies as S
 from hoterm.hrs import (Hrs, HrsError, Rule, _Reader, load, parse,
                         print_hrs)
-from hoterm.terms import Abs, App, Arrow, Base, arrow, free_names, top
+from hoterm.terms import Abs, App, Arrow, Base, arrow, free_names
 
 NAT = Base("nat")
 NATLIST = Base("natlist")
@@ -47,7 +47,7 @@ class TestParseFoldl:
         assert str(nil_rule.rhs) == "Y"
         assert cons_rule.name == "foldl-cons"
         assert str(cons_rule.rhs) == "foldl(\\x y. F(x, y), F(Y, X), L)"
-        assert top(cons_rule.lhs).name == "foldl"
+        assert cons_rule.lhs.head.name == "foldl"
         assert cons_rule.is_pattern
 
 
@@ -168,10 +168,6 @@ class TestPatternFlag:
         h = parse(self.NONPATTERN)
         assert h.rules[0].is_pattern is False
 
-    def test_require_patterns_turns_flag_into_error(self):
-        with pytest.raises(HrsError, match=r"not a pattern"):
-            parse(self.NONPATTERN, require_patterns=True)
-
     def test_pattern_lhs_keeps_flag(self, fixtures):
         h = load(fixtures / "foldl.hrs")
         assert all(r.is_pattern for r in h.rules)
@@ -290,14 +286,6 @@ def test_error_message_line_and_column(text, message, line, col):
     assert (err.line, err.col) == (line, col)
 
 
-def test_non_pattern_error_message():
-    with pytest.raises(HrsError) as info:
-        parse(HEAD + "rule r: h(\\x. F(c)) -> c", require_patterns=True)
-    assert str(info.value) == (
-        "line 7: left-hand side of rule 'r' is not a pattern: some variable "
-        "is applied to non-variable arguments")
-
-
 def test_undecodable_file_is_reported(tmp_path):
     path = tmp_path / "bad.hrs"
     path.write_bytes(b"basic a\n\xff\n")
@@ -408,9 +396,9 @@ def edited_fixtures(draw) -> str:
 
 
 @settings(max_examples=500, deadline=None)
-@given(edited_fixtures(), st.booleans())
-def test_edited_fixture_parses_or_raises_hrs_error(text, require_patterns):
+@given(edited_fixtures())
+def test_edited_fixture_parses_or_raises_hrs_error(text):
     try:
-        parse(text, require_patterns=require_patterns)
+        parse(text)
     except HrsError:
         pass

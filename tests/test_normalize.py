@@ -95,6 +95,21 @@ class TestApplySubst:
         with pytest.raises(TermTypeError):
             apply_subst(subject, {"X": App(Const("nil", Base("natlist")),
                                            ())})
+        # an applied higher-order variable, checked before its arguments
+        # are passed to the replacement
+        applied = App(Free("F", SUC), (App(Free("X", NAT), ()),))
+        with pytest.raises(TermTypeError) as info:
+            apply_subst(applied, {"F": eta_expand(Const("add", BIN)),
+                                  "X": num(0)})
+        assert str(info.value) == (
+            "substitution for F has the wrong type in \\x y. add(x, y) "
+            "(expected nat -> nat, got nat -> nat -> nat)")
+        # a variable under a binder
+        under = Abs("y", NAT, App(Const("s", SUC), (App(Free("X", NAT), ()),)))
+        with pytest.raises(TermTypeError) as info:
+            apply_subst(under, {"X": App(Const("nil", Base("natlist")), ())})
+        assert str(info.value) == ("substitution for X has the wrong type "
+                                   "in nil (expected nat, got natlist)")
 
     def test_replacement_reaching_a_binder_is_lifted(self):
         # <bound 0> is the binder above the term; under \y. it is index 1

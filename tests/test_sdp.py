@@ -7,7 +7,7 @@ from strategies import positions
 from hoterm.hrs import Hrs, load, parse
 from hoterm.sdp import candidates, extract_sdps, mark, unmark_name
 from hoterm.terms import (App, Base, Const, Free, arrow, free_names,
-                          strip_binders, subterm_at, top)
+                          strip_binders, subterm_at)
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -18,8 +18,8 @@ class TestMark:
         t = App(Const("add", arrow(NAT, NAT, NAT)),
                 (App(Const("0", NAT), ()), App(Free("Y", NAT), ())))
         m = mark(t)
-        assert top(m).name == "add#"
-        assert top(m).ty == arrow(NAT, NAT, NAT)
+        assert m.head.name == "add#"
+        assert m.head.ty == arrow(NAT, NAT, NAT)
         assert m.args == t.args
 
     def test_unmark_name(self):
@@ -89,7 +89,7 @@ class TestExtractSdps:
     def test_marked_heads_keep_their_types(self):
         h = load(FIXDIR / "sqsum.hrs")
         for p in extract_sdps(h):
-            lhs_head = top(p.lhs)
+            lhs_head = p.lhs.head
             assert lhs_head.name.endswith("#")
             assert lhs_head.ty == h.signature[unmark_name(lhs_head.name)]
 
@@ -127,7 +127,7 @@ def brute_force_first_order_pairs(h: Hrs):
         seen = set()
         for p in sorted(positions(rule.rhs), key=lambda q: (len(q), q)):
             sub = subterm_at(rule.rhs, p)
-            head = top(sub)
+            head = strip_binders(sub)[1].head
             if isinstance(head, Const) and head.name in h.defined:
                 key = (str(mark(rule.lhs)), str(mark(sub)))
                 if key not in seen:

@@ -22,7 +22,7 @@ from hoterm.normalize import apply_subst
 from hoterm.rewriting import (NonPatternError, RewriteStep,
                               enumerate_closed_terms, match)
 from hoterm.terms import (Abs, App, Position, PositionError, Term,
-                          TermTypeError, free_names, free_vars, open_abs)
+                          TermTypeError, free_names, open_abs)
 from strategies import close_over
 
 
@@ -87,14 +87,14 @@ def eager_loop_seeds(h: Hrs, max_term_size: int = 4, cap: int = 200):
     emitted = 0
     pools = {}      # the instances, by type
     for rule in h.rules:
-        fvars = sorted(free_vars(rule.lhs), key=lambda atom: atom.name)
-        for atom in fvars:
-            if atom.ty not in pools:
-                pools[atom.ty] = list(itertools.islice(
-                    enumerate_closed_terms(h, atom.ty, max_term_size), 25))
-        for combo in itertools.product(*(pools[a.ty] for a in fvars)):
-            theta = {a.name: u for a, u in zip(fvars, combo)}
-            seed = apply_subst(rule.lhs, theta)
+        names = sorted(free_names(rule.lhs))
+        types = [h.variables[name] for name in names]
+        for ty in types:
+            if ty not in pools:
+                pools[ty] = list(itertools.islice(
+                    enumerate_closed_terms(h, ty, max_term_size), 25))
+        for combo in itertools.product(*(pools[ty] for ty in types)):
+            seed = apply_subst(rule.lhs, dict(zip(names, combo)))
             if seed in seen:
                 continue
             seen.add(seed)
