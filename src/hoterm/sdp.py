@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hrs import Hrs, Rule
+from .hrs import Hrs
 from .normalize import apply_subst, eta_expand
 from .terms import (Abs, App, Const, Free, Term, binder_names, free_names,
                     print_term, strip_binders, under_binders)

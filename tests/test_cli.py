@@ -381,6 +381,19 @@ class TestEntryPoint:
             "a > b > c > d > e > s"}
 
 
+class TestBareEnv:
+    def test_child_gets_the_bytecode_setting(self, monkeypatch):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; print(sys.dont_write_bytecode)"],
+            capture_output=True, text=True, check=True, env=bare_env())
+        assert proc.stdout.strip() == "True"
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+        assert bare_env(PYTHONHASHSEED="1") == {
+            "PYTHONHASHSEED": "1", "PATH": "/usr/bin:/bin"}
+
+
 class TestScripts:
     @pytest.mark.parametrize("script, flags", [
         ("run_systems.py", ()), ("run_systems.py", ("--disprove", "5")),

@@ -3,7 +3,7 @@ from pathlib import Path
 from hypothesis import given, settings
 
 import strategies as S
-from hoterm.graph import (DependencyGraph, build_graph, recursion_components,
+from hoterm.graph import (build_graph, recursion_components,
                           strongly_connected, to_dot)
 from hoterm.hrs import load, parse
 from hoterm.sdp import extract_sdps

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import strategies as S
-from hoterm.hrs import (Hrs, HrsError, Rule, _Reader, load, parse,
-                        print_hrs)
-from hoterm.terms import Abs, App, Arrow, Base, arrow, free_names
+from hoterm.hrs import Hrs, HrsError, _Reader, load, parse, print_hrs
+from hoterm.terms import Abs, Arrow, Base, arrow, free_names
 
 NAT = Base("nat")
 NATLIST = Base("natlist")
@@ -171,6 +170,21 @@ class TestPatternFlag:
     def test_pattern_lhs_keeps_flag(self, fixtures):
         h = load(fixtures / "foldl.hrs")
         assert all(r.is_pattern for r in h.rules)
+        assert h.non_pattern is None
+
+    def test_system_names_its_first_non_pattern_rule(self):
+        h = parse("basic a\nsig f : (a -> a) -> a\nsig c : a\n"
+                  "var F : a -> a\n"
+                  "rule p: f(\\x. F(x)) -> c\n"
+                  "rule r: f(\\x. F(c)) -> c\n"
+                  "rule r2: f(\\x. F(F(x))) -> c\n")
+        assert [r.is_pattern for r in h.rules] == [True, False, False]
+        assert h.non_pattern is h.rules[1]
+
+    def test_load_flags_non_pattern_rule_not_rejected(self, tmp_path):
+        path = tmp_path / "r.hrs"
+        path.write_text(self.NONPATTERN)
+        assert load(path).non_pattern.name == "r"
 
     @pytest.mark.parametrize("sig, var, lhs, is_pattern", [
         ("(a -> a -> a) -> a", "a -> a -> a", "f(\\x y. F(y, x))", True),

@@ -14,7 +14,7 @@ from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
                               NormalForm, bounded_search, find_loop,
                               loop_seeds, match, reducible, rewrite_step)
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, Term, arrow,
-                          print_term, subterm_at)
+                          print_term)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 NAT = Base("nat")

@@ -115,6 +115,19 @@ class TestExtractSdps:
         pairs = extract_sdps(parse(src))
         assert [str(p) for p in pairs] == ["f#(X) -> f#(X)"]
 
+    def test_calls_differing_in_extra_names_collapse_to_one_pair(self):
+        src = ("basic a\n"
+               "sig f : a -> a\n"
+               "sig g : (a -> a) -> (a -> a) -> a\n"
+               "sig h : a -> a\n"
+               "sig c : a\n"
+               "var X : a\n"
+               "rule f-def: f(X) -> g(\\x. h(x), \\y. h(y))\n"
+               "rule h-def: h(c) -> c\n")
+        pairs = extract_sdps(parse(src))
+        assert [(str(p), p.extra_vars) for p in pairs] == [
+            ("f#(X) -> h#(x)", ("x",))]
+
     def test_empty_system_has_no_pairs(self):
         assert extract_sdps(load(FIXDIR / "empty.hrs")) == ()
 

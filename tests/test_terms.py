@@ -17,7 +17,8 @@ from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           PositionError, TermTypeError, arrow,
                           format_position, free_names, print_term,
-                          subterm_at, subterms)
+                          strip_binders, subterm_at, subterms,
+                          under_binders)
 from walk_oracle import replace_at
 
 NAT = Base("nat")
@@ -300,6 +301,20 @@ class TestConstruction:
 
 
 class TestViews:
+    def test_strip_binders_reaches_the_head(self):
+        f = Free("F", BIN)
+        binders, body = strip_binders(eta_expand(f))
+        assert body.head == f
+        assert [ty for _, ty in binders] == [NAT, NAT]
+        assert body.args == tuple(App(Free(n, ty), ()) for n, ty in binders)
+        assert len({n for n, _ in binders} | {"F"}) == 3
+
+    def test_under_binders_leaves_indices_in_place(self):
+        add = App(Const("add", BIN), (App(Bound(1, NAT), ()),
+                                      App(Bound(0, NAT), ())))
+        assert under_binders(Abs("x", NAT, Abs("y", NAT, add))) is add
+        assert under_binders(num(1)) is num(1)
+
     def test_positions_of_abstraction(self):
         body = App(Free("x", NAT), ())
         t = lam("x", NAT, body)
@@ -396,3 +411,13 @@ def test_cached_free_sets_equal_a_walk(t, data):
         everything.extend(nodes(u))
     for u in data.draw(st.permutations(everything)):
         assert free_names(u) == walked_free_names(u)
+
+
+def test_free_names_share_a_child_set_and_one_empty_set():
+    x = App(Free("X", NAT), ())
+    s = Const("s", arrow(NAT, NAT))
+    assert free_names(App(s, (x,))) is free_names(x)
+    assert free_names(Abs("y", NAT, App(s, (x,)))) is free_names(x)
+    assert free_names(x) == {"X"}
+    assert free_names(num(2)) is free_names(App(Const("nil", LIST), ()))
+    assert free_names(num(2)) == frozenset()
