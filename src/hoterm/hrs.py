@@ -68,28 +68,16 @@ class Hrs:
         self.rules = rules
         self.defined = frozenset(r.lhs.head.name for r in rules)
         self.constructors = frozenset(signature) - self.defined
-
-    @cached_property
-    def rules_by_head(self) -> dict[Atom, tuple[Rule, ...]]:
-        """Head of a left-hand side -> its rules, in order: what
-        ``rewrite_step`` tries at a subterm with that head."""
-        index: dict[Atom, list[Rule]] = {}
-        for r in self.rules:
+        # head of a left-hand side -> its rules, in order: what
+        # ``rewrite_step`` tries at a subterm with that head
+        index: dict[Atom, tuple[Rule, ...]] = {}
+        for r in rules:
             if isinstance(r.lhs, App):
-                index.setdefault(r.lhs.head, []).append(r)
-        return {head: tuple(rs) for head, rs in index.items()}
-
-    @cached_property
-    def non_pattern(self) -> Rule | None:
-        """The first rule whose left-hand side is not a pattern, if any:
-        matching, and so rewriting, is undecidable for it."""
-        return next((r for r in self.rules if not r.is_pattern), None)
-
-    @cached_property
-    def subterm_steps(self) -> dict[Term, tuple | bool]:
-        """``rewriting``'s memo: a subterm met -> (the subterm, its
-        one-step rewrites), or only whether it has one."""
-        return {}
+                index[r.lhs.head] = index.get(r.lhs.head, ()) + (r,)
+        self.rules_by_head = index
+        # the first rule whose left-hand side is not a pattern, if any:
+        # matching, and so rewriting, is undecidable for it
+        self.non_pattern = next((r for r in rules if not r.is_pattern), None)
 
     @cached_property
     def safe_sets(self) -> tuple[SafeSet, ...]:

@@ -119,35 +119,36 @@ class RewriteStep(NamedTuple):
     result: Term
 
 
-def rewrite_step(h: Hrs, t: Term) -> tuple[RewriteStep, ...]:
+def rewrite_step(h: Hrs, t: Term, memo: dict | None = None
+                 ) -> tuple[RewriteStep, ...]:
     """All one-step rewrites of ``t``, ordered by rule name then position.
 
-    The rewrites of each subterm are found once and kept in
-    ``h.subterm_steps``, so a subterm shared by many terms is matched once.
-    A subterm's entries are (rule, position in it, rewritten subterm), in
-    walk order: its own contracta, for the rules indexed under its head,
-    then each argument's entries rebuilt under the head, or, under a
-    binder, the body's entries put back under it.  A body keeps its loose
-    indices, so its entries do not depend on where it stands.  Equality
-    ignores binder hints and the results carry them, so an entry is reused
-    only for the node it was made for: nodes are hash-consed with their
-    hints, so that is every subterm with the same hints.
+    ``memo`` maps each subterm met to (the subterm, its one-step rewrites),
+    or only to whether it has one; a call without it makes a fresh one.
+    Calls that share one memo, as the seeds of ``find_loop`` do, match a
+    subterm shared by many terms once.  A subterm's rewrites are its own
+    contracta, for the rules indexed under its head, and each argument's
+    rewrites rebuilt under the head, or, under a binder, the body's put
+    back under it; each entry is stored in the final order, so a hit needs
+    no sort.  A body keeps its loose indices, so its rewrites do not depend
+    on where it stands.  Equality ignores binder hints and the results
+    carry them, so an entry is reused only for the node it was made for:
+    nodes are hash-consed with their hints, so that is every subterm with
+    the same hints.
     """
     _check_patterns(h)
-    hits = sorted(_rewrites(h.subterm_steps, h.rules_by_head, t),
-                  key=itemgetter(0, 1))
-    return tuple(map(RewriteStep._make, hits))
+    return _rewrites({} if memo is None else memo, h.rules_by_head, t)
 
 
-def reducible(h: Hrs, t: Term) -> bool:
+def reducible(h: Hrs, t: Term, memo: dict | None = None) -> bool:
     """Whether ``t`` has a one-step rewrite, i.e. ``bool(rewrite_step(h, t))``.
 
     Arguments are tried before the root, and the test stops at the first
-    redex; no contractum is built.  Answers are kept in ``h.subterm_steps``
-    beside the rewrites.
+    redex; no contractum is built.  Answers are kept in ``memo`` beside the
+    rewrites, as ``rewrite_step`` keeps them.
     """
     _check_patterns(h)
-    return _reducible(h.subterm_steps, h.rules_by_head, t)
+    return _reducible({} if memo is None else memo, h.rules_by_head, t)
 
 
 def _check_patterns(h: Hrs) -> None:
@@ -158,50 +159,52 @@ def _check_patterns(h: Hrs) -> None:
             "non-pattern left-hand sides")
 
 
-# subterms kept in a system's table at most; a full table is emptied
+# subterms kept in a search's memo at most; a full memo is emptied
 TABLE_BOUND = 100_000
 
 
-def _remember(table: dict, u: Term, value: tuple | bool) -> None:
-    if len(table) >= TABLE_BOUND:
-        table.clear()
-    table[u] = value
+def _remember(memo: dict, u: Term, value: tuple | bool) -> None:
+    if len(memo) >= TABLE_BOUND:
+        memo.clear()
+    memo[u] = value
 
 
-def _rewrites(table: dict, by_head: dict, u: Term
-              ) -> tuple[tuple[str, Position, Term], ...]:
-    known = table.get(u)
+def _rewrites(memo: dict, by_head: dict, u: Term) -> tuple[RewriteStep, ...]:
+    known = memo.get(u)
     if type(known) is tuple and known[0] is u:
         return known[1]
-    out = []
     if isinstance(u, Abs):
-        for rule, pos, res in _rewrites(table, by_head, u.body):
-            out.append((rule, (1,) + pos, Abs(u.hint, u.param_type, res)))
+        hits = tuple(RewriteStep(rule, (1,) + pos,
+                                 Abs(u.hint, u.param_type, res))
+                     for rule, pos, res in _rewrites(memo, by_head, u.body))
     else:
+        out = []
         for rule in by_head.get(u.head, ()):
             theta = match(rule.lhs, u)
             if theta is not None:
-                out.append((rule.name, (), apply_subst(rule.rhs, theta)))
+                out.append(RewriteStep(rule.name, (),
+                                       apply_subst(rule.rhs, theta)))
         args = u.args
         for i, a in enumerate(args):
-            for rule, pos, res in _rewrites(table, by_head, a):
-                out.append((rule, (i + 1,) + pos,
-                            App(u.head, args[:i] + (res,) + args[i + 1:])))
-    hits = tuple(out)
-    _remember(table, u, (u, hits))
+            for rule, pos, res in _rewrites(memo, by_head, a):
+                out.append(RewriteStep(rule, (i + 1,) + pos, App(
+                    u.head, args[:i] + (res,) + args[i + 1:])))
+        out.sort(key=itemgetter(0, 1))
+        hits = tuple(out)
+    _remember(memo, u, (u, hits))
     return hits
 
 
-def _reducible(table: dict, by_head: dict, u: Term) -> bool:
-    known = table.get(u)
+def _reducible(memo: dict, by_head: dict, u: Term) -> bool:
+    known = memo.get(u)
     if known is not None:
         return known if type(known) is bool else bool(known[1])
     if isinstance(u, Abs):
-        found = _reducible(table, by_head, u.body)
+        found = _reducible(memo, by_head, u.body)
     else:
         found = False
         for a in u.args:
-            if _reducible(table, by_head, a):
+            if _reducible(memo, by_head, a):
                 found = True
                 break
         else:
@@ -209,7 +212,7 @@ def _reducible(table: dict, by_head: dict, u: Term) -> bool:
                 if match(rule.lhs, u) is not None:
                     found = True
                     break
-    _remember(table, u, found)
+    _remember(memo, u, found)
     return found
 
 
@@ -236,8 +239,7 @@ SearchOutcome = Union[LoopFound, NormalForm, DepthExhausted]
 
 
 def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
-                   max_nodes: int = 100_000,
-                   steps: dict[Term, tuple[RewriteStep, ...]] | None = None
+                   max_nodes: int = 100_000, memo: dict | None = None
                    ) -> SearchOutcome:
     """Breadth-first exploration of the distinct terms reachable from ``t``.
 
@@ -253,14 +255,14 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
     normal form met, when every reachable term was expanded, and
     DepthExhausted when a budget cut the search short.
 
-    ``steps`` caches ``rewrite_step`` by term; pass one table to several
-    searches of the same system to share it.  A term on the frontier, at
-    distance ``max_steps``, is never expanded, so unless ``steps`` already
-    holds it, it is only tested with ``reducible``: that tells a normal
-    form from a cut-off without building its rewrites.
+    ``memo`` is the memo of ``rewrite_step``; pass one to several searches
+    of the same system to share it.  A term on the frontier, at distance
+    ``max_steps``, is never expanded, so it is only tested with
+    ``reducible``: that tells a normal form from a cut-off without building
+    its rewrites.
     """
-    if steps is None:
-        steps = {}
+    if memo is None:
+        memo = {}
     parent: dict[Term, tuple[Term, RewriteStep] | None] = {t: None}
     depth = {t: 0}
     expanded: dict[Term, tuple[RewriteStep, ...]] = {}
@@ -270,12 +272,10 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
     while queue:
         current = queue.popleft()
         d = depth[current]
-        out = steps.get(current)
-        if out is None:
-            if d >= max_steps:
-                out = reducible(h, current)
-            else:
-                out = steps[current] = rewrite_step(h, current)
+        if d >= max_steps:
+            out = reducible(h, current, memo)
+        else:
+            out = rewrite_step(h, current, memo)
         if not out:
             if first_nf is None:
                 first_nf = current
@@ -477,16 +477,12 @@ def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,
     ``bounded_search`` from each of the seeds of ``loop_seeds`` in turn,
     each seed built only when the search before it found no loop.
 
-    The seeds share one table of rewrite steps, emptied between seeds once
-    it holds more than ``max_nodes`` terms; the system's table of subterm
-    rewrites is emptied with it.
+    The seeds share one memo of rewrites (``rewrite_step``), made for the
+    call and dropped with it; ``TABLE_BOUND`` bounds it.
     """
-    steps: dict[Term, tuple[RewriteStep, ...]] = {}
+    memo: dict = {}
     for seed in loop_seeds(h, max_term_size, cap):
-        outcome = bounded_search(h, seed, max_steps, max_nodes, steps)
+        outcome = bounded_search(h, seed, max_steps, max_nodes, memo)
         if isinstance(outcome, LoopFound):
             return outcome
-        if len(steps) > max_nodes:
-            steps.clear()
-            h.subterm_steps.clear()
     return None

@@ -1,11 +1,15 @@
 import json
 import os
-import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import hoterm.cli
 import hoterm.criteria
@@ -20,6 +24,12 @@ from conftest import bare_env
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
 SRC = ROOT / "src"
+
+
+# the last line of scripts/loop_answers.py: a change that alters the loop
+# search's answers, traces or steps on purpose updates it and says so
+LOOP_ANSWERS_DIGEST = \
+    "d7a4a08c2042f9f04c08cc6487121b01c6f9b35ef16ad11d804a22bf31868597"
 
 
 def src_pythonpath():
@@ -90,6 +100,45 @@ class TestExitCodes:
         assert code == EXIT_INTERNAL_ERROR == 4
         assert err.endswith("error: internal error\n")
         assert out == ""
+
+
+# a flag set for the edited fixtures: up to three of these groups; the loop
+# search only at a few steps, since Ackermann takes minutes at 100
+FLAG_GROUPS = st.sampled_from([
+    ["--json"], ["--pfp"], ["--sdp"], ["--graph-out", os.devnull],
+    ["--disprove", "1"], ["--disprove", "2"], ["--disprove", "3"],
+    ["--techniques", "redpair"], ["--techniques", "subterm"],
+    ["--max-pi-depth", "1"], ["--precedence", "s>0"]])
+# mostly the characters of the format, then anything but a lone surrogate
+EDIT_CHARS = st.one_of(st.sampled_from(list("()\\.,:->#_' \nXYFsx0")),
+                       st.characters(blacklist_categories=("Cs",)))
+
+
+@st.composite
+def edited_fixtures(draw):
+    """A fixture's text after 1-4 one-character edits."""
+    text = draw(st.sampled_from(sorted(FIXDIR.glob("*.hrs")))).read_text()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if kind == "delete" else draw(EDIT_CHARS)
+        text = text[:i] + new + text[i + (kind != "insert"):]
+    return text
+
+
+class TestEditedInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(edited_fixtures(), st.lists(FLAG_GROUPS, max_size=3))
+    def test_exit_code_is_never_internal_error(self, text, groups):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "edited.hrs"
+            path.write_text(text, encoding="utf-8")
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main(["prove", str(path),
+                             *[flag for group in groups for flag in group]])
+        assert code in (EXIT_TERMINATING, EXIT_NONTERMINATING, EXIT_MAYBE,
+                        EXIT_INPUT_ERROR), err.getvalue()
 
 
 class TestStageFlags:
@@ -447,7 +496,7 @@ class TestScripts:
              str(ROOT)], capture_output=True, text=True, cwd=ROOT)
         assert proc.returncode == 0, proc.stderr
         *lines, digest = proc.stdout.splitlines()
-        assert re.fullmatch("[0-9a-f]{64}", digest)
+        assert digest == LOOP_ANSWERS_DIGEST
         assert any(line.startswith("foo find_loop 1: LoopFound(")
                    for line in lines)
         assert files() == before

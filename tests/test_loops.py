@@ -23,6 +23,7 @@ import strategies as S
 from nbe_oracle import hints, nbe_apply_subst
 from walk_oracle import eager_loop_seeds
 import hoterm.rewriting as R
+import hoterm.terms as T
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.proof import emit, prove_text
@@ -250,23 +251,31 @@ class TestBoundedSearch:
             NormalForm(constant(h, "c"))
         assert path_bfs(h, seed, 2, 100) == DepthExhausted(2)
 
-    def test_shared_table_is_filled_once(self, monkeypatch):
+    def test_shared_memo_is_filled_once(self, monkeypatch):
         calls = []
-        real = R.rewrite_step
+        real = R.match
 
-        def counting(h, t):
-            calls.append(t)
-            return real(h, t)
+        def counting(pattern, subject):
+            calls.append((pattern, subject))
+            return real(pattern, subject)
 
-        monkeypatch.setattr(R, "rewrite_step", counting)
+        monkeypatch.setattr(R, "match", counting)
         h = load(FIXTURES / "arith.hrs")
-        steps = {}
         seeds = list(loop_seeds(h, max_term_size=3, cap=20))
-        first = [bounded_search(h, s, 4, 1000, steps) for s in seeds]
-        assert len(calls) == len(set(calls)) == len(steps)
-        again = [bounded_search(h, s, 4, 1000, steps) for s in seeds]
+        alone = [bounded_search(h, s, 4, 1000) for s in seeds]
+        apart = len(calls)
+        calls.clear()
+        memo = {}
+        first = [bounded_search(h, s, 4, 1000, memo) for s in seeds]
+        assert first == alone
+        # a rule is tried at a subterm once by the frontier test and once
+        # by the rewrite walk at most, whichever seed meets the subterm
+        assert max(Counter(calls).values()) <= 2
+        assert len(calls) < apart
+        shared = len(calls)
+        again = [bounded_search(h, s, 4, 1000, memo) for s in seeds]
         assert again == first
-        assert len(calls) == len(steps)
+        assert len(calls) == shared     # every answer came from the memo
 
 
 class TestFindLoop:
@@ -274,9 +283,9 @@ class TestFindLoop:
         calls = []
         real = R.rewrite_step
 
-        def counting(h, t):
+        def counting(h, t, memo=None):
             calls.append(t)
-            return real(h, t)
+            return real(h, t, memo)
 
         monkeypatch.setattr(R, "rewrite_step", counting)
         h = loop_chain(16)
@@ -288,11 +297,9 @@ class TestFindLoop:
 
     @pytest.mark.parametrize("name", ["ackermann", "arith", "nested",
                                       "sqsum", "loop-chain"])
-    def test_subterm_table_stays_within_its_bound(self, name, monkeypatch):
-        def system():
-            if name == "loop-chain":
-                return loop_chain(6)
-            return load(FIXTURES / f"{name}.hrs")
+    def test_memo_stays_within_its_bound(self, name, monkeypatch):
+        h = loop_chain(6) if name == "loop-chain" else \
+            load(FIXTURES / f"{name}.hrs")
 
         class Watched(dict):
             peak = 0
@@ -305,16 +312,38 @@ class TestFindLoop:
             def clear(self):
                 pass
 
+        def search(memo):
+            """``find_loop(h, max_steps=6, max_nodes=30, cap=40)`` over
+            ``memo``."""
+            for seed in loop_seeds(h, cap=40):
+                out = bounded_search(h, seed, 6, 30, memo)
+                if isinstance(out, LoopFound):
+                    return out
+            return None
+
         monkeypatch.setattr(R, "TABLE_BOUND", 10)
-        bounded, whole = system(), system()
-        bounded.subterm_steps = Watched()
-        whole.subterm_steps = NeverEmptied()
-        # max_nodes=30 also makes find_loop empty its tables between seeds
-        got = find_loop(bounded, max_steps=6, max_nodes=30, cap=40)
-        assert bounded.subterm_steps.peak <= 10
-        assert got == find_loop(whole, max_steps=6, max_nodes=30, cap=40)
-        assert whole.subterm_steps.peak > 10
+        bounded, whole = Watched(), NeverEmptied()
+        got = search(bounded)
+        assert bounded.peak <= 10
+        assert got == search(whole)
+        assert whole.peak > 10
+        assert got == find_loop(h, max_steps=6, max_nodes=30, cap=40)
         assert isinstance(got, LoopFound) == (name == "loop-chain")
+
+    def test_search_state_does_not_outlive_the_call(self):
+        def live():
+            return sum(r() is not None for r in T._NODES.values())
+
+        h = load(FIXTURES / "ackermann.hrs")
+        keys = set(vars(h))
+        gc.collect()
+        before = live()
+        assert find_loop(h, max_steps=6) is None
+        assert live() == before
+        seed = next(loop_seeds(h))
+        rewrite_step(h, seed)
+        R.reducible(h, seed)
+        assert set(vars(h)) == keys
 
     @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
     def test_seeds_are_those_of_the_sorted_enumeration(self, name,

@@ -257,23 +257,24 @@ def near(h, seeds, steps=2, cap=60):
 
 def assert_same_steps(h, terms):
     """Each term's steps, with binder hints and printed text, equal the
-    walk's; ``reducible`` is asked first, from an empty table, and its
-    answers are then left in the table that ``rewrite_step`` fills."""
+    walk's; ``reducible`` is asked first, from an empty memo, and its
+    answers are then left in the memo that ``rewrite_step`` fills."""
     for t in terms:
         want = walk_rewrite_step(h, t)
-        h.subterm_steps.clear()
-        assert reducible(h, t) == bool(want)
-        for got in (rewrite_step(h, t), rewrite_step(h, t)):
+        memo = {}
+        assert reducible(h, t, memo) == bool(want)
+        for got in (rewrite_step(h, t, memo), rewrite_step(h, t, memo),
+                    rewrite_step(h, t)):
             assert got == want
             assert [hints(st.result) for st in got] == \
                 [hints(st.result) for st in want]
             assert [print_term(st.result) for st in got] == \
                 [print_term(st.result) for st in want]
-    # once more over a table shared by all the terms
-    h.subterm_steps.clear()
+    # once more over a memo shared by all the terms
+    memo = {}
     for t in terms:
-        assert reducible(h, t) == bool(walk_rewrite_step(h, t))
-        assert rewrite_step(h, t) == walk_rewrite_step(h, t)
+        assert reducible(h, t, memo) == bool(walk_rewrite_step(h, t))
+        assert rewrite_step(h, t, memo) == walk_rewrite_step(h, t)
 
 
 PATTERN_FIXTURES = [p.stem for p in sorted(FIXTURES.glob("*.hrs"))
@@ -294,7 +295,7 @@ class TestMemoisedSteps:
 
     def test_binder_hint_taken_by_a_free_variable(self):
         # the walk opens \x. with a name fresh for the whole term, the
-        # table with one fresh for the abstraction; both give x' here
+        # memo with one fresh for the abstraction; both give x' here
         h = load(FIXTURES / "foo.hrs")
         o = Base("o")
         foo = lambda t: App(Const("foo", h.signature["foo"]), (t,))
@@ -307,7 +308,7 @@ class TestMemoisedSteps:
         assert_same_steps(h, terms)
 
     def test_equal_subterms_keep_their_own_binder_hints(self):
-        # \x. g(c) and \y. g(c) are equal terms, one table key
+        # \x. g(c) and \y. g(c) are equal terms, one memo key
         h = parse("basic a b\nsig c : b\nsig d : a\nsig g : b -> a\n"
                   "sig f : (a -> a) -> (a -> a) -> b\nrule r: g(c) -> d\n")
         a = Base("a")
@@ -356,15 +357,21 @@ class TestMemoisedSteps:
         monkeypatch.setattr(R, "match", counting)
         h = load(FIXTURES / "arith.hrs")
         inner = add(suc(ZERO), ZERO)
-        rewrite_step(h, add(inner, inner))
-        rewrite_step(h, suc(add(inner, ZERO)))
+        memo = {}
+        rewrite_step(h, add(inner, inner), memo)
+        rewrite_step(h, suc(add(inner, ZERO)), memo)
         # once for each rule indexed under its head
         assert calls.count(inner) == len(h.rules_by_head[inner.head]) == 2
         # the frontier test matches through the same name, stops at the
-        # first rule that applies (add-0), and then answers from the table
+        # first rule that applies (add-0), and then answers from the memo
         fresh = add(ZERO, suc(ZERO))
-        assert reducible(h, suc(fresh)) and reducible(h, suc(fresh))
+        assert reducible(h, suc(fresh), memo) and \
+            reducible(h, suc(fresh), memo)
         assert calls.count(fresh) == 1
+        # a call without a memo makes its own, and keeps nothing
+        rewrite_step(h, suc(inner))
+        rewrite_step(h, suc(inner))
+        assert calls.count(inner) == 2 + 2 * 2
 
     def test_each_contractum_is_built_by_apply_subst(self, monkeypatch):
         # the per-layer counts of normalize.apply_subst rebind this name

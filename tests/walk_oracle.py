@@ -2,7 +2,7 @@
 code that replaced it.
 
 ``hoterm.rewriting`` finds the rewrites of each distinct subterm once and
-keeps them in the system's table.  ``walk_rewrite_step`` finds them the way
+keeps them in a memo per search.  ``walk_rewrite_step`` finds them the way
 the prover once did: walk the term, opening each binder with a name fresh
 for the whole term and the binders above, try the rules indexed under the
 head at every subterm, and put each contractum back in place with
