@@ -23,7 +23,7 @@ from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProofObject,
 from .rewriting import (DepthExhausted, LoopFound, NormalForm,
                         NonPatternError, RewriteStep, bounded_search,
                         find_loop, match, rewrite_step)
-from .sdp import DependencyPair, candidates, extract_sdps, mark, unmark_name
+from .sdp import DependencyPair, extract_sdps, mark, unmark_name
 from .terms import (Abs, App, Arrow, Base, Bound, Const, Free, Position,
                     PositionError, SimpleType, Term, TermTypeError, arrow,
                     format_position, free_names, print_term, subterm_at,

@@ -9,8 +9,9 @@ Both questions are decided on the nameless terms as they are stored.  A safe
 subterm is a body that reaches none of the binders stripped above it, so a
 prefix that takes an argument reaching a binder is never safe: the prefix
 test stops there.  The whole application is looked up as it stands; a proper
-prefix is normalized only when its head and type match a safe subterm's.  A
-binder is opened only to show a violation.
+prefix is normalized only when its head and type match a safe subterm's.
+The right side is read by the binder walk ``terms.bodies``, as ``sdp`` reads
+it; a binder is opened, by ``terms.open_under``, only to show a violation.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import NamedTuple
 
 from .hrs import Hrs, Rule
 from .normalize import normalize
-from .terms import (Abs, App, Atom, Free, Position, SimpleType, Term,
-                    print_term, reach, subterm_at, under_binders)
+from .terms import (App, Atom, Free, SimpleType, Term, bodies, free_names,
+                    open_under, print_term, reach, under_binders)
 
 
 class SafeSet:
@@ -84,25 +85,19 @@ def safe_subterms(rule: Rule) -> SafeSet:
 
 def is_pfp(h: Hrs) -> PfpReport:
     """Check every rule; violations name the offending right-hand subterm,
-    with the binders above it opened, each distinct one once."""
+    with the binders above it opened apart from the right side's free
+    names, each distinct one once."""
     violations: list[PfpViolation] = []
     for safe in h.safe_sets:
         rule = safe.rule
         shown: set[Term] = set()
-        stack: list[tuple[Term, Position]] = [(rule.rhs, ())]
-        while stack:
-            t, pos = stack.pop()
-            if isinstance(t, Abs):
-                stack.append((t.body, pos + (1,)))
-                continue
+        for above, t in bodies(rule.rhs):
             if isinstance(t.head, Free) and not safe.has_prefix(t):
-                s = subterm_at(rule.rhs, pos)
+                s = open_under(above, t, free_names(rule.rhs))[1]
                 if s not in shown:
                     shown.add(s)
                     violations.append(PfpViolation(
                         rule.name, s,
                         f"no applied prefix of {print_term(s)} normalizes "
                         f"to a safe subterm of the left-hand side"))
-            for i in range(len(t.args), 0, -1):
-                stack.append((t.args[i - 1], pos + (i,)))
     return PfpReport(not violations, tuple(violations))

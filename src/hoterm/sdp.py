@@ -1,11 +1,12 @@
 """Extraction of static dependency pairs.
 
-A candidate of a right-hand side is any argument subterm with the enclosing
-binder prefix carried along, built nameless: the argument wrapped in that
-prefix.  A candidate headed by a defined symbol whose applied prefixes all
-stay outside the safe set of the left-hand side yields a pair: the marked
-left-hand side rewrites to the marked candidate body, with the stripped
-binders, opened only for a pair, turning into extra free variables.
+The binder walk ``terms.bodies`` yields each application of a right-hand
+side, left nameless, with the abstractions above it.  One headed by a
+defined symbol whose applied prefixes all stay outside the safe set of the
+left-hand side yields a pair: the marked left-hand side rewrites to the
+marked body, opened once by ``terms.open_under``, so that the binders above
+it, named apart from the left side's free names, turn into extra free
+variables.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import NamedTuple
 
 from .hrs import Hrs
 from .normalize import apply_subst, eta_expand
-from .terms import (Abs, App, Const, Free, Term, binder_names, free_names,
-                    print_term, strip_binders, under_binders)
+from .terms import (App, Const, Free, Term, bodies, free_names, open_under,
+                    print_term)
 
 MARK = "#"
 
@@ -43,29 +44,6 @@ class DependencyPair(NamedTuple):
         return f"{print_term(self.lhs)} -> {print_term(self.rhs)}"
 
 
-def candidates(t: Term) -> tuple[Term, ...]:
-    """All argument subterms of ``t`` with the binder prefix carried down,
-    in traversal order and without duplicates.  The binders keep the names
-    ``strip_binders`` opens them with (``binder_names``) as hints."""
-    out: list[Term] = []
-    seen: set[Term] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        out.append(u)
-        binders = binder_names(u)
-        wrapped = []
-        for arg in under_binders(u).args:
-            for name, ty in reversed(binders):
-                arg = Abs(name, ty, arg)
-            wrapped.append(arg)
-        stack.extend(reversed(wrapped))
-    return tuple(out)
-
-
 def _canonical_extras(rhs: Term, extras: tuple[Free, ...]) -> Term:
     if not extras:
         return rhs
@@ -83,15 +61,13 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
         rule = safe.rule
         lhs_names = free_names(rule.lhs)
         lhs_marked = mark(rule.lhs)
-        for cand in candidates(rule.rhs):
-            body = under_binders(cand)
+        for above, body in bodies(rule.rhs):
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
                 continue
             if safe.has_prefix(body):
                 continue
-            rhs_marked = App(Const(head.name + MARK, head.ty),
-                             strip_binders(cand)[1].args)
+            rhs_marked = mark(open_under(above, body, lhs_names)[1])
             extras = _occurring_extras(rhs_marked, lhs_names)
             key = (lhs_marked, _canonical_extras(rhs_marked, extras))
             if key in keys:
@@ -106,13 +82,6 @@ def _occurring_extras(rhs_marked: Term, lhs_names: frozenset[str]
                       ) -> tuple[Free, ...]:
     """Variables free in the pair's right side but not its left, in order of
     first occurrence; these are exactly the stripped binders that remain."""
-    order: list[Free] = []
-    stack = [rhs_marked]
-    while stack:
-        u = under_binders(stack.pop())
-        head = u.head
-        if isinstance(head, Free) and head.name not in lhs_names \
-                and head not in order:
-            order.append(head)
-        stack.extend(reversed(u.args))
-    return tuple(order)
+    return tuple(dict.fromkeys(
+        u.head for _, u in bodies(rhs_marked)
+        if isinstance(u.head, Free) and u.head.name not in lhs_names))

@@ -25,7 +25,7 @@ compare and hash equal.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 from weakref import ref
 
 
@@ -324,23 +324,6 @@ def eta_hint(depth: int) -> str:
     return letter if suffix == 0 else f"{letter}{suffix}"
 
 
-# ---------------------------------------------------------------------------
-# opening binders
-
-def _open(t: Term, name: str, depth: int) -> Term:
-    """Replace references to the binder ``depth`` binders above ``t`` by a
-    free variable."""
-    if isinstance(t, Abs):
-        return Abs(t.hint, t.param_type, _open(t.body, name, depth + 1))
-    head = t.head
-    if isinstance(head, Bound) and head.index == depth:
-        head = Free(name, head.ty)
-    args = []
-    for a in t.args:
-        args.append(_open(a, name, depth))
-    return App(head, args)
-
-
 _NO_FREES: frozenset = frozenset()
 
 
@@ -374,42 +357,73 @@ def reach(t: Term) -> int:
     return t._reach
 
 
-def liberation_name(hint: str, avoid: Iterable[str]) -> str:
-    """Deterministic display name for a binder being opened."""
+# ---------------------------------------------------------------------------
+# the binder walk and the opener
+
+def bodies(t: Term) -> Iterator[tuple[tuple[Abs, ...], App]]:
+    """Each application of ``t`` in preorder, left nameless, with the
+    abstractions above it, outermost first."""
+    stack: list[tuple[tuple[Abs, ...], Term]] = [((), t)]
+    while stack:
+        above, u = stack.pop()
+        while isinstance(u, Abs):
+            above += (u,)
+            u = u.body
+        yield above, u
+        for a in reversed(u.args):
+            stack.append((above, a))
+
+
+def liberation_name(hint: str, avoid: set[str]) -> str:
+    """Deterministic display name for a binder being opened: its hint,
+    primed until it is not in ``avoid``."""
     name = hint or "x"
-    avoid = set(avoid)
     while name in avoid:
         name += "'"
     return name
 
 
-def open_abs(t: Abs, avoid: set[str]) -> tuple[str, Term]:
+def open_under(above: Iterable[Abs], t: Term, avoid: Iterable[str]
+               ) -> tuple[tuple[str, ...], Term]:
+    """``t``, found under the abstractions ``above`` (outermost first), with
+    their binders opened: each is named by ``liberation_name`` apart from
+    ``avoid`` and the names before it, and all are opened in one pass.
+    Returns the names and the opened term."""
+    taken = set(avoid)
+    names: list[str] = []
+    for a in above:
+        names.append(liberation_name(a.hint, taken))
+        taken.add(names[-1])
+    opened = tuple(names)
+    return opened, _open(t, opened, 0)
+
+
+def _open(t: Term, names: tuple[str, ...], depth: int) -> Term:
+    """Replace each index of ``t`` that reaches past the ``depth`` binders
+    above it by a free variable: the binders past them are named ``names``,
+    innermost last.  A subterm that reaches no further is kept as it is."""
+    if reach(t) <= depth:
+        return t
+    if isinstance(t, Abs):
+        return Abs(t.hint, t.param_type, _open(t.body, names, depth + 1))
+    head = t.head
+    if isinstance(head, Bound) and head.index >= depth:
+        head = Free(names[depth - head.index - 1], head.ty)
+    return App(head, tuple([_open(a, names, depth) for a in t.args]))
+
+
+def open_abs(t: Abs, avoid: Iterable[str]) -> tuple[str, Term]:
     """Open an abstraction, picking a name that collides with nothing in scope."""
-    name = liberation_name(t.hint, avoid)
-    return name, _open(t.body, name, 0)
-
-
-def binder_names(t: Term) -> tuple[tuple[str, SimpleType], ...]:
-    """The names, with their types, that open the binder prefix of ``t``:
-    each avoids the free names of ``t`` and the names before it."""
-    if isinstance(t, App):
-        return ()
-    avoid = set(free_names(t))
-    binders: list[tuple[str, SimpleType]] = []
-    while isinstance(t, Abs):
-        name = liberation_name(t.hint, avoid)
-        avoid.add(name)
-        binders.append((name, t.param_type))
-        t = t.body
-    return tuple(binders)
+    (name,), body = open_under((t,), t.body, avoid)
+    return name, body
 
 
 def strip_binders(t: Term) -> tuple[tuple[tuple[str, SimpleType], ...], App]:
-    """Open the whole binder prefix; returns the binders and the body."""
-    binders = binder_names(t)
-    for name, _ in binders:
-        t = _open(t.body, name, 0)
-    return binders, t
+    """Open the whole binder prefix, named apart from the free names of
+    ``t``; returns the binders and the body."""
+    above, body = next(bodies(t))
+    names, body = open_under(above, body, free_names(body))
+    return tuple(zip(names, [a.param_type for a in above])), body
 
 
 def under_binders(t: Term) -> App:
@@ -442,7 +456,7 @@ def format_position(p: Position) -> str:
 def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:
     """The subterm at ``p``; binders crossed on the way become free variables,
     named apart from the free names of ``t`` and from ``avoid``."""
-    avoid = set(free_names(t)) | set(avoid)
+    above: list[Abs] = []
     cur = t
     for step, i in enumerate(p):
         if isinstance(cur, Abs):
@@ -450,15 +464,15 @@ def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:
                 raise PositionError(p, i,
                                     f"index {i} at step {step} descends into a "
                                     "binder, which has only position 1")
-            name, cur = open_abs(cur, avoid)
-            avoid.add(name)
+            above.append(cur)
+            cur = cur.body
         else:
             if not 1 <= i <= len(cur.args):
                 raise PositionError(p, i,
                                     f"index {i} at step {step} out of range: "
                                     f"node has {len(cur.args)} arguments")
             cur = cur.args[i - 1]
-    return cur
+    return open_under(above, cur, free_names(t).union(avoid))[1]
 
 
 def subterms(t: Term) -> tuple[Term, ...]:
@@ -466,17 +480,18 @@ def subterms(t: Term) -> tuple[Term, ...]:
     same convention as subterm_at, so both views agree."""
     out: list[Term] = []
     seen: set[Term] = set()
-    stack = [(t, set(free_names(t)))]
+    avoid = free_names(t)
+    stack: list[tuple[tuple[Abs, ...], Term]] = [((), t)]
     while stack:
-        u, avoid = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
+        above, u = stack.pop()
+        s = open_under(above, u, avoid)[1]
+        if s not in seen:
+            seen.add(s)
+            out.append(s)
         if isinstance(u, Abs):
-            name, body = open_abs(u, avoid)
-            stack.append((body, avoid | {name}))
+            stack.append((above + (u,), u.body))
         else:
-            stack.extend((a, avoid) for a in reversed(u.args))
+            stack.extend((above, a) for a in reversed(u.args))
     return tuple(out)
 
 

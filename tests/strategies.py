@@ -1,5 +1,5 @@
-"""Shared random generators, and the term helpers ``lam``, ``close_over``
-and ``positions``, which only the tests use.
+"""Shared random generators, and the term helpers ``lam``, ``close_over``,
+``positions`` and ``wrapped_bodies``, which only the tests use.
 
 Name pools are kept disjoint on purpose: function symbols are f/g/h/c/d,
 declared variables are upper-case, binders are x1..x9.  This keeps liberated
@@ -14,7 +14,8 @@ import hypothesis.strategies as st
 from hoterm.hrs import Hrs, Rule, parse, print_hrs
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
-                          Position, SimpleType, Term, arrow, free_names)
+                          Position, SimpleType, Term, arrow, bodies,
+                          free_names)
 from nbe_oracle import PApp, Preterm
 
 
@@ -43,6 +44,18 @@ def positions(t: Term) -> list[Position]:
         for i, a in enumerate(t.args, start=1):
             out.extend((i,) + p for p in positions(a))
     return out
+
+
+def wrapped_bodies(t: Term) -> tuple[Term, ...]:
+    """Each body of ``terms.bodies(t)`` wrapped back in the abstractions
+    above it, in walk order, each equal term once: the argument subterms of
+    ``t`` with the enclosing binder prefix carried down."""
+    out: dict[Term, None] = {}
+    for above, body in bodies(t):
+        for a in reversed(above):
+            body = Abs(a.hint, a.param_type, body)
+        out.setdefault(body)
+    return tuple(out)
 
 
 BASES = (Base("a"), Base("b"))

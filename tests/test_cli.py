@@ -501,6 +501,26 @@ class TestScripts:
                    for line in lines)
         assert files() == before
 
+    def test_sdp_cost_times_each_depth_without_writing(self):
+        def files():
+            return {p: p.stat().st_mtime_ns
+                    for d in ("src", "scripts")
+                    for p in (ROOT / d).rglob("*")}
+
+        before = files()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "sdp_cost.py"),
+             "--depths", "1", "3", "--runs", "2"],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert [row[0] for row in rows] == ["1", "3"]
+        for row in rows:
+            assert float(row[1]) > 0 and float(row[2]) > 0
+            assert row[3] == "4"
+        assert files() == before
+
     def test_parse_cost_times_every_set_without_writing(self):
         def files():
             return {p: p.stat().st_mtime_ns

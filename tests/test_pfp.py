@@ -7,7 +7,7 @@ import pfp_oracle
 import strategies as S
 from hoterm.hrs import Hrs, Rule, load, parse
 from hoterm.pfp import is_pfp, safe_subterms
-from hoterm.sdp import candidates, extract_sdps
+from hoterm.sdp import extract_sdps
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
                           free_names, print_term, subterms)
 
@@ -94,15 +94,16 @@ class TestSafeSetInvariants:
 
 
 def assert_agrees_with_oracle(h):
-    """Safe sets, report, pairs and candidates, term for term and as
-    printed, against the implementation that opens every binder."""
+    """Safe sets, report, pairs and candidates (the walk's bodies wrapped in
+    their binders), term for term and as printed, against the
+    implementation that opens every binder."""
     for rule in h.rules:
         want = pfp_oracle.safe_subterms(rule)
         got = safe_subterms(rule).safe
         assert got == want
         assert [print_term(u) for u in got] == [print_term(u) for u in want]
         want = pfp_oracle.candidates(rule.rhs)
-        got = candidates(rule.rhs)
+        got = S.wrapped_bodies(rule.rhs)
         assert got == want
         assert [print_term(c) for c in got] == [print_term(c) for c in want]
     report, want = is_pfp(h), pfp_oracle.is_pfp(h)

@@ -1,15 +1,21 @@
+import runpy
 from pathlib import Path
 
 from hypothesis import given, settings
 
 import strategies as S
-from strategies import positions
-from hoterm.hrs import Hrs, load, parse
-from hoterm.sdp import candidates, extract_sdps, mark, unmark_name
-from hoterm.terms import (App, Base, Const, Free, arrow, free_names,
-                          strip_binders, subterm_at)
+from strategies import positions, wrapped_bodies
+from hoterm import terms
+from hoterm.hrs import Hrs, Rule, load, parse
+from hoterm.proof import prove_text
+from hoterm.sdp import extract_sdps, mark, unmark_name
+from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
+                          free_names, strip_binders, subterm_at)
 
-FIXDIR = Path(__file__).parent.parent / "fixtures"
+ROOT = Path(__file__).parent.parent
+FIXDIR = ROOT / "fixtures"
+binder_depth_system = runpy.run_path(
+    str(ROOT / "scripts" / "sdp_cost.py"))["binder_depth_system"]
 
 
 class TestMark:
@@ -28,10 +34,13 @@ class TestMark:
 
 
 class TestCandidates:
+    """The candidates of a right side are the bodies of its binder walk,
+    each wrapped in the binders above it."""
+
     def test_foldl_cons_rhs_candidates(self):
         h = load(FIXDIR / "foldl.hrs")
         rhs = h.rules[1].rhs
-        got = [str(c) for c in candidates(rhs)]
+        got = [str(c) for c in wrapped_bodies(rhs)]
         assert got == [
             "foldl(\\x y. F(x, y), F(Y, X), L)",
             "\\x y. F(x, y)",
@@ -47,7 +56,7 @@ class TestCandidates:
         # a subterm under \x y keeps the whole binder prefix
         h = load(FIXDIR / "sqsum.hrs")
         rhs = next(r for r in h.rules if r.name == "sqsum-def").rhs
-        got = {str(c) for c in candidates(rhs)}
+        got = {str(c) for c in wrapped_bodies(rhs)}
         assert "\\x y. add(x, mul(y, y))" in got
         assert "\\x y. mul(y, y)" in got
         assert "\\x y. x" in got
@@ -57,7 +66,7 @@ class TestCandidates:
     def test_candidate_free_variables_come_from_the_term(self, h):
         for rule in h.rules:
             rhs_frees = free_names(rule.rhs)
-            for c in candidates(rule.rhs):
+            for c in wrapped_bodies(rule.rhs):
                 assert free_names(c) <= rhs_frees
 
 
@@ -128,8 +137,47 @@ class TestExtractSdps:
         assert [(str(p), p.extra_vars) for p in pairs] == [
             ("f#(X) -> h#(x)", ("x",))]
 
+    def test_extra_variables_are_named_apart_from_the_left_side(self):
+        # f(X) -> g(\X. f(X)), built without the reader, which would make
+        # the hint distinct from the rule variable X: the call's argument
+        # is the binder's variable, an extra variable, not the left's X
+        A = Base("a")
+        f, g = Const("f", arrow(A, A)), Const("g", arrow(arrow(A, A), A))
+        x = App(Free("X", A), ())
+        rhs = App(g, (Abs("X", A, App(f, (App(Bound(0, A), ()),))),))
+        h = Hrs(("a",), {"f": f.ty, "g": g.ty}, {"X": A},
+                (Rule("f-def", App(f, (x,)), rhs),))
+        assert [(str(p), p.extra_vars) for p in extract_sdps(h)] == [
+            ("f#(X) -> f#(X')", ("X'",))]
+
     def test_empty_system_has_no_pairs(self):
         assert extract_sdps(load(FIXDIR / "empty.hrs")) == ()
+
+
+class TestBinderDepth:
+    """g_i(s(X), Y) -> k(\\x1 ... xd. g_j(X, h(x1, ..., xd))): each pair's
+    body is opened once, so extraction builds no abstraction, where
+    wrapping every argument in its binder prefix built about 6 d^2."""
+
+    def test_extraction_cost_is_linear_in_depth(self, monkeypatch):
+        built = []
+        new = terms.Abs.__new__
+
+        def counting(cls, *parts):
+            built.append(parts)
+            return new(cls, *parts)
+
+        for d in (16, 32):
+            h = parse(binder_depth_system(d))
+            built.clear()
+            monkeypatch.setattr(terms.Abs, "__new__", counting)
+            pairs = extract_sdps(h)
+            monkeypatch.undo()
+            assert len(built) <= 2 * d
+            assert len(pairs) == 4
+            assert [len(p.extra_vars) for p in pairs] == [d] * 4
+            assert prove_text(binder_depth_system(d)).verdict.kind \
+                == "TERMINATING"
 
 
 def brute_force_first_order_pairs(h: Hrs):

@@ -15,9 +15,9 @@ from conftest import bare_env
 from strategies import lam, positions
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
-                          PositionError, TermTypeError, arrow,
-                          format_position, free_names, print_term,
-                          strip_binders, subterm_at, subterms,
+                          PositionError, TermTypeError, arrow, bodies,
+                          format_position, free_names, open_under,
+                          print_term, strip_binders, subterm_at, subterms,
                           under_binders)
 from walk_oracle import replace_at
 
@@ -314,6 +314,28 @@ class TestViews:
                                       App(Bound(0, NAT), ())))
         assert under_binders(Abs("x", NAT, Abs("y", NAT, add))) is add
         assert under_binders(num(1)) is num(1)
+
+    def test_bodies_walk_in_preorder_with_the_binders_above(self):
+        # \x. add(x, F(\y. y)): the prefix above each application grows
+        # down the walk, and each body is left nameless
+        F = Free("F", arrow(arrow(NAT, NAT), NAT))
+        inner = Abs("y", NAT, App(Bound(0, NAT), ()))
+        add = App(Const("add", BIN), (App(Bound(0, NAT), ()),
+                                      App(F, (inner,))))
+        outer = Abs("x", NAT, add)
+        assert list(bodies(outer)) == [
+            ((outer,), add), ((outer,), add.args[0]),
+            ((outer,), add.args[1]), ((outer, inner), inner.body)]
+
+    def test_open_under_names_the_prefix_apart_from_avoid(self):
+        # \x X. add(x, s(0)) under free X: the binder hinted X is primed
+        add = App(Const("add", BIN), (App(Bound(1, NAT), ()), num(1)))
+        above = (Abs("x", NAT, Abs("X", NAT, add)),)
+        above += (above[0].body,)
+        names, opened = open_under(above, add, {"X"})
+        assert names == ("x", "X'")
+        assert opened == App(add.head, (App(Free("x", NAT), ()), num(1)))
+        assert open_under((), above[0], ()) == ((), above[0])
 
     def test_positions_of_abstraction(self):
         body = App(Free("x", NAT), ())
