@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .graph import RecursionComponent, build_graph, recursion_components
 from .hrs import Hrs, Rule
 from .sdp import DependencyPair, unmark_name
-from .terms import (Abs, Base, Const, Free, Position, Term, format_position,
-                    free_names, print_term, reach, subterm_at,
-                    under_binders)
+from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
+                    bodies, descend, format_position, free_names,
+                    print_term, reach, subterm_at, under_binders)
 
 # ---------------------------------------------------------------------------
 # subterm criterion
@@ -47,6 +47,9 @@ class PiAssignment:
     def position_for(self, symbol: str) -> Position:
         return self.projections[symbol]
 
+    def __repr__(self) -> str:
+        return f"PiAssignment({self.projections!r})"
+
     def __str__(self) -> str:
         parts = [f"pi({unmark_name(s)}) = {format_position(p)}"
                  for s, p in sorted(self.projections.items())]
@@ -62,25 +65,6 @@ class CriterionVerdict(NamedTuple):
 class CriterionFailure(NamedTuple):
     pair: DependencyPair | None
     reason: str
-
-
-def _descend(t: Term, p: Position) -> tuple[Term, list] | None:
-    """The nameless subterm of ``t`` at ``p`` and the heads, under their
-    binder prefixes, of the nodes strictly above it; None when ``p`` is not
-    valid in ``t``."""
-    heads = []
-    for i in p:
-        if isinstance(t, Abs):
-            if i != 1:
-                return None
-            heads.append(under_binders(t).head)
-            t = t.body
-        else:
-            if not 1 <= i <= len(t.args):
-                return None
-            heads.append(t.head)
-            t = t.args[i - 1]
-    return t, heads
 
 
 def _occurs_below(s: Term, t: Term) -> bool:
@@ -113,16 +97,19 @@ def _projection(pair: DependencyPair, p: Position, q: Position,
     nameless terms: a projected right side that reaches a binder it crossed
     is a subterm of nothing.
     """
-    at_p, at_q = _descend(pair.lhs, p), _descend(pair.rhs, q)
-    if at_p is None:
+    try:
+        left_path, left = descend(pair.lhs, p)
+    except PositionError:
         return ("left position",)
-    if at_q is None:
+    try:
+        right_path, right = descend(pair.rhs, q)
+    except PositionError:
         return ("right position",)
-    (left, left_heads), (right, right_heads) = at_p, at_q
-    for k, head in enumerate(left_heads):
-        if isinstance(head, Free):
+    for k, node in enumerate(left_path):
+        if isinstance(under_binders(node).head, Free):
             return ("free above", k)
-    for k, head in enumerate(right_heads[1:], start=1):
+    for k, node in enumerate(right_path[1:], start=1):
+        head = under_binders(node).head
         if isinstance(head, Free) \
                 or isinstance(head, Const) and head.name in defined:
             return ("head above", k, head)
@@ -250,9 +237,8 @@ def _depth_first(size: int, options: Callable[[list], Iterable],
                 prefix.pop()
 
 
-def search_pi(component: RecursionComponent, max_depth: int = 3,
-              defined: frozenset[str] = frozenset()
-              ) -> CriterionVerdict | None:
+def search_pi(component: RecursionComponent, max_depth: int,
+              defined: frozenset[str]) -> CriterionVerdict | None:
     """Return the first assignment, trying each symbol's positions shorter
     first and lexicographic within a length, that passes the criterion.
 
@@ -587,17 +573,8 @@ MAX_PRECEDENCE_SYMBOLS = 8
 
 def _symbols(t: Term) -> set[str]:
     """Unmarked names of the function symbols heading subterms of ``t``."""
-    names: set[str] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Abs):
-            stack.append(u.body)
-            continue
-        if isinstance(u.head, Const):
-            names.add(unmark_name(u.head.name))
-        stack.extend(u.args)
-    return names
+    return {unmark_name(u.head.name) for _, u in bodies(t)
+            if isinstance(u.head, Const)}
 
 
 def _relevant_symbols(h: Hrs, component: RecursionComponent) -> list[str]:

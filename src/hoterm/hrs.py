@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, AbstractSet, NamedTuple
 
 from .normalize import eta_expand
 from .terms import (Abs, App, Arrow, Atom, Base, Bound, Const, Free,
-                    SimpleType, Term, eta_hint, print_term, under_binders)
+                    SimpleType, Term, bodies, eta_hint, print_term)
 
 if TYPE_CHECKING:
     from .pfp import SafeSet
@@ -347,14 +347,8 @@ class _Reader:
 def is_miller_pattern(t: Term, pattern_vars: AbstractSet[str]) -> bool:
     """True when every pattern variable is applied only to sequences of
     pairwise distinct bound variables."""
-    stack = [t]
-    while stack:
-        t = under_binders(stack.pop())
-        if not isinstance(t.head, Free) or t.head.name not in pattern_vars:
-            stack.extend(t.args)
-        elif bound_args(t.args) is None:
-            return False
-    return True
+    return all(bound_args(u.args) is not None for _, u in bodies(t)
+               if isinstance(u.head, Free) and u.head.name in pattern_vars)
 
 
 def bound_args(args: tuple[Term, ...]) -> list[int] | None:

@@ -412,20 +412,6 @@ def _open(t: Term, names: tuple[str, ...], depth: int) -> Term:
     return App(head, tuple([_open(a, names, depth) for a in t.args]))
 
 
-def open_abs(t: Abs, avoid: Iterable[str]) -> tuple[str, Term]:
-    """Open an abstraction, picking a name that collides with nothing in scope."""
-    (name,), body = open_under((t,), t.body, avoid)
-    return name, body
-
-
-def strip_binders(t: Term) -> tuple[tuple[tuple[str, SimpleType], ...], App]:
-    """Open the whole binder prefix, named apart from the free names of
-    ``t``; returns the binders and the body."""
-    above, body = next(bodies(t))
-    names, body = open_under(above, body, free_names(body))
-    return tuple(zip(names, [a.param_type for a in above])), body
-
-
 def under_binders(t: Term) -> App:
     """The application under the binder prefix, left nameless."""
     while isinstance(t, Abs):
@@ -453,26 +439,33 @@ def format_position(p: Position) -> str:
     return ".".join(str(i) for i in p) if p else "e"
 
 
-def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:
-    """The subterm at ``p``; binders crossed on the way become free variables,
-    named apart from the free names of ``t`` and from ``avoid``."""
-    above: list[Abs] = []
-    cur = t
+def descend(t: Term, p: Position) -> tuple[list[Term], Term]:
+    """The nodes ``p`` crosses in ``t``, outermost first, and the subterm
+    at ``p``, left nameless; PositionError when ``p`` is not in ``t``."""
+    crossed: list[Term] = []
     for step, i in enumerate(p):
-        if isinstance(cur, Abs):
+        crossed.append(t)
+        if isinstance(t, Abs):
             if i != 1:
                 raise PositionError(p, i,
                                     f"index {i} at step {step} descends into a "
                                     "binder, which has only position 1")
-            above.append(cur)
-            cur = cur.body
+            t = t.body
         else:
-            if not 1 <= i <= len(cur.args):
+            if not 1 <= i <= len(t.args):
                 raise PositionError(p, i,
                                     f"index {i} at step {step} out of range: "
-                                    f"node has {len(cur.args)} arguments")
-            cur = cur.args[i - 1]
-    return open_under(above, cur, free_names(t).union(avoid))[1]
+                                    f"node has {len(t.args)} arguments")
+            t = t.args[i - 1]
+    return crossed, t
+
+
+def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:
+    """The subterm at ``p``; binders crossed on the way become free variables,
+    named apart from the free names of ``t`` and from ``avoid``."""
+    crossed, u = descend(t, p)
+    above = [n for n in crossed if isinstance(n, Abs)]
+    return open_under(above, u, free_names(t).union(avoid))[1]
 
 
 def subterms(t: Term) -> tuple[Term, ...]:

@@ -17,9 +17,9 @@ from hoterm.pfp import PfpReport, PfpViolation
 from hoterm.sdp import (MARK, DependencyPair, _canonical_extras,
                         _occurring_extras, mark)
 from hoterm.terms import (App, Atom, Const, Free, Term, free_names,
-                          print_term, strip_binders, subterms)
+                          print_term, subterms)
 from nbe_oracle import PAtom, nbe_normalize, papp
-from strategies import lam
+from strategies import lam, strip_binders
 
 
 def safe_basic(t: Term, var_names: frozenset[str]) -> tuple[Term, ...]:

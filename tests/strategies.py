@@ -1,5 +1,8 @@
 """Shared random generators, and the term helpers ``lam``, ``close_over``,
-``positions`` and ``wrapped_bodies``, which only the tests use.
+``open_abs``, ``strip_binders``, ``positions`` and ``wrapped_bodies``,
+which only the tests use.  The openers name and free one binder at a time,
+apart from the prover's own opener, so the oracles built on them do not
+check ``hoterm.terms`` against itself.
 
 Name pools are kept disjoint on purpose: function symbols are f/g/h/c/d,
 declared variables are upper-case, binders are x1..x9.  This keeps liberated
@@ -8,6 +11,8 @@ parser enforces through hint uniquification.
 """
 
 from __future__ import annotations
+
+from typing import AbstractSet
 
 import hypothesis.strategies as st
 
@@ -33,6 +38,40 @@ def close_over(t: Term, name: str, depth: int = 0) -> Term:
     if isinstance(head, Free) and head.name == name:
         head = Bound(depth, head.ty)
     return App(head, tuple(close_over(a, name, depth) for a in t.args))
+
+
+def open_abs(t: Abs, avoid: AbstractSet[str]) -> tuple[str, Term]:
+    """Open an abstraction: its binder becomes a free variable named by its
+    hint, primed until it is not in ``avoid``."""
+    name = t.hint or "x"
+    while name in avoid:
+        name += "'"
+    return name, _free_binder(t.body, Free(name, t.param_type))
+
+
+def _free_binder(t: Term, x: Free, depth: int = 0) -> Term:
+    """Turn the references to the binder ``depth`` binders above ``t`` into
+    the free variable ``x``: the inverse of ``close_over``."""
+    if isinstance(t, Abs):
+        return Abs(t.hint, t.param_type, _free_binder(t.body, x, depth + 1))
+    head = t.head
+    if isinstance(head, Bound) and head.index == depth:
+        head = x
+    return App(head, tuple(_free_binder(a, x, depth) for a in t.args))
+
+
+def strip_binders(t: Term) -> tuple[tuple[tuple[str, SimpleType], ...], App]:
+    """Open the whole binder prefix, each binder named apart from the free
+    names of ``t`` and the names before it; returns the binders and the
+    body."""
+    binders: list[tuple[str, SimpleType]] = []
+    avoid = set(free_names(t))
+    while isinstance(t, Abs):
+        name, body = open_abs(t, avoid)
+        binders.append((name, t.param_type))
+        avoid.add(name)
+        t = body
+    return tuple(binders), t
 
 
 def positions(t: Term) -> list[Position]:

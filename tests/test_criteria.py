@@ -47,6 +47,11 @@ class TestPiAssignment:
     def test_deep_positions_print_dotted(self):
         assert str(PiAssignment({"f#": (1, 1)})) == "pi(f) = 1.1"
 
+    def test_repr_shows_the_projections(self):
+        pi = PiAssignment({"f#": (1, 1), "add#": (2,)})
+        assert repr(pi) == "PiAssignment({'f#': (1, 1), 'add#': (2,)})"
+        assert eval(repr(pi)) == pi
+
 
 class TestSubtermCriterion:
     def test_add_component_accepts_first_argument(self):
@@ -73,6 +78,20 @@ class TestSubtermCriterion:
         assert isinstance(out, CriterionFailure)
         assert out.reason == "position 9 is not valid in add#(s(X), Y)"
         assert out.pair is comps[0].pairs[0]
+
+    def test_invalid_right_position_names_the_right_side(self):
+        # the left side projects; the right side has no argument 3, and no
+        # position 1.2 under a binder
+        h, comps = components_of("sqsum")
+        pair = comps[0].pairs[0]
+        out = project_pair(pair, (1,), (3,), h.defined)
+        assert out == CriterionFailure(
+            pair, "position 3 is not valid in add#(X, Y)")
+        g = Const("g#", arrow(arrow(A, A), A))
+        side = App(g, (lam("x", A, App(Free("x", A), ())),))
+        pair = DependencyPair(side, side, "r", ())
+        assert project_pair(pair, (1,), (1, 2), frozenset({"g"})).reason \
+            == "position 1.2 is not valid in g#(\\x. x)"
 
     def test_missing_projection(self):
         h, comps = components_of("sqsum")
@@ -116,6 +135,19 @@ class TestSubtermCriterion:
         assert isinstance(out, CriterionFailure)
         assert out.reason == "g heads f#(g(c)) at position 1, above the " \
                              "projection"
+
+    def test_defined_head_under_a_binder_names_its_position(self):
+        # f#(k(\x. g(c))) at 1.1.1.1 crosses f#, k, the abstraction at 1.1
+        # and its body: g heads the abstraction, the first defined head
+        c = const("c", A)
+        u = const("f#", arrow(A, A), const("s", arrow(A, A), c))
+        g_c = lam("x", A, const("g", arrow(A, A), c))
+        v = const("f#", arrow(A, A), const("k", arrow(arrow(A, A), A), g_c))
+        pair = DependencyPair(u, v, "r", ())
+        out = project_pair(pair, (1,), (1, 1, 1, 1), frozenset({"f", "g"}))
+        assert out == CriterionFailure(
+            pair, "g heads f#(k(\\x. g(c))) at position 1.1, above the "
+                  "projection")
 
     def test_constructor_spine_above_projection_allowed(self):
         c = const("c", A)
@@ -203,6 +235,18 @@ class TestSearchPi:
         for comp in comps:
             assert search_pi(comp, max_depth=10**9, defined=h.defined) == \
                 search_pi(comp, max_depth=10, defined=h.defined)
+
+    def test_defined_symbols_are_required(self):
+        # f(c(c(X))) -> f(g(X)) loops through g(X) -> c(c(X)); pi(f) = 1.1
+        # passes only if g, above the projection, is taken for a constructor
+        h = parse("basic a\nsig f : a -> a\nsig c : a -> a\n"
+                  "sig g : a -> a\nvar X : a\n"
+                  "rule r1: f(c(c(X))) -> f(g(X))\n"
+                  "rule r2: g(X) -> c(c(X))\n")
+        comp, = recursion_components(build_graph(extract_sdps(h)))
+        with pytest.raises(TypeError):
+            search_pi(comp, 3)
+        assert search_pi(comp, 3, h.defined) is None
 
     def test_no_projection_for_argument_swap(self):
         h = parse("basic a\nsig f : a -> a -> a\nsig c : a\n"

@@ -3,9 +3,11 @@
 Every class is written out by hand: a dataclass makes ``dataclasses``
 generate and compile its methods when the module is imported, which once
 took about a third of ``import hoterm.cli``.  The guard below counts
-rather than times, so it holds on any machine.
+rather than times, so it holds on any machine.  Another guard reads the
+source: a top-level definition nothing reads is dead API.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -26,7 +28,8 @@ from hoterm.sdp import DependencyPair
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
                           free_names)
 
-FIXDIR = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXDIR = ROOT / "fixtures"
 
 
 def hoterm_classes():
@@ -63,6 +66,35 @@ class TestNoGeneratedCode:
                  App(Const("s", arrow(nat, nat)), (leaf,)))
         for node in nodes:
             assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+def unused_definitions() -> list[str]:
+    """The top-level functions and classes of ``src/hoterm`` that no other
+    statement of the package reads, ``hoterm.__all__`` does not export and
+    no ``bench/tracer.py`` target traces."""
+    reads: dict[ast.stmt, set[str]] = {}
+    for path in sorted(Path(hoterm.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            reads[stmt] = {n.id if isinstance(n, ast.Name) else n.attr
+                           for n in ast.walk(stmt)
+                           if isinstance(n, (ast.Name, ast.Attribute))
+                           and isinstance(n.ctx, ast.Load)}
+    traced = {call.args[2].value.split(".")[0]
+              for call in ast.walk(ast.parse(
+                  (ROOT / "bench" / "tracer.py").read_text()))
+              if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "Target"}
+    kept = set(hoterm.__all__) | traced
+    return [d.name for d in reads
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+            and d.name not in kept
+            and not any(d.name in names for other, names in reads.items()
+                        if other is not d)]
+
+
+class TestNoDeadApi:
+    def test_every_definition_has_a_reader(self):
+        assert unused_definitions() == []
 
 
 def proofs():

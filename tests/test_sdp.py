@@ -4,13 +4,13 @@ from pathlib import Path
 from hypothesis import given, settings
 
 import strategies as S
-from strategies import positions, wrapped_bodies
+from strategies import positions, strip_binders, wrapped_bodies
 from hoterm import terms
 from hoterm.hrs import Hrs, Rule, load, parse
 from hoterm.proof import prove_text
 from hoterm.sdp import extract_sdps, mark, unmark_name
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
-                          free_names, strip_binders, subterm_at)
+                          free_names, subterm_at)
 
 ROOT = Path(__file__).parent.parent
 FIXDIR = ROOT / "fixtures"

@@ -22,8 +22,8 @@ from hoterm.normalize import apply_subst
 from hoterm.rewriting import (NonPatternError, RewriteStep,
                               enumerate_closed_terms, match)
 from hoterm.terms import (Abs, App, Position, PositionError, Term,
-                          TermTypeError, free_names, open_abs)
-from strategies import close_over
+                          TermTypeError, free_names)
+from strategies import close_over, open_abs
 
 
 def replace_at(t: Term, p: Position, new: Term) -> Term:
