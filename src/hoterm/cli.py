@@ -13,7 +13,7 @@ import sys
 import traceback
 from functools import cache
 
-from .criteria import AnalysisConfig, ConfigError
+from .criteria import TECHNIQUES, AnalysisConfig, ConfigError
 from .hrs import HrsError, load
 from .pfp import is_pfp
 from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProverConfig, emit,
@@ -36,9 +36,10 @@ _VERDICT_EXIT = {
 def _parse_techniques(text: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     for n in names:
-        if n not in ("subterm", "redpair"):
+        if n not in TECHNIQUES:
             raise argparse.ArgumentTypeError(
-                f"unknown technique {n!r}; choose from subterm, redpair")
+                f"unknown technique {n!r}; choose from "
+                f"{', '.join(TECHNIQUES)}")
     if not names:
         raise argparse.ArgumentTypeError("technique list is empty")
     return names
@@ -93,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum projection depth for the subterm criterion "
                         "(default 3)")
     p.add_argument("--techniques", type=_parse_techniques,
-                   default=("subterm", "redpair"), metavar="LIST",
+                   default=TECHNIQUES, metavar="LIST",
                    help="comma-separated techniques to apply in order "
-                        "(subterm, redpair)")
+                        f"({', '.join(TECHNIQUES)})")
     p.add_argument("--precedence", type=_parse_precedence, default=None,
                    metavar="LIST",
                    help="fixed precedence for the path order, greatest "

@@ -19,7 +19,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .graph import RecursionComponent, build_graph, recursion_components
+from .graph import (RecursionComponent, build_graph, postorder,
+                    recursion_components)
 from .hrs import Hrs, Rule
 from .sdp import DependencyPair, unmark_name
 from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
@@ -587,10 +588,10 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
     """Rank callers above their callees: start from the rule-mention graph,
     take the longest-path depth of each symbol, break ties by name.
 
-    On a cycle the depth is cut where the walk re-enters a symbol on its own
-    trail, so the answer depends on the visit order: callees are visited by
-    name, so it does not depend on set order.  The walk keeps its own
-    stack, in the order of a recursive visit, so long call chains fit.
+    Depths are read off one depth-first walk, each as its symbol finishes.
+    On a cycle a callee still on the walk counts 0, so the answer depends on
+    the visit order: callees are visited by name, so it does not depend on
+    set order.
     """
     mentions: dict[str, set[str]] = {s: set() for s in symbols}
     for rule in h.rules:
@@ -603,26 +604,9 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
     callees_of = {s: sorted(callees) for s, callees in mentions.items()}
 
     depth: dict[str, int] = {}
-    for root in symbols:
-        if root in depth:
-            continue
-        # one frame per symbol on the trail: [symbol, trail, callees left,
-        # deepest callee so far]
-        stack = [[root, frozenset({root}), iter(callees_of[root]), 0]]
-        while stack:
-            frame = stack[-1]
-            s, trail, callees = frame[:3]
-            for c in callees:
-                if c in depth:
-                    frame[3] = max(frame[3], depth[c])
-                elif c not in trail:
-                    stack.append([c, trail | {c}, iter(callees_of[c]), 0])
-                    break
-            else:
-                stack.pop()
-                depth[s] = 1 + frame[3]
-                if stack:
-                    stack[-1][3] = max(stack[-1][3], depth[s])
+    for s in postorder(symbols, callees_of.__getitem__):
+        depth[s] = 1 + max((depth.get(c, 0) for c in callees_of[s]),
+                           default=0)
     return tuple(sorted(symbols, key=lambda s: (-depth[s], s)))
 
 
@@ -698,13 +682,26 @@ def _precedence_give_up_reason(h: Hrs, component: RecursionComponent) -> str:
 # refinement loop
 
 
+TECHNIQUES = ("subterm", "redpair")
+
+
 class AnalysisConfig(NamedTuple):
-    techniques: tuple[str, ...] = ("subterm", "redpair")
+    techniques: tuple[str, ...] = TECHNIQUES
     max_pi_depth: int = 3
     precedence: tuple[str, ...] | None = None
 
     def check(self, h: Hrs) -> None:
-        """Raise ConfigError if the precedence repeats or misnames a symbol."""
+        """Raise ConfigError on an empty technique list, an unknown technique,
+        a projection depth below 1, or a precedence that repeats or misnames
+        a symbol."""
+        if not self.techniques:
+            raise ConfigError("the technique list is empty")
+        for name in self.techniques:
+            if name not in TECHNIQUES:
+                raise ConfigError(f"unknown technique {name!r}; choose from "
+                                  f"{', '.join(TECHNIQUES)}")
+        if self.max_pi_depth < 1:
+            raise ConfigError(f"max_pi_depth is {self.max_pi_depth}, below 1")
         for i, name in enumerate(self.precedence or ()):
             if name in self.precedence[:i]:
                 raise ConfigError(f"the precedence names {name} twice")
@@ -736,13 +733,6 @@ class ComponentFailure(NamedTuple):
     reasons: tuple[str, ...] = ()
 
 
-def _without(component: RecursionComponent,
-             strict: tuple[DependencyPair, ...]) -> tuple[DependencyPair, ...]:
-    """The component's pairs not in ``strict``, in order."""
-    removed = set(strict)
-    return tuple(p for p in component.pairs if p not in removed)
-
-
 def _discharge_once(h: Hrs, component: RecursionComponent,
                     config: AnalysisConfig
                     ) -> RefinementStep | ComponentFailure:
@@ -753,7 +743,7 @@ def _discharge_once(h: Hrs, component: RecursionComponent,
             if verdict is not None:
                 return RefinementStep(component, "subterm criterion",
                                       str(verdict.witness), verdict.strict,
-                                      _without(component, verdict.strict))
+                                      verdict.weak)
             reasons.append("no projection satisfies the subterm criterion "
                            f"up to depth {config.max_pi_depth}")
         elif technique == "redpair":
@@ -770,7 +760,7 @@ def _discharge_once(h: Hrs, component: RecursionComponent,
             if result is not None:
                 return RefinementStep(component, "reduction pair",
                                       result.oracle_description, result.strict,
-                                      _without(component, result.strict))
+                                      result.weak)
         else:
             raise ValueError(f"unknown technique {technique!r}")
     return ComponentFailure(component, component, tuple(reasons))

@@ -8,6 +8,7 @@ a single node qualifies only through a self-arc.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from typing import NamedTuple
 
 from .sdp import DependencyPair
@@ -37,71 +38,56 @@ def build_graph(pairs: tuple[DependencyPair, ...]) -> DependencyGraph:
     return DependencyGraph(tuple(pairs), arcs)
 
 
+def postorder(roots: Iterable[Hashable],
+              successors: Callable[[Hashable], Iterable[Hashable]]
+              ) -> Iterator[Hashable]:
+    """Every node reachable from ``roots``, once, in the order a depth-first
+    walk finishes it.  The walk visits the roots in turn and each node's
+    successors in order, and keeps its own stack, so long chains fit."""
+    entered: set[Hashable] = set()
+    for root in roots:
+        if root in entered:
+            continue
+        entered.add(root)
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            node, todo = stack[-1]
+            for nxt in todo:
+                if nxt not in entered:
+                    entered.add(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+            else:
+                stack.pop()
+                yield node
+
+
 def strongly_connected(n: int, arcs: frozenset[tuple[int, int]]
                        ) -> list[tuple[int, ...]]:
     """Maximal strongly connected node sets of the graph on 0..n-1, each
-    sorted ascending, listed in ascending order of their minimum node."""
-    adj: list[list[int]] = [[] for _ in range(n)]
+    sorted ascending, listed in ascending order of their minimum node.
+    Last finished first by one depth-first walk, each node not yet placed
+    gathers the unplaced nodes that reach it."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for a, b in sorted(arcs):
-        adj[a].append(b)
-
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
+        succ[a].append(b)
+        pred[b].append(a)
+    placed: set[int] = set()
     sccs: list[tuple[int, ...]] = []
-    counter = 0
-
-    def visit(root: int):
-        nonlocal counter
-        work = [(root, 0)]
-        while work:
-            v, ai = work.pop()
-            if ai == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for k in range(ai, len(adj[v])):
-                w = adj[v][k]
-                if w not in index_of:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    for v in range(n):
-        if v not in index_of:
-            visit(v)
+    for v in reversed(list(postorder(range(n), succ.__getitem__))):
+        if v not in placed:
+            sccs.append(tuple(sorted(postorder(
+                (v,), lambda u: [w for w in pred[u] if w not in placed]))))
+            placed.update(sccs[-1])
     return sorted(sccs)
 
 
 def recursion_components(g: DependencyGraph) -> tuple[RecursionComponent, ...]:
     """Strongly connected node sets that carry at least one internal arc."""
-    out = []
-    for comp in strongly_connected(len(g.nodes), g.arcs):
-        members = set(comp)
-        if any(a in members and b in members for a, b in g.arcs):
-            out.append(RecursionComponent(comp,
-                                          tuple(g.nodes[i] for i in comp)))
-    return tuple(out)
+    return tuple(RecursionComponent(comp, tuple(g.nodes[i] for i in comp))
+                 for comp in strongly_connected(len(g.nodes), g.arcs)
+                 if len(comp) > 1 or (comp[0], comp[0]) in g.arcs)
 
 
 def to_dot(g: DependencyGraph) -> str:

@@ -198,6 +198,21 @@ class TestAnalysisFlags:
                   "--techniques", "magic"])
         assert exit_.value.code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("techniques, complaint", [
+        ("magic", "unknown technique 'magic'; choose from subterm, redpair"),
+        ("subterm,magic", "unknown technique 'magic'"),
+        (",", "technique list is empty"),
+    ])
+    def test_techniques_rejected_with_a_usage_message(
+            self, techniques, complaint, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["prove", str(FIXDIR / "arith.hrs"),
+                  "--techniques", techniques])
+        assert exit_.value.code == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--techniques: {complaint}" in err
+
     def test_explicit_precedence(self, capsys):
         code, out, _ = run(capsys, "prove", FIXDIR / "arith.hrs",
                            "--techniques", "redpair",

@@ -3,8 +3,8 @@ from pathlib import Path
 from hypothesis import given, settings
 
 import strategies as S
-from hoterm.graph import (build_graph, recursion_components,
-                          strongly_connected, to_dot)
+from hoterm.graph import (DependencyGraph, build_graph, postorder,
+                          recursion_components, strongly_connected, to_dot)
 from hoterm.hrs import load, parse
 from hoterm.sdp import extract_sdps
 
@@ -14,6 +14,24 @@ FIXDIR = Path(__file__).parent.parent / "fixtures"
 def sqsum_graph():
     pairs = extract_sdps(load(FIXDIR / "sqsum.hrs"))
     return pairs, build_graph(pairs)
+
+
+def closure_sccs(n, arcs):
+    """Oracle: i ~ j iff i reaches j and j reaches i, by transitive
+    closure; the classes sorted, each sorted."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in arcs:
+        reach[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if reach[i][k] and reach[k][j]:
+                    reach[i][j] = True
+    classes = {}
+    for i in range(n):
+        key = frozenset(j for j in range(n) if reach[i][j] and reach[j][i])
+        classes.setdefault(key, []).append(i)
+    return sorted(tuple(v) for v in classes.values())
 
 
 class TestBuildGraph:
@@ -62,6 +80,17 @@ class TestRecursionComponents:
         assert comps[1].pairs == (pairs[2],)
         assert comps[2].pairs == (pairs[3],)
 
+    @settings(max_examples=200)
+    @given(S.digraphs())
+    def test_components_are_the_sccs_that_carry_an_arc(self, graph):
+        n, arcs = graph
+        expected = [c for c in closure_sccs(n, arcs)
+                    if len(c) > 1 or (c[0], c[0]) in arcs]
+        g = DependencyGraph(tuple(range(n)), arcs)
+        comps = recursion_components(g)
+        assert [c.indices for c in comps] == expected
+        assert all(c.pairs == c.indices for c in comps)
+
     def test_singleton_without_self_arc_is_not_a_component(self):
         # one defined symbol calling another, no cycle at all
         src = ("basic a\n"
@@ -96,24 +125,57 @@ class TestStronglyConnected:
     def test_matches_reachability_closure(self, graph):
         n, arcs = graph
         sccs = strongly_connected(n, arcs)
+        assert sorted(tuple(sorted(s)) for s in sccs) == closure_sccs(n, arcs)
 
-        # oracle: i ~ j iff i reaches j and j reaches i, by transitive closure
-        reach = [[i == j for j in range(n)] for i in range(n)]
-        for i, j in arcs:
-            reach[i][j] = True
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if reach[i][k] and reach[k][j]:
-                        reach[i][j] = True
-        classes = {}
-        for i in range(n):
-            key = frozenset(j for j in range(n)
-                            if reach[i][j] and reach[j][i])
-            classes.setdefault(key, []).append(i)
-        expected = sorted(tuple(v) for v in classes.values())
+    def test_long_chain_needs_no_recursion(self):
+        n = 100_000
+        sccs = strongly_connected(n, frozenset((i, i + 1)
+                                               for i in range(n - 1)))
+        assert sccs == [(i,) for i in range(n)]
 
-        assert sorted(tuple(sorted(s)) for s in sccs) == expected
+    def test_long_cycle_needs_no_recursion(self):
+        n = 100_000
+        sccs = strongly_connected(n, frozenset((i, (i + 1) % n)
+                                               for i in range(n)))
+        assert sccs == [tuple(range(n))]
+
+
+class TestPostorder:
+    def test_finish_order_on_a_dag(self):
+        #   0 -> 1 -> 3, 0 -> 2 -> 3
+        succ = {0: [1, 2], 1: [3], 2: [3], 3: []}
+        assert list(postorder([0], succ.__getitem__)) == [3, 1, 2, 0]
+
+    def test_finish_order_on_a_cycle(self):
+        succ = {0: [1], 1: [2], 2: [0]}
+        assert list(postorder([0], succ.__getitem__)) == [2, 1, 0]
+        assert list(postorder([1], succ.__getitem__)) == [0, 2, 1]
+
+    def test_each_node_once_and_reached_roots_skipped(self):
+        # 2 is reached from 0, so as a root it adds nothing; 4 is apart
+        succ = {0: [1, 2], 1: [2, 0], 2: [1], 3: [2], 4: []}
+        assert list(postorder([0, 2, 3, 4], succ.__getitem__)) == \
+            [2, 1, 0, 3, 4]
+        assert list(postorder([], succ.__getitem__)) == []
+
+    def test_successors_called_once_per_node_and_consumed_lazily(self):
+        calls = []
+        pulled = []
+
+        def successors(v):
+            calls.append(v)
+            for w in (v + 1, v + 2):
+                if w < 6:
+                    pulled.append((v, w))
+                    yield w
+
+        walk = postorder([0], successors)
+        assert next(walk) == 5
+        # only the first successor of each node on the path was pulled
+        assert calls == [0, 1, 2, 3, 4, 5]
+        assert pulled == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        assert list(walk) == [4, 3, 2, 1, 0]
+        assert sorted(calls) == list(range(6))
 
 
 class TestDotOutput:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+import hoterm.proof
+from hoterm.criteria import AnalysisConfig, ConfigError
 from hoterm.hrs import load
 from hoterm.proof import (MAYBE, NONTERMINATING, SCHEMA_VERSION, TERMINATING,
                           ProverConfig, emit, emit_dot, emit_json, emit_text,
@@ -76,6 +78,44 @@ class TestVerdicts:
         for name in ("arith", "foldl", "listfns", "nested", "sqsum"):
             p = prove(FIXDIR / f"{name}.hrs", ProverConfig())
             assert p.verdict.kind == TERMINATING, name
+
+
+class TestLibraryConfigCheck:
+    """A library caller's analysis settings are checked before any work,
+    whatever the system, as the command line checks its own."""
+
+    @staticmethod
+    def prove_with(name, **settings):
+        config = ProverConfig(analysis=AnalysisConfig(**settings))
+        return prove_text((FIXDIR / name).read_text(), config)
+
+    def test_unknown_technique_on_a_system_without_pairs(self):
+        with pytest.raises(ConfigError, match="unknown technique 'magic'"):
+            self.prove_with("empty.hrs", techniques=("magic",))
+
+    def test_unknown_technique_after_one_that_discharges(self):
+        with pytest.raises(ConfigError, match="unknown technique 'magic'"):
+            self.prove_with("arith.hrs", techniques=("subterm", "magic"))
+
+    def test_unknown_technique_is_caught_before_pair_extraction(
+            self, monkeypatch):
+        def no_pairs(h):
+            raise AssertionError("pairs extracted")
+
+        monkeypatch.setattr(hoterm.proof, "extract_sdps", no_pairs)
+        with pytest.raises(ConfigError, match="choose from subterm, redpair"):
+            self.prove_with("arith.hrs", techniques=("magic",))
+
+    @pytest.mark.parametrize("name", ["empty.hrs", "arith.hrs"])
+    def test_empty_technique_list(self, name):
+        with pytest.raises(ConfigError, match="technique list is empty"):
+            self.prove_with(name, techniques=())
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_projection_depth_below_one(self, depth):
+        with pytest.raises(ConfigError,
+                           match=f"max_pi_depth is {depth}, below 1"):
+            self.prove_with("arith.hrs", max_pi_depth=depth)
 
 
 class TestTextOutput:
