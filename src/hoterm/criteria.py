@@ -45,9 +45,6 @@ class PiAssignment:
             return NotImplemented
         return self.projections == other.projections
 
-    def position_for(self, symbol: str) -> Position:
-        return self.projections[symbol]
-
     def __repr__(self) -> str:
         return f"PiAssignment({self.projections!r})"
 
@@ -165,8 +162,8 @@ def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
     weak: list[DependencyPair] = []
     for pair in component.pairs:
         try:
-            p = pi.position_for(pair.lhs.head.name)
-            q = pi.position_for(pair.rhs.head.name)
+            p = pi.projections[pair.lhs.head.name]
+            q = pi.projections[pair.rhs.head.name]
         except KeyError as missing:
             return CriterionFailure(pair, f"no projection for {missing}")
         shrinks = project_pair(pair, p, q, defined)
@@ -192,22 +189,6 @@ def _positions_within(t: Term, depth: int) -> list[Position]:
                      (u.body,) if isinstance(u, Abs) else u.args, start=1)]
         found += [here for here, _ in level]
     return found
-
-
-def _candidate_positions(component: RecursionComponent, max_depth: int
-                         ) -> dict[str, list[Position]]:
-    """For each marked symbol, the positions valid in every side it heads,
-    shortest first."""
-    shared: dict[str, list[Position]] = {}
-    for pair in component.pairs:
-        for side in (pair.lhs, pair.rhs):
-            here = _positions_within(side, max_depth)
-            name = side.head.name
-            if name in shared:
-                valid = set(here)
-                here = [p for p in shared[name] if p in valid]
-            shared[name] = here
-    return shared
 
 
 def _depth_first(size: int, options: Callable[[list], Iterable],
@@ -243,13 +224,18 @@ def search_pi(component: RecursionComponent, max_depth: int,
     """Return the first assignment, trying each symbol's positions shorter
     first and lexicographic within a length, that passes the criterion.
 
-    Symbols are assigned in sorted order.  Once both symbols of a pair are
-    assigned, a pair that fails ``_projection`` rules out every completion,
-    so that branch is dropped; the answer is the one full enumeration would
-    give first.  Each (pair, p, q) is projected once, and the verdict is
-    built from those answers.
+    Symbols are assigned in sorted order, each from the positions of the
+    first side it heads.  Once both symbols of a pair are assigned, a pair
+    that fails ``_projection``, as at a position missing from its sides,
+    rules out every completion, so that branch is dropped; the answer is
+    the one full enumeration would give first.  Each (pair, p, q) is
+    projected once, and the verdict is built from those answers.
     """
-    candidates = _candidate_positions(component, max_depth)
+    candidates: dict[str, list[Position]] = {}
+    for pair in component.pairs:
+        for side in (pair.lhs, pair.rhs):
+            if side.head.name not in candidates:
+                candidates[side.head.name] = _positions_within(side, max_depth)
     symbols = sorted(candidates)
     pools = [candidates[s] for s in symbols]
     if not symbols or any(not pool for pool in pools):
@@ -324,45 +310,6 @@ def _equiv(s: Term, t: Term) -> bool:
             and all(_equiv(a, b) for a, b in zip(s.args, t.args)))
 
 
-class LexPathOrder:
-    """Lexicographic path order induced by a precedence on symbol names.
-
-    A marked symbol ranks together with its unmarked form.  Comparisons are
-    answered only on binder-free terms whose variables have basic types;
-    anything else is unknown.  Symbols missing from the precedence rank below
-    all listed ones, ordered by name.  ``s > t`` is the constraint
-    ``_PrecedenceConstraints.greater(s, t)`` evaluated under that order.
-    """
-
-    def __init__(self, precedence: tuple[str, ...]):
-        self.precedence = tuple(precedence)
-        self._table = _PrecedenceConstraints(())
-        self._above: list[int] = []     # the order, as ``ranked`` gives it
-
-    def describe(self) -> str:
-        return "path order with precedence " + " > ".join(self.precedence)
-
-    def _ranks(self) -> list[int]:
-        """The precedence over every symbol the table has met, unlisted
-        ones below the listed, the greater name above."""
-        known = self._table.symbols
-        if len(self._above) != len(known):
-            listed = [name for name in self.precedence if name in known]
-            unlisted = sorted(known.keys() - set(listed), reverse=True)
-            self._above = self._table.ranked(tuple(listed + unlisted))
-        return self._above
-
-    def compare(self, s: Term, t: Term) -> Comparison:
-        if not _comparable(s, t):
-            return Comparison.UNKNOWN
-        greater = self._table.greater(s, t)
-        if _assess(greater, self._ranks(), {})[0]:
-            return Comparison.GREATER
-        if _equiv(s, t):
-            return Comparison.GREATER_EQUAL
-        return Comparison.UNKNOWN
-
-
 # A precedence constraint is True, False, an atom ``(i, j)``: the symbol
 # numbered i ranks above the one numbered j, or an _And or _Or of
 # constraints that are not constants: ``_fold`` folds those away.
@@ -424,25 +371,55 @@ def _assess(c, above: list[int], seen: dict) -> tuple[bool | None, int]:
     return seen[id(c)]
 
 
-class _PrecedenceConstraints:
-    """The lexicographic path order as constraints over atoms ``f > g``
-    between unmarked names, numbered as they are met, ``symbols`` first.
-    Under a total precedence of the symbols a constraint has exactly the
-    order's answer: ``_equiv`` does not depend on the order, so it folds to
-    a constant, and terms the order does not compare fold to False.
+class LexPathOrder:
+    """Lexicographic path order induced by a precedence on symbol names.
 
-    ``required`` is what ``check_reduction_pair`` asks of a precedence, and
-    ``rules_out(prefix)`` asks about every precedence that ranks ``prefix``
-    first, greatest first, and the other symbols below it.
+    A marked symbol ranks together with its unmarked form.  Comparisons are
+    answered only on binder-free terms whose variables have basic types;
+    anything else is unknown.  Symbols missing from the precedence rank below
+    all listed ones, ordered by name.
+
+    ``compare`` evaluates ``greater(s, t)``, ``s > t`` compiled once into a
+    constraint over atoms ``f > g`` between unmarked names, numbered as they
+    are met, the precedence's names first.  Under a total precedence it has
+    exactly the order's answer: ``_equiv`` does not depend on the order, so
+    it folds to a constant, and terms the order does not compare fold to
+    False.  ``required`` is what ``check_reduction_pair`` asks of a
+    precedence; ``rules_out(prefix)`` asks about every precedence that ranks
+    ``prefix`` first, greatest first, and the other symbols below it.
     """
 
-    def __init__(self, symbols: Iterable[str]):
-        self.symbols = {name: i for i, name in enumerate(symbols)}
+    def __init__(self, precedence: tuple[str, ...]):
+        self.precedence = tuple(precedence)
+        self.symbols: dict[str, int] = {}
+        for name in self.precedence:
+            self._number(name)
         self._greater: dict[tuple[Term, Term], object] = {}
         self.required: list = []        # every one must hold
+        self._above: list[int] = []     # the order, as ``ranked`` gives it
+
+    def describe(self) -> str:
+        return "path order with precedence " + " > ".join(self.precedence)
 
     def _number(self, name: str) -> int:
         return self.symbols.setdefault(name, len(self.symbols))
+
+    def _ranks(self) -> list[int]:
+        """``ranked`` of the precedence, then the rest, greatest first."""
+        if len(self._above) != len(self.symbols):
+            unlisted = sorted(self.symbols.keys() - set(self.precedence),
+                              reverse=True)
+            self._above = self.ranked(self.precedence + tuple(unlisted))
+        return self._above
+
+    def compare(self, s: Term, t: Term) -> Comparison:
+        if not _comparable(s, t):
+            return Comparison.UNKNOWN
+        if _assess(self.greater(s, t), self._ranks(), {})[0]:
+            return Comparison.GREATER
+        if _equiv(s, t):
+            return Comparison.GREATER_EQUAL
+        return Comparison.UNKNOWN
 
     def greater(self, s: Term, t: Term):
         """The path order's ``s > t`` as a constraint: an argument of ``s``
@@ -630,38 +607,39 @@ def search_precedence(h: Hrs, component: RecursionComponent
     passes, so they decide the guess.  Past it, precedences are built
     greatest symbol first, and a prefix that ``rules_out`` is dropped with
     all its completions; the first completion left wins, and only the
-    winner is passed to ``check_reduction_pair``.
+    winner is passed to ``check_reduction_pair``, on the same compiled
+    order.
     """
     if _higher_order_rule(h) is not None:
         return None
     symbols = _relevant_symbols(h, component)
-    constraints = _component_constraints(h, component, symbols)
     winner: tuple[str, ...] | None = _call_graph_precedence(h, symbols)
-    if constraints.rules_out(winner):
-        if len(symbols) > MAX_PRECEDENCE_SYMBOLS or constraints.rules_out(()):
+    order = _component_order(h, component, winner)
+    if order.rules_out(winner):
+        if len(symbols) > MAX_PRECEDENCE_SYMBOLS or order.rules_out(()):
             return None
         winner = next(_depth_first(
             len(symbols),
             lambda prefix: [s for s in symbols if s not in prefix],
-            lambda prefix: not constraints.rules_out(tuple(prefix))), None)
+            lambda prefix: not order.rules_out(tuple(prefix))), None)
         if winner is None:
             return None
-    order = LexPathOrder(winner)
-    order._table = constraints          # decide on what is compiled already
+    order.precedence = winner
     verdict = check_reduction_pair(h, component, order)
     assert isinstance(verdict, OrientationVerdict)
     return verdict
 
 
-def _component_constraints(h: Hrs, component: RecursionComponent,
-                           symbols: list[str]) -> _PrecedenceConstraints:
-    """``check_reduction_pair``'s demands on a precedence of ``symbols``."""
-    c = _PrecedenceConstraints(symbols)
-    c.required = [c.orients(r.lhs, r.rhs) for r in h.rules]
-    c.required += [c.orients(p.lhs, p.rhs) for p in component.pairs]
-    c.required.append(_fold(_Or, [c.orients(p.lhs, p.rhs, strict=True)
-                                  for p in component.pairs]))
-    return c
+def _component_order(h: Hrs, component: RecursionComponent,
+                     guess: tuple[str, ...]) -> LexPathOrder:
+    """``check_reduction_pair``'s demands on a precedence, compiled into
+    the order with precedence ``guess``, which names every symbol."""
+    order = LexPathOrder(guess)
+    order.required = [order.orients(r.lhs, r.rhs) for r in h.rules]
+    order.required += [order.orients(p.lhs, p.rhs) for p in component.pairs]
+    order.required.append(_fold(_Or, [
+        order.orients(p.lhs, p.rhs, strict=True) for p in component.pairs]))
+    return order
 
 
 def _precedence_give_up_reason(h: Hrs, component: RecursionComponent) -> str:

@@ -14,7 +14,7 @@ import json
 from typing import NamedTuple
 
 from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
-                       analyze_component)
+                       ConfigError, analyze_component)
 from .graph import (DependencyGraph, RecursionComponent, build_graph,
                     recursion_components, to_dot)
 from .hrs import Hrs, parse, read_source
@@ -69,6 +69,9 @@ def prove_text(text: str, config: ProverConfig = ProverConfig(),
     digest = hashlib.sha256(text.encode()).hexdigest()
     h = parse(text)
     config.analysis.check(h)
+    if config.disprove_steps is not None and config.disprove_steps < 1:
+        raise ConfigError(f"disprove_steps is {config.disprove_steps}, "
+                          "below 1")
     pfp = is_pfp(h)
     sdps = extract_sdps(h)
     graph = build_graph(sdps)

@@ -117,6 +117,15 @@ class TestLibraryConfigCheck:
                            match=f"max_pi_depth is {depth}, below 1"):
             self.prove_with("arith.hrs", max_pi_depth=depth)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_loop_search_of_no_steps(self, steps):
+        # foo.hrs is not plain function-passing, so only the loop search
+        # would run, and it would report that it found nothing
+        with pytest.raises(ConfigError,
+                           match=f"disprove_steps is {steps}, below 1"):
+            prove_text((FIXDIR / "foo.hrs").read_text(),
+                       ProverConfig(disprove_steps=steps))
+
 
 class TestTextOutput:
     def test_sqsum_text_sections(self):

@@ -15,14 +15,15 @@ import hypothesis.strategies as st
 
 import strategies as S
 import hoterm.criteria as C
+from conftest import FIXTURES
 from lpo_oracle import DirectPathOrder
 from hoterm.criteria import (MAX_PRECEDENCE_SYMBOLS, AnalysisConfig,
                              Comparison, CriterionVerdict, LexPathOrder,
                              OrientationVerdict, PiAssignment,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
-from hoterm.graph import build_graph, recursion_components
-from hoterm.hrs import Hrs, Rule, parse, print_hrs
+from hoterm.graph import RecursionComponent, build_graph, recursion_components
+from hoterm.hrs import Hrs, Rule, load, parse, print_hrs
 from hoterm.normalize import apply_subst
 from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
 from hoterm.sdp import DependencyPair, extract_sdps
@@ -31,8 +32,25 @@ from hoterm.terms import App, Const, free_names
 REDPAIR = ProverConfig(analysis=AnalysisConfig(techniques=("redpair",)))
 
 
+def candidate_positions(component, max_depth):
+    """For each marked symbol, the positions valid in every side it heads,
+    shortest first.  ``search_pi`` draws from the first side's positions
+    alone, so comparing answers checks that the other sides' positions
+    are dropped by the pairs that fail on them."""
+    shared = {}
+    for pair in component.pairs:
+        for side in (pair.lhs, pair.rhs):
+            here = C._positions_within(side, max_depth)
+            name = side.head.name
+            if name in shared:
+                valid = set(here)
+                here = [p for p in shared[name] if p in valid]
+            shared[name] = here
+    return shared
+
+
 def oracle_pi(component, max_depth, defined):
-    candidates = C._candidate_positions(component, max_depth)
+    candidates = candidate_positions(component, max_depth)
     symbols = sorted(candidates)
     pools = [candidates[s] for s in symbols]
     if not symbols or any(not pool for pool in pools):
@@ -220,7 +238,7 @@ class TestPrecedenceConstraints:
            st.permutations(SYMBOLS), st.integers(0, len(SYMBOLS)))
     def test_definite_answers_hold_for_every_completion(self, s, t, order,
                                                         placed):
-        constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
+        constraints = LexPathOrder(self.SYMBOLS)
         prefix = tuple(order[:placed])
         answer, _ = C._assess(constraints.greater(s, t),
                               constraints.ranked(prefix), {})
@@ -234,7 +252,7 @@ class TestPrecedenceConstraints:
     @settings(max_examples=200, deadline=None)
     @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
     def test_full_precedence_never_answers_unknown(self, s, t, order):
-        constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
+        constraints = LexPathOrder(self.SYMBOLS)
         answer, _ = C._assess(constraints.greater(s, t),
                               constraints.ranked(tuple(order)), {})
         assert answer is DirectPathOrder(tuple(order))._greater(s, t)
@@ -254,7 +272,7 @@ class TestPrecedenceConstraints:
     @settings(max_examples=300, deadline=None)
     @given(S.fo_terms(), S.fo_terms(), st.permutations(SYMBOLS))
     def test_full_precedence_orients_as_compare_does(self, s, t, order):
-        constraints = C._PrecedenceConstraints(list(self.SYMBOLS))
+        constraints = LexPathOrder(self.SYMBOLS)
         above = constraints.ranked(tuple(order))
         comparison = DirectPathOrder(tuple(order)).compare(s, t)
         strict, _ = C._assess(constraints.orients(s, t, strict=True), above,
@@ -269,7 +287,7 @@ class TestPrecedenceConstraints:
             self, h, rnd):
         for comp in components(h):
             symbols = C._relevant_symbols(h, comp)
-            constraints = C._component_constraints(h, comp, symbols)
+            constraints = C._component_order(h, comp, tuple(symbols))
             for _ in range(4):
                 order = tuple(rnd.sample(symbols, len(symbols)))
                 verdict = check_reduction_pair(h, comp,
@@ -284,7 +302,7 @@ class TestPrecedenceConstraints:
         # completion of the prefix can orient
         for comp in components(h):
             symbols = C._relevant_symbols(h, comp)
-            constraints = C._component_constraints(h, comp, symbols)
+            constraints = C._component_order(h, comp, tuple(symbols))
             order = rnd.sample(symbols, len(symbols))
             orienting = {perm for perm in itertools.permutations(symbols)
                          if isinstance(check_reduction_pair(
@@ -298,7 +316,7 @@ class TestPrecedenceConstraints:
 
     def test_an_atom_is_forced_only_when_every_open_disjunct_needs_it(self):
         ab, bc, ca = (0, 1), (1, 2), (2, 0)
-        above = C._PrecedenceConstraints(["a", "b", "c"]).ranked(())
+        above = LexPathOrder(("a", "b", "c")).ranked(())
         bit = {atom: 1 << atom[0] * 3 + atom[1] for atom in (ab, bc, ca)}
         assert C._assess(C._Or((ab, bc)), above, {}) == (None, 0)
         assert C._assess(C._And((ab, bc)), above, {}) == \
@@ -306,18 +324,86 @@ class TestPrecedenceConstraints:
         assert C._assess(C._Or((C._And((ab, bc)), C._And((ab, ca)))),
                          above, {}) == (None, bit[ab])
         # with b > a fixed, only c > a is left open
-        above = C._PrecedenceConstraints(["a", "b", "c"]).ranked(("b",))
+        above = LexPathOrder(("a", "b", "c")).ranked(("b",))
         assert C._assess(C._Or((ab, ca)), above, {}) == (None, bit[ca])
 
     def test_forced_atoms_closing_a_cycle_rule_out_the_empty_prefix(self):
         h = parse(cycle_behind(0))
         (comp,) = components(h)
         symbols = C._relevant_symbols(h, comp)
-        constraints = C._component_constraints(h, comp, symbols)
+        constraints = C._component_order(h, comp, tuple(symbols))
         # no constraint is False yet: only x > y > z > x shows the conflict
         assert all(C._assess(c, constraints.ranked(()), {})[0] is None
                    for c in constraints.required)
         assert constraints.rules_out(())
+
+
+class TestWorkDoneOnce:
+    """``search_pi`` lists each symbol's positions once, and the order the
+    precedence search compiles is the one that checks its winner."""
+
+    @pytest.mark.parametrize("h", [load(FIXTURES / "sqsum.hrs"),
+                                   parse(swapped_chain(5))],
+                             ids=["sqsum", "swapped-5"])
+    def test_positions_are_listed_once_per_marked_symbol(self, h,
+                                                         monkeypatch):
+        listed = []
+        real = C._positions_within
+
+        def counting(t, depth):
+            listed.append(t.head.name)
+            return real(t, depth)
+
+        monkeypatch.setattr(C, "_positions_within", counting)
+        for comp in components(h):
+            del listed[:]
+            found = search_pi(comp, 3, h.defined)
+            marked = {side.head.name for pair in comp.pairs
+                      for side in (pair.lhs, pair.rhs)}
+            assert sorted(listed) == sorted(marked)
+            assert found == oracle_pi(comp, 3, h.defined)
+
+    def test_no_pairs_no_projection(self):
+        assert search_pi(RecursionComponent((), ()), 3, frozenset()) is None
+
+    @pytest.mark.parametrize("text, guessed", [
+        (precedence_deep(5), False),
+        ((FIXTURES / "arith.hrs").read_text(), True)],
+        ids=["searched", "guessed"])
+    def test_the_searched_order_checks_the_winner(self, text, guessed,
+                                                  monkeypatch):
+        searched, checked, compiled = [], [], []
+        real_rules_out = LexPathOrder.rules_out
+        real_compile = LexPathOrder._compile
+        real_check = C.check_reduction_pair
+
+        def recording(self, prefix):
+            searched.append(self)
+            return real_rules_out(self, prefix)
+
+        def compiling(self, s, t):
+            compiled.append((s, t))
+            return real_compile(self, s, t)
+
+        def checking(h, comp, order):
+            before = len(compiled)
+            checked.append(order)
+            verdict = real_check(h, comp, order)
+            assert len(compiled) == before      # decided on what is compiled
+            return verdict
+
+        monkeypatch.setattr(LexPathOrder, "rules_out", recording)
+        monkeypatch.setattr(LexPathOrder, "_compile", compiling)
+        monkeypatch.setattr(C, "check_reduction_pair", checking)
+        h = parse(text)
+        comp = components(h)[0]
+        verdict = search_precedence(h, comp)
+        (order,) = checked
+        assert all(o is order for o in searched)
+        assert (len(searched) == 1) is guessed
+        assert verdict.oracle_description == \
+            "path order with precedence " + " > ".join(order.precedence)
+        assert verdict == oracle_precedence(h, comp)
 
 
 class TestScale:
@@ -351,7 +437,7 @@ class TestScale:
         """The prefixes ``rules_out`` is asked about, and the arguments of
         every ``check_reduction_pair`` call."""
         prefixes, checks = [], []
-        real_rules_out = C._PrecedenceConstraints.rules_out
+        real_rules_out = LexPathOrder.rules_out
         real_check = C.check_reduction_pair
 
         def recording(self, prefix):
@@ -362,7 +448,7 @@ class TestScale:
             checks.append(args)
             return real_check(*args)
 
-        monkeypatch.setattr(C._PrecedenceConstraints, "rules_out", recording)
+        monkeypatch.setattr(LexPathOrder, "rules_out", recording)
         monkeypatch.setattr(C, "check_reduction_pair", counting)
         return prefixes, checks
 
@@ -390,13 +476,13 @@ class TestScale:
     def test_deep_sides_compile_polynomially(self, monkeypatch):
         n = 40
         tables = []
-        real = C._component_constraints
+        real = C._component_order
 
         def keeping(*args):
             tables.append(real(*args))
             return tables[-1]
 
-        monkeypatch.setattr(C, "_component_constraints", keeping)
+        monkeypatch.setattr(C, "_component_order", keeping)
         proof = prove_text(deep_sides(n), REDPAIR)
         assert proof.verdict.kind == MAYBE
         (failure,) = proof.component_proofs.values()
