@@ -9,7 +9,8 @@ pairs weakly or strictly with a lexicographic path order, which compiles
 ``s > t`` into memoised and/or constraints over atoms ``f > g`` and
 evaluates them under its precedence.  The precedence search compiles what
 the order must do for a component once, decides the call-graph guess on
-those constraints, and drops every prefix they rule out.
+those constraints, and walks only the prefixes they leave open, within a
+budget of constraint assessments.
 Components survive a successful step only through their non-strict pairs; the
 refinement loop recomputes components of the remainder and recurses.
 """
@@ -285,12 +286,15 @@ class Comparison(Enum):
 
 def _first_order(t: Term) -> bool:
     """Binder-free with every free variable of basic type."""
-    if isinstance(t, Abs):
-        return False
-    head = t.head
-    if isinstance(head, Free) and not isinstance(head.ty, Base):
-        return False
-    return all(_first_order(a) for a in t.args)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Abs):
+            return False
+        if isinstance(u.head, Free) and not isinstance(u.head.ty, Base):
+            return False
+        stack.extend(u.args)
+    return True
 
 
 def _comparable(s: Term, t: Term) -> bool:
@@ -300,19 +304,18 @@ def _comparable(s: Term, t: Term) -> bool:
 
 def _equiv(s: Term, t: Term) -> bool:
     """Equal up to the marks on symbols: the path order's equivalence, which
-    no precedence changes, as it ranks distinct names apart."""
+    no precedence changes, as it ranks distinct names apart.  Marks stand
+    only at the root of a pair side, so only the heads may differ."""
     sh, th = s.head, t.head
     if isinstance(sh, Free) or isinstance(th, Free):
         return s == t
-    assert isinstance(sh, Const) and isinstance(th, Const)
-    return (unmark_name(sh.name) == unmark_name(th.name)
-            and len(s.args) == len(t.args)
-            and all(_equiv(a, b) for a, b in zip(s.args, t.args)))
+    return unmark_name(sh.name) == unmark_name(th.name) and s.args == t.args
 
 
-# A precedence constraint is True, False, an atom ``(i, j)``: the symbol
-# numbered i ranks above the one numbered j, or an _And or _Or of
-# constraints that are not constants: ``_fold`` folds those away.
+# A precedence constraint is True, False, an atom ``(i, j, k)``: the symbol
+# numbered i ranks above the one numbered j, and k numbers the atom in its
+# order, or an _And or _Or of constraints that are not constants: ``_fold``
+# folds those away.
 
 
 class _And(tuple):
@@ -341,17 +344,17 @@ def _assess(c, above: list[int], seen: dict) -> tuple[bool | None, int]:
     """The Kleene value of a constraint, None for open, when ``above[i]``
     has bit ``j`` set for each symbol ``j`` known to rank below ``i``; and,
     for an open one, the atoms every precedence satisfying it makes true,
-    atom ``(i, j)`` as bit ``i * len(above) + j``: an _And needs those of
-    each open part, an _Or those that every open part needs.  ``seen``
-    keeps the answers for the parts shared within one order."""
+    atom ``(i, j, k)`` as bit ``k``: an _And needs those of each open part,
+    an _Or those that every open part needs.  ``seen`` keeps the answers
+    for the parts shared within one order."""
     kind = type(c)
     if kind is tuple:
-        i, j = c
+        i, j, k = c
         if above[i] >> j & 1:
             return True, 0
         if above[j] >> i & 1:
             return False, 0
-        return None, 1 << i * len(above) + j
+        return None, 1 << k
     if kind is bool:
         return c, 0
     if id(c) in seen:
@@ -385,8 +388,9 @@ class LexPathOrder:
     exactly the order's answer: ``_equiv`` does not depend on the order, so
     it folds to a constant, and terms the order does not compare fold to
     False.  ``required`` is what ``check_reduction_pair`` asks of a
-    precedence; ``rules_out(prefix)`` asks about every precedence that ranks
-    ``prefix`` first, greatest first, and the other symbols below it.
+    precedence; ``closure(prefix)`` asks about every precedence that ranks
+    ``prefix`` first, greatest first, and the other symbols below it, and
+    counts the constraints it assesses in ``assessed``.
     """
 
     def __init__(self, precedence: tuple[str, ...]):
@@ -395,7 +399,9 @@ class LexPathOrder:
         for name in self.precedence:
             self._number(name)
         self._greater: dict[tuple[Term, Term], object] = {}
+        self._atoms: dict[tuple[str, str], tuple[int, int, int]] = {}
         self.required: list = []        # every one must hold
+        self.assessed = 0
         self._above: list[int] = []     # the order, as ``ranked`` gives it
 
     def describe(self) -> str:
@@ -450,7 +456,8 @@ class LexPathOrder:
                     first = self.greater(a, b)
                     break
         else:
-            first = (self._number(f), self._number(g))
+            first = self._atoms.setdefault(
+                (f, g), (self._number(f), self._number(g), len(self._atoms)))
         if first is False:
             return above
         rest = _fold(_And, [first] + [self.greater(s, b) for b in t.args])
@@ -475,28 +482,31 @@ class LexPathOrder:
             above[i] = below
         return above
 
-    def rules_out(self, prefix: tuple[str, ...]) -> bool:
-        """No precedence that starts with ``prefix`` satisfies every
-        required constraint: one is False already, or the atoms that open
-        ones force, added to the prefix's order and closed transitively,
-        rank some symbol above itself."""
+    def closure(self, prefix: tuple[str, ...]) -> list[int] | None:
+        """The order ``prefix`` fixes with the atoms the open required
+        constraints force added and closed transitively, as ``ranked``
+        gives it: every precedence that starts with ``prefix`` and
+        satisfies every required constraint extends it.  None when there
+        is no such precedence: a constraint is False already, or the
+        forced atoms rank some symbol above itself."""
         above = self.ranked(prefix)
-        n = len(above)
+        atoms = list(self._atoms.values())
         while True:
             forced, seen = 0, {}
             for c in self.required:
+                self.assessed += 1
                 value, needs = _assess(c, above, seen)
                 if value is False:
-                    return True
+                    return None
                 forced |= needs
             if not forced:
-                return False
-            for bit in range(forced.bit_length()):
-                if not forced >> bit & 1:
-                    continue
-                i, j = divmod(bit, n)
+                return above
+            while forced:
+                low = forced & -forced
+                forced ^= low
+                i, j, _ = atoms[low.bit_length() - 1]
                 if above[j] >> i & 1:
-                    return True
+                    return None
                 # i and everything above it now rank above j and its lower set
                 gain = 1 << j | above[j]
                 for k, lower in enumerate(above):
@@ -546,7 +556,14 @@ def check_reduction_pair(h: Hrs, component: RecursionComponent,
     return OrientationVerdict(tuple(strict), tuple(weak), oracle.describe())
 
 
-MAX_PRECEDENCE_SYMBOLS = 8
+# Deciding whether some precedence orients a system is NP-complete
+# (Krishnamoorthy & Narendran, TCS 1985), so the walk is bounded by the
+# required constraints it assesses.
+PRECEDENCE_BUDGET = 100_000
+
+
+class _Exhausted(Exception):
+    """The precedence walk has spent its budget."""
 
 
 def _symbols(t: Term) -> set[str]:
@@ -595,35 +612,58 @@ def _higher_order_rule(h: Hrs) -> Rule | None:
 
 
 def search_precedence(h: Hrs, component: RecursionComponent
-                      ) -> OrientationVerdict | None:
-    """Try the call-graph precedence first, then, when few enough symbols
-    are involved, every other precedence in ``permutations`` order; the
-    first that orients wins.  A rule side that is not first-order is
-    unknown to every path order, so nothing is tried.
+                      ) -> OrientationVerdict | str:
+    """Try the call-graph precedence first, then every other precedence in
+    ``permutations`` order; the first that orients wins.  Otherwise return
+    why none was found: a rule side that is not first-order, which every
+    path order leaves unknown, a spent budget, or that none orients.
 
     What the path order must do is compiled once into constraints over the
     precedence: every rule and pair oriented weakly, some pair strictly.
     Under a whole precedence they hold exactly when ``check_reduction_pair``
     passes, so they decide the guess.  Past it, precedences are built
-    greatest symbol first, and a prefix that ``rules_out`` is dropped with
-    all its completions; the first completion left wins, and only the
-    winner is passed to ``check_reduction_pair``, on the same compiled
-    order.
+    greatest symbol first.  A prefix whose ``closure`` is None is dropped
+    with all its completions, and a symbol that an unplaced one is forced
+    above in the prefix's closure is not offered next, since the prefix it
+    makes would be dropped.  The walk stops once the assessments charged
+    exceed ``PRECEDENCE_BUDGET``.  Only the winner is passed to
+    ``check_reduction_pair``, on the same compiled order.
     """
-    if _higher_order_rule(h) is not None:
-        return None
+    rule = _higher_order_rule(h)
+    if rule is not None:
+        return (f"rule {rule.name} is not first-order, so no path order "
+                "was tried")
     symbols = _relevant_symbols(h, component)
     winner: tuple[str, ...] | None = _call_graph_precedence(h, symbols)
     order = _component_order(h, component, winner)
-    if order.rules_out(winner):
-        if len(symbols) > MAX_PRECEDENCE_SYMBOLS or order.rules_out(()):
-            return None
-        winner = next(_depth_first(
-            len(symbols),
-            lambda prefix: [s for s in symbols if s not in prefix],
-            lambda prefix: not order.rules_out(tuple(prefix))), None)
+    if order.closure(winner) is None:
+        closed = [order.closure(())]    # each walked prefix's closure
+
+        def viable(prefix: list) -> bool:
+            if order.assessed > PRECEDENCE_BUDGET:
+                raise _Exhausted
+            del closed[len(prefix):]
+            closed.append(order.closure(tuple(prefix)))
+            return closed[-1] is not None
+
+        def on_top(prefix: list) -> list[str]:
+            placed = set(prefix)
+            left = [s for s in symbols if s not in placed]
+            above = closed[len(prefix)]
+            below_some = 0
+            for s in left:
+                below_some |= above[order.symbols[s]]
+            return [s for s in left if not below_some >> order.symbols[s] & 1]
+
+        winner = None
+        if closed[0] is not None:
+            try:
+                winner = next(_depth_first(len(symbols), on_top, viable), None)
+            except _Exhausted:
+                return ("precedence search budget exhausted after "
+                        f"{order.assessed} assessments")
         if winner is None:
-            return None
+            return "no precedence orients every rule and the component"
     order.precedence = winner
     verdict = check_reduction_pair(h, component, order)
     assert isinstance(verdict, OrientationVerdict)
@@ -640,20 +680,6 @@ def _component_order(h: Hrs, component: RecursionComponent,
     order.required.append(_fold(_Or, [
         order.orients(p.lhs, p.rhs, strict=True) for p in component.pairs]))
     return order
-
-
-def _precedence_give_up_reason(h: Hrs, component: RecursionComponent) -> str:
-    """Why ``search_precedence`` found nothing: what it left untried."""
-    rule = _higher_order_rule(h)
-    if rule is not None:
-        return (f"rule {rule.name} is not first-order, so no path order "
-                "was tried")
-    n = len(_relevant_symbols(h, component))
-    if n > MAX_PRECEDENCE_SYMBOLS:
-        return (f"the call-graph precedence does not orient every rule and "
-                f"the component, and {n} symbols exceed the search limit of "
-                f"{MAX_PRECEDENCE_SYMBOLS}")
-    return "no precedence orients every rule and the component"
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +759,9 @@ def _discharge_once(h: Hrs, component: RecursionComponent,
                     result = None
             else:
                 result = search_precedence(h, component)
-                if result is None:
-                    reasons.append(_precedence_give_up_reason(h, component))
+                if isinstance(result, str):
+                    reasons.append(result)
+                    result = None
             if result is not None:
                 return RefinementStep(component, "reduction pair",
                                       result.oracle_description, result.strict,

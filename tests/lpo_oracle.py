@@ -4,15 +4,27 @@
 ``hoterm.criteria.LexPathOrder`` compiles ``s > t`` into memoised
 constraints over the precedence and evaluates them.  This module decides it
 the way the prover once did: by recursion on the two terms, comparing
-symbols by their rank, with no memo.  ``check_reduction_pair`` accepts a
-``DirectPathOrder`` wherever it accepts a ``LexPathOrder``.
+symbols by their rank, with no memo, and with an equivalence that looks
+for marks at every depth, where the prover's looks only at the root.
+``check_reduction_pair`` accepts a ``DirectPathOrder`` wherever it accepts
+a ``LexPathOrder``.
 """
 
 from __future__ import annotations
 
-from hoterm.criteria import Comparison, _comparable, _equiv
+from hoterm.criteria import Comparison, _comparable
 from hoterm.sdp import unmark_name
 from hoterm.terms import Free, Term, free_names
+
+
+def _equiv(s: Term, t: Term) -> bool:
+    """Equal up to the marks on symbols, at any depth."""
+    sh, th = s.head, t.head
+    if isinstance(sh, Free) or isinstance(th, Free):
+        return s == t
+    return (unmark_name(sh.name) == unmark_name(th.name)
+            and len(s.args) == len(t.args)
+            and all(_equiv(a, b) for a, b in zip(s.args, t.args)))
 
 
 class DirectPathOrder:

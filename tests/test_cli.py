@@ -536,6 +536,30 @@ class TestScripts:
             assert row[3] == "4"
         assert files() == before
 
+    def test_precedence_cost_times_each_family_without_writing(self):
+        def files():
+            return {p: p.stat().st_mtime_ns
+                    for d in ("src", "scripts")
+                    for p in (ROOT / d).rglob("*")}
+
+        before = files()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "precedence_cost.py"),
+             "--deep", "6", "10", "--unorientable", "5", "--rotating",
+             "--unsorted", "8", "--runs", "2"],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert [row[:2] for row in rows] == [
+            ["deep", "6"], ["deep", "10"], ["unorientable", "5"],
+            ["unsorted", "8"]]
+        assert [row[4] for row in rows] == [
+            "TERMINATING", "TERMINATING", "MAYBE", "TERMINATING"]
+        for row in rows:
+            assert float(row[2]) > 0 and int(row[3]) > 0
+        assert files() == before
+
     def test_parse_cost_times_every_set_without_writing(self):
         def files():
             return {p: p.stat().st_mtime_ns

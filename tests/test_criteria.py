@@ -17,7 +17,7 @@ from hoterm.criteria import (AnalysisConfig, Comparison, ComponentFailure,
 from hoterm.graph import RecursionComponent, build_graph, recursion_components
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
-from hoterm.sdp import DependencyPair, extract_sdps
+from hoterm.sdp import DependencyPair, extract_sdps, mark
 from hoterm.terms import App, Base, Const, Free, arrow, subterm_at, subterms
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -303,6 +303,30 @@ class TestLexPathOrder:
         assert self.LPO.describe() == "path order with precedence add > s > 0"
 
 
+class TestFirstOrder:
+    @staticmethod
+    def tower(bottom, depth=2000):
+        t = bottom
+        for _ in range(depth):
+            t = const("s", arrow(NAT, NAT), t)
+        return t
+
+    def test_deep_term_needs_no_recursion(self):
+        assert hoterm.criteria._first_order(self.tower(const("0", NAT)))
+
+    def test_higher_order_variable_deep_down(self):
+        F = Free("F", arrow(NAT, NAT))
+        bottom = App(F, (const("0", NAT),))
+        assert not hoterm.criteria._first_order(self.tower(bottom))
+
+    def test_marked_head_is_equivalent(self):
+        add = Const("add", arrow(NAT, NAT, NAT))
+        args = (const("0", NAT), App(Free("Y", NAT), ()))
+        t = App(add, args)
+        assert hoterm.criteria._equiv(mark(t), t)
+        assert not hoterm.criteria._equiv(mark(t), App(add, args[::-1]))
+
+
 class TestLexPathOrderLaws:
     """Order-theoretic laws on binder-free terms."""
 
@@ -376,7 +400,8 @@ class TestSearchPrecedence:
                   "var X : a\nvar Y : a\n"
                   "rule f-def: f(X, Y) -> f(Y, X)\n")
         comp = recursion_components(build_graph(extract_sdps(h)))[0]
-        assert search_precedence(h, comp) is None
+        assert search_precedence(h, comp) == \
+            "no precedence orients every rule and the component"
 
 
 class TestAnalyzeComponent:

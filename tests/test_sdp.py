@@ -32,6 +32,17 @@ class TestMark:
         assert unmark_name("add#") == "add"
         assert unmark_name("add") == "add"
 
+    @settings(max_examples=200)
+    @given(S.systems())
+    def test_marks_stand_only_at_the_root(self, h):
+        # the path order's equivalence compares the arguments as they are
+        for p in extract_sdps(h):
+            for side in (p.lhs, p.rhs):
+                assert side.head.name.endswith("#")
+                below = [u for a in side.args for _, u in terms.bodies(a)]
+                assert not any(isinstance(u.head, Const)
+                               and u.head.name.endswith("#") for u in below)
+
 
 class TestCandidates:
     """The candidates of a right side are the bodies of its binder walk,

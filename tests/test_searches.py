@@ -2,12 +2,14 @@
 
 ``search_pi`` and ``search_precedence`` prune branches that cannot succeed;
 the oracles below try every candidate in the same order with no pruning, so
-both must return the same first witness (or None).  The precedence
-oracle orients with ``lpo_oracle.DirectPathOrder``, the path order decided
-directly, so it shares no constraint code with the search.
+both must return the same first witness (or the same failure).  The
+precedence oracle orients with ``lpo_oracle.DirectPathOrder``, the path
+order decided directly, so it shares no constraint code with the search.
 """
 
 import itertools
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,8 @@ import strategies as S
 import hoterm.criteria as C
 from conftest import FIXTURES
 from lpo_oracle import DirectPathOrder
-from hoterm.criteria import (MAX_PRECEDENCE_SYMBOLS, AnalysisConfig,
-                             Comparison, CriterionVerdict, LexPathOrder,
+from hoterm.criteria import (PRECEDENCE_BUDGET, AnalysisConfig, Comparison,
+                             CriterionVerdict, LexPathOrder,
                              OrientationVerdict, PiAssignment,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
@@ -30,6 +32,9 @@ from hoterm.sdp import DependencyPair, extract_sdps
 from hoterm.terms import App, Const, free_names
 
 REDPAIR = ProverConfig(analysis=AnalysisConfig(techniques=("redpair",)))
+NONE_ORIENTS = "no precedence orients every rule and the component"
+BUDGET_SPENT = re.compile(
+    r"precedence search budget exhausted after (\d+) assessments")
 
 
 def candidate_positions(component, max_depth):
@@ -64,18 +69,18 @@ def oracle_pi(component, max_depth, defined):
 
 
 def oracle_precedence(h, component):
-    if C._higher_order_rule(h) is not None:
-        return None
+    rule = C._higher_order_rule(h)
+    if rule is not None:
+        return (f"rule {rule.name} is not first-order, so no path order "
+                "was tried")
     symbols = C._relevant_symbols(h, component)
+    assert len(symbols) <= 8      # every precedence is tried
     guess = C._call_graph_precedence(h, symbols)
-    candidates = [guess]
-    if len(symbols) <= MAX_PRECEDENCE_SYMBOLS:
-        candidates += itertools.permutations(symbols)
-    for perm in candidates:
+    for perm in itertools.chain([guess], itertools.permutations(symbols)):
         verdict = check_reduction_pair(h, component, DirectPathOrder(perm))
         if isinstance(verdict, OrientationVerdict):
             return verdict
-    return None
+    return NONE_ORIENTS
 
 
 def components(h):
@@ -112,18 +117,20 @@ def rotating_chain(n):
     return chain(n, "s(X), Y", "X, s(Y)")
 
 
-def _g_chain(m):
-    """g_0(s(X)) -> g_1(X) -> ... -> g_m-1(s(X)) -> X."""
-    sig = [(f"g{i:04d}", "nat -> nat") for i in range(m)]
-    rules = [(f"g{i:04d}", f"g{i:04d}(s(X))",
-              f"g{i + 1:04d}(X)" if i + 1 < m else "X") for i in range(m)]
+def _g_chain(m, digits=4):
+    """g_0(s(X)) -> g_1(X) -> ... -> g_m-1(s(X)) -> X, each index written
+    with at least ``digits`` digits."""
+    g = [f"g{i:0{digits}d}" for i in range(m)]
+    sig = [(name, "nat -> nat") for name in g]
+    rules = [(g[i], f"{g[i]}(s(X))", f"{g[i + 1]}(X)" if i + 1 < m else "X")
+             for i in range(m)]
     return sig, rules
 
 
-def precedence_deep(k):
+def precedence_deep(k, digits=4):
     """k symbols; f(b) -> f(a) needs b > a, which the call-graph guess
     gets wrong, so the search has to run."""
-    sig, rules = _g_chain(k - 4)
+    sig, rules = _g_chain(k - 4, digits)
     sig += [("a", "nat"), ("b", "nat"), ("f", "nat -> nat")]
     rules.append(("f", "f(b)", "f(a)"))
     return _system(sig, ("X",), rules)
@@ -135,6 +142,13 @@ def precedence_unorientable(k):
     sig.append(("f", "nat -> nat -> nat"))
     rules.append(("f", "f(X, s(Y))", "f(s(X), Y)"))
     return _system(sig, ("X", "Y"), rules)
+
+
+def precedence_unsorted(k):
+    """``precedence_deep(k)`` with the chain's names unpadded: past g10
+    they sort out of chain order (g10 < g100 < g11), so each prefix tries,
+    and drops, every symbol that sorts before the next link."""
+    return precedence_deep(k, digits=1)
 
 
 def cycle_behind(m):
@@ -292,7 +306,7 @@ class TestPrecedenceConstraints:
                 order = tuple(rnd.sample(symbols, len(symbols)))
                 verdict = check_reduction_pair(h, comp,
                                                DirectPathOrder(order))
-                assert constraints.rules_out(order) is not \
+                assert (constraints.closure(order) is None) is not \
                     isinstance(verdict, OrientationVerdict)
 
     @settings(max_examples=150, deadline=None)
@@ -310,14 +324,14 @@ class TestPrecedenceConstraints:
                              OrientationVerdict)}
             for placed in range(len(symbols) + 1):
                 prefix = tuple(order[:placed])
-                if constraints.rules_out(prefix):
+                if constraints.closure(prefix) is None:
                     assert not any(perm[:placed] == prefix
                                    for perm in orienting)
 
     def test_an_atom_is_forced_only_when_every_open_disjunct_needs_it(self):
-        ab, bc, ca = (0, 1), (1, 2), (2, 0)
+        ab, bc, ca = (0, 1, 0), (1, 2, 1), (2, 0, 2)
         above = LexPathOrder(("a", "b", "c")).ranked(())
-        bit = {atom: 1 << atom[0] * 3 + atom[1] for atom in (ab, bc, ca)}
+        bit = {atom: 1 << atom[2] for atom in (ab, bc, ca)}
         assert C._assess(C._Or((ab, bc)), above, {}) == (None, 0)
         assert C._assess(C._And((ab, bc)), above, {}) == \
             (None, bit[ab] | bit[bc])
@@ -335,7 +349,7 @@ class TestPrecedenceConstraints:
         # no constraint is False yet: only x > y > z > x shows the conflict
         assert all(C._assess(c, constraints.ranked(()), {})[0] is None
                    for c in constraints.required)
-        assert constraints.rules_out(())
+        assert constraints.closure(()) is None
 
 
 class TestWorkDoneOnce:
@@ -373,13 +387,13 @@ class TestWorkDoneOnce:
     def test_the_searched_order_checks_the_winner(self, text, guessed,
                                                   monkeypatch):
         searched, checked, compiled = [], [], []
-        real_rules_out = LexPathOrder.rules_out
+        real_closure = LexPathOrder.closure
         real_compile = LexPathOrder._compile
         real_check = C.check_reduction_pair
 
         def recording(self, prefix):
             searched.append(self)
-            return real_rules_out(self, prefix)
+            return real_closure(self, prefix)
 
         def compiling(self, s, t):
             compiled.append((s, t))
@@ -392,7 +406,7 @@ class TestWorkDoneOnce:
             assert len(compiled) == before      # decided on what is compiled
             return verdict
 
-        monkeypatch.setattr(LexPathOrder, "rules_out", recording)
+        monkeypatch.setattr(LexPathOrder, "closure", recording)
         monkeypatch.setattr(LexPathOrder, "_compile", compiling)
         monkeypatch.setattr(C, "check_reduction_pair", checking)
         h = parse(text)
@@ -404,6 +418,101 @@ class TestWorkDoneOnce:
         assert verdict.oracle_description == \
             "path order with precedence " + " > ".join(order.precedence)
         assert verdict == oracle_precedence(h, comp)
+
+
+class TestPrecedenceWalk:
+    """The walk offers next only the symbols that no unplaced symbol is
+    forced above, and it stops on its budget, not at a number of symbols."""
+
+    @staticmethod
+    def walk_offers(h, comp):
+        """``search_precedence``'s answer, and each prefix of its walk with
+        the symbols offered after it."""
+        offers = []
+        real = C._depth_first
+
+        def walking(size, options, viable):
+            def offering(prefix):
+                offered = options(prefix)
+                offers.append((tuple(prefix), list(offered)))
+                return offered
+            return real(size, offering, viable)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "_depth_first", walking)
+            found = search_precedence(h, comp)
+        return found, offers
+
+    def check_skips(self, h):
+        """The walk's answer is the oracle's, and every symbol it does not
+        offer after a prefix makes a prefix that ``closure`` drops."""
+        skipped = 0
+        for comp in components(h):
+            found, offers = self.walk_offers(h, comp)
+            assert found == oracle_precedence(h, comp)
+            symbols = C._relevant_symbols(h, comp)
+            order = C._component_order(
+                h, comp, C._call_graph_precedence(h, symbols))
+            for prefix, offered in offers:
+                assert offered == sorted(offered)
+                for s in set(symbols) - set(prefix) - set(offered):
+                    assert order.closure(prefix + (s,)) is None
+                    skipped += 1
+        return skipped
+
+    @pytest.mark.parametrize("text", FAMILIES + [precedence_unsorted(8)])
+    def test_skipped_symbols_are_dropped_on_families(self, text):
+        self.check_skips(parse(text))
+
+    def test_a_forced_order_skips_symbols(self):
+        # b > a is forced, so a is never offered before b
+        assert self.check_skips(parse(precedence_deep(6))) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(fo_systems())
+    def test_skipped_symbols_are_dropped_on_first_order_systems(self, h):
+        self.check_skips(h)
+
+    @pytest.mark.parametrize("k", [10, 16, 24])
+    def test_deep_precedence_past_eight_symbols(self, k):
+        proof = prove_text(precedence_deep(k), REDPAIR)
+        assert proof.verdict.kind == TERMINATING
+        (cp,) = proof.component_proofs.values()
+        (step,) = cp.steps
+        assert step.witness.startswith("path order with precedence b > a > ")
+
+    def test_deep_precedence_walks_one_prefix_per_symbol(self, monkeypatch):
+        prefixes, checks = TestScale.record_precedence_search(monkeypatch)
+        proof = prove_text(precedence_deep(100), REDPAIR)
+        assert proof.verdict.kind == TERMINATING
+        # the guess, the empty prefix and one prefix per symbol
+        assert len(prefixes) == 102
+        assert len(checks) == 1
+
+    def test_a_backtracking_walk_is_proved_within_its_budget(self):
+        proof = prove_text(precedence_unsorted(60), REDPAIR)
+        assert proof.verdict.kind == TERMINATING
+        (cp,) = proof.component_proofs.values()
+        (step,) = cp.steps
+        assert step.witness.startswith(
+            "path order with precedence b > a > f > g0 > g1 > g2 > g3 > ")
+
+    def test_a_backtracking_walk_stops_on_its_budget(self):
+        text = precedence_unsorted(124)
+        h = parse(text)
+        (comp,) = components(h)
+        assert len(C._relevant_symbols(h, comp)) == 124
+        start = time.perf_counter()
+        proof = prove_text(text, REDPAIR)
+        elapsed = time.perf_counter() - start
+        assert proof.verdict.kind == MAYBE
+        (failure,) = proof.component_proofs.values()
+        (reason,) = failure.reasons
+        spent = BUDGET_SPENT.fullmatch(reason)
+        # checked before each prefix, so it stops one closure past it
+        assert spent and \
+            PRECEDENCE_BUDGET < int(spent[1]) < 1.01 * PRECEDENCE_BUDGET
+        assert elapsed < 1.0
 
 
 class TestScale:
@@ -434,21 +543,21 @@ class TestScale:
 
     @staticmethod
     def record_precedence_search(monkeypatch):
-        """The prefixes ``rules_out`` is asked about, and the arguments of
+        """The prefixes ``closure`` is asked about, and the arguments of
         every ``check_reduction_pair`` call."""
         prefixes, checks = [], []
-        real_rules_out = LexPathOrder.rules_out
+        real_closure = LexPathOrder.closure
         real_check = C.check_reduction_pair
 
         def recording(self, prefix):
             prefixes.append(prefix)
-            return real_rules_out(self, prefix)
+            return real_closure(self, prefix)
 
         def counting(*args):
             checks.append(args)
             return real_check(*args)
 
-        monkeypatch.setattr(LexPathOrder, "rules_out", recording)
+        monkeypatch.setattr(LexPathOrder, "closure", recording)
         monkeypatch.setattr(C, "check_reduction_pair", counting)
         return prefixes, checks
 
@@ -456,7 +565,7 @@ class TestScale:
         prefixes, checks = self.record_precedence_search(monkeypatch)
         h = parse(precedence_unorientable(8))
         (comp,) = components(h)
-        assert search_precedence(h, comp) is None
+        assert search_precedence(h, comp) == NONE_ORIENTS
         assert 1 <= len(prefixes) <= 24   # 8! = 40,320 without pruning
         assert checks == []               # a failed search checks nothing
 
@@ -466,7 +575,7 @@ class TestScale:
         h = parse(cycle_behind(4))
         (comp,) = components(h)
         symbols = C._relevant_symbols(h, comp)
-        assert len(symbols) == 8 <= MAX_PRECEDENCE_SYMBOLS
+        assert len(symbols) == 8
         proof = prove_text(cycle_behind(4), REDPAIR)
         assert proof.verdict.kind == MAYBE
         # the call-graph guess, then no prefix is extended
@@ -486,8 +595,7 @@ class TestScale:
         proof = prove_text(deep_sides(n), REDPAIR)
         assert proof.verdict.kind == MAYBE
         (failure,) = proof.component_proofs.values()
-        assert failure.reasons == (
-            "no precedence orients every rule and the component",)
+        assert failure.reasons == (NONE_ORIENTS,)
         # the direct order recursed 278,603 times at n = 13
         assert 0 < sum(len(t._greater) for t in tables) <= 10 * n * n
 
@@ -542,6 +650,6 @@ class TestCallGraphPrecedence:
         proof = prove_text(precedence_deep(1100), REDPAIR)
         assert proof.verdict.kind == MAYBE
         (failure,) = proof.component_proofs.values()
-        assert failure.reasons == (
-            "the call-graph precedence does not orient every rule and the "
-            "component, and 1100 symbols exceed the search limit of 8",)
+        (reason,) = failure.reasons
+        spent = BUDGET_SPENT.fullmatch(reason)
+        assert spent and int(spent[1]) > PRECEDENCE_BUDGET
