@@ -109,20 +109,21 @@ _parser = cache(build_parser)  # building one costs about a small proof
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    config = ProverConfig(
+        analysis=AnalysisConfig(techniques=args.techniques,
+                                max_pi_depth=args.max_pi_depth,
+                                precedence=args.precedence),
+        disprove_steps=args.disprove)
     try:
-        if args.pfp:
+        if args.pfp or args.sdp:
             h = load(args.file)
-            report = is_pfp(h)
-            sys.stdout.write(emit_pfp(h, report))
-            return EXIT_TERMINATING if report.is_pfp else EXIT_MAYBE
-        if args.sdp:
-            sys.stdout.write(emit_sdps(extract_sdps(load(args.file))))
+            config.analysis.check(h)
+            if args.pfp:
+                report = is_pfp(h)
+                sys.stdout.write(emit_pfp(h, report))
+                return EXIT_TERMINATING if report.is_pfp else EXIT_MAYBE
+            sys.stdout.write(emit_sdps(extract_sdps(h)))
             return EXIT_TERMINATING
-        config = ProverConfig(
-            analysis=AnalysisConfig(techniques=args.techniques,
-                                    max_pi_depth=args.max_pi_depth,
-                                    precedence=args.precedence),
-            disprove_steps=args.disprove)
         proof = prove(args.file, config)
         if args.graph_out:
             with open(args.graph_out, "w") as f:

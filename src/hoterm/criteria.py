@@ -10,7 +10,8 @@ pairs weakly or strictly with a lexicographic path order, which compiles
 evaluates them under its precedence.  The precedence search compiles what
 the order must do for a component once, decides the call-graph guess on
 those constraints, and walks only the prefixes they leave open, within a
-budget of constraint assessments.
+budget of constraint assessments.  Both searches walk their choices, one
+symbol at a time, with ``graph.depth_first``.
 Components survive a successful step only through their non-strict pairs; the
 refinement loop recomputes components of the remainder and recurses.
 """
@@ -18,10 +19,10 @@ refinement loop recomputes components of the remainder and recurses.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .graph import (RecursionComponent, build_graph, postorder,
-                    recursion_components)
+from .graph import (RecursionComponent, build_graph, depth_first,
+                    postorder, recursion_components)
 from .hrs import Hrs, Rule
 from .sdp import DependencyPair, unmark_name
 from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
@@ -192,34 +193,6 @@ def _positions_within(t: Term, depth: int) -> list[Position]:
     return found
 
 
-def _depth_first(size: int, options: Callable[[list], Iterable],
-                 viable: Callable[[list], bool]) -> Iterator[tuple]:
-    """Yield, in the lexicographic order of ``options``, every sequence of
-    ``size`` choices all of whose non-empty prefixes are ``viable``.
-
-    ``options(prefix)`` lists the choices that may follow ``prefix``.  The
-    walk keeps its own stack, so ``size`` is not bounded by Python's
-    recursion limit.
-    """
-    prefix: list = []
-    stack = [iter(options(prefix))]
-    while stack:
-        for choice in stack[-1]:
-            prefix.append(choice)
-            if not viable(prefix):
-                prefix.pop()
-            elif len(prefix) == size:
-                yield tuple(prefix)
-                prefix.pop()
-            else:
-                stack.append(iter(options(prefix)))
-                break
-        else:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-
-
 def search_pi(component: RecursionComponent, max_depth: int,
               defined: frozenset[str]) -> CriterionVerdict | None:
     """Return the first assignment, trying each symbol's positions shorter
@@ -263,8 +236,8 @@ def search_pi(component: RecursionComponent, max_depth: int,
                 return False
         return True
 
-    for choice in _depth_first(len(symbols),
-                               lambda prefix: pools[len(prefix)], viable):
+    for choice in depth_first(len(symbols),
+                              lambda prefix: pools[len(prefix)], viable):
         shrinks = [results[n, choice[i], choice[j]] for n, _, i, j in where]
         if any(shrinks):
             return CriterionVerdict(
@@ -658,7 +631,7 @@ def search_precedence(h: Hrs, component: RecursionComponent
         winner = None
         if closed[0] is not None:
             try:
-                winner = next(_depth_first(len(symbols), on_top, viable), None)
+                winner = next(depth_first(len(symbols), on_top, viable), None)
             except _Exhausted:
                 return ("precedence search budget exhausted after "
                         f"{order.assessed} assessments")

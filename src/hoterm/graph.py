@@ -3,7 +3,9 @@
 An arc connects one pair to another when the head symbol of the first pair's
 right side equals the head symbol of the second pair's left side.  Recursion
 components are the strongly connected subgraphs that contain at least one arc;
-a single node qualifies only through a self-arc.
+a single node qualifies only through a self-arc.  Two walks are shared with
+the searches: ``postorder`` over a graph, and ``depth_first`` over sequences
+of choices, the projections, precedences and loop seeds.
 """
 
 from __future__ import annotations
@@ -60,6 +62,39 @@ def postorder(roots: Iterable[Hashable],
             else:
                 stack.pop()
                 yield node
+
+
+def depth_first(size: int, options: Callable[[list], Iterable],
+                viable: Callable[[list], bool]) -> Iterator[tuple]:
+    """Yield, in the lexicographic order of ``options``, every sequence of
+    ``size`` choices all of whose non-empty prefixes are ``viable``; for
+    ``size`` 0 that is ``()``, once.
+
+    ``options(prefix)`` lists the choices that may follow ``prefix``, once
+    ``viable`` has passed it; ``viable`` is asked of prefixes in depth-first
+    order.  The walk keeps its own stack, so ``size`` is not bounded by
+    Python's recursion limit.
+    """
+    if size == 0:
+        yield ()
+        return
+    prefix: list = []
+    stack = [iter(options(prefix))]
+    while stack:
+        for choice in stack[-1]:
+            prefix.append(choice)
+            if not viable(prefix):
+                prefix.pop()
+            elif len(prefix) == size:
+                yield tuple(prefix)
+                prefix.pop()
+            else:
+                stack.append(iter(options(prefix)))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def strongly_connected(n: int, arcs: frozenset[tuple[int, int]]

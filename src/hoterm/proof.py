@@ -56,7 +56,6 @@ class ProofObject(NamedTuple):
     components: tuple[RecursionComponent, ...]
     component_proofs: dict[RecursionComponent,
                            ComponentProof | ComponentFailure]
-    finiteness: str
     verdict: Verdict
 
 
@@ -83,7 +82,7 @@ def prove_text(text: str, config: ProverConfig = ProverConfig(),
 
     verdict = _conclude(h, pfp, proofs, config)
     return ProofObject(source_name, digest, h, pfp, sdps, graph, components,
-                       proofs, FINITENESS_NOTE, verdict)
+                       proofs, verdict)
 
 
 def _conclude(h: Hrs, pfp: PfpReport,
@@ -176,7 +175,7 @@ def _document(proof: ProofObject) -> dict:
         "component_proofs": [
             _component_json(c, proof.component_proofs.get(c))
             for c in proof.components],
-        "finiteness": proof.finiteness,
+        "finiteness": FINITENESS_NOTE,
         "verdict": proof.verdict.kind,
         "reason": proof.verdict.reason,
         "loop": None if loop is None else {

@@ -10,12 +10,13 @@ replaces the matched subterm in place, so a rewrite step is identified by
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from copy import copy
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
+from .graph import depth_first
 from .hrs import Hrs, bound_args
 from .normalize import apply_subst
 from .terms import (Abs, App, Arrow, Bound, Const, Free, Position,
@@ -357,15 +358,15 @@ def enumerate_closed_terms(h: Hrs, ty: SimpleType,
     first; used to instantiate rule variables when hunting for loops.
 
     Terms of one size come in generation order: heads in order, then
-    arguments in this order, the first first.  Each term is built once,
-    in the list of its exact size, beside its key: the rank of its head
-    and its arguments' keys, which sort as generation order does.
+    arguments in this order, the first first.  Each size is read off the
+    list of every term up to that size, in generation order beside their
+    sizes, which is built only when the size is reached.
     """
     lists = _TermLists()
     lists.consts = [Const(n, sty) for n, sty in sorted(h.signature.items())]
     for size in range(1, max_size + 1):
-        for _, term in lists[_exact, ty, size, ()]:
-            yield term
+        yield from (term for n, term in lists[_terms, ty, size, ()]
+                    if n == size)
 
 
 class _TermLists(dict):
@@ -378,46 +379,34 @@ class _TermLists(dict):
         return value
 
 
-def _exact(lists: _TermLists, want: SimpleType, size: int,
-           env: tuple[SimpleType, ...]) -> list[tuple[tuple, Term]]:
-    """Every closed term of ``want`` under binders of types ``env`` with
-    ``size`` nodes, with its key, in generation order."""
-    if size <= 0:
+def _terms(lists: _TermLists, want: SimpleType, budget: int,
+           env: tuple[SimpleType, ...]) -> list[tuple[int, Term]]:
+    """Every closed term of ``want`` under binders of types ``env`` with at
+    most ``budget`` nodes, beside its size, in generation order."""
+    if budget <= 0:
         return []
     if isinstance(want, Arrow):
-        return [(key, Abs(eta_hint(len(env)), want.dom, body))
-                for key, body in lists[_exact, want.cod, size - 1,
-                                       env + (want.dom,)]]
+        return [(n + 1, Abs(eta_hint(len(env)), want.dom, body))
+                for n, body in lists[_terms, want.cod, budget - 1,
+                                     env + (want.dom,)]]
     heads = [Bound(i, bty) for i, bty in enumerate(reversed(env))]
-    return [((rank,) + keys, App(head, args))
-            for rank, head in enumerate(heads + lists.consts)
-            if head.ty.result is want
-            for keys, args in lists[_arg_lists, head.ty.domains, size - 1,
-                                    env]]
+    return [(n + 1, App(head, args))
+            for head in heads + lists.consts if head.ty.result is want
+            for n, args in lists[_arg_tuples, head.ty.domains, budget - 1,
+                                 env]]
 
 
-def _upto(lists: _TermLists, want: SimpleType, budget: int,
-          env: tuple[SimpleType, ...]) -> list[tuple[tuple, int, Term]]:
-    """The terms of every size up to ``budget``, with key and size, merged
-    into generation order."""
-    return list(heapq.merge(*([(key, n, term) for key, term
-                               in lists[_exact, want, n, env]]
-                              for n in range(1, budget + 1))))
-
-
-def _arg_lists(lists: _TermLists, doms: tuple[SimpleType, ...], size: int,
-               env: tuple[SimpleType, ...]
-               ) -> list[tuple[tuple, tuple[Term, ...]]]:
-    """Argument tuples of ``size`` nodes in all, with their keys."""
+def _arg_tuples(lists: _TermLists, doms: tuple[SimpleType, ...],
+                budget: int, env: tuple[SimpleType, ...]
+                ) -> list[tuple[int, tuple[Term, ...]]]:
+    """Argument tuples of at most ``budget`` nodes in all, beside their
+    size, in generation order; each later argument keeps a node."""
     if not doms:
-        return [((), ())] if size == 0 else []
-    if len(doms) == 1:      # the last argument takes the size left
-        return [((key,), (term,)) for key, term in lists[_exact, doms[0],
-                                                         size, env]]
-    return [((key,) + keys, (first,) + rest)
-            for key, n, first in lists[_upto, doms[0],
-                                       size - (len(doms) - 1), env]
-            for keys, rest in lists[_arg_lists, doms[1:], size - n, env]]
+        return [(0, ())]
+    return [(n + m, (first,) + rest)
+            for n, first in lists[_terms, doms[0],
+                                  budget - (len(doms) - 1), env]
+            for m, rest in lists[_arg_tuples, doms[1:], budget - n, env]]
 
 
 def loop_seeds(h: Hrs, max_term_size: int = 4,
@@ -426,49 +415,32 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
     at most ``cap`` of them.
 
     A rule's variables, sorted by name, take every combination of the first
-    25 closed terms of their types (``enumerate_closed_terms``), the last
-    variable varying fastest.  The variables of one type share one pool of
-    terms, which is drawn from the enumeration only as far as the seeds
-    taken so far need: a search that stops at an early seed builds no more.
+    25 closed terms of their types (``enumerate_closed_terms``), in the
+    order of ``depth_first``: the last variable varies fastest.  The
+    variables of one type share one pool of terms, which is drawn from the
+    enumeration only as far as the walk has reached: a search that stops
+    at an early seed builds no more.
     """
     seen: set[Term] = set()
-    pools: dict[SimpleType, tuple[list[Term], Iterator[Term]]] = {}
-
-    def term(ty: SimpleType, i: int) -> Term | None:
-        """The ``i``-th term of the pool of ``ty``, or None past its end;
-        the pool grows by one term at a time."""
-        if ty not in pools:
-            pools[ty] = ([], itertools.islice(
-                enumerate_closed_terms(h, ty, max_term_size), 25))
-        drawn, rest = pools[ty]
-        if i == len(drawn):
-            drawn.extend(itertools.islice(rest, 1))
-        return drawn[i] if i < len(drawn) else None
-
+    # each pool is a tee that is never advanced: a copy of it starts at
+    # the pool's first term, and all copies share what has been drawn
+    pools: dict[SimpleType, Iterator[Term]] = {}
     for rule in h.rules:
         names = sorted(free_names(rule.lhs))
         types = [h.variables[name] for name in names]
-        combo = [term(ty, 0) for ty in types]
-        if any(u is None for u in combo):
-            continue
-        index = [0] * len(names)
-        while True:         # an odometer over the pools, the last fastest
+        for ty in types:
+            if ty not in pools:
+                pools[ty], = itertools.tee(itertools.islice(
+                    enumerate_closed_terms(h, ty, max_term_size), 25), 1)
+        for combo in depth_first(
+                len(names), lambda prefix: copy(pools[types[len(prefix)]]),
+                lambda prefix: True):
             seed = apply_subst(rule.lhs, dict(zip(names, combo)))
             if seed not in seen:
                 seen.add(seed)
                 yield seed
                 if len(seen) >= cap:
                     return
-            for k in reversed(range(len(names))):
-                index[k] += 1
-                u = term(types[k], index[k])
-                if u is not None:
-                    combo[k] = u
-                    break
-                index[k] = 0
-                combo[k] = term(types[k], 0)
-            else:
-                break
 
 
 def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,

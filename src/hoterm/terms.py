@@ -516,6 +516,9 @@ def _print(u: Term, scope: list[str], taboo: set[str]) -> str:
     else:                       # loose, as in an error's subject
         text = atom_name(head)
     if u.args:
-        text += "(" + ", ".join([_print(a, scope, taboo)
-                                 for a in u.args]) + ")"
+        # a loop, not a comprehension, so that a level costs one frame
+        parts = []
+        for a in u.args:
+            parts.append(_print(a, scope, taboo))
+        text += "(" + ", ".join(parts) + ")"
     return "\\" + " ".join(names) + ". " + text if names else text

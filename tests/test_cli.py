@@ -91,6 +91,27 @@ class TestExitCodes:
         assert err == "error: input nested too deeply\n"
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--json"], ["--pfp"], ["--sdp"], ["--disprove", "3"]])
+    @pytest.mark.parametrize("n", [600, 800, 900])
+    def test_deep_rules_are_proved_under_every_flag(self, n, flags,
+                                                    tmp_path, capsys):
+        # every stage, the printer too, spends at most one frame per level
+        def s(k, t):
+            return "s(" * k + t + ")" * k
+
+        deep = tmp_path / "deep.hrs"
+        deep.write_text(
+            "basic nat\nsig 0 : nat\nsig s : nat -> nat\n"
+            "sig f : nat -> nat\nsig g : nat -> nat -> nat\n"
+            "var X : nat\nvar Y : nat\n"
+            f"rule f: f({s(n, 'X')}) -> f({s(n - 1, 'X')})\n"
+            f"rule g: g({s(n, 'X')}, Y) -> g({s(n - 1, 'X')}, s(Y))\n"
+            "rule h: g(0, Y) -> f(Y)\n")
+        code, out, err = run(capsys, "prove", deep, *flags)
+        assert (code, err) == (EXIT_TERMINATING, "")
+        assert s(n - 1, "X") in out
+
     def test_internal_error_is_four(self, monkeypatch, capsys):
         def broken(*args):
             raise RuntimeError("boom")
@@ -162,6 +183,15 @@ class TestStageFlags:
         assert out.startswith("static dependency pairs (7):")
         assert "7. sqsum#(L) -> mul#(y, y)" in out
         assert "verdict" not in out
+
+    @pytest.mark.parametrize("flag", ["--pfp", "--sdp"])
+    def test_stage_flags_check_the_analysis_settings(self, flag, capsys):
+        code, out, err = run(capsys, "prove", FIXDIR / "foo.hrs", flag,
+                             "--precedence", "nosuch")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == ("error: the precedence names nosuch, which the "
+                       "system does not declare\n")
 
 
 class TestOutputFlags:

@@ -1,10 +1,12 @@
+import itertools
 from pathlib import Path
 
 from hypothesis import given, settings
 
 import strategies as S
-from hoterm.graph import (DependencyGraph, build_graph, postorder,
-                          recursion_components, strongly_connected, to_dot)
+from hoterm.graph import (DependencyGraph, build_graph, depth_first,
+                          postorder, recursion_components,
+                          strongly_connected, to_dot)
 from hoterm.hrs import load, parse
 from hoterm.sdp import extract_sdps
 
@@ -176,6 +178,51 @@ class TestPostorder:
         assert pulled == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
         assert list(walk) == [4, 3, 2, 1, 0]
         assert sorted(calls) == list(range(6))
+
+
+class TestDepthFirst:
+    def test_size_zero_yields_the_empty_sequence_once(self):
+        asked = []
+
+        def options(prefix):
+            asked.append(tuple(prefix))
+            return [0, 1]
+
+        assert list(depth_first(0, options, lambda prefix: False)) == [()]
+        assert asked == []
+
+    def test_sequences_come_in_lexicographic_order(self):
+        got = list(depth_first(3, lambda prefix: "bca"[:len(prefix) + 1],
+                               lambda prefix: True))
+        assert got == list(itertools.product("b", "bc", "bca"))
+
+    def test_a_prefix_that_is_not_viable_drops_its_completions(self):
+        asked = []
+
+        def viable(prefix):
+            asked.append(tuple(prefix))
+            return prefix[:2] != [1, 0]
+
+        got = list(depth_first(3, lambda prefix: range(2), viable))
+        assert got == [s for s in itertools.product(range(2), repeat=3)
+                       if s[:2] != (1, 0)]
+        assert not any(p[:2] == (1, 0) and len(p) == 3 for p in asked)
+
+    def test_viable_runs_depth_first_and_options_follow_it(self):
+        events = []
+
+        def options(prefix):
+            events.append(("options", tuple(prefix)))
+            return range(2)
+
+        def viable(prefix):
+            events.append(("viable", tuple(prefix)))
+            return prefix != [1]
+
+        assert list(depth_first(2, options, viable)) == [(0, 0), (0, 1)]
+        assert events == [("options", ()), ("viable", (0,)),
+                          ("options", (0,)), ("viable", (0, 0)),
+                          ("viable", (0, 1)), ("viable", (1,))]
 
 
 class TestDotOutput:

@@ -429,7 +429,7 @@ class TestPrecedenceWalk:
         """``search_precedence``'s answer, and each prefix of its walk with
         the symbols offered after it."""
         offers = []
-        real = C._depth_first
+        real = C.depth_first
 
         def walking(size, options, viable):
             def offering(prefix):
@@ -439,7 +439,7 @@ class TestPrecedenceWalk:
             return real(size, offering, viable)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(C, "_depth_first", walking)
+            mp.setattr(C, "depth_first", walking)
             found = search_precedence(h, comp)
         return found, offers
 
