@@ -5,8 +5,8 @@ For each family and size, ``prove_text`` runs on the system with the
 reduction pair alone (``--techniques redpair``) ``--runs`` times in this
 process.  The best time is printed in milliseconds, with the verdict and the
 constraint assessments the precedence search charged in one call (the
-``assessed`` counts of the orders it compiled, summed).  The families, as
-``tests/test_searches.py`` builds them:
+``assessed`` counts of the orders it compiled, summed).  The families,
+which ``tests/test_searches.py`` loads from here:
 
 - ``deep``: the chain g_0(s(X)) -> g_1(X) -> ... -> X beside f(b) -> f(a),
   k symbols in all.  b > a is needed and the call-graph guess gets it

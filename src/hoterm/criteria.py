@@ -417,10 +417,14 @@ class LexPathOrder:
             return s != t and th.name in free_names(s)
         if isinstance(s.head, Free):
             return False
-        above = _fold(_Or, (_equiv(a, t) or self.greater(a, t)
-                                for a in s.args))
-        if above is True:
-            return True
+        # plain loops, so a level costs two frames: greater and _compile
+        above = []                      # the parts of the _Or
+        for a in s.args:
+            part = _equiv(a, t) or self.greater(a, t)
+            if part is True:
+                return True
+            if part is not False:
+                above.append(part)
         f, g = unmark_name(s.head.name), unmark_name(th.name)
         if f == g:
             first = False
@@ -431,10 +435,12 @@ class LexPathOrder:
         else:
             first = self._atoms.setdefault(
                 (f, g), (self._number(f), self._number(g), len(self._atoms)))
-        if first is False:
-            return above
-        rest = _fold(_And, [first] + [self.greater(s, b) for b in t.args])
-        return _fold(_Or, (above, rest))
+        if first is not False:
+            rest = [first]
+            for b in t.args:
+                rest.append(self.greater(s, b))
+            above.append(_fold(_And, rest))
+        return _fold(_Or, above)
 
     def orients(self, s: Term, t: Term, strict: bool = False):
         """``compare(s, t)`` is GREATER (``strict``) or not UNKNOWN."""
@@ -490,42 +496,29 @@ class LexPathOrder:
 class OrientationVerdict(NamedTuple):
     strict: tuple[DependencyPair, ...]
     weak: tuple[DependencyPair, ...]
-    oracle_description: str
-
-
-class OrientationFailure(NamedTuple):
-    subject: str
-    reason: str
+    witness: str
 
 
 def check_reduction_pair(h: Hrs, component: RecursionComponent,
-                         oracle: LexPathOrder
-                         ) -> OrientationVerdict | OrientationFailure:
+                         oracle: LexPathOrder) -> OrientationVerdict | str:
     """Orient all rules weakly and the component's pairs at least weakly,
-    at least one strictly."""
+    at least one strictly; otherwise return why not, naming the first
+    rule or pair that fails."""
     if not component.pairs:
         raise ValueError("component must be nonempty")
     for rule in h.rules:
-        c = oracle.compare(rule.lhs, rule.rhs)
-        if c is Comparison.UNKNOWN:
-            return OrientationFailure(
-                f"rule {rule.name}",
-                f"cannot orient {print_term(rule.lhs)} >= "
-                f"{print_term(rule.rhs)}")
+        if oracle.compare(rule.lhs, rule.rhs) is Comparison.UNKNOWN:
+            return (f"rule {rule.name}: cannot orient {print_term(rule.lhs)}"
+                    f" >= {print_term(rule.rhs)}")
     strict: list[DependencyPair] = []
     weak: list[DependencyPair] = []
     for pair in component.pairs:
         c = oracle.compare(pair.lhs, pair.rhs)
-        if c is Comparison.GREATER:
-            strict.append(pair)
-        elif c is Comparison.GREATER_EQUAL:
-            weak.append(pair)
-        else:
-            return OrientationFailure(
-                f"pair {pair}", "cannot orient the pair weakly or strictly")
+        if c is Comparison.UNKNOWN:
+            return f"pair {pair}: cannot orient the pair weakly or strictly"
+        (strict if c is Comparison.GREATER else weak).append(pair)
     if not strict:
-        return OrientationFailure(
-            "component", "no pair is strictly oriented")
+        return "component: no pair is strictly oriented"
     return OrientationVerdict(tuple(strict), tuple(weak), oracle.describe())
 
 
@@ -692,7 +685,6 @@ class ConfigError(ValueError):
 
 
 class RefinementStep(NamedTuple):
-    component: RecursionComponent
     technique: str
     witness: str
     removed: tuple[DependencyPair, ...]
@@ -700,64 +692,56 @@ class RefinementStep(NamedTuple):
 
 
 class ComponentProof(NamedTuple):
-    component: RecursionComponent
     steps: tuple[RefinementStep, ...]
 
 
 class ComponentFailure(NamedTuple):
-    component: RecursionComponent
     residual: RecursionComponent
-    reasons: tuple[str, ...] = ()
+    reasons: tuple[str, ...]
 
 
 def _discharge_once(h: Hrs, component: RecursionComponent,
-                    config: AnalysisConfig
-                    ) -> RefinementStep | ComponentFailure:
+                    config: AnalysisConfig) -> RefinementStep | list[str]:
+    """The step that the first technique to prove one takes on the
+    component, or, when none does, each technique's reason in turn."""
     reasons: list[str] = []
     for technique in config.techniques:
         if technique == "subterm":
-            verdict = search_pi(component, config.max_pi_depth, h.defined)
-            if verdict is not None:
-                return RefinementStep(component, "subterm criterion",
-                                      str(verdict.witness), verdict.strict,
-                                      verdict.weak)
-            reasons.append("no projection satisfies the subterm criterion "
-                           f"up to depth {config.max_pi_depth}")
+            name = "subterm criterion"
+            found = search_pi(component, config.max_pi_depth, h.defined)
+            if found is None:
+                found = ("no projection satisfies the subterm criterion "
+                         f"up to depth {config.max_pi_depth}")
         elif technique == "redpair":
-            if config.precedence is not None:
-                result = check_reduction_pair(
-                    h, component, LexPathOrder(config.precedence))
-                if isinstance(result, OrientationFailure):
-                    reasons.append(f"{result.subject}: {result.reason}")
-                    result = None
+            name = "reduction pair"
+            if config.precedence is None:
+                found = search_precedence(h, component)
             else:
-                result = search_precedence(h, component)
-                if isinstance(result, str):
-                    reasons.append(result)
-                    result = None
-            if result is not None:
-                return RefinementStep(component, "reduction pair",
-                                      result.oracle_description, result.strict,
-                                      result.weak)
+                found = check_reduction_pair(h, component,
+                                             LexPathOrder(config.precedence))
         else:
             raise ValueError(f"unknown technique {technique!r}")
-    return ComponentFailure(component, component, tuple(reasons))
+        if not isinstance(found, str):
+            return RefinementStep(name, str(found.witness), found.strict,
+                                  found.weak)
+        reasons.append(found)
+    return reasons
 
 
 def analyze_component(h: Hrs, component: RecursionComponent,
                       config: AnalysisConfig = AnalysisConfig()
                       ) -> ComponentProof | ComponentFailure:
     """Refine until no recursion structure remains: discharge, drop the
-    strictly decreasing pairs, recompute components of the rest, recurse."""
+    strictly decreasing pairs, recompute components of the rest, recurse.
+    A failure names the (sub-)component no technique discharged."""
     steps: list[RefinementStep] = []
     queue: list[RecursionComponent] = [component]
     while queue:
         current = queue.pop(0)
-        result = _discharge_once(h, current, config)
-        if isinstance(result, ComponentFailure):
-            return ComponentFailure(component, result.residual,
-                                    result.reasons)
-        steps.append(result)
-        if result.remaining:
-            queue.extend(recursion_components(build_graph(result.remaining)))
-    return ComponentProof(component, tuple(steps))
+        step = _discharge_once(h, current, config)
+        if isinstance(step, list):
+            return ComponentFailure(current, tuple(step))
+        steps.append(step)
+        if step.remaining:
+            queue.extend(recursion_components(build_graph(step.remaining)))
+    return ComponentProof(tuple(steps))

@@ -22,7 +22,9 @@ class DependencyGraph(NamedTuple):
 
 
 class RecursionComponent(NamedTuple):
-    """Node indices into the owning graph, sorted, with their pairs."""
+    """Node indices into the owning graph, sorted, with their pairs.  A
+    component refined from another owns the graph built from the pairs
+    its parent kept, and its indices point into that graph."""
 
     indices: tuple[int, ...]
     pairs: tuple[DependencyPair, ...]
@@ -30,13 +32,13 @@ class RecursionComponent(NamedTuple):
 
 def build_graph(pairs: tuple[DependencyPair, ...]) -> DependencyGraph:
     """Connect i to j whenever the rhs head of pair i names the same symbol
-    as the lhs head of pair j."""
-    rhs_heads = [p.rhs.head.name for p in pairs]
-    lhs_heads = [p.lhs.head.name for p in pairs]
-    arcs = frozenset((i, j)
-                     for i, rh in enumerate(rhs_heads)
-                     for j, lh in enumerate(lhs_heads)
-                     if rh == lh)
+    as the lhs head of pair j.  The left heads are indexed by name, so the
+    build takes time linear in the pairs and the arcs."""
+    lhs_of: dict[str, list[int]] = {}
+    for j, p in enumerate(pairs):
+        lhs_of.setdefault(p.lhs.head.name, []).append(j)
+    arcs = frozenset((i, j) for i, p in enumerate(pairs)
+                     for j in lhs_of.get(p.rhs.head.name, ()))
     return DependencyGraph(tuple(pairs), arcs)
 
 

@@ -91,26 +91,42 @@ class TestExitCodes:
         assert err == "error: input nested too deeply\n"
         assert out == ""
 
-    @pytest.mark.parametrize("flags", [
-        [], ["--json"], ["--pfp"], ["--sdp"], ["--disprove", "3"]])
-    @pytest.mark.parametrize("n", [600, 800, 900])
-    def test_deep_rules_are_proved_under_every_flag(self, n, flags,
-                                                    tmp_path, capsys):
-        # every stage, the printer too, spends at most one frame per level
+    @staticmethod
+    def deep_rules(n, path):
+        """f(s^n(X)) -> f(s^(n-1)(X)), g(s^n(X), Y) -> g(s^(n-1)(X), s(Y))
+        and g(0, Y) -> f(Y), written to ``path``; returns s^(n-1)(X)."""
         def s(k, t):
             return "s(" * k + t + ")" * k
 
-        deep = tmp_path / "deep.hrs"
-        deep.write_text(
+        path.write_text(
             "basic nat\nsig 0 : nat\nsig s : nat -> nat\n"
             "sig f : nat -> nat\nsig g : nat -> nat -> nat\n"
             "var X : nat\nvar Y : nat\n"
             f"rule f: f({s(n, 'X')}) -> f({s(n - 1, 'X')})\n"
             f"rule g: g({s(n, 'X')}, Y) -> g({s(n - 1, 'X')}, s(Y))\n"
             "rule h: g(0, Y) -> f(Y)\n")
+        return s(n - 1, "X")
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--json"], ["--pfp"], ["--sdp"], ["--disprove", "3"]])
+    @pytest.mark.parametrize("n", [600, 800, 900])
+    def test_deep_rules_are_proved_under_every_flag(self, n, flags,
+                                                    tmp_path, capsys):
+        # every stage, the printer too, spends at most one frame per level
+        deep = tmp_path / "deep.hrs"
+        shown = self.deep_rules(n, deep)
         code, out, err = run(capsys, "prove", deep, *flags)
         assert (code, err) == (EXIT_TERMINATING, "")
-        assert s(n - 1, "X") in out
+        assert shown in out
+
+    def test_deep_rules_are_proved_by_the_reduction_pair(self, tmp_path,
+                                                         capsys):
+        # the path order compiles s > t at two frames per level of t
+        deep = tmp_path / "deep.hrs"
+        self.deep_rules(400, deep)
+        code, out, err = run(capsys, "prove", deep, "--techniques", "redpair")
+        assert (code, err) == (EXIT_TERMINATING, "")
+        assert "reduction pair: path order with precedence" in out
 
     def test_internal_error_is_four(self, monkeypatch, capsys):
         def broken(*args):
@@ -249,6 +265,17 @@ class TestAnalysisFlags:
                            "--precedence", "mul>add>s>0")
         assert code == 0
         assert "path order with precedence mul > add > s > 0" in out
+
+    def test_explicit_precedence_that_orients_no_pair_strictly(
+            self, tmp_path, capsys):
+        looping = tmp_path / "loop.hrs"
+        looping.write_text("basic a\nsig f : a -> a\nvar X : a\n"
+                           "rule r: f(X) -> f(X)\n")
+        code, out, err = run(capsys, "prove", looping,
+                             "--techniques", "redpair", "--precedence", "f")
+        assert (code, err) == (EXIT_MAYBE, "")
+        assert "\n  component: no pair is strictly oriented\n" \
+            "  NOT discharged\n" in out
 
     @pytest.mark.parametrize("precedence, complaint", [
         ("ack>ack>s>0", "names ack twice"),

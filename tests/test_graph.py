@@ -44,8 +44,9 @@ class TestBuildGraph:
 
     def test_arc_means_head_of_rhs_matches_head_of_lhs(self):
         pairs, g = sqsum_graph()
-        for i, j in g.arcs:
-            assert pairs[i].rhs.head.name == pairs[j].lhs.head.name
+        assert g.arcs == {(i, j) for i, p in enumerate(pairs)
+                          for j, q in enumerate(pairs)
+                          if p.rhs.head.name == q.lhs.head.name}
 
     def test_empty_graph(self):
         g = build_graph(())

@@ -9,7 +9,9 @@ order decided directly, so it shares no constraint code with the search.
 
 import itertools
 import re
+import runpy
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
 from hoterm.sdp import DependencyPair, extract_sdps
 from hoterm.terms import App, Const, free_names
 
+ROOT = Path(__file__).parent.parent
 REDPAIR = ProverConfig(analysis=AnalysisConfig(techniques=("redpair",)))
 NONE_ORIENTS = "no precedence orients every rule and the component"
 BUDGET_SPENT = re.compile(
@@ -91,56 +94,28 @@ def components(h):
 # generated families over Peano numerals
 
 
-def _system(sig, variables, rules):
-    lines = ["basic nat", "sig z : nat", "sig s : nat -> nat"]
-    lines += [f"sig {name} : {ty}" for name, ty in sig]
-    lines += [f"var {v} : nat" for v in variables]
-    lines += [f"rule {name}: {lhs} -> {rhs}" for name, lhs, rhs in rules]
-    return "\n".join(lines) + "\n"
-
-
-def chain(n, lhs_args, rhs_args):
-    """f_i(lhs_args) -> f_i+1(rhs_args), closed into a cycle of n symbols."""
-    sig = [(f"f{i:04d}", "nat -> nat -> nat") for i in range(n)]
-    rules = [(f"r{i:04d}", f"f{i:04d}({lhs_args})",
-              f"f{(i + 1) % n:04d}({rhs_args})") for i in range(n)]
-    return _system(sig, ("X", "Y"), rules)
+# The chain families and the system builder are those
+# scripts/precedence_cost.py times:
+# - precedence_deep(k): the chain g_0(s(X)) -> g_1(X) -> ... -> X beside
+#   f(b) -> f(a), k symbols; b > a is needed, which the call-graph guess
+#   gets wrong, so the search has to run;
+# - precedence_unorientable(k): the chain beside f(X, s(Y)) -> f(s(X), Y),
+#   k symbols, which no path order orients;
+# - rotating_chain(n): f_i(s(X), Y) -> f_i+1(X, s(Y)), closed into a cycle
+#   of n symbols; the projection to argument 1 works, and it is tried first.
+_families = runpy.run_path(str(ROOT / "scripts" / "precedence_cost.py"))
+_system = _families["_system"]
+precedence_deep = _families["deep"]
+precedence_unorientable = _families["unorientable"]
+rotating_chain = _families["rotating"]
 
 
 def swapped_chain(n):
-    """Only the projection to argument 2 works, and it is tried last."""
-    return chain(n, "Y, s(X)", "s(Y), X")
-
-
-def rotating_chain(n):
-    """The projection to argument 1 works, and it is tried first."""
-    return chain(n, "s(X), Y", "X, s(Y)")
-
-
-def _g_chain(m, digits=4):
-    """g_0(s(X)) -> g_1(X) -> ... -> g_m-1(s(X)) -> X, each index written
-    with at least ``digits`` digits."""
-    g = [f"g{i:0{digits}d}" for i in range(m)]
-    sig = [(name, "nat -> nat") for name in g]
-    rules = [(g[i], f"{g[i]}(s(X))", f"{g[i + 1]}(X)" if i + 1 < m else "X")
-             for i in range(m)]
-    return sig, rules
-
-
-def precedence_deep(k, digits=4):
-    """k symbols; f(b) -> f(a) needs b > a, which the call-graph guess
-    gets wrong, so the search has to run."""
-    sig, rules = _g_chain(k - 4, digits)
-    sig += [("a", "nat"), ("b", "nat"), ("f", "nat -> nat")]
-    rules.append(("f", "f(b)", "f(a)"))
-    return _system(sig, ("X",), rules)
-
-
-def precedence_unorientable(k):
-    """k symbols; no path order orients f(X, s(Y)) -> f(s(X), Y)."""
-    sig, rules = _g_chain(k - 2)
-    sig.append(("f", "nat -> nat -> nat"))
-    rules.append(("f", "f(X, s(Y))", "f(s(X), Y)"))
+    """f_i(Y, s(X)) -> f_i+1(s(Y), X), closed into a cycle of n symbols:
+    only the projection to argument 2 works, and it is tried last."""
+    sig = [(f"f{i:04d}", "nat -> nat -> nat") for i in range(n)]
+    rules = [(f"r{i:04d}", f"f{i:04d}(Y, s(X))",
+              f"f{(i + 1) % n:04d}(s(Y), X)") for i in range(n)]
     return _system(sig, ("X", "Y"), rules)
 
 
@@ -415,7 +390,7 @@ class TestWorkDoneOnce:
         (order,) = checked
         assert all(o is order for o in searched)
         assert (len(searched) == 1) is guessed
-        assert verdict.oracle_description == \
+        assert verdict.witness == \
             "path order with precedence " + " > ".join(order.precedence)
         assert verdict == oracle_precedence(h, comp)
 
