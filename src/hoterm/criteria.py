@@ -470,7 +470,7 @@ class LexPathOrder:
         forced atoms rank some symbol above itself."""
         above = self.ranked(prefix)
         atoms = list(self._atoms.values())
-        while True:
+        while above is not None:
             forced, seen = 0, {}
             for c in self.required:
                 self.assessed += 1
@@ -480,17 +480,37 @@ class LexPathOrder:
                 forced |= needs
             if not forced:
                 return above
-            while forced:
-                low = forced & -forced
-                forced ^= low
-                i, j, _ = atoms[low.bit_length() - 1]
-                if above[j] >> i & 1:
-                    return None
-                # i and everything above it now rank above j and its lower set
-                gain = 1 << j | above[j]
-                for k, lower in enumerate(above):
-                    if k == i or lower >> i & 1:
-                        above[k] = lower | gain
+            arcs: dict[int, int] = {}   # i -> the j of each forced i > j
+            for i, j, _ in [atoms[k] for k in _bits(forced)]:
+                arcs[i] = arcs.get(i, 0) | 1 << j
+            above = _close(above, arcs)
+        return None
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _close(above: list[int], arcs: dict[int, int]) -> list[int] | None:
+    """``above`` with each ``i`` in ``arcs`` ranked above those in
+    ``arcs[i]``, closed by one depth-first walk that finishes each row that
+    changes once; None when some symbol ends up above itself."""
+    starts = sum(1 << i for i in arcs)
+    # a row gains the rows of its arcs' ends and of the arcs' starts below it
+    gains = {k: _bits(arcs.get(k, 0) | lower & starts)
+             for k, lower in enumerate(above) if k in arcs or lower & starts}
+    closed = above[:]
+    for k in postorder(gains, lambda k: gains.get(k, ())):
+        for t in gains.get(k, ()):
+            closed[k] |= 1 << t | closed[t]
+        if closed[k] >> k & 1:  # k reaches itself: an arc closed a cycle
+            return None
+    return closed
 
 
 class OrientationVerdict(NamedTuple):

@@ -72,8 +72,7 @@ class Hrs:
         # ``rewrite_step`` tries at a subterm with that head
         index: dict[Atom, tuple[Rule, ...]] = {}
         for r in rules:
-            if isinstance(r.lhs, App):
-                index[r.lhs.head] = index.get(r.lhs.head, ()) + (r,)
+            index[r.lhs.head] = index.get(r.lhs.head, ()) + (r,)
         self.rules_by_head = index
         # the first rule whose left-hand side is not a pattern, if any:
         # matching, and so rewriting, is undecidable for it
@@ -163,10 +162,10 @@ class _Reader:
         return Arrow(left, self.type(basics))
 
     def rule(self, name: str, scope: dict[str, Atom],
-             variables: dict[str, SimpleType]) -> Rule:
-        """The rule on this line over ``scope`` (its ``variables``); a syntax
-        error on it is reported first."""
-        self.scope = scope
+             variables: dict[str, SimpleType], leaves: dict[str, App]) -> Rule:
+        """The rule on this line over ``scope``, its ``variables`` and the
+        ``leaves`` of its basic names; a syntax error is reported first."""
+        self.scope, self.leaves = scope, leaves
         # a \x. binder in scope -> its type, as a Bound, and its level;
         # the hints given on the side being read
         self.bound, self.taken = {}, set()
@@ -210,7 +209,10 @@ class _Reader:
             raise HrsError(f"right-hand side of rule {name!r} has fresh free "
                            f"variable(s) {', '.join(sorted(fresh))}",
                            self.lineno)
-        return Rule(name, lhs, rhs, is_miller_pattern(lhs, lhs_names))
+        # only a variable that takes arguments can break the pattern shape
+        applied = {v for v in lhs_names if variables[v].domains}
+        return Rule(name, lhs, rhs,
+                    not applied or is_miller_pattern(lhs, applied))
 
     def hint(self, name: str) -> str:
         while name in self.scope or name in self.taken:
@@ -224,6 +226,10 @@ class _Reader:
         binders hinted before its arguments are read beneath them."""
         toks, at = self.toks, self.pos
         tok = toks[at]
+        leaf = self.leaves.get(tok)     # a mistyped one is read below
+        if leaf is not None and leaf.ty is expected and toks[at + 1] != "(":
+            self.pos = at + 1
+            return leaf
         atom, level = self.scope.get(tok), None
         if atom is None:
             if tok == "\\":
@@ -379,6 +385,9 @@ def parse(text: str) -> Hrs:
     variables: dict[str, SimpleType] = {}
     scope: dict[str, Atom] = {}         # the names declared so far
     rules: dict[str, Rule] = {}
+    # per call, so no node outlives it: basic names' terms, types by tokens
+    leaves: dict[str, App] = {}
+    types: dict[tuple[str, ...], SimpleType] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].rstrip()
@@ -398,12 +407,17 @@ def parse(text: str) -> Hrs:
         elif keyword in ("sig", "var"):
             name = cur.name("a name")
             cur.expect(":")
-            ty = cur.type(basics)
-            cur.expect("")
+            key = tuple(cur.toks[cur.pos:])
+            ty = types.get(key)
+            if ty is None:
+                ty = types[key] = cur.type(basics)
+                cur.expect("")
             if name in scope:   # the name is token 1, after the keyword
                 raise cur.error(f"name {name!r} declared twice", 1)
             (signature if keyword == "sig" else variables)[name] = ty
             scope[name] = (Const if keyword == "sig" else Free)(name, ty)
+            if not ty.domains:
+                leaves[name] = App(scope[name], ())
         elif keyword == "rule":
             body = line.find(":") + 1
             if not body:
@@ -415,7 +429,7 @@ def parse(text: str) -> Hrs:
             if rule_name in rules:
                 raise HrsError(f"rule name {rule_name!r} used twice", lineno)
             rules[rule_name] = _Reader(line[body:], lineno, body).rule(
-                rule_name, scope, variables)
+                rule_name, scope, variables, leaves)
         else:
             raise HrsError(f"unknown directive {keyword!r} (expected basic, "
                            "sig, var, or rule)", lineno)

@@ -16,29 +16,22 @@ it; a binder is opened, by ``terms.open_under``, only to show a violation.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .hrs import Hrs, Rule
 from .normalize import normalize
-from .terms import (App, Atom, Free, SimpleType, Term, bodies, free_names,
-                    open_under, print_term, reach, under_binders)
+from .terms import (App, Free, Term, bodies, free_names, open_under,
+                    print_term, reach, under_binders)
 
 
 class SafeSet:
     def __init__(self, rule: Rule, safe: tuple[Term, ...]):
         self.rule = rule
         self.safe = safe
-
-    @cached_property
-    def members(self) -> frozenset[Term]:
-        return frozenset(self.safe)
-
-    @cached_property
-    def shapes(self) -> frozenset[tuple[Atom, SimpleType]]:
-        """(head under the binders, type) of each safe subterm: an applied
-        prefix can equal a safe subterm only when it has one of these."""
-        return frozenset((under_binders(u).head, u.ty) for u in self.safe)
+        self.members = frozenset(safe)
+        # (head under the binders, type) of each safe subterm: an applied
+        # prefix can equal a safe subterm only when it has one of these
+        self.shapes = frozenset((under_binders(u).head, u.ty) for u in safe)
 
     def has_prefix(self, t: App) -> bool:
         """True when some applied prefix of ``t`` is safe; an argument of

@@ -67,7 +67,8 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
                 continue
             if safe.has_prefix(body):
                 continue
-            rhs_marked = mark(open_under(above, body, lhs_names)[1])
+            rhs_marked = mark(open_under(above, body, lhs_names)[1]
+                              if above else body)
             extras = _occurring_extras(rhs_marked, lhs_names)
             key = (lhs_marked, _canonical_extras(rhs_marked, extras))
             if key in keys:
@@ -82,6 +83,8 @@ def _occurring_extras(rhs_marked: Term, lhs_names: frozenset[str]
                       ) -> tuple[Free, ...]:
     """Variables free in the pair's right side but not its left, in order of
     first occurrence; these are exactly the stripped binders that remain."""
+    if free_names(rhs_marked) <= lhs_names:
+        return ()
     return tuple(dict.fromkeys(
         u.head for _, u in bodies(rhs_marked)
         if isinstance(u.head, Free) and u.head.name not in lhs_names))

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import hypothesis.strategies as st
 
 import strategies as S
 from hoterm.hrs import Hrs, HrsError, _Reader, load, parse, print_hrs
+import hoterm.terms as T
 from hoterm.terms import Abs, Arrow, Base, arrow, free_names
 
 NAT = Base("nat")
@@ -394,6 +396,46 @@ def test_nested_under_applied_heads_are_read_once(monkeypatch):
         rhs = fn.body
     assert isinstance(rhs.args[0], Abs)
     assert len(set(hints)) == 30
+
+
+def test_each_declared_type_is_read_once_per_parse(monkeypatch):
+    reads = 0
+    read = _Reader.type
+
+    def counted(self, *rest):
+        nonlocal reads
+        reads += 1
+        return read(self, *rest)
+
+    monkeypatch.setattr(_Reader, "type", counted)
+    one = "basic a\nsig f : a -> (a -> a) -> a\n"
+    parse(one)
+    once, reads = reads, 0
+    many = one + "sig g : a -> (a -> a) -> a\nvar F : a -> (a -> a) -> a\n"
+    for _ in range(2):      # and again by the next call, which keeps none
+        parse(many)
+        assert reads == once
+        reads = 0
+
+
+def test_a_parse_keeps_no_node_alive():
+    # the terms a parse reuses belong to the call: once its system is
+    # dropped, every node it made dies
+    def live():
+        return sum(r() is not None for r in T._NODES.values())
+
+    text = ("basic kept\nsig kept_c : kept\nsig kept_f : kept -> kept\n"
+            "sig kept_g : (kept -> kept) -> kept\nvar KeptX : kept\n"
+            "var KeptF : kept -> kept\n"
+            "rule kept_r: kept_g(KeptF) -> KeptF(kept_c)\n"
+            "rule kept_s: kept_f(KeptX) -> kept_f(kept_c)\n")
+    gc.collect()
+    before = live()
+    h = parse(text)
+    assert live() > before
+    del h
+    gc.collect()
+    assert live() == before
 
 
 @st.composite

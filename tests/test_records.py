@@ -17,11 +17,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import hoterm
+import strategies as S
 from hoterm.criteria import AnalysisConfig, PiAssignment
 from hoterm.graph import RecursionComponent
-from hoterm.hrs import is_miller_pattern, load
+from hoterm.hrs import is_miller_pattern, load, parse
 from hoterm.proof import ProverConfig, prove
 from hoterm.rewriting import LoopFound, RewriteStep, find_loop
 from hoterm.sdp import DependencyPair
@@ -144,6 +146,16 @@ class TestRecords:
             for r in load(path).rules:
                 assert r.is_pattern == is_miller_pattern(r.lhs,
                                                          free_names(r.lhs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(S.systems().flatmap(S.contracted_texts))
+    def test_read_pattern_flag_follows_on_generated_systems(self, text):
+        # higher-order variables, applied to bound variables or not, and
+        # written eta-long or short: the reader checks only the left sides
+        # where a variable takes arguments, and must agree with the check
+        for r in parse(text).rules:
+            assert r.is_pattern == is_miller_pattern(r.lhs,
+                                                     free_names(r.lhs))
 
     def test_pi_assignment_checks_and_compares_its_mapping(self):
         with pytest.raises(ValueError, match="must be non-empty"):

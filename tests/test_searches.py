@@ -326,6 +326,40 @@ class TestPrecedenceConstraints:
                    for c in constraints.required)
         assert constraints.closure(()) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.permutations("abcdef"), st.integers(0, 6),
+           st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                             max_size=6), min_size=1, max_size=3))
+    def test_forced_arcs_close_as_reachability_does(self, order, placed,
+                                                     rounds):
+        # each round closes its arcs over what the rounds before closed
+        above = LexPathOrder(tuple("abcdef")).ranked(tuple(order[:placed]))
+        rows = list(above)
+        for arcs in rounds:
+            forced = {}
+            for i, j in arcs:
+                if i != j:
+                    forced[i] = forced.get(i, 0) | 1 << j
+            # the oracle: add the arcs, then close to a fixed point
+            rows = [row | forced.get(k, 0) for k, row in enumerate(rows)]
+            changed = True
+            while changed:
+                changed = False
+                for k, row in enumerate(rows):
+                    for t in range(6):
+                        if row >> t & 1:
+                            row |= rows[t]
+                    changed |= row != rows[k]
+                    rows[k] = row
+            cyclic = any(row >> k & 1 for k, row in enumerate(rows))
+            kept = list(above)
+            closed = C._close(above, forced)
+            assert above == kept
+            assert closed == (None if cyclic else rows)
+            if closed is None:
+                break
+            above = closed
+
 
 class TestWorkDoneOnce:
     """``search_pi`` lists each symbol's positions once, and the order the
