@@ -16,8 +16,8 @@ from functools import cache
 from .criteria import TECHNIQUES, AnalysisConfig, ConfigError
 from .hrs import HrsError, load
 from .pfp import is_pfp
-from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProverConfig, emit,
-                    emit_dot, emit_pfp, emit_sdps, prove)
+from .proof import (MAYBE, NONTERMINATING, TERMINATING, ProverConfig,
+                    emit_dot, emit_json, emit_pfp, emit_sdps, emit_text, prove)
 from .sdp import extract_sdps
 
 EXIT_TERMINATING = 0
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.graph_out:
             with open(args.graph_out, "w") as f:
                 f.write(emit_dot(proof))
-        sys.stdout.write(emit(proof, "json" if args.json else "text"))
+        sys.stdout.write((emit_json if args.json else emit_text)(proof))
         return _VERDICT_EXIT[proof.verdict.kind]
     except (HrsError, ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Reading and writing rewrite systems in the line-oriented .hrs format.
+"""Reading rewrite systems in the line-oriented .hrs format.
 
 A file declares basic types, a signature, rule variables, and named rules::
 
@@ -438,10 +438,11 @@ def parse(text: str) -> Hrs:
 
 
 def read_source(path: str | Path) -> str:
-    """The text of a .hrs file, which must be UTF-8."""
+    """The text of a .hrs file, which must be UTF-8; a leading byte-order
+    mark is dropped."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise HrsError(f"{path}: not UTF-8 text: byte {exc.start} cannot "
                        "be decoded") from None
@@ -449,27 +450,3 @@ def read_source(path: str | Path) -> str:
 
 def load(path: str | Path) -> Hrs:
     return parse(read_source(path))
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def print_hrs(h: Hrs) -> str:
-    """Render a system in the same format ``parse`` reads; parsing the result
-    yields alpha-equal rules in the same order."""
-    lines: list[str] = []
-    if h.basics:
-        lines.append("basic " + " ".join(h.basics))
-    for name, ty in h.signature.items():
-        lines.append(f"sig {name} : {ty}")
-    for name, ty in h.variables.items():
-        lines.append(f"var {name} : {ty}")
-    if h.rules:
-        if lines:
-            lines.append("")
-        avoid = set(h.signature) | set(h.variables)
-        for r in h.rules:
-            lines.append(f"rule {r.name}: {print_term(r.lhs, avoid)} -> "
-                         f"{print_term(r.rhs, avoid)}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -282,13 +282,3 @@ def emit_json(proof: ProofObject) -> str:
 
 def emit_dot(proof: ProofObject) -> str:
     return to_dot(proof.graph)
-
-
-def emit(proof: ProofObject, format: str) -> str:
-    if format == "text":
-        return emit_text(proof)
-    if format == "json":
-        return emit_json(proof)
-    if format == "dot":
-        return emit_dot(proof)
-    raise ValueError(f"unknown proof format {format!r}")

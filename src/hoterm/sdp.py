@@ -60,7 +60,6 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
     for safe in h.safe_sets:
         rule = safe.rule
         lhs_names = free_names(rule.lhs)
-        lhs_marked = mark(rule.lhs)
         for above, body in bodies(rule.rhs):
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
@@ -70,11 +69,11 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
             rhs_marked = mark(open_under(above, body, lhs_names)[1]
                               if above else body)
             extras = _occurring_extras(rhs_marked, lhs_names)
-            key = (lhs_marked, _canonical_extras(rhs_marked, extras))
+            key = (mark(rule.lhs), _canonical_extras(rhs_marked, extras))
             if key in keys:
                 continue
             keys.add(key)
-            pairs.append(DependencyPair(lhs_marked, rhs_marked, rule.name,
+            pairs.append(DependencyPair(key[0], rhs_marked, rule.name,
                                         tuple(a.name for a in extras)))
     return tuple(pairs)
 

@@ -1,8 +1,8 @@
-"""Shared random generators, and the term helpers ``lam``, ``close_over``,
-``open_abs``, ``strip_binders``, ``positions`` and ``wrapped_bodies``,
-which only the tests use.  The openers name and free one binder at a time,
-apart from the prover's own opener, so the oracles built on them do not
-check ``hoterm.terms`` against itself.
+"""Shared random generators, the term helpers ``lam``, ``close_over``,
+``open_abs``, ``strip_binders``, ``positions`` and ``wrapped_bodies``, and
+the system printer ``print_hrs``, which only the tests use.  The openers
+name and free one binder at a time, apart from the prover's own opener, so
+the oracles built on them do not check ``hoterm.terms`` against itself.
 
 Name pools are kept disjoint on purpose: function symbols are f/g/h/c/d,
 declared variables are upper-case, binders are x1..x9.  This keeps liberated
@@ -16,11 +16,11 @@ from typing import AbstractSet
 
 import hypothesis.strategies as st
 
-from hoterm.hrs import Hrs, Rule, parse, print_hrs
+from hoterm.hrs import Hrs, Rule, parse
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           Position, SimpleType, Term, arrow, bodies,
-                          free_names)
+                          free_names, print_term)
 from nbe_oracle import PApp, Preterm
 
 
@@ -95,6 +95,26 @@ def wrapped_bodies(t: Term) -> tuple[Term, ...]:
             body = Abs(a.hint, a.param_type, body)
         out.setdefault(body)
     return tuple(out)
+
+
+def print_hrs(h: Hrs) -> str:
+    """Render a system in the same format ``parse`` reads; parsing the result
+    yields alpha-equal rules in the same order."""
+    lines: list[str] = []
+    if h.basics:
+        lines.append("basic " + " ".join(h.basics))
+    for name, ty in h.signature.items():
+        lines.append(f"sig {name} : {ty}")
+    for name, ty in h.variables.items():
+        lines.append(f"var {name} : {ty}")
+    if h.rules:
+        if lines:
+            lines.append("")
+        avoid = set(h.signature) | set(h.variables)
+        for r in h.rules:
+            lines.append(f"rule {r.name}: {print_term(r.lhs, avoid)} -> "
+                         f"{print_term(r.rhs, avoid)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 BASES = (Base("a"), Base("b"))

@@ -81,6 +81,15 @@ class TestExitCodes:
         assert "not UTF-8" in err
         assert out == ""
 
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, capsys):
+        source = FIXDIR / "arith.hrs"
+        marked = tmp_path / "arith.hrs"
+        marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        code, out, err = run(capsys, "prove", marked)
+        want_code, want, _ = run(capsys, "prove", source)
+        assert (code, err) == (want_code, "") == (EXIT_TERMINATING, "")
+        assert out == want.replace(f"input: {source}", f"input: {marked}", 1)
+
     def test_deeply_nested_input_is_three(self, tmp_path, capsys):
         deep = tmp_path / "deep.hrs"
         term = "s(" * 2000 + "z" + ")" * 2000
@@ -571,6 +580,25 @@ class TestScripts:
         assert digest == LOOP_ANSWERS_DIGEST
         assert any(line.startswith("foo find_loop 1: LoopFound(")
                    for line in lines)
+        assert files() == before
+
+    def test_loop_cost_reports_one_run_without_writing(self):
+        def files():
+            return {p: p.stat().st_mtime_ns
+                    for d in ("src", "scripts")
+                    for p in (ROOT / d).rglob("*")}
+
+        before = files()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "loop_cost.py"),
+             "--max-steps", "1", "--runs", "1"],
+            capture_output=True, text=True, cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+        assert [row[0] for row in rows] == ["1"]
+        assert float(rows[0][1]) >= 0
+        assert rows[0][2] in ("none", "loop")
         assert files() == before
 
     def test_sdp_cost_times_each_depth_without_writing(self):

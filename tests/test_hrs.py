@@ -6,7 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import strategies as S
-from hoterm.hrs import Hrs, HrsError, _Reader, load, parse, print_hrs
+from hoterm.hrs import Hrs, HrsError, _Reader, load, parse
+from strategies import print_hrs
 import hoterm.terms as T
 from hoterm.terms import Abs, Arrow, Base, arrow, free_names
 

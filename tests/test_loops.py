@@ -26,7 +26,7 @@ import hoterm.rewriting as R
 import hoterm.terms as T
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
-from hoterm.proof import emit, prove_text
+from hoterm.proof import emit_text, prove_text
 from hoterm.rewriting import (DepthExhausted, LoopFound, NormalForm,
                               bounded_search, enumerate_closed_terms,
                               find_loop, loop_seeds, rewrite_step)
@@ -371,7 +371,7 @@ def _search(name, max_steps):
 
 
 def _prove(text):
-    return lambda: emit(prove_text(text), "text")
+    return lambda: emit_text(prove_text(text))
 
 
 # the generated families of the benchmark's search workload, each at its

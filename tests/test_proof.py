@@ -8,7 +8,7 @@ import hoterm.proof
 from hoterm.criteria import AnalysisConfig, ConfigError
 from hoterm.hrs import load
 from hoterm.proof import (MAYBE, NONTERMINATING, SCHEMA_VERSION, TERMINATING,
-                          ProverConfig, emit, emit_dot, emit_json, emit_text,
+                          ProverConfig, emit_dot, emit_json, emit_text,
                           prove, prove_text)
 from hoterm.rewriting import rewrite_step
 
@@ -217,17 +217,6 @@ class TestJsonOutput:
 
 
 class TestEmitDispatch:
-    def test_formats(self):
-        p = prove(FIXDIR / "arith.hrs", ProverConfig())
-        assert emit(p, "text") == emit_text(p)
-        assert emit(p, "json") == emit_json(p)
-        assert emit(p, "dot") == emit_dot(p)
-
-    def test_unknown_format_rejected(self):
-        p = prove(FIXDIR / "arith.hrs", ProverConfig())
-        with pytest.raises(ValueError, match="unknown proof format 'yaml'"):
-            emit(p, "yaml")
-
     def test_dot_contains_graph(self):
         p = prove(FIXDIR / "sqsum.hrs", ProverConfig())
         dot = emit_dot(p)

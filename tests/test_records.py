@@ -4,7 +4,8 @@ Every class is written out by hand: a dataclass makes ``dataclasses``
 generate and compile its methods when the module is imported, which once
 took about a third of ``import hoterm.cli``.  The guard below counts
 rather than times, so it holds on any machine.  Another guard reads the
-source: a top-level definition nothing reads is dead API.
+source: a top-level definition nothing reads is dead API.  The package
+root exports only what the README and the benchmark read through it.
 """
 
 import ast
@@ -12,6 +13,7 @@ import dataclasses
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +99,44 @@ def unused_definitions() -> list[str]:
 class TestNoDeadApi:
     def test_every_definition_has_a_reader(self):
         assert unused_definitions() == []
+
+
+def root_names_read(text: str) -> set[str]:
+    """The names that ``text`` reads from the package root, as
+    ``hoterm.<name>`` or ``from hoterm import <name>``; submodules and
+    dunders are not API names."""
+    submodules = {info.name for info in pkgutil.iter_modules(hoterm.__path__)}
+    names = set(re.findall(r"\bhoterm\.(\w+)", text))
+    for paren, line in re.findall(
+            r"\bfrom hoterm import (?:\(([^)]*)\)|([\w ,]*))", text):
+        names.update(n.strip() for n in (paren or line).split(",")
+                     if n.strip())
+    return {n for n in names if n not in submodules and not n.startswith("_")}
+
+
+class TestDeclaredApi:
+    def test_the_readme_library_example_runs(self):
+        readme = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        proc = subprocess.run([sys.executable, "-c", blocks[0]],
+                              capture_output=True, text=True, cwd=ROOT,
+                              env=dict(os.environ, PYTHONPATH=str(
+                                  Path(hoterm.__file__).parents[1])))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "TERMINATING"
+        assert "verdict: TERMINATING" in proc.stdout
+
+    def test_every_name_the_benchmark_and_readme_read_is_exported(self):
+        bench = {path.name: root_names_read(path.read_text())
+                 for path in sorted((ROOT / "bench").glob("*.py"))}
+        readme = root_names_read((ROOT / "README.md").read_text())
+        assert {"prove_text", "find_loop"} <= bench["workloads.py"]
+        assert {"prove", "emit_text"} <= readme
+        missing = {name: sorted(names - set(hoterm.__all__))
+                   for name, names in [*bench.items(), ("README.md", readme)]}
+        assert {k: v for k, v in missing.items() if v} == {}
+        assert all(hasattr(hoterm, name) for name in hoterm.__all__)
 
 
 def proofs():

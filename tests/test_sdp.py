@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import strategies as S
 from strategies import positions, strip_binders, wrapped_bodies
-from hoterm import terms
+from hoterm import sdp, terms
 from hoterm.hrs import Hrs, Rule, load, parse
 from hoterm.proof import prove_text
 from hoterm.sdp import extract_sdps, mark, unmark_name
@@ -163,6 +163,15 @@ class TestExtractSdps:
 
     def test_empty_system_has_no_pairs(self):
         assert extract_sdps(load(FIXDIR / "empty.hrs")) == ()
+
+    def test_a_rule_without_pairs_marks_nothing(self, monkeypatch):
+        # foo's right side calls only a variable and a constructor, so no
+        # pair is built and its left side is never marked
+        marked = []
+        monkeypatch.setattr(sdp, "mark",
+                            lambda t: marked.append(t) or mark(t))
+        assert extract_sdps(load(FIXDIR / "foo.hrs")) == ()
+        assert marked == []
 
 
 class TestBinderDepth:

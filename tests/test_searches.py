@@ -27,7 +27,7 @@ from hoterm.criteria import (PRECEDENCE_BUDGET, AnalysisConfig, Comparison,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
 from hoterm.graph import RecursionComponent, build_graph, recursion_components
-from hoterm.hrs import Hrs, Rule, load, parse, print_hrs
+from hoterm.hrs import Hrs, Rule, load, parse
 from hoterm.normalize import apply_subst
 from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
 from hoterm.sdp import DependencyPair, extract_sdps
@@ -181,7 +181,7 @@ def fo_systems(draw):
                                 if v not in free_names(lhs)})
         rules.append(Rule(f"r{i}", lhs, rhs))
     raw = Hrs(("nat",), dict(S.FO_SIG), dict(S.FO_VARS), tuple(rules))
-    return parse(print_hrs(raw))
+    return parse(S.print_hrs(raw))
 
 
 class TestSameFirstWitness:
