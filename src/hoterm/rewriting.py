@@ -244,23 +244,24 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
                    ) -> SearchOutcome:
     """Breadth-first exploration of the distinct terms reachable from ``t``.
 
-    Each term met is rewritten once; it is expanded (its results queued)
-    when its distance from ``t`` is below ``max_steps``, and at most
-    ``max_nodes`` terms are expanded.  A step back to a term on the
+    Each term met below distance ``max_steps`` from ``t`` is rewritten
+    once and, unless it is a normal form, expanded (its results queued); at
+    most ``max_nodes`` terms are expanded.  A step back to a term on the
     breadth-first tree path of the term being expanded (``t`` included)
     returns LoopFound at once: the tree path plus that step.  A cycle that
     closes through other steps is found by one depth-first walk over the
     expanded terms when the queue runs out: the tree path to the cycle's
     first term plus the cycle.  Either trace may be longer than
-    ``max_steps``.  Without a cycle the answer is NormalForm, the first
-    normal form met, when every reachable term was expanded, and
-    DepthExhausted when a budget cut the search short.
+    ``max_steps``.  A cycle needs a step to a term met at the same or a
+    lesser distance, so the walk runs only when some step went back.
+    Without a cycle the answer is DepthExhausted when a budget cut the
+    search short, and NormalForm otherwise: the first normal form met.
 
     ``memo`` is the memo of ``rewrite_step``; pass one to several searches
     of the same system to share it.  A term on the frontier, at distance
-    ``max_steps``, is never expanded, so it is only tested with
-    ``reducible``: that tells a normal form from a cut-off without building
-    its rewrites.
+    ``max_steps``, is never expanded; the frontier comes last in the queue,
+    so it is tested with ``reducible`` only when no loop was found, and
+    the test stops at the first reducible term: that one cut the search.
     """
     if memo is None:
         memo = {}
@@ -268,21 +269,19 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
     depth = {t: 0}
     expanded: dict[Term, tuple[RewriteStep, ...]] = {}
     queue = deque([t])
+    frontier: list[Term] = []
     first_nf: Term | None = None
-    truncated = False
+    truncated = back = False
     while queue:
         current = queue.popleft()
         d = depth[current]
         if d >= max_steps:
-            out = reducible(h, current, memo)
-        else:
-            out = rewrite_step(h, current, memo)
+            frontier.append(current)
+            continue
+        out = rewrite_step(h, current, memo)
         if not out:
             if first_nf is None:
                 first_nf = current
-            continue
-        if d >= max_steps:
-            truncated = True
             continue
         if len(expanded) >= max_nodes:
             truncated = True
@@ -295,19 +294,19 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
                 depth[result] = d + 1
                 queue.append(result)
             elif depth[result] <= d:
+                back = True
                 ancestor = current
                 for _ in range(d - depth[result]):
                     ancestor = parent[ancestor][0]
                 if ancestor == result:
                     return LoopFound(t, _tree_path(parent, current) + (step,))
-    cycle = _first_cycle(t, expanded)
+    cycle = _first_cycle(t, expanded) if back else None
     if cycle is not None:
         entry, around = cycle
         return LoopFound(t, _tree_path(parent, entry) + around)
-    if truncated:
+    if truncated or any(reducible(h, u, memo) for u in frontier):
         return DepthExhausted(max_steps)
-    assert first_nf is not None
-    return NormalForm(first_nf)
+    return NormalForm(first_nf if first_nf is not None else frontier[0])
 
 
 def _tree_path(parent: dict[Term, tuple[Term, RewriteStep] | None],

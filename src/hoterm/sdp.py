@@ -60,6 +60,7 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
     for safe in h.safe_sets:
         rule = safe.rule
         lhs_names = free_names(rule.lhs)
+        lhs_marked = None
         for above, body in bodies(rule.rhs):
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
@@ -69,7 +70,9 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
             rhs_marked = mark(open_under(above, body, lhs_names)[1]
                               if above else body)
             extras = _occurring_extras(rhs_marked, lhs_names)
-            key = (mark(rule.lhs), _canonical_extras(rhs_marked, extras))
+            if lhs_marked is None:      # at the rule's first pair
+                lhs_marked = mark(rule.lhs)
+            key = (lhs_marked, _canonical_extras(rhs_marked, extras))
             if key in keys:
                 continue
             keys.add(key)

@@ -524,6 +524,11 @@ class TestBareEnv:
             "PYTHONHASHSEED": "1", "PATH": "/usr/bin:/bin"}
 
 
+def _mtimes(*dirs):
+    """The modification time of every file under ``dirs``."""
+    return {p: p.stat().st_mtime_ns for d in dirs for p in d.rglob("*")}
+
+
 class TestScripts:
     @pytest.mark.parametrize("script, flags", [
         ("run_systems.py", ()), ("run_systems.py", ("--disprove", "5")),
@@ -546,11 +551,8 @@ class TestScripts:
             assert foo[5] == ("NONTERMINATING" if flags else "MAYBE")
 
     def test_import_cost_times_both_commands_without_writing(self):
-        def files():
-            return {p: p.stat().st_mtime_ns
-                    for d in (SRC, ROOT / "scripts") for p in d.rglob("*")}
-
-        before = files()
+        dirs = SRC, ROOT / "scripts"
+        before = _mtimes(*dirs)
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "import_cost.py"),
              "--runs", "1"],
@@ -563,15 +565,11 @@ class TestScripts:
                               "hoterm prove fixtures/sqsum.hrs"]
         for cold, warm in rows.values():
             assert float(cold) > 0 and float(warm) > 0
-        assert files() == before
+        assert _mtimes(*dirs) == before
 
     def test_loop_answers_ends_with_a_digest_without_writing(self):
-        def files():
-            return {p: p.stat().st_mtime_ns
-                    for d in ("src", "scripts", "fixtures")
-                    for p in (ROOT / d).rglob("*")}
-
-        before = files()
+        dirs = SRC, ROOT / "scripts", ROOT / "fixtures"
+        before = _mtimes(*dirs)
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "loop_answers.py"),
              str(ROOT)], capture_output=True, text=True, cwd=ROOT)
@@ -580,15 +578,11 @@ class TestScripts:
         assert digest == LOOP_ANSWERS_DIGEST
         assert any(line.startswith("foo find_loop 1: LoopFound(")
                    for line in lines)
-        assert files() == before
+        assert _mtimes(*dirs) == before
 
     def test_loop_cost_reports_one_run_without_writing(self):
-        def files():
-            return {p: p.stat().st_mtime_ns
-                    for d in ("src", "scripts")
-                    for p in (ROOT / d).rglob("*")}
-
-        before = files()
+        dirs = SRC, ROOT / "scripts"
+        before = _mtimes(*dirs)
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "loop_cost.py"),
              "--max-steps", "1", "--runs", "1"],
@@ -599,15 +593,11 @@ class TestScripts:
         assert [row[0] for row in rows] == ["1"]
         assert float(rows[0][1]) >= 0
         assert rows[0][2] in ("none", "loop")
-        assert files() == before
+        assert _mtimes(*dirs) == before
 
     def test_sdp_cost_times_each_depth_without_writing(self):
-        def files():
-            return {p: p.stat().st_mtime_ns
-                    for d in ("src", "scripts")
-                    for p in (ROOT / d).rglob("*")}
-
-        before = files()
+        dirs = SRC, ROOT / "scripts"
+        before = _mtimes(*dirs)
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "sdp_cost.py"),
              "--depths", "1", "3", "--runs", "2"],
@@ -619,15 +609,11 @@ class TestScripts:
         for row in rows:
             assert float(row[1]) > 0 and float(row[2]) > 0
             assert row[3] == "4"
-        assert files() == before
+        assert _mtimes(*dirs) == before
 
     def test_precedence_cost_times_each_family_without_writing(self):
-        def files():
-            return {p: p.stat().st_mtime_ns
-                    for d in ("src", "scripts")
-                    for p in (ROOT / d).rglob("*")}
-
-        before = files()
+        dirs = SRC, ROOT / "scripts"
+        before = _mtimes(*dirs)
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "precedence_cost.py"),
              "--deep", "6", "10", "--unorientable", "5", "--rotating",
@@ -643,15 +629,11 @@ class TestScripts:
             "TERMINATING", "TERMINATING", "MAYBE", "TERMINATING"]
         for row in rows:
             assert float(row[2]) > 0 and int(row[3]) > 0
-        assert files() == before
+        assert _mtimes(*dirs) == before
 
     def test_parse_cost_times_every_set_without_writing(self):
-        def files():
-            return {p: p.stat().st_mtime_ns
-                    for d in ("src", "scripts", "bench")
-                    for p in (ROOT / d).rglob("*")}
-
-        before = files()
+        dirs = SRC, ROOT / "scripts", ROOT / "bench"
+        before = _mtimes(*dirs)
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "parse_cost.py"),
              "--runs", "2", "--passes", "1", "--baseline", str(ROOT)],
@@ -667,4 +649,4 @@ class TestScripts:
         for row in rows:
             assert len(row) == 5 - (row[0] == "ratio")
             assert all(float(x) > 0 for x in row[-3:])
-        assert files() == before
+        assert _mtimes(*dirs) == before

@@ -5,7 +5,8 @@ the breadth-first search over rewrite paths it replaced, kept here as an
 oracle: every loop the oracle finds, the new search finds too, and where
 the oracle reaches a normal form the new search reaches the same one.
 The seeds drawn on demand are checked against the eager seeds kept in
-``walk_oracle``.
+``walk_oracle``, and ``bounded_search`` against the eager loop it replaced,
+which tested every frontier term and walked for a cycle after every search.
 """
 
 import gc
@@ -21,7 +22,7 @@ import hypothesis.strategies as st
 
 import strategies as S
 from nbe_oracle import hints, nbe_apply_subst
-from walk_oracle import eager_loop_seeds
+from walk_oracle import eager_bounded_search, eager_loop_seeds
 import hoterm.rewriting as R
 import hoterm.terms as T
 from hoterm.hrs import load, parse
@@ -202,6 +203,97 @@ class TestAgainstPathSearch:
         for start in sorted({src for src, _ in arcs}):
             assert_agrees_with_oracle(h, constant(h, start), max_steps,
                                       max_nodes=50)
+
+
+def assert_same_outcome(h, seed, max_steps, max_nodes, memos):
+    """The search and its eager oracle give the same answer: the same
+    class, normal form and trace, binder hints included."""
+    old = eager_bounded_search(h, seed, max_steps, max_nodes, memos[0])
+    new = bounded_search(h, seed, max_steps, max_nodes, memos[1])
+    assert type(new) is type(old)
+    if isinstance(old, NormalForm):
+        assert print_term(new.term) == print_term(old.term)
+    assert repr(new) == repr(old)
+
+
+NODE_BUDGETS = (1, 3, 100_000)      # the last is the default
+
+
+class TestAgainstEagerSearch:
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_every_fixture_seed(self, name):
+        h = pattern_system(name)
+        if h is None:
+            pytest.skip("loop search needs pattern rules")
+        memos = {}, {}
+        for seed in loop_seeds(h):
+            for max_steps in range(1, 5):
+                for max_nodes in NODE_BUDGETS:
+                    assert_same_outcome(h, seed, max_steps, max_nodes, memos)
+
+    @settings(max_examples=150, deadline=None)
+    @given(S.systems(), st.integers(1, 4), st.sampled_from(NODE_BUDGETS))
+    def test_generated_systems(self, h, max_steps, max_nodes):
+        assume(all(r.is_pattern for r in h.rules))
+        memos = {}, {}
+        for seed in loop_seeds(h, max_term_size=3, cap=6):
+            assert_same_outcome(h, seed, max_steps, max_nodes, memos)
+
+    @settings(max_examples=200, deadline=None)
+    @given(S.digraphs(max_nodes=5), st.integers(1, 6),
+           st.sampled_from(NODE_BUDGETS))
+    def test_graphs_of_constants(self, graph, max_steps, max_nodes):
+        # several frontier terms, normal forms among them, and cycles
+        # that close off the tree path
+        n, arcs = graph
+        assume(arcs)
+        h = constant_graph([(f"c{i}", f"c{j}") for i, j in sorted(arcs)])
+        memos = {}, {}
+        for start in sorted({i for i, _ in arcs}):
+            assert_same_outcome(h, constant(h, f"c{start}"), max_steps,
+                                max_nodes, memos)
+
+
+def counting(monkeypatch, name):
+    """The arguments of every call to ``hoterm.rewriting.<name>``."""
+    calls = []
+    real = getattr(R, name)
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(R, name, count)
+    return calls
+
+
+class TestSavedWork:
+    def test_no_step_back_no_cycle_walk(self, monkeypatch):
+        walks = counting(monkeypatch, "_first_cycle")
+        assert find_loop(load(FIXTURES / "arith.hrs"), max_steps=1) is None
+        assert walks == []
+
+    def test_the_first_reducible_frontier_term_decides(self, monkeypatch):
+        # a and b are both on the frontier, and a rewrites to c
+        h = constant_graph([("t", "a"), ("t", "b"), ("a", "c"), ("b", "c")])
+        tested = counting(monkeypatch, "reducible")
+        assert bounded_search(h, constant(h, "t"), max_steps=1) \
+            == DepthExhausted(1)
+        assert [t for _, t, _ in tested] == [constant(h, "a")]
+
+    def test_a_loop_from_the_cycle_walk_tests_no_frontier_term(
+            self, monkeypatch):
+        # c is on the frontier at 2 steps and rewrites to d, but the walk
+        # closes a -> b -> a first
+        h = constant_graph([("t", "a"), ("t", "b"), ("a", "b"), ("b", "a"),
+                            ("a", "c"), ("c", "d")])
+        tested = counting(monkeypatch, "reducible")
+        walks = counting(monkeypatch, "_first_cycle")
+        found = bounded_search(h, constant(h, "t"), max_steps=2)
+        assert isinstance(found, LoopFound)
+        assert [s.rule for s in found.trace] == ["r0", "r2", "r3"]
+        assert len(walks) == 1
+        assert tested == []
 
 
 class TestBoundedSearch:

@@ -1,6 +1,7 @@
 import runpy
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 import strategies as S
@@ -172,6 +173,21 @@ class TestExtractSdps:
                             lambda t: marked.append(t) or mark(t))
         assert extract_sdps(load(FIXDIR / "foo.hrs")) == ()
         assert marked == []
+
+    @pytest.mark.parametrize("name, marks", [
+        ("sqsum", 11), ("ackermann", 5), ("arith", 5)])
+    def test_a_left_side_is_marked_once(self, name, marks, monkeypatch):
+        # one mark per pair's body, and one per rule that yields a pair, at
+        # its first: sqsum's 7 pairs come from 4 rules
+        marked = []
+        monkeypatch.setattr(sdp, "mark",
+                            lambda t: marked.append(t) or mark(t))
+        h = load(FIXDIR / f"{name}.hrs")
+        pairs = extract_sdps(h)
+        assert len(marked) == marks
+        lhss = [t for t in marked if any(t is r.lhs for r in h.rules)]
+        assert len(lhss) == len({p.origin_rule for p in pairs})
+        assert len(marked) == len(pairs) + len(lhss)
 
 
 class TestBinderDepth:

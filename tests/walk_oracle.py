@@ -11,16 +11,26 @@ head at every subterm, and put each contractum back in place with
 ``eager_loop_seeds`` builds each pool of closed terms in full before the
 first seed: the seeds of the loop search must not change now that its pools
 are drawn only as far as the seeds taken need.
+
+``eager_bounded_search`` is the loop search as it once ran: it tests every
+frontier term with ``reducible`` as it is popped, and walks the expanded
+terms for a cycle after every search, though no answer reads the frontier
+tests past the first reducible term, and no cycle closes without a step
+back to a term met at the same or a lesser distance.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from hoterm.hrs import Hrs
 from hoterm.normalize import apply_subst
-from hoterm.rewriting import (NonPatternError, RewriteStep,
-                              enumerate_closed_terms, match)
+from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
+                              NormalForm, RewriteStep, SearchOutcome,
+                              _first_cycle, _tree_path,
+                              enumerate_closed_terms, match, reducible,
+                              rewrite_step)
 from hoterm.terms import (Abs, App, Position, PositionError, Term,
                           TermTypeError, free_names)
 from strategies import close_over, open_abs
@@ -102,3 +112,56 @@ def eager_loop_seeds(h: Hrs, max_term_size: int = 4, cap: int = 200):
             emitted += 1
             if emitted >= cap:
                 return
+
+
+def eager_bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
+                         max_nodes: int = 100_000, memo: dict | None = None
+                         ) -> SearchOutcome:
+    """``bounded_search`` with each frontier term tested as it is popped
+    and the cycle walk run whenever no tree-path loop was found."""
+    if memo is None:
+        memo = {}
+    parent: dict[Term, tuple[Term, RewriteStep] | None] = {t: None}
+    depth = {t: 0}
+    expanded: dict[Term, tuple[RewriteStep, ...]] = {}
+    queue = deque([t])
+    first_nf: Term | None = None
+    truncated = False
+    while queue:
+        current = queue.popleft()
+        d = depth[current]
+        if d >= max_steps:
+            out = reducible(h, current, memo)
+        else:
+            out = rewrite_step(h, current, memo)
+        if not out:
+            if first_nf is None:
+                first_nf = current
+            continue
+        if d >= max_steps:
+            truncated = True
+            continue
+        if len(expanded) >= max_nodes:
+            truncated = True
+            break
+        expanded[current] = out
+        for step in out:
+            result = step.result
+            if result not in depth:
+                parent[result] = (current, step)
+                depth[result] = d + 1
+                queue.append(result)
+            elif depth[result] <= d:
+                ancestor = current
+                for _ in range(d - depth[result]):
+                    ancestor = parent[ancestor][0]
+                if ancestor == result:
+                    return LoopFound(t, _tree_path(parent, current) + (step,))
+    cycle = _first_cycle(t, expanded)
+    if cycle is not None:
+        entry, around = cycle
+        return LoopFound(t, _tree_path(parent, entry) + around)
+    if truncated:
+        return DepthExhausted(max_steps)
+    assert first_nf is not None
+    return NormalForm(first_nf)
