@@ -254,7 +254,7 @@ class TestAgainstEagerSearch:
                                 max_nodes, memos)
 
 
-def counting(monkeypatch, name):
+def record_calls(monkeypatch, name):
     """The arguments of every call to ``hoterm.rewriting.<name>``."""
     calls = []
     real = getattr(R, name)
@@ -269,14 +269,14 @@ def counting(monkeypatch, name):
 
 class TestSavedWork:
     def test_no_step_back_no_cycle_walk(self, monkeypatch):
-        walks = counting(monkeypatch, "_first_cycle")
+        walks = record_calls(monkeypatch, "_first_cycle")
         assert find_loop(load(FIXTURES / "arith.hrs"), max_steps=1) is None
         assert walks == []
 
     def test_the_first_reducible_frontier_term_decides(self, monkeypatch):
         # a and b are both on the frontier, and a rewrites to c
         h = constant_graph([("t", "a"), ("t", "b"), ("a", "c"), ("b", "c")])
-        tested = counting(monkeypatch, "reducible")
+        tested = record_calls(monkeypatch, "reducible")
         assert bounded_search(h, constant(h, "t"), max_steps=1) \
             == DepthExhausted(1)
         assert [t for _, t, _ in tested] == [constant(h, "a")]
@@ -287,8 +287,8 @@ class TestSavedWork:
         # closes a -> b -> a first
         h = constant_graph([("t", "a"), ("t", "b"), ("a", "b"), ("b", "a"),
                             ("a", "c"), ("c", "d")])
-        tested = counting(monkeypatch, "reducible")
-        walks = counting(monkeypatch, "_first_cycle")
+        tested = record_calls(monkeypatch, "reducible")
+        walks = record_calls(monkeypatch, "_first_cycle")
         found = bounded_search(h, constant(h, "t"), max_steps=2)
         assert isinstance(found, LoopFound)
         assert [s.rule for s in found.trace] == ["r0", "r2", "r3"]
