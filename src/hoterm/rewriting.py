@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 from copy import copy
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 from .graph import depth_first
 from .hrs import Hrs, bound_args
@@ -124,8 +124,8 @@ def rewrite_step(h: Hrs, t: Term, memo: dict | None = None
                  ) -> tuple[RewriteStep, ...]:
     """All one-step rewrites of ``t``, ordered by rule name then position.
 
-    ``memo`` maps each subterm met to (the subterm, its one-step rewrites),
-    or only to whether it has one; a call without it makes a fresh one.
+    ``memo`` maps each subterm met to (the subterm, its one-step
+    rewrites); a call without it makes a fresh one.
     Calls that share one memo, as the seeds of ``find_loop`` do, match a
     subterm shared by many terms once.  A subterm's rewrites are its own
     contracta, for the rules indexed under its head, and each argument's
@@ -141,17 +141,6 @@ def rewrite_step(h: Hrs, t: Term, memo: dict | None = None
     return _rewrites({} if memo is None else memo, h.rules_by_head, t)
 
 
-def reducible(h: Hrs, t: Term, memo: dict | None = None) -> bool:
-    """Whether ``t`` has a one-step rewrite, i.e. ``bool(rewrite_step(h, t))``.
-
-    Arguments are tried before the root, and the test stops at the first
-    redex; no contractum is built.  Answers are kept in ``memo`` beside the
-    rewrites, as ``rewrite_step`` keeps them.
-    """
-    _check_patterns(h)
-    return _reducible({} if memo is None else memo, h.rules_by_head, t)
-
-
 def _check_patterns(h: Hrs) -> None:
     rule = h.non_pattern
     if rule is not None:
@@ -164,15 +153,16 @@ def _check_patterns(h: Hrs) -> None:
 TABLE_BOUND = 100_000
 
 
-def _remember(memo: dict, u: Term, value: tuple | bool) -> None:
+def _remember(memo: dict, u: Term,
+              rewrites: tuple[RewriteStep, ...]) -> None:
     if len(memo) >= TABLE_BOUND:
         memo.clear()
-    memo[u] = value
+    memo[u] = (u, rewrites)
 
 
 def _rewrites(memo: dict, by_head: dict, u: Term) -> tuple[RewriteStep, ...]:
     known = memo.get(u)
-    if type(known) is tuple and known[0] is u:
+    if known is not None and known[0] is u:
         return known[1]
     if isinstance(u, Abs):
         hits = tuple(RewriteStep(rule, (1,) + pos,
@@ -192,29 +182,8 @@ def _rewrites(memo: dict, by_head: dict, u: Term) -> tuple[RewriteStep, ...]:
                     u.head, args[:i] + (res,) + args[i + 1:])))
         out.sort(key=itemgetter(0, 1))
         hits = tuple(out)
-    _remember(memo, u, (u, hits))
+    _remember(memo, u, hits)
     return hits
-
-
-def _reducible(memo: dict, by_head: dict, u: Term) -> bool:
-    known = memo.get(u)
-    if known is not None:
-        return known if type(known) is bool else bool(known[1])
-    if isinstance(u, Abs):
-        found = _reducible(memo, by_head, u.body)
-    else:
-        found = False
-        for a in u.args:
-            if _reducible(memo, by_head, a):
-                found = True
-                break
-        else:
-            for rule in by_head.get(u.head, ()):
-                if match(rule.lhs, u) is not None:
-                    found = True
-                    break
-    _remember(memo, u, found)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -228,63 +197,45 @@ class LoopFound(NamedTuple):
     trace: tuple[RewriteStep, ...]
 
 
-class NormalForm(NamedTuple):
-    term: Term
-
-
-class DepthExhausted(NamedTuple):
-    max_steps: int
-
-
-SearchOutcome = Union[LoopFound, NormalForm, DepthExhausted]
-
-
 def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
                    max_nodes: int = 100_000, memo: dict | None = None
-                   ) -> SearchOutcome:
-    """Breadth-first exploration of the distinct terms reachable from ``t``.
+                   ) -> LoopFound | None:
+    """A loop among the distinct terms reachable from ``t``, explored
+    breadth first, or None when none is found within the budgets.
 
     Each term met below distance ``max_steps`` from ``t`` is rewritten
     once and, unless it is a normal form, expanded (its results queued); at
-    most ``max_nodes`` terms are expanded.  A step back to a term on the
+    most ``max_nodes`` terms are expanded, and a term at distance
+    ``max_steps`` is never rewritten.  A step back to a term on the
     breadth-first tree path of the term being expanded (``t`` included)
     returns LoopFound at once: the tree path plus that step.  A cycle that
     closes through other steps is found by one depth-first walk over the
-    expanded terms when the queue runs out: the tree path to the cycle's
+    expanded terms when the search ends: the tree path to the cycle's
     first term plus the cycle.  Either trace may be longer than
     ``max_steps``.  A cycle needs a step to a term met at the same or a
     lesser distance, so the walk runs only when some step went back.
-    Without a cycle the answer is DepthExhausted when a budget cut the
-    search short, and NormalForm otherwise: the first normal form met.
 
     ``memo`` is the memo of ``rewrite_step``; pass one to several searches
-    of the same system to share it.  A term on the frontier, at distance
-    ``max_steps``, is never expanded; the frontier comes last in the queue,
-    so it is tested with ``reducible`` only when no loop was found, and
-    the test stops at the first reducible term: that one cut the search.
+    of the same system to share it.  A system with a non-pattern rule
+    raises NonPatternError before the first step, whatever the budgets.
     """
+    _check_patterns(h)
     if memo is None:
         memo = {}
     parent: dict[Term, tuple[Term, RewriteStep] | None] = {t: None}
     depth = {t: 0}
     expanded: dict[Term, tuple[RewriteStep, ...]] = {}
     queue = deque([t])
-    frontier: list[Term] = []
-    first_nf: Term | None = None
-    truncated = back = False
+    back = False
     while queue:
         current = queue.popleft()
         d = depth[current]
         if d >= max_steps:
-            frontier.append(current)
-            continue
+            break                   # the rest of the queue is as far out
         out = rewrite_step(h, current, memo)
         if not out:
-            if first_nf is None:
-                first_nf = current
             continue
         if len(expanded) >= max_nodes:
-            truncated = True
             break
         expanded[current] = out
         for step in out:
@@ -301,12 +252,10 @@ def bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
                 if ancestor == result:
                     return LoopFound(t, _tree_path(parent, current) + (step,))
     cycle = _first_cycle(t, expanded) if back else None
-    if cycle is not None:
-        entry, around = cycle
-        return LoopFound(t, _tree_path(parent, entry) + around)
-    if truncated or any(reducible(h, u, memo) for u in frontier):
-        return DepthExhausted(max_steps)
-    return NormalForm(first_nf if first_nf is not None else frontier[0])
+    if cycle is None:
+        return None
+    entry, around = cycle
+    return LoopFound(t, _tree_path(parent, entry) + around)
 
 
 def _tree_path(parent: dict[Term, tuple[Term, RewriteStep] | None],
@@ -420,6 +369,8 @@ def loop_seeds(h: Hrs, max_term_size: int = 4,
     enumeration only as far as the walk has reached: a search that stops
     at an early seed builds no more.
     """
+    if cap < 1:
+        return
     seen: set[Term] = set()
     # each pool is a tee that is never advanced: a copy of it starts at
     # the pool's first term, and all copies share what has been drawn
@@ -453,7 +404,7 @@ def find_loop(h: Hrs, max_steps: int = 1000, max_term_size: int = 4,
     """
     memo: dict = {}
     for seed in loop_seeds(h, max_term_size, cap):
-        outcome = bounded_search(h, seed, max_steps, max_nodes, memo)
-        if isinstance(outcome, LoopFound):
-            return outcome
+        found = bounded_search(h, seed, max_steps, max_nodes, memo)
+        if found is not None:
+            return found
     return None

@@ -593,6 +593,7 @@ class TestScripts:
         assert [row[0] for row in rows] == ["1"]
         assert float(rows[0][1]) >= 0
         assert rows[0][2] in ("none", "loop")
+        assert int(rows[0][3]) > 0 and int(rows[0][4]) > 0
         assert _mtimes(*dirs) == before
 
     def test_sdp_cost_times_each_depth_without_writing(self):

@@ -1,12 +1,14 @@
 """The loop search against the path search it replaced, and its scale.
 
-``bounded_search`` expands each distinct term once.  ``path_bfs`` below is
-the breadth-first search over rewrite paths it replaced, kept here as an
-oracle: every loop the oracle finds, the new search finds too, and where
-the oracle reaches a normal form the new search reaches the same one.
+``bounded_search`` expands each distinct term once and answers only with a
+loop, or None.  ``path_bfs`` below is the breadth-first search over rewrite
+paths it replaced, kept here as an oracle with its own answer classes:
+every loop the oracle finds, the new search finds too, and where the oracle
+reaches a normal form with no budget cut, the new search finds no loop.
 The seeds drawn on demand are checked against the eager seeds kept in
 ``walk_oracle``, and ``bounded_search`` against the eager loop it replaced,
-which tested every frontier term and walked for a cycle after every search.
+which rewrote every term at the step budget and walked for a cycle after
+every search: the two find the same loop, or none.
 """
 
 import gc
@@ -22,15 +24,16 @@ import hypothesis.strategies as st
 
 import strategies as S
 from nbe_oracle import hints, nbe_apply_subst
-from walk_oracle import eager_bounded_search, eager_loop_seeds
+from walk_oracle import (DepthExhausted, NormalForm, eager_bounded_search,
+                         eager_loop_seeds)
 import hoterm.rewriting as R
 import hoterm.terms as T
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.proof import emit_text, prove_text
-from hoterm.rewriting import (DepthExhausted, LoopFound, NormalForm,
-                              bounded_search, enumerate_closed_terms,
-                              find_loop, loop_seeds, rewrite_step)
+from hoterm.rewriting import (LoopFound, bounded_search,
+                              enumerate_closed_terms, find_loop, loop_seeds,
+                              rewrite_step)
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, eta_hint,
                           print_term)
 
@@ -120,17 +123,16 @@ def replays(h, found):
 def assert_agrees_with_oracle(h, seed, max_steps, max_nodes):
     old = path_bfs(h, seed, max_steps, max_nodes)
     new = bounded_search(h, seed, max_steps, max_nodes)
-    if isinstance(new, LoopFound):
+    if new is not None:
         assert new.start == seed
         assert replays(h, new)
-    if isinstance(new, NormalForm):
-        assert rewrite_step(h, new.term) == ()
     if isinstance(old, LoopFound):
         assert isinstance(new, LoopFound)
     elif isinstance(old, NormalForm):
-        assert new == old
+        assert new is None
     # where the oracle ran out of depth, the new search may still expand
-    # every distinct term: its paths are short even if some of old's are not
+    # every distinct term and find a loop: its paths are short even if some
+    # of old's are not
 
 
 def pattern_system(name):
@@ -206,14 +208,15 @@ class TestAgainstPathSearch:
 
 
 def assert_same_outcome(h, seed, max_steps, max_nodes, memos):
-    """The search and its eager oracle give the same answer: the same
-    class, normal form and trace, binder hints included."""
+    """The search finds a loop exactly when its eager oracle does, with the
+    same trace, binder hints included, and otherwise answers None."""
     old = eager_bounded_search(h, seed, max_steps, max_nodes, memos[0])
     new = bounded_search(h, seed, max_steps, max_nodes, memos[1])
-    assert type(new) is type(old)
-    if isinstance(old, NormalForm):
-        assert print_term(new.term) == print_term(old.term)
-    assert repr(new) == repr(old)
+    if isinstance(old, LoopFound):
+        assert isinstance(new, LoopFound)
+        assert repr(new) == repr(old)
+    else:
+        assert new is None
 
 
 NODE_BUDGETS = (1, 3, 100_000)      # the last is the default
@@ -243,7 +246,7 @@ class TestAgainstEagerSearch:
     @given(S.digraphs(max_nodes=5), st.integers(1, 6),
            st.sampled_from(NODE_BUDGETS))
     def test_graphs_of_constants(self, graph, max_steps, max_nodes):
-        # several frontier terms, normal forms among them, and cycles
+        # several terms at the step budget, normal forms among them, and cycles
         # that close off the tree path
         n, arcs = graph
         assume(arcs)
@@ -273,27 +276,36 @@ class TestSavedWork:
         assert find_loop(load(FIXTURES / "arith.hrs"), max_steps=1) is None
         assert walks == []
 
-    def test_the_first_reducible_frontier_term_decides(self, monkeypatch):
-        # a and b are both on the frontier, and a rewrites to c
+    def test_no_term_at_the_step_budget_is_matched(self, monkeypatch):
+        # from t, a and b are one step away, and a rewrites to c; from the
+        # seeds a and b, c is one step away: no search rewrites or matches
+        # a term at the step budget
         h = constant_graph([("t", "a"), ("t", "b"), ("a", "c"), ("b", "c")])
-        tested = record_calls(monkeypatch, "reducible")
-        assert bounded_search(h, constant(h, "t"), max_steps=1) \
-            == DepthExhausted(1)
-        assert [t for _, t, _ in tested] == [constant(h, "a")]
+        t, a, b = (constant(h, name) for name in "tab")
+        rewritten = record_calls(monkeypatch, "rewrite_step")
+        matched = record_calls(monkeypatch, "match")
+        assert bounded_search(h, t, max_steps=1) is None
+        assert [u for _, u, _ in rewritten] == [t]
+        assert [u for _, u in matched] == [t, t]
+        rewritten.clear()
+        matched.clear()
+        assert find_loop(h, max_steps=1) is None
+        assert [u for _, u, _ in rewritten] == [t, a, b]
+        assert [u for _, u in matched] == [t, t, a, b]
 
     def test_a_loop_from_the_cycle_walk_tests_no_frontier_term(
             self, monkeypatch):
-        # c is on the frontier at 2 steps and rewrites to d, but the walk
-        # closes a -> b -> a first
+        # c is 2 steps away, at the step budget, and rewrites to d, but the
+        # walk closes a -> b -> a first
         h = constant_graph([("t", "a"), ("t", "b"), ("a", "b"), ("b", "a"),
                             ("a", "c"), ("c", "d")])
-        tested = record_calls(monkeypatch, "reducible")
+        matched = record_calls(monkeypatch, "match")
         walks = record_calls(monkeypatch, "_first_cycle")
         found = bounded_search(h, constant(h, "t"), max_steps=2)
         assert isinstance(found, LoopFound)
         assert [s.rule for s in found.trace] == ["r0", "r2", "r3"]
         assert len(walks) == 1
-        assert tested == []
+        assert constant(h, "c") not in [u for _, u in matched]
 
 
 class TestBoundedSearch:
@@ -315,33 +327,41 @@ class TestBoundedSearch:
         assert isinstance(path_bfs(h, constant(h, "t"), 2, 100),
                           DepthExhausted)
 
-    def test_depth_budget_counts_distinct_terms(self):
+    def test_depth_budget_counts_distinct_terms(self, monkeypatch):
+        # d + 1 distinct terms at distance d, where 2^d paths end
         h = loop_chain(6)
         seed = App(Const("g00", h.signature["g00"]), (constant(h, "z"),))
-        assert bounded_search(h, seed, max_steps=5) == DepthExhausted(5)
+        rewritten = record_calls(monkeypatch, "rewrite_step")
+        assert bounded_search(h, seed, max_steps=5) is None
+        assert len(rewritten) == 1 + 2 + 3 + 4 + 5
         found = bounded_search(h, seed, max_steps=6)
         assert isinstance(found, LoopFound)
         assert [s.rule for s in found.trace] == [f"a{i:02d}" for i in range(6)]
 
-    def test_node_budget_counts_distinct_terms(self):
-        # a diamond of n levels has 2^n paths but n + 1 distinct terms
+    def test_node_budget_counts_distinct_terms(self, monkeypatch):
+        # a diamond of n levels has 2^n paths but n + 1 distinct terms:
+        # 8 expansions reach the normal form d8
         h = constant_graph([(f"d{i}", f"d{i + 1}") for i in range(8)]
                            + [(f"d{i}", f"d{i + 1}") for i in range(8)])
-        out = bounded_search(h, constant(h, "d0"), max_nodes=8)
-        assert out == NormalForm(constant(h, "d8"))
+        rewritten = record_calls(monkeypatch, "rewrite_step")
+        assert bounded_search(h, constant(h, "d0"), max_nodes=8) is None
+        assert [u for _, u, _ in rewritten] == \
+            [constant(h, f"d{i}") for i in range(9)]
         assert isinstance(path_bfs(h, constant(h, "d0"), 1000, 8),
                           DepthExhausted)
 
-    def test_normal_form_when_every_distinct_term_is_expanded(self):
+    def test_normal_form_when_every_distinct_term_is_expanded(
+            self, monkeypatch):
         # g(g(g(c))) reaches each of its terms within one step, though some
         # paths take three: the path search ran out of depth here
         h = _system([("c", "o"), ("g", "o -> o")], [("r", "g(X)", "c")])
-        seed = constant(h, "c")
-        for _ in range(3):
-            seed = App(Const("g", h.signature["g"]), (seed,))
-        assert bounded_search(h, seed, max_steps=2) == \
-            NormalForm(constant(h, "c"))
-        assert path_bfs(h, seed, 2, 100) == DepthExhausted(2)
+        g = lambda t: App(Const("g", h.signature["g"]), (t,))
+        c = constant(h, "c")
+        rewritten = record_calls(monkeypatch, "rewrite_step")
+        assert bounded_search(h, g(g(g(c))), max_steps=2) is None
+        assert [u for _, u, _ in rewritten] == [g(g(g(c))), c, g(c), g(g(c))]
+        assert rewrite_step(h, c) == ()
+        assert path_bfs(h, g(g(g(c))), 2, 100) == DepthExhausted(2)
 
     def test_shared_memo_is_filled_once(self, monkeypatch):
         calls = []
@@ -360,9 +380,8 @@ class TestBoundedSearch:
         memo = {}
         first = [bounded_search(h, s, 4, 1000, memo) for s in seeds]
         assert first == alone
-        # a rule is tried at a subterm once by the frontier test and once
-        # by the rewrite walk at most, whichever seed meets the subterm
-        assert max(Counter(calls).values()) <= 2
+        # a rule is tried at a subterm once, whichever seed meets it
+        assert max(Counter(calls).values()) == 1
         assert len(calls) < apart
         shared = len(calls)
         again = [bounded_search(h, s, 4, 1000, memo) for s in seeds]
@@ -409,7 +428,7 @@ class TestFindLoop:
             ``memo``."""
             for seed in loop_seeds(h, cap=40):
                 out = bounded_search(h, seed, 6, 30, memo)
-                if isinstance(out, LoopFound):
+                if out is not None:
                     return out
             return None
 
@@ -434,7 +453,7 @@ class TestFindLoop:
         assert live() == before
         seed = next(loop_seeds(h))
         rewrite_step(h, seed)
-        R.reducible(h, seed)
+        bounded_search(h, seed, max_steps=6)
         assert set(vars(h)) == keys
 
     @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
@@ -567,6 +586,17 @@ class TestSeedsOnDemand:
             "rule u: h(X, Y) -> X\n", size=4, cap=200, want=200)
         assert sum(seed.startswith("h(") for seed in got) == 176
         assert got[-1] == "h(h(c, d), h(c, d))"
+
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_cap_bounds_the_seeds_taken(self, cap):
+        h = load(FIXTURES / "foo.hrs")
+        every = list(loop_seeds(h))
+        assert len(list(loop_seeds(h, cap=cap))) == min(cap, len(every))
+
+    def test_no_seed_no_step(self, monkeypatch):
+        rewritten = record_calls(monkeypatch, "rewrite_step")
+        assert find_loop(load(FIXTURES / "foo.hrs"), cap=0) is None
+        assert rewritten == []
 
     @pytest.mark.parametrize("name, max_steps, seeds", [
         ("foo", 3, 2), ("loop-chain", 6, 1)])

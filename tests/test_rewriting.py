@@ -10,9 +10,8 @@ from walk_oracle import walk_rewrite_step
 import hoterm.rewriting as R
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
-from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
-                              NormalForm, bounded_search, find_loop,
-                              loop_seeds, match, reducible, rewrite_step)
+from hoterm.rewriting import (LoopFound, NonPatternError, bounded_search,
+                              find_loop, loop_seeds, match, rewrite_step)
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, Term, arrow,
                           print_term)
 
@@ -79,8 +78,6 @@ class TestMatch:
                       (lam("x", Base("a"), c),))
         with pytest.raises(NonPatternError, match="non-pattern"):
             rewrite_step(h, subject)
-        with pytest.raises(NonPatternError, match="non-pattern"):
-            reducible(h, subject)
 
     def test_non_pattern_without_binders_raises(self):
         # F(c) under no binder: a variable applied to a non-variable
@@ -135,20 +132,26 @@ class TestRewriteStep:
             "foldl(\\x y. add(x, y), add(s(0), 0), nil)"
 
 
+def first_step_normal_form(h, t):
+    """The normal form reached by taking each term's first rewrite."""
+    while steps := rewrite_step(h, t):
+        t = steps[0].result
+    return t
+
+
 class TestBoundedSearch:
     def test_normal_form_outcome(self, fixtures):
         h = load(fixtures / "arith.hrs")
-        out = bounded_search(h, add(suc(ZERO), ZERO))
-        assert isinstance(out, NormalForm)
-        assert out.term == suc(ZERO)
+        assert bounded_search(h, add(suc(ZERO), ZERO)) is None
+        assert first_step_normal_form(h, add(suc(ZERO), ZERO)) == suc(ZERO)
 
     def test_multiplication_normalizes(self, fixtures):
         h = load(fixtures / "arith.hrs")
         mul = lambda a, b: App(Const("mul", arrow(NAT, NAT, NAT)), (a, b))
         two = suc(suc(ZERO))
-        out = bounded_search(h, mul(two, two))
-        assert isinstance(out, NormalForm)
-        assert out.term == suc(suc(suc(suc(ZERO))))
+        assert bounded_search(h, mul(two, two)) is None
+        assert first_step_normal_form(h, mul(two, two)) == \
+            suc(suc(suc(suc(ZERO))))
 
     def test_loop_outcome(self, fixtures):
         h = load(fixtures / "foo.hrs")
@@ -161,11 +164,21 @@ class TestBoundedSearch:
         out = bounded_search(h, seed)
         assert isinstance(out, LoopFound)
 
-    def test_depth_exhausted(self, fixtures):
+    def test_depth_exhausted(self, fixtures, monkeypatch):
+        # the seed is rewritten and its contractum, one step away, is not
         h = load(fixtures / "arith.hrs")
-        out = bounded_search(h, add(suc(suc(ZERO)), ZERO), max_steps=1)
-        assert isinstance(out, DepthExhausted)
-        assert out.max_steps == 1
+        seed = add(suc(suc(ZERO)), ZERO)
+        calls = []
+        real = R.rewrite_step
+
+        def counting(h, t, memo=None):
+            calls.append(t)
+            return real(h, t, memo)
+
+        monkeypatch.setattr(R, "rewrite_step", counting)
+        assert bounded_search(h, seed, max_steps=1) is None
+        assert calls == [seed]
+        assert rewrite_step(h, real(h, seed)[0].result) != ()
 
 
 class TestFindLoop:
@@ -257,12 +270,11 @@ def near(h, seeds, steps=2, cap=60):
 
 def assert_same_steps(h, terms):
     """Each term's steps, with binder hints and printed text, equal the
-    walk's; ``reducible`` is asked first, from an empty memo, and its
-    answers are then left in the memo that ``rewrite_step`` fills."""
+    walk's: from an empty memo, from the memo that call filled, and without
+    a memo."""
     for t in terms:
         want = walk_rewrite_step(h, t)
         memo = {}
-        assert reducible(h, t, memo) == bool(want)
         for got in (rewrite_step(h, t, memo), rewrite_step(h, t, memo),
                     rewrite_step(h, t)):
             assert got == want
@@ -273,7 +285,6 @@ def assert_same_steps(h, terms):
     # once more over a memo shared by all the terms
     memo = {}
     for t in terms:
-        assert reducible(h, t, memo) == bool(walk_rewrite_step(h, t))
         assert rewrite_step(h, t, memo) == walk_rewrite_step(h, t)
 
 
@@ -362,12 +373,6 @@ class TestMemoisedSteps:
         rewrite_step(h, suc(add(inner, ZERO)), memo)
         # once for each rule indexed under its head
         assert calls.count(inner) == len(h.rules_by_head[inner.head]) == 2
-        # the frontier test matches through the same name, stops at the
-        # first rule that applies (add-0), and then answers from the memo
-        fresh = add(ZERO, suc(ZERO))
-        assert reducible(h, suc(fresh), memo) and \
-            reducible(h, suc(fresh), memo)
-        assert calls.count(fresh) == 1
         # a call without a memo makes its own, and keeps nothing
         rewrite_step(h, suc(inner))
         rewrite_step(h, suc(inner))

@@ -12,25 +12,25 @@ head at every subterm, and put each contractum back in place with
 first seed: the seeds of the loop search must not change now that its pools
 are drawn only as far as the seeds taken need.
 
-``eager_bounded_search`` is the loop search as it once ran: it tests every
-frontier term with ``reducible`` as it is popped, and walks the expanded
-terms for a cycle after every search, though no answer reads the frontier
-tests past the first reducible term, and no cycle closes without a step
-back to a term met at the same or a lesser distance.
+``eager_bounded_search`` is the loop search as it once ran: it rewrites
+every term at the step budget as it is popped, walks the expanded terms for
+a cycle after every search, and tells a normal form from a search a budget
+cut short, though ``find_loop``, the one caller, reads only the loops, and
+no cycle closes without a step back to a term met at the same or a lesser
+distance.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 from hoterm.hrs import Hrs
 from hoterm.normalize import apply_subst
-from hoterm.rewriting import (DepthExhausted, LoopFound, NonPatternError,
-                              NormalForm, RewriteStep, SearchOutcome,
+from hoterm.rewriting import (LoopFound, NonPatternError, RewriteStep,
                               _first_cycle, _tree_path,
-                              enumerate_closed_terms, match, reducible,
-                              rewrite_step)
+                              enumerate_closed_terms, match, rewrite_step)
 from hoterm.terms import (Abs, App, Position, PositionError, Term,
                           TermTypeError, free_names)
 from strategies import close_over, open_abs
@@ -114,11 +114,21 @@ def eager_loop_seeds(h: Hrs, max_term_size: int = 4, cap: int = 200):
                 return
 
 
+class NormalForm(NamedTuple):
+    term: Term
+
+
+class DepthExhausted(NamedTuple):
+    max_steps: int
+
+
 def eager_bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
                          max_nodes: int = 100_000, memo: dict | None = None
-                         ) -> SearchOutcome:
-    """``bounded_search`` with each frontier term tested as it is popped
-    and the cycle walk run whenever no tree-path loop was found."""
+                         ) -> LoopFound | NormalForm | DepthExhausted:
+    """``bounded_search`` with each term at the step budget rewritten as it
+    is popped and the cycle walk run whenever no tree-path loop was found:
+    a loop, else the step budget when a budget cut the search short, else
+    the first normal form met."""
     if memo is None:
         memo = {}
     parent: dict[Term, tuple[Term, RewriteStep] | None] = {t: None}
@@ -130,10 +140,7 @@ def eager_bounded_search(h: Hrs, t: Term, max_steps: int = 1000,
     while queue:
         current = queue.popleft()
         d = depth[current]
-        if d >= max_steps:
-            out = reducible(h, current, memo)
-        else:
-            out = rewrite_step(h, current, memo)
+        out = rewrite_step(h, current, memo)
         if not out:
             if first_nf is None:
                 first_nf = current
