@@ -2,7 +2,7 @@
 
 Systems are simply-typed rewrite rules over terms kept in eta-long
 beta-normal form.  The prover checks that higher-order variables are passed
-plainly, extracts marked dependency pairs, splits their graph into recursion
+plainly, extracts static dependency pairs, splits their graph into recursion
 components, and discharges each component with the subterm criterion or a
 path order; a failed proof can fall back to a concrete loop search.
 

@@ -1,6 +1,6 @@
 """Discharging recursion components.
 
-Two techniques are provided.  The subterm criterion projects every marked
+Two techniques are provided.  The subterm criterion projects every pair
 symbol to one argument position sequence and asks the projections to shrink
 under the subterm order.  It is decided on the nameless terms: binders a
 projection crosses are fresh variables, distinct between the two sides of a
@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 from .graph import (RecursionComponent, build_graph, depth_first,
                     postorder, recursion_components)
 from .hrs import Hrs, Rule
-from .sdp import DependencyPair, unmark_name
+from .sdp import MARK, DependencyPair, print_side
 from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
                     bodies, descend, format_position, free_names,
                     print_term, reach, subterm_at, under_binders)
@@ -34,7 +34,8 @@ from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
 
 
 class PiAssignment:
-    """One projection position per marked symbol, e.g. {"add#": (1,)}."""
+    """One projection position per pair symbol, keyed by its name, e.g.
+    {"add": (1,)}, printed ``pi(add) = 1``."""
 
     def __init__(self, projections: dict[str, Position]):
         for name, pos in projections.items():
@@ -51,7 +52,7 @@ class PiAssignment:
         return f"PiAssignment({self.projections!r})"
 
     def __str__(self) -> str:
-        parts = [f"pi({unmark_name(s)}) = {format_position(p)}"
+        parts = [f"pi({s}) = {format_position(p)}"
                  for s, p in sorted(self.projections.items())]
         return ", ".join(parts)
 
@@ -133,15 +134,15 @@ def project_pair(pair: DependencyPair, p: Position, q: Position,
     check = found[0]
     if check == "left position":
         reason = f"position {format_position(p)} is not valid in " \
-                 f"{print_term(u)}"
+                 f"{print_side(u)}"
     elif check == "right position":
         reason = f"position {format_position(q)} is not valid in " \
-                 f"{print_term(v)}"
+                 f"{print_side(v)}"
     elif check == "free above":
-        reason = f"a free variable heads {print_term(u)} at position " \
+        reason = f"a free variable heads {print_side(u)} at position " \
                  f"{format_position(p[:found[1]])}, above the projection"
     elif check == "head above":
-        reason = f"{found[2].name} heads {print_term(v)} at position " \
+        reason = f"{found[2].name} heads {print_side(v)} at position " \
                  f"{format_position(q[:found[1]])}, above the projection"
     elif check == "reaches":
         reason = f"{print_term(subterm_at(v, q))} refers to a binder " \
@@ -167,7 +168,8 @@ def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
             p = pi.projections[pair.lhs.head.name]
             q = pi.projections[pair.rhs.head.name]
         except KeyError as missing:
-            return CriterionFailure(pair, f"no projection for {missing}")
+            return CriterionFailure(
+                pair, f"no projection for {missing.args[0] + MARK!r}")
         shrinks = project_pair(pair, p, q, defined)
         if isinstance(shrinks, CriterionFailure):
             return shrinks
@@ -275,16 +277,6 @@ def _comparable(s: Term, t: Term) -> bool:
     return _first_order(s) and _first_order(t) and s.ty == t.ty
 
 
-def _equiv(s: Term, t: Term) -> bool:
-    """Equal up to the marks on symbols: the path order's equivalence, which
-    no precedence changes, as it ranks distinct names apart.  Marks stand
-    only at the root of a pair side, so only the heads may differ."""
-    sh, th = s.head, t.head
-    if isinstance(sh, Free) or isinstance(th, Free):
-        return s == t
-    return unmark_name(sh.name) == unmark_name(th.name) and s.args == t.args
-
-
 # A precedence constraint is True, False, an atom ``(i, j, k)``: the symbol
 # numbered i ranks above the one numbered j, and k numbers the atom in its
 # order, or an _And or _Or of constraints that are not constants: ``_fold``
@@ -350,20 +342,19 @@ def _assess(c, above: list[int], seen: dict) -> tuple[bool | None, int]:
 class LexPathOrder:
     """Lexicographic path order induced by a precedence on symbol names.
 
-    A marked symbol ranks together with its unmarked form.  Comparisons are
-    answered only on binder-free terms whose variables have basic types;
-    anything else is unknown.  Symbols missing from the precedence rank below
-    all listed ones, ordered by name.
+    Comparisons are answered only on binder-free terms whose variables have
+    basic types; anything else is unknown.  Symbols missing from the
+    precedence rank below all listed ones, ordered by name.
 
     ``compare`` evaluates ``greater(s, t)``, ``s > t`` compiled once into a
-    constraint over atoms ``f > g`` between unmarked names, numbered as they
-    are met, the precedence's names first.  Under a total precedence it has
-    exactly the order's answer: ``_equiv`` does not depend on the order, so
-    it folds to a constant, and terms the order does not compare fold to
-    False.  ``required`` is what ``check_reduction_pair`` asks of a
-    precedence; ``closure(prefix)`` asks about every precedence that ranks
-    ``prefix`` first, greatest first, and the other symbols below it, and
-    counts the constraints it assesses in ``assessed``.
+    constraint over atoms ``f > g`` between names, numbered as they are met,
+    the precedence's names first.  Under a total precedence it has exactly
+    the order's answer: equality does not depend on the order, so it folds
+    to a constant, and terms the order does not compare fold to False.
+    ``required`` is what ``check_reduction_pair`` asks of a precedence;
+    ``closure(prefix)`` asks about every precedence that ranks ``prefix``
+    first, greatest first, and the other symbols below it, and counts the
+    constraints it assesses in ``assessed``.
     """
 
     def __init__(self, precedence: tuple[str, ...]):
@@ -396,16 +387,16 @@ class LexPathOrder:
             return Comparison.UNKNOWN
         if _assess(self.greater(s, t), self._ranks(), {})[0]:
             return Comparison.GREATER
-        if _equiv(s, t):
+        if s == t:
             return Comparison.GREATER_EQUAL
         return Comparison.UNKNOWN
 
     def greater(self, s: Term, t: Term):
         """The path order's ``s > t`` as a constraint: an argument of ``s``
-        is ``t`` up to marks or above it, or ``s`` is above every argument of
-        ``t`` and its head ranks above ``t``'s, or ties and the arguments
-        decrease lexicographically; a variable is below every other term
-        that holds it."""
+        is ``t`` or above it, or ``s`` is above every argument of ``t`` and
+        its head ranks above ``t``'s, or ties and the arguments decrease
+        lexicographically; a variable is below every other term that holds
+        it."""
         key = (s, t)
         if key not in self._greater:
             self._greater[key] = self._compile(s, t)
@@ -420,16 +411,16 @@ class LexPathOrder:
         # plain loops, so a level costs two frames: greater and _compile
         above = []                      # the parts of the _Or
         for a in s.args:
-            part = _equiv(a, t) or self.greater(a, t)
+            part = a == t or self.greater(a, t)
             if part is True:
                 return True
             if part is not False:
                 above.append(part)
-        f, g = unmark_name(s.head.name), unmark_name(th.name)
+        f, g = s.head.name, th.name
         if f == g:
             first = False
             for a, b in zip(s.args, t.args):
-                if not _equiv(a, b):
+                if a != b:
                     first = self.greater(a, b)
                     break
         else:
@@ -448,7 +439,7 @@ class LexPathOrder:
             return False
         if strict:
             return self.greater(s, t)
-        return _equiv(s, t) or self.greater(s, t)
+        return s == t or self.greater(s, t)
 
     def ranked(self, prefix: tuple[str, ...]) -> list[int]:
         """The order ``prefix`` fixes: each of its symbols above every
@@ -553,8 +544,8 @@ class _Exhausted(Exception):
 
 
 def _symbols(t: Term) -> set[str]:
-    """Unmarked names of the function symbols heading subterms of ``t``."""
-    return {unmark_name(u.head.name) for _, u in bodies(t)
+    """Names of the function symbols heading subterms of ``t``."""
+    return {u.head.name for _, u in bodies(t)
             if isinstance(u.head, Const)}
 
 
@@ -575,7 +566,7 @@ def _call_graph_precedence(h: Hrs, symbols: list[str]) -> tuple[str, ...]:
     """
     mentions: dict[str, set[str]] = {s: set() for s in symbols}
     for rule in h.rules:
-        caller = unmark_name(rule.lhs.head.name)
+        caller = rule.lhs.head.name
         if caller not in mentions:
             continue
         for callee in _symbols(rule.rhs):

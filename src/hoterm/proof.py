@@ -1,7 +1,8 @@
 """End-to-end proof pipeline and proof emission.
 
 The pipeline parses a system, gates on the function-passing check, extracts
-the marked pairs, builds the graph, and discharges every recursion component.
+the static dependency pairs, builds the graph, and discharges every recursion
+component.
 A full discharge yields TERMINATING.  Otherwise the verdict is MAYBE with the
 blocking reason, unless loop search is enabled and finds a concrete cycle, in
 which case the verdict is NONTERMINATING with a replayable trace.
@@ -20,7 +21,7 @@ from .graph import (DependencyGraph, RecursionComponent, build_graph,
 from .hrs import Hrs, parse, read_source
 from .pfp import PfpReport, SafeSet, is_pfp
 from .rewriting import LoopFound, find_loop
-from .sdp import DependencyPair, extract_sdps
+from .sdp import DependencyPair, extract_sdps, print_side
 from .terms import format_position, print_term
 
 SCHEMA_VERSION = 1
@@ -134,8 +135,8 @@ def _pfp_json(report: PfpReport) -> dict:
 def _pairs_json(sdps: tuple[DependencyPair, ...]) -> list[dict]:
     return [{
         "index": i + 1,
-        "lhs": print_term(p.lhs),
-        "rhs": print_term(p.rhs),
+        "lhs": print_side(p.lhs),
+        "rhs": print_side(p.rhs),
         "origin_rule": p.origin_rule,
         "extra_vars": list(p.extra_vars),
     } for i, p in enumerate(sdps)]

@@ -3,10 +3,16 @@
 The binder walk ``terms.bodies`` yields each application of a right-hand
 side, left nameless, with the abstractions above it.  One headed by a
 defined symbol whose applied prefixes all stay outside the safe set of the
-left-hand side yields a pair: the marked left-hand side rewrites to the
-marked body, opened once by ``terms.open_under``, so that the binders above
-it, named apart from the left side's free names, turn into extra free
-variables.
+left-hand side yields a pair ``l# -> a#``: the rule's left-hand side to the
+body, opened once by ``terms.open_under`` when binders stand above it, so
+that those binders, named apart from the left side's free names, turn into
+extra free variables.
+
+The mark on the root symbol of each side says only where that symbol
+stands, which the pair already tells: the path order ranks a marked symbol
+with its unmarked form, the graph joins heads by name and the projections
+are chosen per symbol.  So a pair keeps its rule's own terms, no marked
+symbol is built, and ``print_side`` writes the mark when a pair is shown.
 """
 
 from __future__ import annotations
@@ -21,19 +27,15 @@ from .terms import (App, Const, Free, Term, bodies, free_names, open_under,
 MARK = "#"
 
 
-def mark(t: Term) -> Term:
-    """Mark the head symbol of a basic application: f(...) becomes f#(...)."""
-    assert isinstance(t, App) and isinstance(t.head, Const)
-    head = t.head
-    return App(Const(head.name + MARK, head.ty), t.args)
-
-
-def unmark_name(name: str) -> str:
-    return name[:-len(MARK)] if name.endswith(MARK) else name
+def print_side(t: App) -> str:
+    """A pair side as the pair shows it: the mark after its root symbol."""
+    name = t.head.name
+    return name + MARK + print_term(t)[len(name):]
 
 
 class DependencyPair(NamedTuple):
-    """lhs and rhs are basic applications whose heads carry the mark."""
+    """lhs is the rule's left-hand side and rhs the body it calls; both are
+    basic applications headed by defined symbols."""
 
     lhs: Term
     rhs: Term
@@ -41,7 +43,7 @@ class DependencyPair(NamedTuple):
     extra_vars: tuple[str, ...]
 
     def __str__(self) -> str:
-        return f"{print_term(self.lhs)} -> {print_term(self.rhs)}"
+        return f"{print_side(self.lhs)} -> {print_side(self.rhs)}"
 
 
 def _canonical_extras(rhs: Term, extras: tuple[Free, ...]) -> Term:
@@ -60,33 +62,29 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
     for safe in h.safe_sets:
         rule = safe.rule
         lhs_names = free_names(rule.lhs)
-        lhs_marked = None
         for above, body in bodies(rule.rhs):
             head = body.head
             if not isinstance(head, Const) or head.name not in h.defined:
                 continue
             if safe.has_prefix(body):
                 continue
-            rhs_marked = mark(open_under(above, body, lhs_names)[1]
-                              if above else body)
-            extras = _occurring_extras(rhs_marked, lhs_names)
-            if lhs_marked is None:      # at the rule's first pair
-                lhs_marked = mark(rule.lhs)
-            key = (lhs_marked, _canonical_extras(rhs_marked, extras))
+            rhs = open_under(above, body, lhs_names)[1] if above else body
+            extras = _occurring_extras(rhs, lhs_names)
+            key = (rule.lhs, _canonical_extras(rhs, extras))
             if key in keys:
                 continue
             keys.add(key)
-            pairs.append(DependencyPair(key[0], rhs_marked, rule.name,
+            pairs.append(DependencyPair(rule.lhs, rhs, rule.name,
                                         tuple(a.name for a in extras)))
     return tuple(pairs)
 
 
-def _occurring_extras(rhs_marked: Term, lhs_names: frozenset[str]
+def _occurring_extras(rhs: Term, lhs_names: frozenset[str]
                       ) -> tuple[Free, ...]:
     """Variables free in the pair's right side but not its left, in order of
     first occurrence; these are exactly the stripped binders that remain."""
-    if free_names(rhs_marked) <= lhs_names:
+    if free_names(rhs) <= lhs_names:
         return ()
     return tuple(dict.fromkeys(
-        u.head for _, u in bodies(rhs_marked)
+        u.head for _, u in bodies(rhs)
         if isinstance(u.head, Free) and u.head.name not in lhs_names))

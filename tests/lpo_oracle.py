@@ -4,33 +4,19 @@
 ``hoterm.criteria.LexPathOrder`` compiles ``s > t`` into memoised
 constraints over the precedence and evaluates them.  This module decides it
 the way the prover once did: by recursion on the two terms, comparing
-symbols by their rank, with no memo, and with an equivalence that looks
-for marks at every depth, where the prover's looks only at the root.
-``check_reduction_pair`` accepts a ``DirectPathOrder`` wherever it accepts
-a ``LexPathOrder``.
+symbols by their rank, with no memo.  ``check_reduction_pair`` accepts a
+``DirectPathOrder`` wherever it accepts a ``LexPathOrder``.
 """
 
 from __future__ import annotations
 
 from hoterm.criteria import Comparison, _comparable
-from hoterm.sdp import unmark_name
 from hoterm.terms import Free, Term, free_names
 
 
-def _equiv(s: Term, t: Term) -> bool:
-    """Equal up to the marks on symbols, at any depth."""
-    sh, th = s.head, t.head
-    if isinstance(sh, Free) or isinstance(th, Free):
-        return s == t
-    return (unmark_name(sh.name) == unmark_name(th.name)
-            and len(s.args) == len(t.args)
-            and all(_equiv(a, b) for a, b in zip(s.args, t.args)))
-
-
 class DirectPathOrder:
-    """The path order of ``LexPathOrder(precedence)``: a marked symbol ranks
-    with its unmarked form, and symbols missing from the precedence rank
-    below all listed ones, ordered by name."""
+    """The path order of ``LexPathOrder(precedence)``: symbols missing from
+    the precedence rank below all listed ones, ordered by name."""
 
     def __init__(self, precedence: tuple[str, ...]):
         self.precedence = tuple(precedence)
@@ -41,7 +27,6 @@ class DirectPathOrder:
         return "path order with precedence " + " > ".join(self.precedence)
 
     def _cmp_symbols(self, f: str, g: str) -> int:
-        f, g = unmark_name(f), unmark_name(g)
         rf, rg = self._rank.get(f, 0), self._rank.get(g, 0)
         if rf != rg:
             return 1 if rf > rg else -1
@@ -55,13 +40,13 @@ class DirectPathOrder:
             return s != t and th.name in free_names(s)
         if isinstance(s.head, Free):
             return False
-        if any(_equiv(a, t) or self._greater(a, t) for a in s.args):
+        if any(a == t or self._greater(a, t) for a in s.args):
             return True
         by_head = self._cmp_symbols(s.head.name, th.name)
         if by_head == 0:
             first = False
             for a, b in zip(s.args, t.args):
-                if not _equiv(a, b):
+                if a != b:
                     first = self._greater(a, b)
                     break
         else:
@@ -73,6 +58,6 @@ class DirectPathOrder:
             return Comparison.UNKNOWN
         if self._greater(s, t):
             return Comparison.GREATER
-        if _equiv(s, t):
+        if s == t:
             return Comparison.GREATER_EQUAL
         return Comparison.UNKNOWN

@@ -8,6 +8,10 @@ free variable (``strip_binders``), keep the bodies whose free names all
 occur in the left-hand side, normalize every applied prefix by evaluation
 (``nbe_oracle``) and look it up, rebind each candidate's binders with
 ``lam``, and walk the right-hand side's ``subterms``.
+
+The prover keeps a pair's sides as its rule's own terms and prints the mark
+after their root symbols; ``mark`` builds the marked copies that it once
+kept, for the tests that check its printing against them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from hoterm.hrs import Hrs, Rule
 from hoterm.pfp import PfpReport, PfpViolation
 from hoterm.sdp import (MARK, DependencyPair, _canonical_extras,
-                        _occurring_extras, mark)
+                        _occurring_extras)
 from hoterm.terms import (App, Atom, Const, Free, Term, free_names,
                           print_term, subterms)
 from nbe_oracle import PAtom, nbe_normalize, papp
@@ -103,13 +107,17 @@ def candidates(t: Term) -> tuple[Term, ...]:
     return tuple(out)
 
 
+def mark(t: App) -> App:
+    """The marked copy of a pair side: f(...) becomes f#(...)."""
+    return App(Const(t.head.name + MARK, t.head.ty), t.args)
+
+
 def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
     pairs: list[DependencyPair] = []
     keys: set[tuple[Term, Term]] = set()
     for rule in h.rules:
         safe = safe_subterms(rule)
         lhs_names = free_names(rule.lhs)
-        lhs_marked = mark(rule.lhs)
         for cand in candidates(rule.rhs):
             binders, body = strip_binders(cand)
             head = body.head
@@ -117,12 +125,11 @@ def extract_sdps(h: Hrs) -> tuple[DependencyPair, ...]:
                 continue
             if has_prefix(safe, head, body.args):
                 continue
-            rhs_marked = App(Const(head.name + MARK, head.ty), body.args)
-            extras = _occurring_extras(rhs_marked, lhs_names)
-            key = (lhs_marked, _canonical_extras(rhs_marked, extras))
+            extras = _occurring_extras(body, lhs_names)
+            key = (rule.lhs, _canonical_extras(body, extras))
             if key in keys:
                 continue
             keys.add(key)
-            pairs.append(DependencyPair(lhs_marked, rhs_marked, rule.name,
+            pairs.append(DependencyPair(rule.lhs, body, rule.name,
                                         tuple(a.name for a in extras)))
     return tuple(pairs)

@@ -17,7 +17,7 @@ from hoterm.criteria import (AnalysisConfig, Comparison, ComponentFailure,
 from hoterm.graph import RecursionComponent, build_graph, recursion_components
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
-from hoterm.sdp import DependencyPair, extract_sdps, mark
+from hoterm.sdp import DependencyPair, extract_sdps
 from hoterm.terms import App, Base, Const, Free, arrow, subterm_at, subterms
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -38,18 +38,18 @@ def const(name, ty, *args):
 class TestPiAssignment:
     def test_rejects_empty_positions(self):
         with pytest.raises(ValueError):
-            PiAssignment({"f#": ()})
+            PiAssignment({"f": ()})
 
     def test_str_uses_unmarked_names(self):
-        pi = PiAssignment({"foldl#": (3,), "add#": (1,)})
+        pi = PiAssignment({"foldl": (3,), "add": (1,)})
         assert str(pi) == "pi(add) = 1, pi(foldl) = 3"
 
     def test_deep_positions_print_dotted(self):
-        assert str(PiAssignment({"f#": (1, 1)})) == "pi(f) = 1.1"
+        assert str(PiAssignment({"f": (1, 1)})) == "pi(f) = 1.1"
 
     def test_repr_shows_the_projections(self):
-        pi = PiAssignment({"f#": (1, 1), "add#": (2,)})
-        assert repr(pi) == "PiAssignment({'f#': (1, 1), 'add#': (2,)})"
+        pi = PiAssignment({"f": (1, 1), "add": (2,)})
+        assert repr(pi) == "PiAssignment({'f': (1, 1), 'add': (2,)})"
         assert eval(repr(pi)) == pi
 
 
@@ -57,7 +57,7 @@ class TestSubtermCriterion:
     def test_add_component_accepts_first_argument(self):
         h, comps = components_of("sqsum")
         add_c = comps[0]
-        out = check_subterm_criterion(add_c, PiAssignment({"add#": (1,)}),
+        out = check_subterm_criterion(add_c, PiAssignment({"add": (1,)}),
                                       h.defined)
         assert isinstance(out, CriterionVerdict)
         assert [str(p) for p in out.strict] == ["add#(s(X), Y) -> add#(X, Y)"]
@@ -66,14 +66,14 @@ class TestSubtermCriterion:
     def test_second_argument_projection_fails(self):
         # both sides project to Y: weak but never strict
         h, comps = components_of("sqsum")
-        out = check_subterm_criterion(comps[0], PiAssignment({"add#": (2,)}),
+        out = check_subterm_criterion(comps[0], PiAssignment({"add": (2,)}),
                                       h.defined)
         assert isinstance(out, CriterionFailure)
         assert out.reason == "no pair projects to a strictly smaller subterm"
 
     def test_invalid_position_failure_names_the_pair(self):
         h, comps = components_of("sqsum")
-        out = check_subterm_criterion(comps[0], PiAssignment({"add#": (9,)}),
+        out = check_subterm_criterion(comps[0], PiAssignment({"add": (9,)}),
                                       h.defined)
         assert isinstance(out, CriterionFailure)
         assert out.reason == "position 9 is not valid in add#(s(X), Y)"
@@ -87,7 +87,7 @@ class TestSubtermCriterion:
         out = project_pair(pair, (1,), (3,), h.defined)
         assert out == CriterionFailure(
             pair, "position 3 is not valid in add#(X, Y)")
-        g = Const("g#", arrow(arrow(A, A), A))
+        g = Const("g", arrow(arrow(A, A), A))
         side = App(g, (lam("x", A, App(Free("x", A), ())),))
         pair = DependencyPair(side, side, "r", ())
         assert project_pair(pair, (1,), (1, 2), frozenset({"g"})).reason \
@@ -95,7 +95,7 @@ class TestSubtermCriterion:
 
     def test_missing_projection(self):
         h, comps = components_of("sqsum")
-        out = check_subterm_criterion(comps[0], PiAssignment({"zzz#": (1,)}),
+        out = check_subterm_criterion(comps[0], PiAssignment({"zzz": (1,)}),
                                       h.defined)
         assert isinstance(out, CriterionFailure)
         assert out.reason == "no projection for 'add#'"
@@ -104,7 +104,7 @@ class TestSubtermCriterion:
         h, comps = components_of("sqsum")
         foldl_c = comps[2]
         out = check_subterm_criterion(foldl_c,
-                                      PiAssignment({"foldl#": (3,)}),
+                                      PiAssignment({"foldl": (3,)}),
                                       h.defined)
         assert isinstance(out, CriterionVerdict)
         assert len(out.strict) == 1
@@ -113,10 +113,10 @@ class TestSubtermCriterion:
         # the path from the marked head down to the projected position must
         # not pass through a free variable
         c = const("c", A)
-        u = const("f#", arrow(A, A), App(Free("F", arrow(A, A)), (c,)))
-        v = const("f#", arrow(A, A), const("s", arrow(A, A), c))
+        u = const("f", arrow(A, A), App(Free("F", arrow(A, A)), (c,)))
+        v = const("f", arrow(A, A), const("s", arrow(A, A), c))
         comp = RecursionComponent((0,), (DependencyPair(u, v, "r", ()),))
-        out = check_subterm_criterion(comp, PiAssignment({"f#": (1, 1)}),
+        out = check_subterm_criterion(comp, PiAssignment({"f": (1, 1)}),
                                       frozenset({"f"}))
         assert isinstance(out, CriterionFailure)
         assert out.reason == ("a free variable heads f#(F(c)) at position 1, "
@@ -127,10 +127,10 @@ class TestSubtermCriterion:
         # inside constructors
         c = const("c", A)
         s = lambda t: const("s", arrow(A, A), t)
-        u = const("f#", arrow(A, A), s(s(c)))
-        v = const("f#", arrow(A, A), const("g", arrow(A, A), c))
+        u = const("f", arrow(A, A), s(s(c)))
+        v = const("f", arrow(A, A), const("g", arrow(A, A), c))
         comp = RecursionComponent((0,), (DependencyPair(u, v, "r", ()),))
-        out = check_subterm_criterion(comp, PiAssignment({"f#": (1, 1)}),
+        out = check_subterm_criterion(comp, PiAssignment({"f": (1, 1)}),
                                       frozenset({"f", "g"}))
         assert isinstance(out, CriterionFailure)
         assert out.reason == "g heads f#(g(c)) at position 1, above the " \
@@ -140,9 +140,9 @@ class TestSubtermCriterion:
         # f#(k(\x. g(c))) at 1.1.1.1 crosses f#, k, the abstraction at 1.1
         # and its body: g heads the abstraction, the first defined head
         c = const("c", A)
-        u = const("f#", arrow(A, A), const("s", arrow(A, A), c))
+        u = const("f", arrow(A, A), const("s", arrow(A, A), c))
         g_c = lam("x", A, const("g", arrow(A, A), c))
-        v = const("f#", arrow(A, A), const("k", arrow(arrow(A, A), A), g_c))
+        v = const("f", arrow(A, A), const("k", arrow(arrow(A, A), A), g_c))
         pair = DependencyPair(u, v, "r", ())
         out = project_pair(pair, (1,), (1, 1, 1, 1), frozenset({"f", "g"}))
         assert out == CriterionFailure(
@@ -152,10 +152,10 @@ class TestSubtermCriterion:
     def test_constructor_spine_above_projection_allowed(self):
         c = const("c", A)
         s = lambda t: const("s", arrow(A, A), t)
-        u = const("f#", arrow(A, A), s(s(c)))
-        v = const("f#", arrow(A, A), s(c))
+        u = const("f", arrow(A, A), s(s(c)))
+        v = const("f", arrow(A, A), s(c))
         comp = RecursionComponent((0,), (DependencyPair(u, v, "r", ()),))
-        out = check_subterm_criterion(comp, PiAssignment({"f#": (1, 1)}),
+        out = check_subterm_criterion(comp, PiAssignment({"f": (1, 1)}),
                                       frozenset({"f"}))
         assert isinstance(out, CriterionVerdict)
 
@@ -165,8 +165,8 @@ class TestSubtermCriterion:
         # under k is a different variable although it opens with the name x
         a_a = arrow(A, A)
         x = App(Free("x", A), ())
-        u = const("f#", a_a, const("k", arrow(a_a, A), lam("x", A, x)))
-        v = const("f#", a_a, x)
+        u = const("f", a_a, const("k", arrow(a_a, A), lam("x", A, x)))
+        v = const("f", a_a, x)
         pair = DependencyPair(u, v, "r1", ("x",))
         assert subterm_at(u, (1, 1, 1)) == x      # as opened, the names meet
         reasons = [project_pair(pair, p, (1,), frozenset({"f", "h"})).reason
@@ -182,7 +182,7 @@ class TestSubtermCriterion:
         # g#(\x. s(x)) -> g#(\y. s(y)) under pi(g) = 1.1: both project to
         # s applied to a binder each side crossed, two distinct variables
         a_a = arrow(A, A)
-        g = Const("g#", arrow(a_a, A))
+        g = Const("g", arrow(a_a, A))
         body = lam("x", A, const("s", a_a, App(Free("x", A), ())))
         pair = DependencyPair(App(g, (body,)), App(g, (body,)), "r", ())
         out = project_pair(pair, (1, 1), (1, 1), frozenset({"g"}))
@@ -281,12 +281,13 @@ class TestLexPathOrder:
         Y = App(Free("Y", NAT), ())
         assert self.LPO.compare(X, Y) is Comparison.UNKNOWN
 
-    def test_marked_symbol_ranks_with_unmarked(self):
-        X = App(Free("X", NAT), ())
-        s = lambda t: const("s", arrow(NAT, NAT), t)
-        addm = lambda a, b: const("add#", arrow(NAT, NAT, NAT), a, b)
-        assert self.LPO.compare(addm(s(X), X),
-                                addm(X, X)) is Comparison.GREATER
+    def test_pair_sides_rank_as_their_rules_terms(self):
+        # add#(s(X), Y) -> add#(X, Y) is the rule's left side and a body of
+        # its right side, ranked by the precedence's add
+        h = load(FIXDIR / "sqsum.hrs")
+        pair = extract_sdps(h)[0]
+        assert str(pair) == "add#(s(X), Y) -> add#(X, Y)"
+        assert self.LPO.compare(pair.lhs, pair.rhs) is Comparison.GREATER
 
     def test_binders_are_out_of_scope(self):
         body = lam("x", NAT, const("s", arrow(NAT, NAT),
@@ -319,12 +320,19 @@ class TestFirstOrder:
         bottom = App(F, (const("0", NAT),))
         assert not hoterm.criteria._first_order(self.tower(bottom))
 
-    def test_marked_head_is_equivalent(self):
+    def test_pair_with_equal_sides_is_equivalent(self):
+        # f#(X) -> f#(X): equal sides are the path order's equivalence
+        pair, = extract_sdps(parse("basic a\n"
+                                   "sig f : a -> a\n"
+                                   "sig g : a -> a -> a\n"
+                                   "var X : a\n"
+                                   "rule f-def: f(X) -> g(f(X), f(X))\n"))
+        order = LexPathOrder(("f", "g"))
+        assert order.compare(pair.lhs, pair.rhs) is Comparison.GREATER_EQUAL
         add = Const("add", arrow(NAT, NAT, NAT))
         args = (const("0", NAT), App(Free("Y", NAT), ()))
-        t = App(add, args)
-        assert hoterm.criteria._equiv(mark(t), t)
-        assert not hoterm.criteria._equiv(mark(t), App(add, args[::-1]))
+        assert order.compare(App(add, args), App(add, args[::-1])) \
+            is Comparison.UNKNOWN
 
 
 class TestLexPathOrderLaws:

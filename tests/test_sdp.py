@@ -1,48 +1,85 @@
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import pfp_oracle
 import strategies as S
-from strategies import positions, strip_binders, wrapped_bodies
-from hoterm import sdp, terms
+from conftest import bare_env
+from strategies import lam, positions, strip_binders, wrapped_bodies
+from hoterm import terms
+from hoterm.criteria import AnalysisConfig
 from hoterm.hrs import Hrs, Rule, load, parse
-from hoterm.proof import prove_text
-from hoterm.sdp import extract_sdps, mark, unmark_name
+from hoterm.proof import ProverConfig, emit_json, prove_text
+from hoterm.sdp import extract_sdps, print_side
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
-                          free_names, subterm_at)
+                          bodies, free_names, print_term, subterm_at)
 
 ROOT = Path(__file__).parent.parent
 FIXDIR = ROOT / "fixtures"
+FIXTURES = sorted(FIXDIR.glob("*.hrs"))
 binder_depth_system = runpy.run_path(
     str(ROOT / "scripts" / "sdp_cost.py"))["binder_depth_system"]
 
 
-class TestMark:
-    def test_mark_renames_head_only(self):
-        NAT = Base("nat")
-        t = App(Const("add", arrow(NAT, NAT, NAT)),
-                (App(Const("0", NAT), ()), App(Free("Y", NAT), ())))
-        m = mark(t)
-        assert m.head.name == "add#"
-        assert m.head.ty == arrow(NAT, NAT, NAT)
-        assert m.args == t.args
+class TestPrintSide:
+    """A pair side is printed with one mark, right after its root symbol."""
 
-    def test_unmark_name(self):
-        assert unmark_name("add#") == "add"
-        assert unmark_name("add") == "add"
+    NAT = Base("nat")
+
+    def test_mark_follows_the_root_symbol_only(self):
+        add = Const("add", arrow(self.NAT, self.NAT, self.NAT))
+        zero, y = App(Const("0", self.NAT), ()), App(Free("Y", self.NAT), ())
+        t = App(add, (App(add, (zero, y)), y))
+        assert print_side(t) == "add#(add(0, Y), Y)"
+        assert print_side(zero) == "0#"
+
+    def test_no_mark_under_a_binder_or_on_an_extra_variable(self):
+        A = self.NAT
+        f = Const("f", arrow(arrow(A, A), A, A))
+        x = App(Free("x", A), ())
+        t = App(f, (lam("y", A, App(f, (lam("z", A, x), x))), x))
+        assert print_side(t) == "f#(\\y. f(\\z. x, x), x)"
+        pair = extract_sdps(load(FIXDIR / "sqsum.hrs"))[5]
+        assert pair.extra_vars == ("x", "y")
+        assert str(pair) == "sqsum#(L) -> add#(x, mul(y, y))"
 
     @settings(max_examples=200)
     @given(S.systems())
-    def test_marks_stand_only_at_the_root(self, h):
-        # the path order's equivalence compares the arguments as they are
+    def test_one_mark_per_side(self, h):
+        # names never hold the mark, so each side shows exactly one
         for p in extract_sdps(h):
             for side in (p.lhs, p.rhs):
-                assert side.head.name.endswith("#")
-                below = [u for a in side.args for _, u in terms.bodies(a)]
-                assert not any(isinstance(u.head, Const)
-                               and u.head.name.endswith("#") for u in below)
+                text = print_side(side)
+                assert text.count("#") == 1
+                assert text.startswith(side.head.name + "#")
+
+
+def assert_prints_as_marked_copies(proof):
+    """``str(pair)`` and the JSON pair entries are the prints of the
+    oracle's marked copies of the oracle's pairs."""
+    want = [(print_term(pfp_oracle.mark(p.lhs)),
+             print_term(pfp_oracle.mark(p.rhs)))
+            for p in pfp_oracle.extract_sdps(proof.hrs)]
+    assert [tuple(str(p).split(" -> ")) for p in proof.sdps] == want
+    entries = json.loads(emit_json(proof))["sdps"]
+    assert [(e["lhs"], e["rhs"]) for e in entries] == want
+
+
+class TestPrintingOracle:
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_fixture(self, path):
+        assert_prints_as_marked_copies(prove_text(path.read_text()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(S.systems())
+    def test_generated_system(self, h):
+        config = ProverConfig(AnalysisConfig(techniques=("subterm",)))
+        assert_prints_as_marked_copies(prove_text(S.print_hrs(h), config))
 
 
 class TestCandidates:
@@ -111,13 +148,13 @@ class TestExtractSdps:
         h = load(FIXDIR / "sqsum.hrs")
         for p in extract_sdps(h):
             lhs_head = p.lhs.head
-            assert lhs_head.name.endswith("#")
-            assert lhs_head.ty == h.signature[unmark_name(lhs_head.name)]
+            assert print_side(p.lhs).startswith(lhs_head.name + "#(")
+            assert lhs_head.ty == h.signature[lhs_head.name]
 
     def test_constructor_heads_yield_no_pairs(self):
         pairs = extract_sdps(load(FIXDIR / "foldl.hrs"))
         # nil rule rhs is a plain variable, cons rule calls only foldl
-        assert [str(p.rhs).split("(")[0] for p in pairs] == ["foldl#"]
+        assert [print_side(p.rhs).split("(")[0] for p in pairs] == ["foldl#"]
 
     def test_safe_calls_are_skipped(self):
         # F(Y, X) heads a variable that is safe, so no pair for it; the
@@ -165,29 +202,54 @@ class TestExtractSdps:
     def test_empty_system_has_no_pairs(self):
         assert extract_sdps(load(FIXDIR / "empty.hrs")) == ()
 
-    def test_a_rule_without_pairs_marks_nothing(self, monkeypatch):
-        # foo's right side calls only a variable and a constructor, so no
-        # pair is built and its left side is never marked
-        marked = []
-        monkeypatch.setattr(sdp, "mark",
-                            lambda t: marked.append(t) or mark(t))
-        assert extract_sdps(load(FIXDIR / "foo.hrs")) == ()
-        assert marked == []
 
-    @pytest.mark.parametrize("name, marks", [
-        ("sqsum", 11), ("ackermann", 5), ("arith", 5)])
-    def test_a_left_side_is_marked_once(self, name, marks, monkeypatch):
-        # one mark per pair's body, and one per rule that yields a pair, at
-        # its first: sqsum's 7 pairs come from 4 rules
-        marked = []
-        monkeypatch.setattr(sdp, "mark",
-                            lambda t: marked.append(t) or mark(t))
-        h = load(FIXDIR / f"{name}.hrs")
+class TestSharedTerms:
+    """A pair keeps its rule's terms: extraction builds a node only where it
+    opens a body under a binder it reaches."""
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_only_opened_bodies_are_built(self, path, monkeypatch):
+        h = load(path)
+        h.safe_sets     # the function-passing check builds them
+        built = []
+        enter = terms._enter
+        monkeypatch.setattr(terms, "_enter",
+                            lambda key, node: built.append(node)
+                            or enter(key, node))
         pairs = extract_sdps(h)
-        assert len(marked) == marks
-        lhss = [t for t in marked if any(t is r.lhs for r in h.rules)]
-        assert len(lhss) == len({p.origin_rule for p in pairs})
-        assert len(marked) == len(pairs) + len(lhss)
+        monkeypatch.undo()
+        lhs_names = frozenset().union(*(free_names(r.lhs) for r in h.rules))
+        # each node built holds a variable opened from a binder, or the
+        # name the deduplication key gives that variable
+        assert all(free_names(u) - lhs_names for u in built)
+        if not any(p.extra_vars for p in pairs):
+            assert built == []
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_a_pair_shares_its_rules_terms(self, path):
+        h = load(path)
+        rules = {r.name: r for r in h.rules}
+        for p in extract_sdps(h):
+            rule = rules[p.origin_rule]
+            assert p.lhs is rule.lhs
+            if not p.extra_vars:
+                assert any(p.rhs is u for _, u in bodies(rule.rhs))
+
+    def test_no_marked_symbol_is_built(self):
+        # in a process of its own, as the atom table keeps every atom that
+        # any test builds
+        code = ("import sys\n"
+                "from hoterm import prove\n"
+                "from hoterm.terms import _INTERNED\n"
+                "for path in sys.argv[1:]:\n"
+                "    prove(path)\n"
+                "print(sorted(a.name for a in _INTERNED.values()\n"
+                "             if getattr(a, 'name', '').endswith('#')))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code, *map(str, FIXTURES)],
+            capture_output=True, text=True, check=True,
+            env=bare_env(PYTHONPATH=str(ROOT / "src")))
+        assert done.stdout == "[]\n"
 
 
 class TestBinderDepth:
@@ -226,7 +288,8 @@ def brute_force_first_order_pairs(h: Hrs):
             sub = subterm_at(rule.rhs, p)
             head = strip_binders(sub)[1].head
             if isinstance(head, Const) and head.name in h.defined:
-                key = (str(mark(rule.lhs)), str(mark(sub)))
+                key = (print_term(pfp_oracle.mark(rule.lhs)),
+                       print_term(pfp_oracle.mark(sub)))
                 if key not in seen:
                     seen.add(key)
                     out.append(key)
@@ -239,7 +302,8 @@ class TestFirstOrderAgreement:
         # classic dependency pairs
         for name in ("arith", "ackermann", "listfns"):
             h = load(FIXDIR / f"{name}.hrs")
-            got = [(str(p.lhs), str(p.rhs)) for p in extract_sdps(h)]
+            got = [(print_side(p.lhs), print_side(p.rhs))
+                   for p in extract_sdps(h)]
             assert got == brute_force_first_order_pairs(h), name
 
     def test_ackermann_pair_count(self):
