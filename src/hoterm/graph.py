@@ -127,9 +127,8 @@ def recursion_components(g: DependencyGraph) -> tuple[RecursionComponent, ...]:
                  if len(comp) > 1 or (comp[0], comp[0]) in g.arcs)
 
 
-def to_dot(g: DependencyGraph) -> str:
-    """Render the graph for Graphviz, clustering each recursion component."""
-    comps = recursion_components(g)
+def to_dot(g: DependencyGraph, comps: tuple[RecursionComponent, ...]) -> str:
+    """Render the graph for Graphviz, clustering each of its ``comps``."""
     lines = ["digraph sdg {", '  node [shape=box, fontname="monospace"];']
     clustered: set[int] = set()
     for c, comp in enumerate(comps):

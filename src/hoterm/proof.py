@@ -282,4 +282,4 @@ def emit_json(proof: ProofObject) -> str:
 
 
 def emit_dot(proof: ProofObject) -> str:
-    return to_dot(proof.graph)
+    return to_dot(proof.graph, proof.components)

@@ -19,8 +19,9 @@ by the ids of their parts (a live node holds its parts, so their ids are not
 reused while it lives); a node nothing else holds dies as usual, and the
 table drops its dead entries whenever it has grown to twice the number it
 held alive at its last sweep.  Binder hints are part of a node's key, so
-alpha-equal terms with different hints are distinct objects that still
-compare and hash equal.
+alpha-equal terms with different hints are distinct objects, but they hash
+alike and share one skeleton, the node with every hint None: equality is
+one identity test, and comparing two terms never walks them.
 """
 
 from __future__ import annotations
@@ -197,9 +198,19 @@ class TermTypeError(TypeError):
 
 class Term(_Frozen):
     """Base class of eta-long beta-normal terms.  Besides its type and hash,
-    a node keeps its free names and the reach, None until first used."""
+    a node keeps its free names and the reach, None until first used, and
+    its skeleton, built from its children's; a node that is its own holds
+    None, not a reference cycle through itself."""
 
-    __slots__ = ("ty", "_hash", "_free_names", "_reach", "__weakref__")
+    __slots__ = ("ty", "_hash", "_free_names", "_reach", "_skel",
+                 "__weakref__")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Term):
+            return NotImplemented
+        return (self._skel or self) is (other._skel or other)
 
     def __repr__(self) -> str:
         return print_term(self)
@@ -237,17 +248,10 @@ class Abs(Term):
         _set_hash(self, hash(("abs", param_type, body)))
         _set_free_names(self, None)
         _set_reach(self, None)
+        _set_skel(self, None if hint is None and body._skel is None
+                  else Abs(None, param_type, body._skel or body))
         _enter(key, self)
         return self
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Abs):
-            return NotImplemented if not isinstance(other, Term) else False
-        return (self._hash == other._hash
-                and self.param_type is other.param_type
-                and self.body == other.body)
 
 
 class App(Term):
@@ -261,6 +265,7 @@ class App(Term):
         if known is not None and (self := known()) is not None:
             return self
         ty = head.ty
+        hinted = False
         for arg in args:
             if not isinstance(ty, Arrow):
                 raise TermTypeError(
@@ -271,6 +276,7 @@ class App(Term):
                 raise TermTypeError(
                     f"argument {i + 1} of {atom_name(head)} has the wrong type",
                     subject=arg, expected=ty.dom, actual=arg.ty)
+            hinted = hinted or arg._skel is not None
             ty = ty.cod
         if not isinstance(ty, Base):
             raise TermTypeError(
@@ -284,23 +290,16 @@ class App(Term):
         _set_hash(self, hash(("app", head, args)))
         _set_free_names(self, None)
         _set_reach(self, None)
+        _set_skel(self, App(head, tuple([a._skel or a for a in args]))
+                  if hinted else None)
         _enter(key, self)
         return self
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, App):
-            return NotImplemented if not isinstance(other, Term) else False
-        return (self._hash == other._hash
-                and self.head is other.head
-                and self.args == other.args)
 
 
 # the slots' own setters: a constructor fills a frozen node with them, at
 # half the cost of object.__setattr__
-_set_ty, _set_hash, _set_free_names, _set_reach = (
-    getattr(Term, s).__set__ for s in Term.__slots__[:4])
+_set_ty, _set_hash, _set_free_names, _set_reach, _set_skel = (
+    getattr(Term, s).__set__ for s in Term.__slots__[:5])
 _set_hint, _set_param_type, _set_body = (
     getattr(Abs, s).__set__ for s in Abs.__slots__)
 _set_head, _set_args = (getattr(App, s).__set__ for s in App.__slots__)

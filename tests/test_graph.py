@@ -229,7 +229,7 @@ class TestDepthFirst:
 class TestDotOutput:
     def test_sqsum_dot_structure(self):
         _, g = sqsum_graph()
-        dot = to_dot(g)
+        dot = to_dot(g, recursion_components(g))
         assert dot.startswith("digraph sdg {")
         assert dot.rstrip().endswith("}")
         assert 'label="component 1"' in dot
@@ -242,12 +242,12 @@ class TestDotOutput:
 
     def test_dot_escapes_backslashes(self):
         _, g = sqsum_graph()
-        dot = to_dot(g)
+        dot = to_dot(g, recursion_components(g))
         assert "\\\\x y. F(x, y)" in dot
 
     def test_nodes_outside_components_are_unclustered(self):
         _, g = sqsum_graph()
-        dot = to_dot(g)
+        dot = to_dot(g, recursion_components(g))
         # cluster members are indented one level deeper than loose nodes;
         # n4 (sqsum -> foldl) cycles with nothing, so it stays at top level
         assert "\n  n4 [label=" in dot

@@ -165,6 +165,18 @@ def loop_chain(n):
     return _system(sig, rules)
 
 
+def binder_nesting(n):
+    """The binder-nesting family: ``r`` nests n one-binder abstractions and
+    ``q`` feeds ``r`` its own left side, so rewriting builds the same
+    nameless chain under different binder hints."""
+    body = "X"
+    for i in reversed(range(n)):
+        body = f"g(\\y{i}. {body})"
+    return ("basic nat\nsig f : nat -> nat\nsig g : (nat -> nat) -> nat\n"
+            f"var X : nat\nrule r: f(g(\\z. X)) -> {body}\n"
+            "rule q: f(X) -> f(g(\\z. X))\n")
+
+
 def constant_graph(arcs):
     """One constant per node and one rule per arc, named in arc order."""
     nodes = sorted({n for arc in arcs for n in arc})
@@ -440,6 +452,32 @@ class TestFindLoop:
         assert whole.peak > 10
         assert got == find_loop(h, max_steps=6, max_nodes=30, cap=40)
         assert isinstance(got, LoopFound) == (name == "loop-chain")
+
+    def test_binder_nesting_runs_past_two_hundred(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)     # the interpreter's default
+        try:
+            assert find_loop(parse(binder_nesting(250)), max_steps=3) is None
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_binder_nesting_compares_without_nesting(self, monkeypatch):
+        # every __eq__ a term class defines is wrapped, so that a
+        # comparison that calls another inside it is seen
+        calls, active, nested = [0], [0], [0]
+        for cls in (T.Term, T.Abs, T.App):
+            if "__eq__" in vars(cls):
+                def counting(self, other, real=vars(cls)["__eq__"]):
+                    calls[0] += 1
+                    nested[0] += active[0] > 0
+                    active[0] += 1
+                    try:
+                        return real(self, other)
+                    finally:
+                        active[0] -= 1
+                monkeypatch.setattr(cls, "__eq__", counting)
+        assert find_loop(parse(binder_nesting(80)), max_steps=3) is None
+        assert calls[0] > 0 and nested[0] == 0
 
     def test_search_state_does_not_outlive_the_call(self):
         def live():

@@ -1,7 +1,9 @@
 import copy
+import gc
 import pickle
 import subprocess
 import sys
+import weakref
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -174,6 +176,44 @@ class TestHashConsing:
                           App(g, (Abs("y", NAT, body),)))):
             assert one is not two
             assert one == two and hash(one) == hash(two)
+        # an abstraction never equals an application, and a term compared
+        # with anything else leaves the answer to the other side
+        lone, wrapped = Abs("x", NAT, body), App(g, (Abs("x", NAT, body),))
+        assert lone != wrapped and wrapped != lone and body != lone
+        for t in (lone, wrapped, body):
+            assert t.__eq__("x") is NotImplemented
+            assert t.__eq__(g) is NotImplemented
+
+    def test_deep_alpha_variants_compare_without_recursion(self):
+        g = Const("g", arrow(arrow(NAT, NAT), NAT))
+
+        def nesting(hint):
+            t = App(Free("X", NAT))
+            for i in reversed(range(5000)):
+                t = App(g, (Abs(f"{hint}{i}", NAT, t),))
+            return t
+
+        one, two = nesting("y"), nesting("z")
+        assert one is not two
+        assert one == two and two == one and hash(one) == hash(two)
+        assert {one: 1}[two] == 1 and {two: 2}[one] == 2
+
+    def test_dropped_nodes_die_without_the_collector(self):
+        # a node must not hold itself (as its own skeleton, say): reference
+        # counting alone frees what nothing else holds
+        s = Const("dropped", arrow(NAT, NAT))     # in no other live node
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            first_order = App(s, (App(Free("dropped", NAT)),))
+            binder = Abs("dropped", NAT, App(s, (App(Bound(0, NAT)),)))
+            refs = [weakref.ref(first_order), weakref.ref(binder),
+                    weakref.ref(binder._skel)]
+            del first_order, binder
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_the_node_table_keeps_under_twice_its_live_entries(self):
         # a fresh process, so that no node alive before the loop dies in it
