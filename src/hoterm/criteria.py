@@ -24,10 +24,10 @@ from typing import Iterable, NamedTuple
 from .graph import (RecursionComponent, build_graph, depth_first,
                     postorder, recursion_components)
 from .hrs import Hrs, Rule
-from .sdp import MARK, DependencyPair, print_side
+from .sdp import DependencyPair
 from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
                     bodies, descend, format_position, free_names,
-                    print_term, reach, subterm_at, under_binders)
+                    print_term, reach, under_binders)
 
 # ---------------------------------------------------------------------------
 # subterm criterion
@@ -63,11 +63,6 @@ class CriterionVerdict(NamedTuple):
     witness: PiAssignment
 
 
-class CriterionFailure(NamedTuple):
-    pair: DependencyPair | None
-    reason: str
-
-
 def _occurs_below(s: Term, t: Term) -> bool:
     """``s`` is a proper subterm of ``t``, binders left nameless."""
     stack = [t.body] if isinstance(t, Abs) else list(t.args)
@@ -83,11 +78,10 @@ def _occurs_below(s: Term, t: Term) -> bool:
 
 
 def _projection(pair: DependencyPair, p: Position, q: Position,
-                defined: frozenset[str]) -> bool | tuple:
+                defined: frozenset[str]) -> bool | None:
     """Classify one pair when its left side projects to ``p`` and its right
-    side to ``q``: True if strictly smaller, False if equal, else what
-    failed, a tuple that names the check and, for a head above a
-    projection, how deep it stands and which it is.
+    side to ``q``: True if strictly smaller, False if equal, None if the
+    pair fails.
 
     The pair passes when the projected left side contains the projected
     right side as a subterm, no free variable of the left side heads a
@@ -100,84 +94,53 @@ def _projection(pair: DependencyPair, p: Position, q: Position,
     """
     try:
         left_path, left = descend(pair.lhs, p)
-    except PositionError:
-        return ("left position",)
-    try:
         right_path, right = descend(pair.rhs, q)
     except PositionError:
-        return ("right position",)
-    for k, node in enumerate(left_path):
-        if isinstance(under_binders(node).head, Free):
-            return ("free above", k)
-    for k, node in enumerate(right_path[1:], start=1):
+        return None
+    if any(isinstance(under_binders(node).head, Free) for node in left_path):
+        return None
+    for node in right_path[1:]:
         head = under_binders(node).head
         if isinstance(head, Free) \
                 or isinstance(head, Const) and head.name in defined:
-            return ("head above", k, head)
+            return None
     if reach(right) > 0:
-        return ("reaches",)
+        return None
     if left == right:
         return False
-    if _occurs_below(right, left):
-        return True
-    return ("not below",)
+    return True if _occurs_below(right, left) else None
 
 
-def project_pair(pair: DependencyPair, p: Position, q: Position,
-                 defined: frozenset[str]) -> bool | CriterionFailure:
-    """``_projection``'s answer, with a failure put in words: the terms
-    are opened and printed only here."""
-    found = _projection(pair, p, q, defined)
-    if not isinstance(found, tuple):
-        return found
-    u, v = pair.lhs, pair.rhs
-    check = found[0]
-    if check == "left position":
-        reason = f"position {format_position(p)} is not valid in " \
-                 f"{print_side(u)}"
-    elif check == "right position":
-        reason = f"position {format_position(q)} is not valid in " \
-                 f"{print_side(v)}"
-    elif check == "free above":
-        reason = f"a free variable heads {print_side(u)} at position " \
-                 f"{format_position(p[:found[1]])}, above the projection"
-    elif check == "head above":
-        reason = f"{found[2].name} heads {print_side(v)} at position " \
-                 f"{format_position(q[:found[1]])}, above the projection"
-    elif check == "reaches":
-        reason = f"{print_term(subterm_at(v, q))} refers to a binder " \
-                 f"above position {format_position(q)}"
-    else:
-        apart = free_names(v)   # print the left side's binders apart
-        reason = f"{print_term(subterm_at(v, q))} is not a subterm of " \
-                 f"{print_term(subterm_at(u, p, apart), apart)}"
-    return CriterionFailure(pair, reason)
+def _verdict(pairs: tuple[DependencyPair, ...], shrinks: list[bool],
+             pi: PiAssignment) -> CriterionVerdict | None:
+    """The verdict that splits ``pairs`` by their classes under ``pi``;
+    None when no pair shrinks strictly."""
+    if not any(shrinks):
+        return None
+    return CriterionVerdict(
+        tuple(p for p, s in zip(pairs, shrinks) if s),
+        tuple(p for p, s in zip(pairs, shrinks) if not s), pi)
 
 
 def check_subterm_criterion(component: RecursionComponent, pi: PiAssignment,
                             defined: frozenset[str]
-                            ) -> CriterionVerdict | CriterionFailure:
-    """Classify every pair of the component under the projections with
-    ``project_pair``.  The component passes when every pair does and at
-    least one projection shrinks strictly.
+                            ) -> CriterionVerdict | None:
+    """The verdict of the given projections, or None when a pair fails,
+    a pair symbol has no projection, or no pair shrinks strictly.
+
+    The prover only searches, with ``search_pi``; this checks one
+    assignment alone, for the tests and the benchmark's tracer.
     """
-    strict: list[DependencyPair] = []
-    weak: list[DependencyPair] = []
+    shrinks: list[bool] = []
     for pair in component.pairs:
-        try:
-            p = pi.projections[pair.lhs.head.name]
-            q = pi.projections[pair.rhs.head.name]
-        except KeyError as missing:
-            return CriterionFailure(
-                pair, f"no projection for {missing.args[0] + MARK!r}")
-        shrinks = project_pair(pair, p, q, defined)
-        if isinstance(shrinks, CriterionFailure):
-            return shrinks
-        (strict if shrinks else weak).append(pair)
-    if not strict:
-        return CriterionFailure(
-            None, "no pair projects to a strictly smaller subterm")
-    return CriterionVerdict(tuple(strict), tuple(weak), pi)
+        p = pi.projections.get(pair.lhs.head.name)
+        q = pi.projections.get(pair.rhs.head.name)
+        found = None if p is None or q is None \
+            else _projection(pair, p, q, defined)
+        if found is None:
+            return None
+        shrinks.append(found)
+    return _verdict(component.pairs, shrinks, pi)
 
 
 def _positions_within(t: Term, depth: int) -> list[Position]:
@@ -224,9 +187,8 @@ def search_pi(component: RecursionComponent, max_depth: int,
         [[] for _ in symbols]
     for n, pair, i, j in where:
         completed[max(i, j)].append((n, pair, i, j))
-    # _projection's answer for each (pair, p, q) asked so far; a failure
-    # is never put in words
-    results: dict[tuple[int, Position, Position], bool | tuple] = {}
+    # _projection's answer for each (pair, p, q) asked so far
+    results: dict[tuple[int, Position, Position], bool | None] = {}
 
     def viable(prefix: list) -> bool:
         for n, pair, i, j in completed[len(prefix) - 1]:
@@ -234,18 +196,17 @@ def search_pi(component: RecursionComponent, max_depth: int,
             if key not in results:
                 results[key] = _projection(pair, prefix[i], prefix[j],
                                            defined)
-            if isinstance(results[key], tuple):
+            if results[key] is None:
                 return False
         return True
 
     for choice in depth_first(len(symbols),
                               lambda prefix: pools[len(prefix)], viable):
         shrinks = [results[n, choice[i], choice[j]] for n, _, i, j in where]
-        if any(shrinks):
-            return CriterionVerdict(
-                tuple(p for p, s in zip(component.pairs, shrinks) if s),
-                tuple(p for p, s in zip(component.pairs, shrinks) if not s),
-                PiAssignment(dict(zip(symbols, choice))))
+        verdict = _verdict(component.pairs, shrinks,
+                           PiAssignment(dict(zip(symbols, choice))))
+        if verdict is not None:
+            return verdict
     return None
 
 
@@ -707,7 +668,6 @@ class ComponentProof(NamedTuple):
 
 
 class ComponentFailure(NamedTuple):
-    residual: RecursionComponent
     reasons: tuple[str, ...]
 
 
@@ -744,14 +704,15 @@ def analyze_component(h: Hrs, component: RecursionComponent,
                       ) -> ComponentProof | ComponentFailure:
     """Refine until no recursion structure remains: discharge, drop the
     strictly decreasing pairs, recompute components of the rest, recurse.
-    A failure names the (sub-)component no technique discharged."""
+    A failure gives each technique's reason on the first (sub-)component
+    none discharged."""
     steps: list[RefinementStep] = []
     queue: list[RecursionComponent] = [component]
     while queue:
         current = queue.pop(0)
         step = _discharge_once(h, current, config)
         if isinstance(step, list):
-            return ComponentFailure(current, tuple(step))
+            return ComponentFailure(tuple(step))
         steps.append(step)
         if step.remaining:
             queue.extend(recursion_components(build_graph(step.remaining)))

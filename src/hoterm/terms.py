@@ -459,17 +459,9 @@ def descend(t: Term, p: Position) -> tuple[list[Term], Term]:
     return crossed, t
 
 
-def subterm_at(t: Term, p: Position, avoid: Iterable[str] = ()) -> Term:
-    """The subterm at ``p``; binders crossed on the way become free variables,
-    named apart from the free names of ``t`` and from ``avoid``."""
-    crossed, u = descend(t, p)
-    above = [n for n in crossed if isinstance(n, Abs)]
-    return open_under(above, u, free_names(t).union(avoid))[1]
-
-
 def subterms(t: Term) -> tuple[Term, ...]:
-    """All distinct subterms in preorder; names freed under binders follow the
-    same convention as subterm_at, so both views agree."""
+    """All distinct subterms in preorder; each binder above a subterm is
+    opened by ``open_under``, apart from the free names of ``t``."""
     out: list[Term] = []
     seen: set[Term] = set()
     avoid = free_names(t)

@@ -1,8 +1,11 @@
 """Shared random generators, the term helpers ``lam``, ``close_over``,
-``open_abs``, ``strip_binders``, ``positions`` and ``wrapped_bodies``, and
-the system printer ``print_hrs``, which only the tests use.  The openers
-name and free one binder at a time, apart from the prover's own opener, so
-the oracles built on them do not check ``hoterm.terms`` against itself.
+``open_abs``, ``strip_binders``, ``positions``, ``subterm_at`` and
+``wrapped_bodies``, and the system printer ``print_hrs``, which only the
+tests use.  The openers name and free one binder at a time, apart from the
+prover's own opener, so the oracles built on them do not check
+``hoterm.terms`` against itself; ``subterm_at`` alone opens with the
+prover's ``open_under``, as ``terms.subterms`` does, so that the two views
+of a term's subterms can be compared.
 
 Name pools are kept disjoint on purpose: function symbols are f/g/h/c/d,
 declared variables are upper-case, binders are x1..x9.  This keeps liberated
@@ -19,8 +22,8 @@ import hypothesis.strategies as st
 from hoterm.hrs import Hrs, Rule, parse
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
-                          Position, SimpleType, Term, arrow, bodies,
-                          free_names, print_term)
+                          Position, SimpleType, Term, arrow, bodies, descend,
+                          free_names, open_under, print_term)
 from nbe_oracle import PApp, Preterm
 
 
@@ -83,6 +86,15 @@ def positions(t: Term) -> list[Position]:
         for i, a in enumerate(t.args, start=1):
             out.extend((i,) + p for p in positions(a))
     return out
+
+
+def subterm_at(t: Term, p: Position) -> Term:
+    """The subterm at ``p``; binders crossed on the way become free variables,
+    named apart from the free names of ``t``.  PositionError when ``p`` is
+    not in ``t``."""
+    crossed, u = descend(t, p)
+    above = [n for n in crossed if isinstance(n, Abs)]
+    return open_under(above, u, free_names(t))[1]
 
 
 def wrapped_bodies(t: Term) -> tuple[Term, ...]:

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 import pfp_oracle
 import strategies as S
 from conftest import bare_env
-from strategies import lam, positions, strip_binders, wrapped_bodies
+from strategies import (lam, positions, strip_binders, subterm_at,
+                        wrapped_bodies)
 from hoterm import terms
 from hoterm.criteria import AnalysisConfig
 from hoterm.hrs import Hrs, Rule, load, parse
 from hoterm.proof import ProverConfig, emit_json, prove_text
 from hoterm.sdp import extract_sdps, print_side
 from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
-                          bodies, free_names, print_term, subterm_at)
+                          bodies, free_names, print_term)
 
 ROOT = Path(__file__).parent.parent
 FIXDIR = ROOT / "fixtures"

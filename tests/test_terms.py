@@ -14,12 +14,12 @@ import hypothesis.strategies as st
 import hoterm
 import strategies as S
 from conftest import bare_env
-from strategies import lam, positions, strip_binders
+from strategies import lam, positions, strip_binders, subterm_at
 from hoterm.normalize import eta_expand
 from hoterm.terms import (Abs, App, Arrow, Base, Bound, Const, Free,
                           PositionError, TermTypeError, arrow, bodies,
                           format_position, free_names, open_under,
-                          print_term, subterm_at, subterms, under_binders)
+                          print_term, subterms, under_binders)
 from walk_oracle import replace_at
 
 NAT = Base("nat")
