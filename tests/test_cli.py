@@ -20,6 +20,7 @@ from hoterm.hrs import parse
 from hoterm.proof import ProverConfig, prove_text
 from hoterm.rewriting import rewrite_step
 from conftest import bare_env
+from families import deep_rules
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXDIR = ROOT / "fixtures"
@@ -100,22 +101,6 @@ class TestExitCodes:
         assert err == "error: input nested too deeply\n"
         assert out == ""
 
-    @staticmethod
-    def deep_rules(n, path):
-        """f(s^n(X)) -> f(s^(n-1)(X)), g(s^n(X), Y) -> g(s^(n-1)(X), s(Y))
-        and g(0, Y) -> f(Y), written to ``path``; returns s^(n-1)(X)."""
-        def s(k, t):
-            return "s(" * k + t + ")" * k
-
-        path.write_text(
-            "basic nat\nsig 0 : nat\nsig s : nat -> nat\n"
-            "sig f : nat -> nat\nsig g : nat -> nat -> nat\n"
-            "var X : nat\nvar Y : nat\n"
-            f"rule f: f({s(n, 'X')}) -> f({s(n - 1, 'X')})\n"
-            f"rule g: g({s(n, 'X')}, Y) -> g({s(n - 1, 'X')}, s(Y))\n"
-            "rule h: g(0, Y) -> f(Y)\n")
-        return s(n - 1, "X")
-
     @pytest.mark.parametrize("flags", [
         [], ["--json"], ["--pfp"], ["--sdp"], ["--disprove", "3"]])
     @pytest.mark.parametrize("n", [600, 800, 900])
@@ -123,16 +108,16 @@ class TestExitCodes:
                                                     tmp_path, capsys):
         # every stage, the printer too, spends at most one frame per level
         deep = tmp_path / "deep.hrs"
-        shown = self.deep_rules(n, deep)
+        deep.write_text(deep_rules(n))
         code, out, err = run(capsys, "prove", deep, *flags)
         assert (code, err) == (EXIT_TERMINATING, "")
-        assert shown in out
+        assert "s(" * (n - 1) + "X" + ")" * (n - 1) in out
 
     def test_deep_rules_are_proved_by_the_reduction_pair(self, tmp_path,
                                                          capsys):
         # the path order compiles s > t at two frames per level of t
         deep = tmp_path / "deep.hrs"
-        self.deep_rules(400, deep)
+        deep.write_text(deep_rules(400))
         code, out, err = run(capsys, "prove", deep, "--techniques", "redpair")
         assert (code, err) == (EXIT_TERMINATING, "")
         assert "reduction pair: path order with precedence" in out
@@ -594,42 +579,6 @@ class TestScripts:
         assert float(rows[0][1]) >= 0
         assert rows[0][2] in ("none", "loop")
         assert int(rows[0][3]) > 0 and int(rows[0][4]) > 0
-        assert _mtimes(*dirs) == before
-
-    def test_sdp_cost_times_each_depth_without_writing(self):
-        dirs = SRC, ROOT / "scripts"
-        before = _mtimes(*dirs)
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "sdp_cost.py"),
-             "--depths", "1", "3", "--runs", "2"],
-            capture_output=True, text=True, cwd=ROOT,
-            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
-        assert proc.returncode == 0, proc.stderr
-        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-        assert [row[0] for row in rows] == ["1", "3"]
-        for row in rows:
-            assert float(row[1]) > 0 and float(row[2]) > 0
-            assert row[3] == "4"
-        assert _mtimes(*dirs) == before
-
-    def test_precedence_cost_times_each_family_without_writing(self):
-        dirs = SRC, ROOT / "scripts"
-        before = _mtimes(*dirs)
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "precedence_cost.py"),
-             "--deep", "6", "10", "--unorientable", "5", "--rotating",
-             "--unsorted", "8", "--runs", "2"],
-            capture_output=True, text=True, cwd=ROOT,
-            env=dict(os.environ, PYTHONPATH=src_pythonpath()))
-        assert proc.returncode == 0, proc.stderr
-        rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-        assert [row[:2] for row in rows] == [
-            ["deep", "6"], ["deep", "10"], ["unorientable", "5"],
-            ["unsorted", "8"]]
-        assert [row[4] for row in rows] == [
-            "TERMINATING", "TERMINATING", "MAYBE", "TERMINATING"]
-        for row in rows:
-            assert float(row[2]) > 0 and int(row[3]) > 0
         assert _mtimes(*dirs) == before
 
     def test_parse_cost_times_every_set_without_writing(self):

@@ -4,10 +4,12 @@ from pathlib import Path
 from hypothesis import given, settings
 
 import strategies as S
+from families import doubling, rotating_chain, wide
 from hoterm.graph import (DependencyGraph, build_graph, depth_first,
                           postorder, recursion_components,
                           strongly_connected, to_dot)
 from hoterm.hrs import load, parse
+from hoterm.proof import TERMINATING, prove_text
 from hoterm.sdp import extract_sdps
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -68,6 +70,20 @@ class TestBuildGraph:
         comps = recursion_components(g)
         assert len(comps) == 1
         assert comps[0].indices == (0, 1)
+
+    def test_wide_family_is_one_dense_component(self):
+        g = build_graph(extract_sdps(parse(wide(5))))
+        assert len(g.arcs) == 25
+        (comp,) = recursion_components(g)
+        assert comp.indices == tuple(range(5))
+        assert prove_text(wide(5)).verdict.kind == TERMINATING
+
+    def test_arcs_are_found_in_linear_time(self):
+        # comparing the heads of every two pairs grew 4.0 times
+        pairs = {n: extract_sdps(parse(rotating_chain(n)))
+                 for n in (400, 800)}
+        assert doubling(lambda n: build_graph(pairs[n]), 400,
+                        (build_graph,)) <= 2.5
 
 
 class TestRecursionComponents:

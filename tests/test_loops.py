@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import strategies as S
+from families import binder_nesting, grow, loop_chain
 from nbe_oracle import hints, nbe_apply_subst
 from walk_oracle import (DepthExhausted, NormalForm, eager_bounded_search,
                          eager_loop_seeds)
@@ -149,32 +150,6 @@ def _system(sig, rules):
     lines += ["var X : o"]
     lines += [f"rule {name}: {lhs} -> {rhs}" for name, lhs, rhs in rules]
     return parse("\n".join(lines) + "\n")
-
-
-def loop_chain(n):
-    """g_i(X) -> g_i+1(X) and g_i(X) -> g_i+1(s(X)), closed into a cycle of
-    n symbols: only the path of n a-steps from g_0(z) returns to it, behind
-    2^(n-1) paths but about n^2/2 distinct terms."""
-    sig = [("z", "o"), ("s", "o -> o")]
-    sig += [(f"g{i:02d}", "o -> o") for i in range(n)]
-    rules = []
-    for i in range(n):
-        j = (i + 1) % n
-        rules.append((f"a{i:02d}", f"g{i:02d}(X)", f"g{j:02d}(X)"))
-        rules.append((f"b{i:02d}", f"g{i:02d}(X)", f"g{j:02d}(s(X))"))
-    return _system(sig, rules)
-
-
-def binder_nesting(n):
-    """The binder-nesting family: ``r`` nests n one-binder abstractions and
-    ``q`` feeds ``r`` its own left side, so rewriting builds the same
-    nameless chain under different binder hints."""
-    body = "X"
-    for i in reversed(range(n)):
-        body = f"g(\\y{i}. {body})"
-    return ("basic nat\nsig f : nat -> nat\nsig g : (nat -> nat) -> nat\n"
-            f"var X : nat\nrule r: f(g(\\z. X)) -> {body}\n"
-            "rule q: f(X) -> f(g(\\z. X))\n")
 
 
 def constant_graph(arcs):
@@ -341,7 +316,7 @@ class TestBoundedSearch:
 
     def test_depth_budget_counts_distinct_terms(self, monkeypatch):
         # d + 1 distinct terms at distance d, where 2^d paths end
-        h = loop_chain(6)
+        h = parse(loop_chain(6))
         seed = App(Const("g00", h.signature["g00"]), (constant(h, "z"),))
         rewritten = record_calls(monkeypatch, "rewrite_step")
         assert bounded_search(h, seed, max_steps=5) is None
@@ -411,7 +386,7 @@ class TestFindLoop:
             return real(h, t, memo)
 
         monkeypatch.setattr(R, "rewrite_step", counting)
-        h = loop_chain(16)
+        h = parse(loop_chain(16))
         found = find_loop(h, max_steps=16)
         assert isinstance(found, LoopFound)
         assert len(found.trace) == 16
@@ -421,7 +396,7 @@ class TestFindLoop:
     @pytest.mark.parametrize("name", ["ackermann", "arith", "nested",
                                       "sqsum", "loop-chain"])
     def test_memo_stays_within_its_bound(self, name, monkeypatch):
-        h = loop_chain(6) if name == "loop-chain" else \
+        h = parse(loop_chain(6)) if name == "loop-chain" else \
             load(FIXTURES / f"{name}.hrs")
 
         class Watched(dict):
@@ -478,6 +453,10 @@ class TestFindLoop:
                 monkeypatch.setattr(cls, "__eq__", counting)
         assert find_loop(parse(binder_nesting(80)), max_steps=3) is None
         assert calls[0] > 0 and nested[0] == 0
+
+    def test_a_growing_system_has_no_loop(self):
+        assert find_loop(parse(grow()), max_steps=3) is None
+        assert prove_text(grow()).verdict.kind == "MAYBE"
 
     def test_search_state_does_not_outlive_the_call(self):
         def live():
@@ -651,7 +630,7 @@ class TestSeedsOnDemand:
                 yield t
 
         monkeypatch.setattr(R, "enumerate_closed_terms", counting)
-        h = loop_chain(6) if name == "loop-chain" else \
+        h = parse(loop_chain(6)) if name == "loop-chain" else \
             load(FIXTURES / f"{name}.hrs")
         found = find_loop(h, max_steps=max_steps)
         assert isinstance(found, LoopFound)

@@ -1,5 +1,4 @@
 import json
-import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 import pfp_oracle
 import strategies as S
 from conftest import bare_env
+from families import binder_depth_system
 from strategies import (lam, positions, strip_binders, subterm_at,
                         wrapped_bodies)
 from hoterm import terms
@@ -23,8 +23,6 @@ from hoterm.terms import (Abs, App, Base, Bound, Const, Free, arrow,
 ROOT = Path(__file__).parent.parent
 FIXDIR = ROOT / "fixtures"
 FIXTURES = sorted(FIXDIR.glob("*.hrs"))
-binder_depth_system = runpy.run_path(
-    str(ROOT / "scripts" / "sdp_cost.py"))["binder_depth_system"]
 
 
 class TestPrintSide:
@@ -266,7 +264,7 @@ class TestBinderDepth:
             built.append(parts)
             return new(cls, *parts)
 
-        for d in (16, 32):
+        for d in (1, 3, 16, 32):
             h = parse(binder_depth_system(d))
             built.clear()
             monkeypatch.setattr(terms.Abs, "__new__", counting)

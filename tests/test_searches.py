@@ -9,9 +9,7 @@ order decided directly, so it shares no constraint code with the search.
 
 import itertools
 import re
-import runpy
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +18,9 @@ import hypothesis.strategies as st
 import strategies as S
 import hoterm.criteria as C
 from conftest import FIXTURES
+from families import (_system, cycle_behind, deep_sides, doubling,
+                      independent, precedence_deep, precedence_unorientable,
+                      precedence_unsorted, rotating_chain, swapped_chain)
 from lpo_oracle import DirectPathOrder
 from hoterm.criteria import (PRECEDENCE_BUDGET, AnalysisConfig, Comparison,
                              CriterionVerdict, LexPathOrder,
@@ -33,7 +34,6 @@ from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
 from hoterm.sdp import DependencyPair, extract_sdps
 from hoterm.terms import App, Const, free_names
 
-ROOT = Path(__file__).parent.parent
 REDPAIR = ProverConfig(analysis=AnalysisConfig(techniques=("redpair",)))
 NONE_ORIENTS = "no precedence orients every rule and the component"
 BUDGET_SPENT = re.compile(
@@ -92,66 +92,6 @@ def components(h):
 
 # ---------------------------------------------------------------------------
 # generated families over Peano numerals
-
-
-# The chain families and the system builder are those
-# scripts/precedence_cost.py times:
-# - precedence_deep(k): the chain g_0(s(X)) -> g_1(X) -> ... -> X beside
-#   f(b) -> f(a), k symbols; b > a is needed, which the call-graph guess
-#   gets wrong, so the search has to run;
-# - precedence_unorientable(k): the chain beside f(X, s(Y)) -> f(s(X), Y),
-#   k symbols, which no path order orients;
-# - rotating_chain(n): f_i(s(X), Y) -> f_i+1(X, s(Y)), closed into a cycle
-#   of n symbols; the projection to argument 1 works, and it is tried first.
-_families = runpy.run_path(str(ROOT / "scripts" / "precedence_cost.py"))
-_system = _families["_system"]
-precedence_deep = _families["deep"]
-precedence_unorientable = _families["unorientable"]
-rotating_chain = _families["rotating"]
-
-
-def swapped_chain(n):
-    """f_i(Y, s(X)) -> f_i+1(s(Y), X), closed into a cycle of n symbols:
-    only the projection to argument 2 works, and it is tried last."""
-    sig = [(f"f{i:04d}", "nat -> nat -> nat") for i in range(n)]
-    rules = [(f"r{i:04d}", f"f{i:04d}(Y, s(X))",
-              f"f{(i + 1) % n:04d}(s(Y), X)") for i in range(n)]
-    return _system(sig, ("X", "Y"), rules)
-
-
-def precedence_unsorted(k):
-    """``precedence_deep(k)`` with the chain's names unpadded: past g10
-    they sort out of chain order (g10 < g100 < g11), so each prefix tries,
-    and drops, every symbol that sorts before the next link."""
-    return precedence_deep(k, digits=1)
-
-
-def cycle_behind(m):
-    """m rules u_i(s(X)) -> X, whose symbols sort first, beside the cycle
-    x(s(X)) -> y(s(X)) -> z(s(X)) -> x(s(X)), which no path order orients."""
-    lines = ["basic nat", "sig s : nat -> nat", "var X : nat"]
-    lines += [f"sig {f} : nat -> nat"
-              for f in [f"u{i}" for i in range(m)] + ["x", "y", "z"]]
-    lines += [f"rule u{i}: u{i}(s(X)) -> X" for i in range(m)]
-    lines += [f"rule {f}{g}: {f}(s(X)) -> {g}(s(X))"
-              for f, g in ("xy", "yz", "zx")]
-    return "\n".join(lines) + "\n"
-
-
-def deep_sides(n):
-    """f(s^n(X), s^n(Y)) -> g(s^(n-1)(Y), f(X, s^n(b))),
-    g(s^n(X), Y) -> h(f(s^(n-1)(a), Y)) and h(b) -> a: comparing the sides
-    by plain recursion, with no memo, takes time exponential in n."""
-    def s(k, t):
-        return "s(" * k + t + ")" * k
-
-    sig = [("a", "nat"), ("b", "nat"), ("f", "nat -> nat -> nat"),
-           ("g", "nat -> nat -> nat"), ("h", "nat -> nat")]
-    rules = [("f", f"f({s(n, 'X')}, {s(n, 'Y')})",
-              f"g({s(n - 1, 'Y')}, f(X, {s(n, 'b')}))"),
-             ("g", f"g({s(n, 'X')}, Y)", f"h(f({s(n - 1, 'a')}, Y))"),
-             ("h", "h(b)", "a")]
-    return _system(sig, ("X", "Y"), rules)
 
 
 FAMILIES = ([swapped_chain(n) for n in range(1, 7)]
@@ -482,7 +422,7 @@ class TestPrecedenceWalk:
     def test_skipped_symbols_are_dropped_on_first_order_systems(self, h):
         self.check_skips(h)
 
-    @pytest.mark.parametrize("k", [10, 16, 24])
+    @pytest.mark.parametrize("k", [6, 10, 16, 24])
     def test_deep_precedence_past_eight_symbols(self, k):
         proof = prove_text(precedence_deep(k), REDPAIR)
         assert proof.verdict.kind == TERMINATING
@@ -498,8 +438,9 @@ class TestPrecedenceWalk:
         assert len(prefixes) == 102
         assert len(checks) == 1
 
-    def test_a_backtracking_walk_is_proved_within_its_budget(self):
-        proof = prove_text(precedence_unsorted(60), REDPAIR)
+    @pytest.mark.parametrize("k", [8, 60])
+    def test_a_backtracking_walk_is_proved_within_its_budget(self, k):
+        proof = prove_text(precedence_unsorted(k), REDPAIR)
         assert proof.verdict.kind == TERMINATING
         (cp,) = proof.component_proofs.values()
         (step,) = cp.steps
@@ -550,6 +491,21 @@ class TestScale:
         # one look-up per pair; a scan of the strict tuple makes 179,700
         assert len(calls) <= 600
 
+    def test_forced_atoms_close_in_linear_time(self):
+        # closing each forced atom by a scan of every symbol grew 4.0 times
+        ratio = doubling(lambda n: prove_text(rotating_chain(n), REDPAIR),
+                         300, (LexPathOrder.closure, C._close))
+        assert ratio <= 2.5
+
+    def test_independent_components_are_each_discharged(self):
+        h = parse(independent(5))
+        assert [len(comp.pairs) for comp in components(h)] == [1] * 5
+        proof = prove_text(independent(5))
+        assert proof.verdict.kind == TERMINATING
+        assert [[step.technique for step in cp.steps]
+                for cp in proof.component_proofs.values()] == \
+            [["subterm criterion"]] * 5
+
     @staticmethod
     def record_precedence_search(monkeypatch):
         """The prefixes ``closure`` is asked about, and the arguments of
@@ -570,13 +526,16 @@ class TestScale:
         monkeypatch.setattr(C, "check_reduction_pair", counting)
         return prefixes, checks
 
-    def test_unorientable_precedence_search_prunes(self, monkeypatch):
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_unorientable_precedence_search_prunes(self, k, monkeypatch):
         prefixes, checks = self.record_precedence_search(monkeypatch)
-        h = parse(precedence_unorientable(8))
+        h = parse(precedence_unorientable(k))
         (comp,) = components(h)
         assert search_precedence(h, comp) == NONE_ORIENTS
         assert 1 <= len(prefixes) <= 24   # 8! = 40,320 without pruning
         assert checks == []               # a failed search checks nothing
+        assert prove_text(precedence_unorientable(k), REDPAIR).verdict.kind \
+            == MAYBE
 
     def test_cycle_behind_unrelated_symbols_is_seen_before_any_prefix(
             self, monkeypatch):
