@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from hoterm.criteria import AnalysisConfig, ComponentProof, analyze_component
-from hoterm.graph import build_graph, recursion_components
+from hoterm.graph import recursion_components
 from hoterm.hrs import load
 from hoterm.pfp import is_pfp
 from hoterm.sdp import extract_sdps
@@ -41,7 +41,7 @@ def main() -> int:
         if not is_pfp(h).is_pfp:
             print(f"{path.stem:<12} not function-passing, skipped")
             continue
-        components = recursion_components(build_graph(extract_sdps(h)))
+        components = recursion_components(extract_sdps(h))
         if not components:
             print(f"{path.stem:<12} no recursion components")
             continue

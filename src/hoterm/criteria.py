@@ -13,7 +13,8 @@ those constraints, and walks only the prefixes they leave open, within a
 budget of constraint assessments.  Both searches walk their choices, one
 symbol at a time, with ``graph.depth_first``.
 Components survive a successful step only through their non-strict pairs; the
-refinement loop recomputes components of the remainder and recurses.
+refinement loop finds the components among those pairs, from their head
+symbols alone, and recurses.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .graph import (RecursionComponent, build_graph, depth_first,
-                    postorder, recursion_components)
+from .graph import (RecursionComponent, depth_first, postorder,
+                    recursion_components)
 from .hrs import Hrs, Rule
 from .sdp import DependencyPair
 from .terms import (Abs, Base, Const, Free, Position, PositionError, Term,
@@ -715,5 +716,5 @@ def analyze_component(h: Hrs, component: RecursionComponent,
             return ComponentFailure(tuple(step))
         steps.append(step)
         if step.remaining:
-            queue.extend(recursion_components(build_graph(step.remaining)))
+            queue.extend(recursion_components(step.remaining))
     return ComponentProof(tuple(steps))

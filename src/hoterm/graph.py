@@ -3,7 +3,10 @@
 An arc connects one pair to another when the head symbol of the first pair's
 right side equals the head symbol of the second pair's left side.  Recursion
 components are the strongly connected subgraphs that contain at least one arc;
-a single node qualifies only through a self-arc.  Two walks are shared with
+a single node qualifies only through a self-arc.  They are found on the
+symbol graph, one arc per pair from its left head to its right head: pair i
+reaches pair j exactly when i's right head reaches j's left head there.  The
+arcs themselves are listed only for printing.  Two walks are shared with
 the searches: ``postorder`` over a graph, and ``depth_first`` over sequences
 of choices, the projections, precedences and loop seeds.
 """
@@ -16,30 +19,24 @@ from typing import NamedTuple
 from .sdp import DependencyPair
 
 
-class DependencyGraph(NamedTuple):
-    nodes: tuple[DependencyPair, ...]
-    arcs: frozenset[tuple[int, int]]
-
-
 class RecursionComponent(NamedTuple):
-    """Node indices into the owning graph, sorted, with their pairs.  A
-    component refined from another owns the graph built from the pairs
-    its parent kept, and its indices point into that graph."""
+    """Indices, sorted, into the pairs the component was found among, with
+    those pairs.  A component refined from another is found among the
+    pairs its parent kept, and its indices point into those."""
 
     indices: tuple[int, ...]
     pairs: tuple[DependencyPair, ...]
 
 
-def build_graph(pairs: tuple[DependencyPair, ...]) -> DependencyGraph:
-    """Connect i to j whenever the rhs head of pair i names the same symbol
-    as the lhs head of pair j.  The left heads are indexed by name, so the
-    build takes time linear in the pairs and the arcs."""
+def build_graph(pairs: tuple[DependencyPair, ...]) -> list[tuple[int, int]]:
+    """The arcs, ascending: i to j whenever the rhs head of pair i names the
+    same symbol as the lhs head of pair j.  The left heads are indexed by
+    name, so the build takes time linear in the pairs and the arcs."""
     lhs_of: dict[str, list[int]] = {}
     for j, p in enumerate(pairs):
         lhs_of.setdefault(p.lhs.head.name, []).append(j)
-    arcs = frozenset((i, j) for i, p in enumerate(pairs)
-                     for j in lhs_of.get(p.rhs.head.name, ()))
-    return DependencyGraph(tuple(pairs), arcs)
+    return [(i, j) for i, p in enumerate(pairs)
+            for j in lhs_of.get(p.rhs.head.name, ())]
 
 
 def postorder(roots: Iterable[Hashable],
@@ -99,49 +96,49 @@ def depth_first(size: int, options: Callable[[list], Iterable],
                 prefix.pop()
 
 
-def strongly_connected(n: int, arcs: frozenset[tuple[int, int]]
-                       ) -> list[tuple[int, ...]]:
-    """Maximal strongly connected node sets of the graph on 0..n-1, each
-    sorted ascending, listed in ascending order of their minimum node.
-    Last finished first by one depth-first walk, each node not yet placed
-    gathers the unplaced nodes that reach it."""
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for a, b in sorted(arcs):
-        succ[a].append(b)
-        pred[b].append(a)
-    placed: set[int] = set()
-    sccs: list[tuple[int, ...]] = []
-    for v in reversed(list(postorder(range(n), succ.__getitem__))):
-        if v not in placed:
-            sccs.append(tuple(sorted(postorder(
-                (v,), lambda u: [w for w in pred[u] if w not in placed]))))
-            placed.update(sccs[-1])
-    return sorted(sccs)
+def recursion_components(pairs: tuple[DependencyPair, ...]
+                         ) -> tuple[RecursionComponent, ...]:
+    """The pairs that lie on a cycle, grouped by strongly connected set,
+    in ascending order of their least pair.  A pair lies on a cycle when
+    both its heads fall in one strongly connected set of symbols.  Last
+    finished first by one depth-first walk over the symbols, each symbol
+    not yet placed gathers the unplaced symbols that reach it."""
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
+    for p in pairs:
+        succ.setdefault(p.lhs.head.name, []).append(p.rhs.head.name)
+        pred.setdefault(p.rhs.head.name, []).append(p.lhs.head.name)
+    scc: dict[str, str] = {}
+    for f in reversed(list(postorder(succ, lambda f: succ.get(f, ())))):
+        if f not in scc:
+            scc.update((g, f) for g in postorder(
+                (f,), lambda u: [e for e in pred.get(u, ()) if e not in scc]))
+    found: dict[str, list[int]] = {}
+    for i, p in enumerate(pairs):
+        root = scc[p.lhs.head.name]
+        if root == scc[p.rhs.head.name]:
+            found.setdefault(root, []).append(i)
+    return tuple(RecursionComponent(tuple(c), tuple(pairs[i] for i in c))
+                 for c in found.values())
 
 
-def recursion_components(g: DependencyGraph) -> tuple[RecursionComponent, ...]:
-    """Strongly connected node sets that carry at least one internal arc."""
-    return tuple(RecursionComponent(comp, tuple(g.nodes[i] for i in comp))
-                 for comp in strongly_connected(len(g.nodes), g.arcs)
-                 if len(comp) > 1 or (comp[0], comp[0]) in g.arcs)
-
-
-def to_dot(g: DependencyGraph, comps: tuple[RecursionComponent, ...]) -> str:
-    """Render the graph for Graphviz, clustering each of its ``comps``."""
+def to_dot(pairs: tuple[DependencyPair, ...],
+           comps: tuple[RecursionComponent, ...]) -> str:
+    """Render the graph of ``pairs`` for Graphviz, clustering each of its
+    ``comps``."""
     lines = ["digraph sdg {", '  node [shape=box, fontname="monospace"];']
     clustered: set[int] = set()
     for c, comp in enumerate(comps):
         lines.append(f"  subgraph cluster_{c} {{")
         lines.append(f'    label="component {c + 1}";')
         for i in comp.indices:
-            lines.append(f'    n{i} [label="{_label(g.nodes[i])}"];')
+            lines.append(f'    n{i} [label="{_label(pairs[i])}"];')
             clustered.add(i)
         lines.append("  }")
-    for i in range(len(g.nodes)):
+    for i in range(len(pairs)):
         if i not in clustered:
-            lines.append(f'  n{i} [label="{_label(g.nodes[i])}"];')
-    for a, b in sorted(g.arcs):
+            lines.append(f'  n{i} [label="{_label(pairs[i])}"];')
+    for a, b in build_graph(pairs):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

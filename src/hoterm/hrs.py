@@ -70,9 +70,9 @@ class Hrs:
         self.constructors = frozenset(signature) - self.defined
         # head of a left-hand side -> its rules, in order: what
         # ``rewrite_step`` tries at a subterm with that head
-        index: dict[Atom, tuple[Rule, ...]] = {}
+        index: dict[Atom, list[Rule]] = {}
         for r in rules:
-            index[r.lhs.head] = index.get(r.lhs.head, ()) + (r,)
+            index.setdefault(r.lhs.head, []).append(r)
         self.rules_by_head = index
         # the first rule whose left-hand side is not a pattern, if any:
         # matching, and so rewriting, is undecidable for it

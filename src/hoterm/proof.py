@@ -1,8 +1,8 @@
 """End-to-end proof pipeline and proof emission.
 
 The pipeline parses a system, gates on the function-passing check, extracts
-the static dependency pairs, builds the graph, and discharges every recursion
-component.
+the static dependency pairs, finds their recursion components, and discharges
+each.
 A full discharge yields TERMINATING.  Otherwise the verdict is MAYBE with the
 blocking reason, unless loop search is enabled and finds a concrete cycle, in
 which case the verdict is NONTERMINATING with a replayable trace.
@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .criteria import (AnalysisConfig, ComponentFailure, ComponentProof,
                        ConfigError, analyze_component)
-from .graph import (DependencyGraph, RecursionComponent, build_graph,
-                    recursion_components, to_dot)
+from .graph import (RecursionComponent, build_graph, recursion_components,
+                    to_dot)
 from .hrs import Hrs, parse, read_source
 from .pfp import PfpReport, SafeSet, is_pfp
 from .rewriting import LoopFound, find_loop
@@ -53,7 +53,6 @@ class ProofObject(NamedTuple):
     hrs: Hrs
     pfp: PfpReport
     sdps: tuple[DependencyPair, ...]
-    graph: DependencyGraph
     components: tuple[RecursionComponent, ...]
     component_proofs: dict[RecursionComponent,
                            ComponentProof | ComponentFailure]
@@ -74,15 +73,14 @@ def prove_text(text: str, config: ProverConfig = ProverConfig(),
                           "below 1")
     pfp = is_pfp(h)
     sdps = extract_sdps(h)
-    graph = build_graph(sdps)
-    components = recursion_components(graph)
+    components = recursion_components(sdps)
     proofs: dict[RecursionComponent, ComponentProof | ComponentFailure] = {}
     if pfp.is_pfp:
         for c in components:
             proofs[c] = analyze_component(h, c, config.analysis)
 
     verdict = _conclude(h, pfp, proofs, config)
-    return ProofObject(source_name, digest, h, pfp, sdps, graph, components,
+    return ProofObject(source_name, digest, h, pfp, sdps, components,
                        proofs, verdict)
 
 
@@ -169,7 +167,7 @@ def _document(proof: ProofObject) -> dict:
         "sdp_count": len(proof.sdps),
         "sdps": _pairs_json(proof.sdps),
         "graph": {"arcs": [[a + 1, b + 1]
-                           for a, b in sorted(proof.graph.arcs)]},
+                           for a, b in build_graph(proof.sdps)]},
         "component_count": len(proof.components),
         "components": [{"pairs": [i + 1 for i in c.indices]}
                        for c in proof.components],
@@ -282,4 +280,4 @@ def emit_json(proof: ProofObject) -> str:
 
 
 def emit_dot(proof: ProofObject) -> str:
-    return to_dot(proof.graph, proof.components)
+    return to_dot(proof.sdps, proof.components)

@@ -12,7 +12,7 @@ from hoterm.criteria import (AnalysisConfig, Comparison, ComponentFailure,
                              PiAssignment, analyze_component, _projection,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
-from hoterm.graph import RecursionComponent, build_graph, recursion_components
+from hoterm.graph import RecursionComponent, recursion_components
 from hoterm.hrs import load, parse
 from hoterm.normalize import apply_subst
 from hoterm.sdp import DependencyPair, extract_sdps
@@ -26,7 +26,7 @@ A = Base("a")
 
 def components_of(name):
     h = load(FIXDIR / f"{name}.hrs")
-    return h, recursion_components(build_graph(extract_sdps(h)))
+    return h, recursion_components(extract_sdps(h))
 
 
 def const(name, ty, *args):
@@ -236,7 +236,7 @@ class TestSearchPi:
                   "sig g : a -> a\nvar X : a\n"
                   "rule r1: f(c(c(X))) -> f(g(X))\n"
                   "rule r2: g(X) -> c(c(X))\n")
-        comp, = recursion_components(build_graph(extract_sdps(h)))
+        comp, = recursion_components(extract_sdps(h))
         with pytest.raises(TypeError):
             search_pi(comp, 3)
         assert search_pi(comp, 3, h.defined) is None
@@ -245,7 +245,7 @@ class TestSearchPi:
         h = parse("basic a\nsig f : a -> a -> a\nsig c : a\n"
                   "var X : a\nvar Y : a\n"
                   "rule f-def: f(X, Y) -> f(Y, X)\n")
-        comp = recursion_components(build_graph(extract_sdps(h)))[0]
+        comp = recursion_components(extract_sdps(h))[0]
         assert search_pi(comp, max_depth=3, defined=h.defined) is None
 
 
@@ -398,7 +398,7 @@ class TestSearchPrecedence:
         h = parse("basic a\nsig f : a -> a -> a\nsig c : a\n"
                   "var X : a\nvar Y : a\n"
                   "rule f-def: f(X, Y) -> f(Y, X)\n")
-        comp = recursion_components(build_graph(extract_sdps(h)))[0]
+        comp = recursion_components(extract_sdps(h))[0]
         assert search_precedence(h, comp) == \
             "no precedence orients every rule and the component"
 
@@ -449,7 +449,7 @@ class TestAnalyzeComponent:
         h = parse("basic a\nsig f : a -> a -> a\nsig c : a\n"
                   "var X : a\nvar Y : a\n"
                   "rule f-def: f(X, Y) -> f(Y, X)\n")
-        comp = recursion_components(build_graph(extract_sdps(h)))[0]
+        comp = recursion_components(extract_sdps(h))[0]
         out = analyze_component(h, comp)
         assert isinstance(out, ComponentFailure)
         assert out.reasons == (

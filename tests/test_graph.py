@@ -1,23 +1,39 @@
 import itertools
 from pathlib import Path
+from types import FunctionType
 
+import pytest
 from hypothesis import given, settings
 
 import strategies as S
 from families import doubling, rotating_chain, wide
-from hoterm.graph import (DependencyGraph, build_graph, depth_first,
-                          postorder, recursion_components,
-                          strongly_connected, to_dot)
+from hoterm import graph
+from hoterm.graph import (build_graph, depth_first, postorder,
+                          recursion_components, to_dot)
 from hoterm.hrs import load, parse
 from hoterm.proof import TERMINATING, prove_text
-from hoterm.sdp import extract_sdps
+from hoterm.sdp import DependencyPair, extract_sdps
+from hoterm.terms import App, Base, Const, Free, arrow
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
+A = Base("a")
 
-def sqsum_graph():
-    pairs = extract_sdps(load(FIXDIR / "sqsum.hrs"))
-    return pairs, build_graph(pairs)
+
+def sqsum_pairs():
+    return extract_sdps(load(FIXDIR / "sqsum.hrs"))
+
+
+def symbol_pairs(arcs):
+    """One pair f<a>#(X) -> f<b>#(X) for each arc (a, b) over symbols, in
+    the order given."""
+    x = App(Free("X", A), ())
+
+    def side(k):
+        return App(Const(f"f{k}", arrow(A, A)), (x,))
+
+    return tuple(DependencyPair(side(a), side(b), f"r{i}", ())
+                 for i, (a, b) in enumerate(arcs))
 
 
 def closure_sccs(n, arcs):
@@ -40,21 +56,26 @@ def closure_sccs(n, arcs):
 
 class TestBuildGraph:
     def test_sqsum_arcs(self):
-        _, g = sqsum_graph()
-        assert g.arcs == {(0, 0), (1, 0), (2, 1), (2, 2), (3, 3),
-                          (4, 3), (5, 0), (6, 1), (6, 2)}
+        assert build_graph(sqsum_pairs()) == [
+            (0, 0), (1, 0), (2, 1), (2, 2), (3, 3), (4, 3), (5, 0), (6, 1),
+            (6, 2)]
 
     def test_arc_means_head_of_rhs_matches_head_of_lhs(self):
-        pairs, g = sqsum_graph()
-        assert g.arcs == {(i, j) for i, p in enumerate(pairs)
-                          for j, q in enumerate(pairs)
-                          if p.rhs.head.name == q.lhs.head.name}
+        pairs = sqsum_pairs()
+        assert set(build_graph(pairs)) == {
+            (i, j) for i, p in enumerate(pairs) for j, q in enumerate(pairs)
+            if p.rhs.head.name == q.lhs.head.name}
+
+    @settings(max_examples=100)
+    @given(S.digraphs())
+    def test_arcs_are_listed_once_in_ascending_order(self, symbol_graph):
+        _, symbol_arcs = symbol_graph
+        arcs = build_graph(symbol_pairs(symbol_arcs))
+        assert arcs == sorted(set(arcs))
 
     def test_empty_graph(self):
-        g = build_graph(())
-        assert g.nodes == ()
-        assert g.arcs == frozenset()
-        assert recursion_components(g) == ()
+        assert build_graph(()) == []
+        assert recursion_components(()) == ()
 
     def test_two_pair_single_arc(self):
         src = ("basic a\n"
@@ -65,16 +86,15 @@ class TestBuildGraph:
                "rule f-def: f(c(X)) -> g(X)\n"
                "rule g-def: g(c(X)) -> f(X)\n")
         pairs = extract_sdps(parse(src))
-        g = build_graph(pairs)
-        assert g.arcs == {(0, 1), (1, 0)}
-        comps = recursion_components(g)
+        assert build_graph(pairs) == [(0, 1), (1, 0)]
+        comps = recursion_components(pairs)
         assert len(comps) == 1
         assert comps[0].indices == (0, 1)
 
     def test_wide_family_is_one_dense_component(self):
-        g = build_graph(extract_sdps(parse(wide(5))))
-        assert len(g.arcs) == 25
-        (comp,) = recursion_components(g)
+        pairs = extract_sdps(parse(wide(5)))
+        assert len(build_graph(pairs)) == 25
+        (comp,) = recursion_components(pairs)
         assert comp.indices == tuple(range(5))
         assert prove_text(wide(5)).verdict.kind == TERMINATING
 
@@ -88,27 +108,38 @@ class TestBuildGraph:
 
 class TestRecursionComponents:
     def test_sqsum_components(self):
-        _, g = sqsum_graph()
-        comps = recursion_components(g)
+        comps = recursion_components(sqsum_pairs())
         assert [c.indices for c in comps] == [(0,), (2,), (3,)]
 
     def test_components_carry_their_pairs(self):
-        pairs, g = sqsum_graph()
-        comps = recursion_components(g)
+        pairs = sqsum_pairs()
+        comps = recursion_components(pairs)
         assert comps[0].pairs == (pairs[0],)
         assert comps[1].pairs == (pairs[2],)
         assert comps[2].pairs == (pairs[3],)
 
+    @pytest.mark.parametrize("symbol_arcs, expected", [
+        ([(0, 1), (1, 0), (1, 2)], [(0, 1)]),
+        ([(0, 1), (1, 2)], []),
+        ([(2, 3), (0, 1), (3, 4), (1, 0), (4, 2)], [(0, 2, 4), (1, 3)]),
+        ([(0, 0), (0, 1), (1, 1)], [(0,), (2,)]),
+    ])
+    def test_small_symbol_graphs(self, symbol_arcs, expected):
+        comps = recursion_components(symbol_pairs(symbol_arcs))
+        assert [c.indices for c in comps] == expected
+
     @settings(max_examples=200)
     @given(S.digraphs())
-    def test_components_are_the_sccs_that_carry_an_arc(self, graph):
-        n, arcs = graph
-        expected = [c for c in closure_sccs(n, arcs)
+    def test_components_are_the_sccs_that_carry_an_arc(self, symbol_graph):
+        _, symbol_arcs = symbol_graph
+        pairs = symbol_pairs(symbol_arcs)
+        arcs = build_graph(pairs)
+        expected = [c for c in closure_sccs(len(pairs), arcs)
                     if len(c) > 1 or (c[0], c[0]) in arcs]
-        g = DependencyGraph(tuple(range(n)), arcs)
-        comps = recursion_components(g)
+        comps = recursion_components(pairs)
         assert [c.indices for c in comps] == expected
-        assert all(c.pairs == c.indices for c in comps)
+        assert all(c.pairs == tuple(pairs[i] for i in c.indices)
+                   for c in comps)
 
     def test_singleton_without_self_arc_is_not_a_component(self):
         # one defined symbol calling another, no cycle at all
@@ -121,42 +152,26 @@ class TestRecursionComponents:
                "rule g-def: g(c(X)) -> X\n")
         pairs = extract_sdps(parse(src))
         assert len(pairs) == 1
-        assert recursion_components(build_graph(pairs)) == ()
-
-
-class TestStronglyConnected:
-    def test_two_cycle_with_isolated_node(self):
-        sccs = strongly_connected(3, frozenset({(0, 1), (1, 0)}))
-        assert sorted(sccs) == [(0, 1), (2,)]
-
-    def test_chain_is_all_singletons(self):
-        sccs = strongly_connected(3, frozenset({(0, 1), (1, 2)}))
-        assert sorted(sccs) == [(0,), (1,), (2,)]
-
-    def test_every_node_in_exactly_one_scc(self):
-        sccs = strongly_connected(5, frozenset({(0, 1), (1, 0), (2, 3),
-                                                (3, 4), (4, 2)}))
-        flat = sorted(i for scc in sccs for i in scc)
-        assert flat == [0, 1, 2, 3, 4]
-
-    @settings(max_examples=200)
-    @given(S.digraphs())
-    def test_matches_reachability_closure(self, graph):
-        n, arcs = graph
-        sccs = strongly_connected(n, arcs)
-        assert sorted(tuple(sorted(s)) for s in sccs) == closure_sccs(n, arcs)
+        assert recursion_components(pairs) == ()
 
     def test_long_chain_needs_no_recursion(self):
         n = 100_000
-        sccs = strongly_connected(n, frozenset((i, i + 1)
-                                               for i in range(n - 1)))
-        assert sccs == [(i,) for i in range(n)]
+        pairs = symbol_pairs((i, i + 1) for i in range(n - 1))
+        assert recursion_components(pairs) == ()
 
     def test_long_cycle_needs_no_recursion(self):
         n = 100_000
-        sccs = strongly_connected(n, frozenset((i, (i + 1) % n)
-                                               for i in range(n)))
-        assert sccs == [tuple(range(n))]
+        pairs = symbol_pairs((i, (i + 1) % n) for i in range(n))
+        (comp,) = recursion_components(pairs)
+        assert comp.indices == tuple(range(n))
+
+    def test_proof_work_in_the_graph_is_linear(self):
+        # the arc set of n pairs on one symbol grew 4.0 times
+        functions = [f for f in vars(graph).values()
+                     if isinstance(f, FunctionType)
+                     and f.__module__ == graph.__name__]
+        assert doubling(lambda n: prove_text(wide(n)), 200,
+                        functions) <= 2.5
 
 
 class TestPostorder:
@@ -244,8 +259,8 @@ class TestDepthFirst:
 
 class TestDotOutput:
     def test_sqsum_dot_structure(self):
-        _, g = sqsum_graph()
-        dot = to_dot(g, recursion_components(g))
+        pairs = sqsum_pairs()
+        dot = to_dot(pairs, recursion_components(pairs))
         assert dot.startswith("digraph sdg {")
         assert dot.rstrip().endswith("}")
         assert 'label="component 1"' in dot
@@ -257,13 +272,13 @@ class TestDotOutput:
             assert dot.count(f"n{i} [label=") == 1
 
     def test_dot_escapes_backslashes(self):
-        _, g = sqsum_graph()
-        dot = to_dot(g, recursion_components(g))
+        pairs = sqsum_pairs()
+        dot = to_dot(pairs, recursion_components(pairs))
         assert "\\\\x y. F(x, y)" in dot
 
     def test_nodes_outside_components_are_unclustered(self):
-        _, g = sqsum_graph()
-        dot = to_dot(g, recursion_components(g))
+        pairs = sqsum_pairs()
+        dot = to_dot(pairs, recursion_components(pairs))
         # cluster members are indented one level deeper than loose nodes;
         # n4 (sqsum -> foldl) cycles with nothing, so it stays at top level
         assert "\n  n4 [label=" in dot

@@ -27,7 +27,7 @@ from hoterm.criteria import (PRECEDENCE_BUDGET, AnalysisConfig, Comparison,
                              OrientationVerdict, PiAssignment,
                              check_reduction_pair, check_subterm_criterion,
                              search_pi, search_precedence)
-from hoterm.graph import RecursionComponent, build_graph, recursion_components
+from hoterm.graph import RecursionComponent, recursion_components
 from hoterm.hrs import Hrs, Rule, load, parse
 from hoterm.normalize import apply_subst
 from hoterm.proof import MAYBE, TERMINATING, ProverConfig, prove_text
@@ -87,7 +87,7 @@ def oracle_precedence(h, component):
 
 
 def components(h):
-    return recursion_components(build_graph(extract_sdps(h)))
+    return recursion_components(extract_sdps(h))
 
 
 # ---------------------------------------------------------------------------
